@@ -3,15 +3,9 @@
 #include <optional>
 #include <typeinfo>
 
-#include "elastic/buffer.h"
-#include "elastic/eemux.h"
-#include "elastic/endpoints.h"
-#include "elastic/fork.h"
-#include "elastic/func.h"
+#include "compile/arena.h"
 #include "elastic/netlist.h"
 #include "elastic/params.h"
-#include "elastic/shared.h"
-#include "elastic/vlu.h"
 
 namespace esl::compile {
 
@@ -30,58 +24,12 @@ SlotAddr addrFor(const SignalBoard& board, ChannelId ch) {
 
 /// Exact-type kind resolution: a user *subclass* of a catalog node may
 /// override evalComb/clockEdge, so only a typeid match may specialize.
-OpCode classify(const Node& node, void** obj) {
-  const auto& t = typeid(node);
-  const auto as = [&](auto* p) {
-    *obj = const_cast<void*>(static_cast<const void*>(p));
-  };
-  if (t == typeid(ElasticBuffer)) {
-    as(static_cast<const ElasticBuffer*>(&node));
-    return OpCode::kEb;
-  }
-  if (t == typeid(ElasticBuffer0)) {
-    as(static_cast<const ElasticBuffer0*>(&node));
-    return OpCode::kEb0;
-  }
-  if (t == typeid(BrokenBuffer)) {
-    as(static_cast<const BrokenBuffer*>(&node));
-    return OpCode::kBrokenEb;
-  }
-  if (t == typeid(ForkNode)) {
-    as(static_cast<const ForkNode*>(&node));
-    return OpCode::kFork;
-  }
-  if (t == typeid(FuncNode)) {
-    as(static_cast<const FuncNode*>(&node));
-    return OpCode::kFunc;
-  }
-  if (t == typeid(EarlyEvalMux)) {
-    as(static_cast<const EarlyEvalMux*>(&node));
-    return OpCode::kEeMux;
-  }
-  if (t == typeid(TokenSource)) {
-    as(static_cast<const TokenSource*>(&node));
-    return OpCode::kSource;
-  }
-  if (t == typeid(TokenSink)) {
-    as(static_cast<const TokenSink*>(&node));
-    return OpCode::kSink;
-  }
-  if (t == typeid(NondetSource)) {
-    as(static_cast<const NondetSource*>(&node));
-    return OpCode::kNondetSource;
-  }
-  if (t == typeid(NondetSink)) {
-    as(static_cast<const NondetSink*>(&node));
-    return OpCode::kNondetSink;
-  }
-  if (t == typeid(SharedModule)) {
-    as(static_cast<const SharedModule*>(&node));
-    return OpCode::kShared;
-  }
-  if (t == typeid(StallingVLU)) {
-    as(static_cast<const StallingVLU*>(&node));
-    return OpCode::kVlu;
+OpCode classify(const Node& node) {
+  for (unsigned c = 0; c < static_cast<unsigned>(OpCode::kGeneric); ++c) {
+    const auto code = static_cast<OpCode>(c);
+    bool match = false;
+    visitKind(code, [&]<typename K>() { match = typeid(node) == typeid(K); });
+    if (match) return code;
   }
   return OpCode::kGeneric;
 }
@@ -135,67 +83,19 @@ FuncKind specializeFunc(const Node& node, const Op& op,
   return FuncKind::kOpaque;
 }
 
-/// Plans the op's node-state arena record: how many u64 words it needs, with
-/// the per-kind constants the VM reads every evaluation stashed in fnA/fnB
-/// (one op load instead of a node-object load). Returns nullopt when the
-/// state does not fit the word arena (payloads wider than 64 bits, forks
-/// wider than 64 branches) — the caller downgrades to kGeneric, keeping the
-/// virtual (interpreter) path, which handles arbitrary widths.
-///
-/// 0 words means the op is specialized but keeps its state on the node:
-/// kFunc/kShared sequential "state" is a memo or a polymorphic scheduler
-/// (virtual predict/observe — pointer-chasing is inherent), and kGeneric
-/// state is whatever the subclass holds.
+/// Sizes the op's node-state arena record through its kind's ArenaView
+/// (which may stash per-kind constants in fnA/fnB). nullopt when the state
+/// does not fit the word arena (payloads wider than 64 bits, forks wider than
+/// 64 branches): the caller downgrades to kGeneric, keeping the virtual
+/// (interpreter) path, which handles arbitrary widths. 0 words: kGeneric, or
+/// a kind that keeps its state on the node.
 std::optional<std::uint32_t> planStateWords(Op& op,
                                             const std::vector<SlotAddr>& ports) {
-  const SlotAddr* P = ports.data() + op.portBase;
-  switch (op.code) {
-    case OpCode::kEb: {
-      const auto& eb = *static_cast<const ElasticBuffer*>(op.obj);
-      if (P[1].width > 64) return std::nullopt;
-      op.fnA = eb.capacity();
-      op.fnB = eb.antiCapacity();
-      // head|count, antiTokens, then one payload word per ring slot.
-      return 2 + static_cast<std::uint32_t>(eb.capacity());
-    }
-    case OpCode::kEb0:
-    case OpCode::kBrokenEb:
-      // has|stopReg flags word + payload word.
-      return P[1].width > 64 ? std::nullopt : std::make_optional(2u);
-    case OpCode::kFork:
-      // done_ bits as one mask word.
-      return op.nOut > 64 ? std::nullopt : std::make_optional(1u);
-    case OpCode::kEeMux:
-      // One pendingAnti_ counter word per data input (payload routing goes
-      // through copyData, which handles wide channels).
-      return static_cast<std::uint32_t>(op.nIn - 1);
-    case OpCode::kSource:
-      return 2u;  // index; offering|killCredit
-    case OpCode::kSink:
-      return 1u;  // antiActive|antiRemaining
-    case OpCode::kNondetSource: {
-      const auto& ns = *static_cast<const NondetSource*>(op.obj);
-      if (P[0].width > 64) return std::nullopt;
-      op.fnA = ns.killCreditCap();
-      op.fnB = ns.maxIdle();
-      return 3u;  // offering; value; killCredit|idleStreak
-    }
-    case OpCode::kNondetSink: {
-      const auto& nk = *static_cast<const NondetSink*>(op.obj);
-      op.fnA = nk.maxConsecutiveStops();
-      op.fnB = nk.emitsAntiTokens() ? 1 : 0;
-      return 1u;  // antiActive|consecutiveStops
-    }
-    case OpCode::kVlu:
-      // pending/result flags + pending word + result word.
-      return P[0].width > 64 || P[1].width > 64 ? std::nullopt
-                                                : std::make_optional(3u);
-    case OpCode::kFunc:
-    case OpCode::kShared:
-    case OpCode::kGeneric:
-      return 0u;
-  }
-  return 0u;
+  std::optional<std::uint32_t> words = 0u;
+  visitKind(op.code, [&]<typename K>() {
+    words = ArenaView<K>::plan(op, ports.data() + op.portBase);
+  });
+  return words;
 }
 
 }  // namespace
@@ -237,7 +137,7 @@ Program compileProgram(Netlist& nl, const SignalBoard& board,
     // the usual accessor error if the dangling channel is actually touched.
     // Under sharding, a node adjacent to a boundary slot also stays generic:
     // boundary writes must go through the staging-aware Sig accessors.
-    op.code = allBound && !(sharded && anyBoundary) ? classify(node, &op.obj)
+    op.code = allBound && !(sharded && anyBoundary) ? classify(node)
                                                     : OpCode::kGeneric;
     if (op.code == OpCode::kFunc)
       op.fnKind = specializeFunc(node, op, prog.ports, &op.fnA, &op.fnB);
@@ -245,7 +145,6 @@ Program compileProgram(Netlist& nl, const SignalBoard& board,
     if (!words) {
       // State too wide for the word arena: virtual path handles any width.
       op.code = OpCode::kGeneric;
-      op.obj = nullptr;
       op.fnA = op.fnB = 0;
     } else if (*words > 0) {
       if (sharded) {

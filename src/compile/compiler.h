@@ -2,9 +2,9 @@
 //
 // compileProgram() lowers a netlist once into a flat program of per-node ops:
 // each op carries the node's kind (resolved to a specialized opcode by exact
-// type), a concrete object pointer (the downcast done at compile time), an
-// offset into the VM's node-state arena, and a table of port addresses
-// resolved against the board's current layout. The VM (src/compile/vm.h) then
+// type), an offset into the VM's node-state arena (its record layout is the
+// kind's ArenaView, compile/arena.h), and a table of port addresses resolved
+// against the board's current layout. The VM (src/compile/vm.h) then
 // executes settle rounds and clock edges with raw word loads/stores: no
 // virtual dispatch, no Sig accessor proxies, no slot lookups — and no
 // pointer-chasing into node objects — on the hot path.
@@ -53,7 +53,7 @@ enum class OpCode : std::uint8_t {
   kNondetSink,    ///< NondetSink
   kShared,        ///< SharedModule
   kVlu,           ///< StallingVLU
-  kGeneric,       ///< fallback: virtual evalComb/clockEdge
+  kGeneric,       ///< fallback: virtual evalComb/clockEdge (stays last)
 };
 
 /// One channel endpoint, 12 bytes. The plane/word coordinates the VM needs
@@ -91,7 +91,8 @@ enum class FuncKind : std::uint8_t {
 /// portBase + nIn + nOut): inputs first, then outputs. Sequential state lives
 /// in the VM's arena at stateOff (kNoState: the op keeps its state on the
 /// node object — kFunc/kShared, whose "state" is memos/a polymorphic
-/// scheduler — or is kGeneric).
+/// scheduler — or is kGeneric). fnA/fnB hold constants the kind's ArenaView
+/// reads on every evaluation (one op load instead of a node-object load).
 struct Op {
   static constexpr std::uint32_t kNoState = ~std::uint32_t{0};
 
@@ -103,12 +104,9 @@ struct Op {
   std::uint32_t stateOff = kNoState;  ///< arena word offset (VM assigns)
   NodeId nodeId = 0;                  ///< owning node (arena flush liveness)
   std::uint64_t fnA = 0;  ///< kFunc: addk constant / permille threshold;
-                          ///< kEb: capacity; kNondetSource: killCredit cap;
-                          ///< kNondetSink: max consecutive stops
-  std::uint64_t fnB = 0;  ///< kFunc: permille salt; kEb: anti capacity;
-                          ///< kNondetSource: maxIdle; kNondetSink: emitsAnti
-  Node* node = nullptr;  ///< always set (names in errors, generic fallback)
-  void* obj = nullptr;   ///< exact-type downcast for specialized opcodes
+                          ///< kEb: capacity
+  std::uint64_t fnB = 0;  ///< kFunc: permille salt; kEb: anti capacity
+  Node* node = nullptr;  ///< exact type given by `code` (or any, kGeneric)
 };
 
 struct Program {

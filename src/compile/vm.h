@@ -13,10 +13,11 @@
 //
 // Per-node sequential state (EB rings, fork done bits, source cursors, VLU
 // operands, pending anti-token counters) lives in one contiguous VM-owned
-// u64 arena, indexed by each op's precomputed stateOff: a settle step streams
-// the op record, its port records and its state record instead of chasing
-// into a heap-allocated node object (~5–8 cache lines per active op before,
-// ~2–3 sequential streams after). The node objects remain the authoritative
+// u64 arena, indexed by each op's precomputed stateOff, in the record layout
+// its ArenaView defines: a settle step streams the op record, its port
+// records and its state record instead of chasing into a heap-allocated node
+// object (~5–8 cache lines per active op before, ~2–3 sequential streams
+// after). The node objects remain the authoritative
 // store whenever the VM is not running: every compiled phase adopts
 // (node → arena) lazily on entry, and flushState() publishes (arena → node)
 // before anything interprets node state — packState(), the sweep/interpreted
@@ -26,13 +27,16 @@
 // directly to the nodes — packState excludes them too, so they need no flush
 // discipline.
 //
-// Every specialized op is a line-for-line transcription of the node's
-// evalComb/clockEdge against raw addresses and arena words (the VM is a
-// friend of the node catalog), preserving exact write order and
-// change-tracking semantics; the write helpers mirror
-// SignalBoard::setBitAt/setDataAt, so settled fixpoints — and therefore
-// packState() — are bit-identical to the interpreted kernels. Cross-check
-// mode keeps the interpreted kernels as the runtime oracle.
+// A specialized op runs its node kind's own comb/edge template — the one the
+// interpreter runs through ObjectView<K> in evalComb/clockEdge — through
+// ArenaView<K> (compile/arena.h): raw board addresses whose writes mirror
+// SignalBoard::setBitAt/setDataAt exactly, change tracking included, plus the
+// op's arena record. One source, two views, so settled fixpoints — and
+// therefore packState() — are bit-identical to the interpreted kernels by
+// construction. Cross-check mode still runs the sweep kernel as the runtime
+// oracle for the scheduling machinery, and replays every specialized edge
+// against the interpreted clockEdge (edgeNodeForAudit) to check the arena
+// view itself.
 //
 // The program is recompiled whenever the netlist's topologyVersion OR the
 // board's layoutGeneration moves (a shard-count change permutes slots without
@@ -51,7 +55,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "compile/compiler.h"
+#include "compile/arena.h"
 
 namespace esl {
 class SimContext;
@@ -97,77 +101,18 @@ class Vm {
   void edgeNode(NodeId id, bool applyStats);
   /// Node → arena for every stateful op (phase entry with a stale arena).
   void adoptArena();
+  /// Node → arena / arena → node for one stateful op (the kind's copyState).
   void adoptOp(const Op& op);
   void flushOp(const Op& op);
-
-  // --- raw board access (mirrors SignalBoard::setBitAt/setDataAt exactly) ---
-  bool rdBit(const SlotAddr& a, unsigned plane) const {
-    return (ctrl_[a.ctrlBase() + plane] & a.bitMask()) != 0;
-  }
-  void wrBit(const SlotAddr& a, unsigned plane, bool v) {
-    // Branch-free equivalent of "flip and mark changed iff different": delta
-    // is bitMask when the stored bit differs from v, else 0. Signal writes
-    // follow token movement, so a compare-then-write branch mispredicts
-    // chronically; straight-line xor/or is cheaper than the flush.
-    std::uint64_t& w = ctrl_[a.ctrlBase() + plane];
-    const std::uint64_t delta =
-        (w ^ (0 - static_cast<std::uint64_t>(v))) & a.bitMask();
-    w ^= delta;
-    changed_[a.chWord()] |= delta;
-  }
-  BitVec rdData(const SlotAddr& a) const;
-  std::uint64_t rdLow64(const SlotAddr& a) const;
-  bool dataEqualsValue(const SlotAddr& a, const BitVec& v) const;
-  void wrData(const SlotAddr& a, const BitVec& v);
-  void copyData(const SlotAddr& dst, const SlotAddr& src);
-  /// setDataAt() narrow fast path for word-specialized datapaths: `v` is
-  /// already masked to the slot width, so the width audit holds by
-  /// construction and no BitVec is materialized.
-  void wrWord(const SlotAddr& a, std::uint64_t v) {
-    if (a.dataOff == SignalBoard::kNoSlot) return;
-    std::uint64_t& w = words_[a.dataOff];
-    const std::uint64_t diff = w == v ? 0 : a.bitMask();  // cmov, not a branch
-    w = v;
-    changed_[a.chWord()] |= diff;
-  }
-  /// True when the slot's payload lives in the narrow word arena (width in
-  /// [1, 64]) — the precondition for the wrWord/word0 fast paths.
-  static bool narrow(const SlotAddr& a) {
-    return a.dataOff != SignalBoard::kNoSlot &&
-           !(a.dataOff & SignalBoard::kWideFlag);
-  }
-  /// Word-arithmetic datapath of a specialized FuncNode (fnKind != kOpaque).
-  std::uint64_t funcWord(const Op& op, const SlotAddr* P) const;
-
-  // Event predicates over the settled planes (edge phase).
-  bool fwdAt(const SlotAddr& a) const;
-  bool killAt(const SlotAddr& a) const;
-  bool bwdAt(const SlotAddr& a) const;
-  /// All three event predicates from one pass over the slot's plane words
-  /// (edge ops branch on several of them; one load per plane, not per use).
-  struct Ev {
-    bool vf, sf, vb, sb;
-    bool fwd, kill, bwd;
-  };
-  Ev evAt(const SlotAddr& a) const {
-    const std::uint32_t base = a.ctrlBase();
-    const std::uint64_t m = a.bitMask();
-    const bool vf = (ctrl_[base + 0] & m) != 0;
-    const bool sf = (ctrl_[base + 1] & m) != 0;
-    const bool vb = (ctrl_[base + 2] & m) != 0;
-    const bool sb = (ctrl_[base + 3] & m) != 0;
-    return {vf, sf, vb, sb, vf && !sf && !vb, vf && vb, vb && !sb && !vf};
-  }
+  template <typename K>
+  ArenaView<K> view(const Op& op, bool stats);
 
   SimContext& ctx_;
   Program prog_;
   bool hasProgram_ = false;
 
-  // Raw arena pointers, re-fetched by bind() before every phase.
-  std::uint64_t* ctrl_ = nullptr;
-  std::uint64_t* words_ = nullptr;
-  BitVec* spill_ = nullptr;
-  std::uint64_t* changed_ = nullptr;
+  /// Raw board arrays, re-fetched by bind() before every phase.
+  RawBoard raw_;
 
   /// Node-state arena (u64 records at each op's stateOff). Authoritative only
   /// while arenaValid_; otherwise the node objects are.

@@ -33,86 +33,41 @@ ElasticBuffer::ElasticBuffer(std::string name, unsigned width, unsigned capacity
 
 void ElasticBuffer::reset() {
   ring_.assign(capacity_, BitVec(width_));
-  head_ = 0;
-  count_ = static_cast<unsigned>(init_.size());
-  for (unsigned i = 0; i < count_; ++i) ring_[i] = init_[i];
-  antiTokens_ = initAnti_;
+  st_ = State{};
+  st_.count = static_cast<unsigned>(init_.size());
+  for (unsigned i = 0; i < st_.count; ++i) ring_[i] = init_[i];
+  st_.anti = initAnti_;
 }
 
-void ElasticBuffer::evalComb(SimContext& ctx) {
-  Sig in = ctx.sig(input(0));
-  Sig out = ctx.sig(output(0));
+void ElasticBuffer::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
-  const bool hasTok = count_ > 0;
-  // Producer side of the output channel.
-  out.setVf(hasTok);
-  if (hasTok) out.setData(frontToken());
-  // Anti-tokens from downstream are consumed by killing the head token when
-  // one exists; otherwise they are stored, subject to the anti capacity.
-  out.setSb(!hasTok && antiTokens_ >= static_cast<int>(antiCapacity_));
-
-  // Consumer side of the input channel. The stop is a function of state only,
-  // which realizes Lb=1 (the sender learns about congestion a cycle late; the
-  // spare capacity slot absorbs the in-flight token, hence C >= Lf+Lb).
-  in.setSf(occupancy() >= static_cast<int>(capacity_));
-  // Stored anti-tokens travel upstream (active anti-tokens).
-  in.setVb(antiTokens_ > 0);
-}
-
-void ElasticBuffer::clockEdge(SimContext& ctx) {
-  const ConstSig in = ctx.sig(input(0));
-  const ConstSig out = ctx.sig(output(0));
-
-  // Output-side events first (free the head slot before accepting).
-  if (killEvent(out) || fwdTransfer(out)) {
-    ESL_ASSERT(count_ > 0);
-    popToken();
-  } else if (bwdTransfer(out)) {
-    ESL_ASSERT(count_ == 0);
-    ++antiTokens_;
-  }
-
-  // Input-side events. The payload is only materialized on an actual
-  // transfer — bit reads stay in the planes.
-  if (killEvent(in)) {
-    ESL_ASSERT(antiTokens_ > 0);  // we asserted in.vb
-    --antiTokens_;
-  } else if (fwdTransfer(in)) {
-    pushToken(in.data());
-    ESL_ASSERT(count_ <= capacity_);
-  } else if (bwdTransfer(in)) {
-    ESL_ASSERT(antiTokens_ > 0);
-    --antiTokens_;
-  }
-
-  // Tokens and anti-tokens cancel inside the buffer (Fig. 3: "which cancel
-  // each other at the boundaries of the EB"). This arises when a token enters
-  // through the input in the same cycle an anti-token enters via the output.
-  while (count_ > 0 && antiTokens_ > 0) {
-    popToken();
-    --antiTokens_;
-  }
-  ESL_ASSERT(count_ == 0 || antiTokens_ == 0);
-}
+void ElasticBuffer::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
 void ElasticBuffer::packState(StateWriter& w) const {
-  w.writeU32(count_);
-  for (unsigned i = 0; i < count_; ++i) {
-    unsigned idx = head_ + i;
+  w.writeU32(st_.count);
+  for (unsigned i = 0; i < st_.count; ++i) {
+    unsigned idx = st_.head + i;
     if (idx >= capacity_) idx -= capacity_;
     w.writeBitVec(ring_[idx]);
   }
-  w.writeU32(static_cast<std::uint32_t>(antiTokens_));
+  w.writeU32(static_cast<std::uint32_t>(st_.anti));
 }
 
 void ElasticBuffer::unpackState(StateReader& r) {
   const unsigned n = r.readU32();
   ESL_CHECK(n <= capacity_,
             "ElasticBuffer::unpackState: token count exceeds capacity on " + name());
-  head_ = 0;
-  count_ = n;
-  for (unsigned i = 0; i < n; ++i) ring_[i] = r.readBitVec();
-  antiTokens_ = static_cast<int>(r.readU32());
+  std::vector<BitVec> tokens(n);
+  for (BitVec& t : tokens) t = r.readPayload(width_, name());
+  const std::uint32_t anti = r.readU32();
+  ESL_CHECK(anti <= antiCapacity_,
+            "ElasticBuffer::unpackState: anti-token count exceeds the anti "
+            "capacity on " + name());
+  ESL_CHECK(n == 0 || anti == 0,
+            "ElasticBuffer::unpackState: tokens and anti-tokens stored "
+            "together on " + name());
+  for (unsigned i = 0; i < n; ++i) ring_[i] = std::move(tokens[i]);
+  st_ = {0, n, static_cast<int>(anti)};
 }
 
 logic::Cost ElasticBuffer::cost() const {
@@ -134,55 +89,30 @@ void ElasticBuffer::timing(TimingModel& m) const {
 
 ElasticBuffer0::ElasticBuffer0(std::string name, unsigned width,
                                std::optional<BitVec> initToken)
-    : Node(std::move(name)), width_(width), init_(std::move(initToken)) {
+    : Node(std::move(name)), width_(width), init_(std::move(initToken)), slot_(width) {
   if (init_) ESL_CHECK(init_->width() == width_, "ElasticBuffer0: init width mismatch");
   declareInput(width_);
   declareOutput(width_);
 }
 
-void ElasticBuffer0::reset() { slot_ = init_; }
-
-void ElasticBuffer0::evalComb(SimContext& ctx) {
-  Sig in = ctx.sig(input(0));
-  Sig out = ctx.sig(output(0));
-
-  const bool full = slot_.has_value();
-  out.setVf(full);
-  if (full) out.setData(*slot_);
-
-  // Head leaves this cycle if transferred or killed — computed from the
-  // downstream signals, so the stop to the sender is combinational (Lb=0).
-  const bool leave = full && (!out.sf() || out.vb());
-  in.setSf(full && !leave);
-
-  // Anti-tokens rush through combinationally when the buffer is empty.
-  in.setVb(!full && out.vb());
-  // The anti-token is consumed by killing our token, by killing the incoming
-  // token at the input boundary, or by moving further upstream.
-  out.setSb(!full && !in.vf() && in.sb());
+void ElasticBuffer0::reset() {
+  st_.full = init_.has_value();
+  slot_ = init_ ? *init_ : BitVec(width_);
 }
 
-void ElasticBuffer0::clockEdge(SimContext& ctx) {
-  const ConstSig in = ctx.sig(input(0));
-  const ConstSig out = ctx.sig(output(0));
+void ElasticBuffer0::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
-  if (killEvent(out) || fwdTransfer(out)) slot_.reset();
-  if (fwdTransfer(in)) {
-    ESL_ASSERT(!slot_.has_value());
-    slot_ = in.data();
-  }
-}
+void ElasticBuffer0::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
 void ElasticBuffer0::packState(StateWriter& w) const {
-  w.writeBool(slot_.has_value());
-  if (slot_) w.writeBitVec(*slot_);
+  w.writeBool(st_.full);
+  if (st_.full) w.writeBitVec(slot_);
 }
 
 void ElasticBuffer0::unpackState(StateReader& r) {
-  if (r.readBool())
-    slot_ = r.readBitVec();
-  else
-    slot_.reset();
+  const bool full = r.readBool();
+  if (full) slot_ = r.readPayload(width_, name());
+  st_.full = full;
 }
 
 logic::Cost ElasticBuffer0::cost() const { return logic::eb0Cost(width_); }
@@ -199,49 +129,27 @@ void ElasticBuffer0::timing(TimingModel& m) const {
 // ---------------------------------------------------------------------------
 
 BrokenBuffer::BrokenBuffer(std::string name, unsigned width)
-    : Node(std::move(name)), width_(width) {
+    : Node(std::move(name)), width_(width), slot_(width) {
   declareInput(width_);
   declareOutput(width_);
 }
 
-void BrokenBuffer::reset() {
-  slot_.reset();
-  stopReg_ = false;
-}
+void BrokenBuffer::reset() { st_ = State{}; }
 
-void BrokenBuffer::evalComb(SimContext& ctx) {
-  Sig in = ctx.sig(input(0));
-  Sig out = ctx.sig(output(0));
-  out.setVf(slot_.has_value());
-  if (slot_) out.setData(*slot_);
-  out.setSb(true);  // no anti-token support
-  in.setSf(stopReg_);  // BUG: one cycle stale — the sender overruns the slot
-  in.setVb(false);
-}
+void BrokenBuffer::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
-void BrokenBuffer::clockEdge(SimContext& ctx) {
-  const ConstSig in = ctx.sig(input(0));
-  const ConstSig out = ctx.sig(output(0));
-  // The Lb=1 stop reflects the occupancy *before* this edge, so the sender
-  // learns about a fill one cycle late — with C=1 there is no slack slot to
-  // absorb the in-flight token (paper §3.2: the C >= Lf+Lb scenario).
-  stopReg_ = slot_.has_value();
-  if (fwdTransfer(out)) slot_.reset();
-  if (fwdTransfer(in)) slot_ = in.data();  // may overwrite a live token
-}
+void BrokenBuffer::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
 void BrokenBuffer::packState(StateWriter& w) const {
-  w.writeBool(slot_.has_value());
-  if (slot_) w.writeBitVec(*slot_);
-  w.writeBool(stopReg_);
+  w.writeBool(st_.full);
+  if (st_.full) w.writeBitVec(slot_);
+  w.writeBool(st_.stopReg);
 }
 
 void BrokenBuffer::unpackState(StateReader& r) {
-  if (r.readBool())
-    slot_ = r.readBitVec();
-  else
-    slot_.reset();
-  stopReg_ = r.readBool();
+  const bool full = r.readBool();
+  if (full) slot_ = r.readPayload(width_, name());
+  st_ = {full, r.readBool()};
 }
 
 }  // namespace esl

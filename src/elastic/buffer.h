@@ -18,8 +18,8 @@
 
 #include <optional>
 
-#include "elastic/context.h"
 #include "elastic/node.h"
+#include "elastic/node_view.h"
 
 namespace esl {
 
@@ -53,26 +53,26 @@ class ElasticBuffer : public Node {
   const std::vector<BitVec>& initTokens() const { return init_; }
   int initAntiTokens() const { return initAnti_; }
   /// Current token count (negative = stored anti-tokens).
-  int occupancy() const { return static_cast<int>(count_) - antiTokens_; }
+  int occupancy() const { return static_cast<int>(st_.count) - st_.anti; }
+
+  /// Scalar sequential state; the stored tokens sit beside it in a fixed ring
+  /// of `capacity` payload slots (view accessors token(i)/setToken(i, p)).
+  struct State {
+    unsigned head = 0;   ///< ring slot of the oldest token
+    unsigned count = 0;  ///< stored tokens
+    int anti = 0;        ///< stored anti-tokens (never together with tokens)
+  };
+  /// The handshake, once for both views (see elastic/node_view.h).
+  template <typename V>
+  static void comb(const V& v);
+  template <typename V>
+  static void edge(const V& v);
+  template <typename From, typename To>
+  static void copyState(const From& from, const To& to);
 
  private:
-  friend class compile::Vm;
-
-  // The FIFO is a fixed ring over `capacity_` pre-sized BitVec slots: pushes
-  // and pops are index arithmetic plus a value assignment that reuses the
-  // slot's storage — no deque node traffic on the clock-edge hot path.
-  const BitVec& frontToken() const { return ring_[head_]; }
-  void popToken() {
-    head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
-    --count_;
-  }
-  template <typename V>
-  void pushToken(V&& v) {
-    unsigned tail = head_ + count_;
-    if (tail >= capacity_) tail -= capacity_;
-    ring_[tail] = std::forward<V>(v);
-    ++count_;
-  }
+  friend class ObjectPorts<ElasticBuffer>;
+  friend class ObjectView<ElasticBuffer>;
 
   unsigned width_;
   unsigned capacity_;
@@ -80,11 +80,105 @@ class ElasticBuffer : public Node {
   std::vector<BitVec> init_;
   int initAnti_;
 
+  State st_;
+  // Pops and pushes are index arithmetic plus a value assignment that reuses
+  // the slot's storage: no allocation on the clock-edge hot path.
   std::vector<BitVec> ring_;
-  unsigned head_ = 0;
-  unsigned count_ = 0;
-  int antiTokens_ = 0;
 };
+
+template <>
+class ObjectView<ElasticBuffer> : public ObjectPorts<ElasticBuffer> {
+ public:
+  using ObjectPorts::ObjectPorts;
+  unsigned capacity() const { return node().capacity_; }
+  unsigned antiCapacity() const { return node().antiCapacity_; }
+  const BitVec& token(unsigned i) const { return node().ring_[i]; }
+  void setToken(unsigned i, BitVec t) const { node().ring_[i] = std::move(t); }
+};
+
+template <typename V>
+void ElasticBuffer::comb(const V& v) {
+  auto in = v.in(0);
+  auto out = v.out(0);
+  const State s = v.state();
+  const bool hasTok = s.count > 0;
+  // Producer side of the output channel.
+  out.setVf(hasTok);
+  if (hasTok) out.setData(v.token(s.head));
+  // Anti-tokens from downstream are consumed by killing the head token when
+  // one exists; otherwise they are stored, subject to the anti capacity.
+  out.setSb(!hasTok && s.anti >= static_cast<int>(v.antiCapacity()));
+
+  // Consumer side of the input channel. The stop is a function of state only,
+  // which realizes Lb=1 (the sender learns about congestion a cycle late; the
+  // spare capacity slot absorbs the in-flight token, hence C >= Lf+Lb).
+  in.setSf(static_cast<int>(s.count) - s.anti >=
+           static_cast<int>(v.capacity()));
+  // Stored anti-tokens travel upstream (active anti-tokens).
+  in.setVb(s.anti > 0);
+}
+
+template <typename V>
+void ElasticBuffer::edge(const V& v) {
+  const auto inPort = v.in(0);
+  const ChannelEvents in = inPort.events();
+  const ChannelEvents out = v.out(0).events();
+  const unsigned cap = v.capacity();
+  State s = v.state();
+  const auto popToken = [&] {
+    s.head = s.head + 1 == cap ? 0 : s.head + 1;
+    --s.count;
+  };
+
+  // Output-side events first (free the head slot before accepting).
+  if (out.kill || out.fwd) {
+    ESL_ASSERT(s.count > 0);
+    popToken();
+  } else if (out.bwd) {
+    ESL_ASSERT(s.count == 0);
+    ++s.anti;
+  }
+
+  // Input-side events. The payload is only read on an actual transfer.
+  if (in.kill) {
+    ESL_ASSERT(s.anti > 0);  // we asserted in.vb
+    --s.anti;
+  } else if (in.fwd) {
+    unsigned tail = s.head + s.count;
+    if (tail >= cap) tail -= cap;
+    v.setToken(tail, v.payload(inPort));
+    ++s.count;
+    ESL_ASSERT(s.count <= cap);
+  } else if (in.bwd) {
+    ESL_ASSERT(s.anti > 0);
+    --s.anti;
+  }
+
+  // Tokens and anti-tokens cancel inside the buffer (Fig. 3: "which cancel
+  // each other at the boundaries of the EB"). This arises when a token enters
+  // through the input in the same cycle an anti-token enters via the output.
+  while (s.count > 0 && s.anti > 0) {
+    popToken();
+    --s.anti;
+  }
+  ESL_ASSERT(s.count == 0 || s.anti == 0);
+  v.setState(s);
+}
+
+template <typename From, typename To>
+void ElasticBuffer::copyState(const From& from, const To& to) {
+  const State s = from.state();
+  to.setState(s);
+  for (unsigned i = 0; i < s.count; ++i) {
+    unsigned idx = s.head + i;
+    if (idx >= from.capacity()) idx -= from.capacity();
+    to.setToken(idx, from.token(idx));
+  }
+}
+
+/// Object view shared by the single-slot buffers (defined below them).
+template <typename K>
+class SlotObjectView;
 
 class ElasticBuffer0 : public Node {
  public:
@@ -111,12 +205,28 @@ class ElasticBuffer0 : public Node {
   unsigned width() const { return width_; }
   const std::optional<BitVec>& initToken() const { return init_; }
 
+  struct State {
+    bool full = false;  ///< the slot holds a token
+  };
+  template <typename V>
+  static void comb(const V& v);
+  template <typename V>
+  static void edge(const V& v);
+  template <typename From, typename To>
+  static void copyState(const From& from, const To& to) {
+    const State s = from.state();
+    to.setState(s);
+    if (s.full) to.setSlot(from.slot());
+  }
+
  private:
-  friend class compile::Vm;
+  friend class ObjectPorts<ElasticBuffer0>;
+  friend class SlotObjectView<ElasticBuffer0>;
 
   unsigned width_;
   std::optional<BitVec> init_;
-  std::optional<BitVec> slot_;
+  State st_;
+  BitVec slot_;  ///< the stored token, meaningful iff st_.full
 };
 
 class BrokenBuffer : public Node {
@@ -134,12 +244,112 @@ class BrokenBuffer : public Node {
   }
   std::string kindName() const override { return "broken-eb"; }
 
+  struct State {
+    bool full = false;     ///< the slot holds a token
+    bool stopReg = false;  ///< the bug: S+ to the sender lags by a cycle
+  };
+  template <typename V>
+  static void comb(const V& v);
+  template <typename V>
+  static void edge(const V& v);
+  template <typename From, typename To>
+  static void copyState(const From& from, const To& to) {
+    const State s = from.state();
+    to.setState(s);
+    if (s.full) to.setSlot(from.slot());
+  }
+
  private:
-  friend class compile::Vm;
+  friend class ObjectPorts<BrokenBuffer>;
+  friend class SlotObjectView<BrokenBuffer>;
 
   unsigned width_;
-  std::optional<BitVec> slot_;
-  bool stopReg_ = false;  // the bug: S+ to the sender lags the state by a cycle
+  State st_;
+  BitVec slot_;  ///< the stored token, meaningful iff st_.full
 };
+
+/// Object view of the single-slot buffers (ElasticBuffer0, BrokenBuffer).
+template <typename K>
+class SlotObjectView : public ObjectPorts<K> {
+ public:
+  using ObjectPorts<K>::ObjectPorts;
+  const BitVec& slot() const { return this->node().slot_; }
+  void setSlot(BitVec t) const { this->node().slot_ = std::move(t); }
+};
+template <>
+class ObjectView<ElasticBuffer0> : public SlotObjectView<ElasticBuffer0> {
+ public:
+  using SlotObjectView::SlotObjectView;
+};
+template <>
+class ObjectView<BrokenBuffer> : public SlotObjectView<BrokenBuffer> {
+ public:
+  using SlotObjectView::SlotObjectView;
+};
+
+template <typename V>
+void ElasticBuffer0::comb(const V& v) {
+  auto in = v.in(0);
+  auto out = v.out(0);
+  const bool full = v.state().full;
+  out.setVf(full);
+  if (full) out.setData(v.slot());
+
+  // Head leaves this cycle if transferred or killed — computed from the
+  // downstream signals, so the stop to the sender is combinational (Lb=0).
+  const bool leave = full && (!out.sf() || out.vb());
+  in.setSf(full && !leave);
+
+  // Anti-tokens rush through combinationally when the buffer is empty.
+  in.setVb(!full && out.vb());
+  // The anti-token is consumed by killing our token, by killing the incoming
+  // token at the input boundary, or by moving further upstream.
+  out.setSb(!full && !in.vf() && in.sb());
+}
+
+template <typename V>
+void ElasticBuffer0::edge(const V& v) {
+  const auto inPort = v.in(0);
+  const ChannelEvents in = inPort.events();
+  const ChannelEvents out = v.out(0).events();
+  State s = v.state();
+  if (out.kill || out.fwd) s.full = false;
+  if (in.fwd) {
+    ESL_ASSERT(!s.full);
+    s.full = true;
+    v.setSlot(v.payload(inPort));
+  }
+  v.setState(s);
+}
+
+template <typename V>
+void BrokenBuffer::comb(const V& v) {
+  auto in = v.in(0);
+  auto out = v.out(0);
+  const State s = v.state();
+  out.setVf(s.full);
+  if (s.full) out.setData(v.slot());
+  out.setSb(true);        // no anti-token support
+  in.setSf(s.stopReg);    // BUG: one cycle stale — the sender overruns the slot
+  in.setVb(false);
+}
+
+template <typename V>
+void BrokenBuffer::edge(const V& v) {
+  const auto inPort = v.in(0);
+  const ChannelEvents in = inPort.events();
+  const ChannelEvents out = v.out(0).events();
+  State s = v.state();
+  // The Lb=1 stop reflects the occupancy *before* this edge, so the sender
+  // learns about a fill one cycle late — with C=1 there is no slack slot to
+  // absorb the in-flight token (paper §3.2: the C >= Lf+Lb scenario).
+  s.stopReg = s.full;
+  if (out.fwd) s.full = false;
+  if (in.fwd) {  // may overwrite a live token
+    s.full = true;
+    v.setSlot(v.payload(inPort));
+  }
+  v.setState(s);
+}
 
 }  // namespace esl

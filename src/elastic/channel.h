@@ -47,6 +47,17 @@ inline bool fwdTransfer(const ChannelSignals& s) { return s.vf && !s.sf && !s.vb
 /// Anti-token moves consumer -> producer this cycle.
 inline bool bwdTransfer(const ChannelSignals& s) { return s.vb && !s.sb && !s.vf; }
 
+/// A channel's settled control bits and its three events, taken in one read
+/// of each bit: what clock-edge code branches on.
+struct ChannelEvents {
+  bool vf, sf, vb, sb;
+  bool fwd, kill, bwd;
+
+  static ChannelEvents of(bool vf, bool sf, bool vb, bool sb) {
+    return {vf, sf, vb, sb, vf && !sf && !vb, vf && vb, vb && !sb && !vf};
+  }
+};
+
 /// Static structure of a channel: endpoints and payload width.
 struct Channel {
   ChannelId id = kNoChannel;

@@ -70,6 +70,9 @@ namespace esl {
 
 class Executor;
 class StateWriter;
+namespace compile {
+class Vm;
+}
 
 class SimContext {
  public:

@@ -16,78 +16,9 @@ void EarlyEvalMux::reset() {
   pendingAnti_.assign(dataInputs_, 0);
 }
 
-EarlyEvalMux::CombView EarlyEvalMux::view(SimContext& ctx) const {
-  CombView v;
-  const ConstSig sel = ctx.sig(selectChannel());
-  v.selValid = sel.vf();
-  if (v.selValid) {
-    const std::uint64_t idx = sel.dataLow64();
-    ESL_CHECK(idx < dataInputs_,
-              "EarlyEvalMux '" + name() + "': select value out of range");
-    v.selIdx = static_cast<unsigned>(idx);
-  }
+void EarlyEvalMux::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
-  // The selected token is usable only if it is not owed to a pending
-  // anti-token from an earlier firing.
-  const bool usable = v.selValid && pendingAnti_[v.selIdx] == 0 &&
-                      ctx.sig(dataChannel(v.selIdx)).vf();
-  const ConstSig out = ctx.sig(output(0));
-  v.fire = usable && (!out.sf() || out.vb());
-
-  v.antiAvail.resize(dataInputs_);
-  for (unsigned i = 0; i < dataInputs_; ++i)
-    v.antiAvail[i] = pendingAnti_[i] + ((v.fire && i != v.selIdx) ? 1u : 0u);
-  return v;
-}
-
-void EarlyEvalMux::evalComb(SimContext& ctx) {
-  const CombView v = view(ctx);
-  Sig out = ctx.sig(output(0));
-  Sig sel = ctx.sig(selectChannel());
-
-  const bool usable = v.selValid && pendingAnti_[v.selIdx] == 0 &&
-                      ctx.sig(dataChannel(v.selIdx)).vf();
-  out.setVf(usable);
-  if (usable) out.setDataFrom(ctx.sig(dataChannel(v.selIdx)));
-  // An anti-token at the output is consumed only by annihilating a firing.
-  out.setSb(!usable);
-
-  sel.setSf(!v.fire);
-  sel.setVb(false);
-
-  for (unsigned i = 0; i < dataInputs_; ++i) {
-    Sig in = ctx.sig(dataChannel(i));
-    const bool anti = v.antiAvail[i] > 0;
-    in.setVb(anti);
-    if (anti) {
-      in.setSf(false);  // kill and stop are mutually exclusive
-    } else if (v.selValid && i == v.selIdx) {
-      // Selected: released on firing; stopped while waiting — when the channel
-      // is empty this stop is the misprediction demand.
-      in.setSf(!v.fire);
-    } else {
-      // Non-selected: hold an arriving token (it will be killed by a future
-      // firing's anti-token); keep the channel free otherwise so that an
-      // empty non-selected channel never looks like a demand.
-      in.setSf(in.vf());
-    }
-  }
-}
-
-void EarlyEvalMux::clockEdge(SimContext& ctx) {
-  const CombView v = view(ctx);
-  for (unsigned i = 0; i < dataInputs_; ++i) {
-    const ConstSig in = ctx.sig(dataChannel(i));
-    unsigned avail = v.antiAvail[i];
-    if (in.vb() && (in.vf() || !in.sb())) {
-      ESL_ASSERT(avail > 0);
-      --avail;  // delivered: killed a token or moved upstream
-    }
-    if (v.fire && i != v.selIdx) ++antiEmitted_;
-    pendingAnti_[i] = avail;
-  }
-  if (fwdTransfer(ctx.sig(output(0)))) ++firings_;
-}
+void EarlyEvalMux::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
 void EarlyEvalMux::packState(StateWriter& w) const {
   for (unsigned p : pendingAnti_) w.writeU32(p);

@@ -18,8 +18,8 @@
 
 #include <vector>
 
-#include "elastic/context.h"
 #include "elastic/node.h"
+#include "elastic/node_view.h"
 
 namespace esl {
 
@@ -50,16 +50,34 @@ class EarlyEvalMux : public Node {
   /// Anti-tokens emitted in total.
   std::uint64_t antiTokensEmitted() const { return antiEmitted_; }
 
- private:
-  friend class compile::Vm;
+  /// The handshake, once for both views (see elastic/node_view.h). State is
+  /// one pending anti-token counter per data input (pending(i)/setPending).
+  template <typename V>
+  static void comb(const V& v);
+  template <typename V>
+  static void edge(const V& v);
+  template <typename From, typename To>
+  static void copyState(const From& from, const To& to) {
+    for (unsigned i = 0; i + 1 < from.numInputs(); ++i)
+      to.setPending(i, from.pending(i));
+  }
 
-  struct CombView {
+ private:
+  friend class ObjectView<EarlyEvalMux>;
+
+  /// This cycle's firing decision, from state and settled signals.
+  struct Decision {
     bool selValid = false;
     unsigned selIdx = 0;
-    bool fire = false;
-    std::vector<unsigned> antiAvail;
+    bool usable = false;  ///< selected token present and not owed a kill
+    bool fire = false;    ///< ... and consumed downstream
   };
-  CombView view(SimContext& ctx) const;
+  template <typename V>
+  static Decision decide(const V& v);
+  /// Anti-tokens input i must deliver this cycle (pending + this firing's).
+  static unsigned antiAvail(unsigned pending, const Decision& d, unsigned i) {
+    return pending + ((d.fire && i != d.selIdx) ? 1u : 0u);
+  }
 
   unsigned dataInputs_;
   unsigned width_;
@@ -67,5 +85,80 @@ class EarlyEvalMux : public Node {
   std::uint64_t firings_ = 0;
   std::uint64_t antiEmitted_ = 0;
 };
+
+template <>
+class ObjectView<EarlyEvalMux> : public ObjectPorts<EarlyEvalMux> {
+ public:
+  using ObjectPorts::ObjectPorts;
+  unsigned pending(unsigned i) const { return node().pendingAnti_[i]; }
+  void setPending(unsigned i, unsigned n) const { node().pendingAnti_[i] = n; }
+};
+
+template <typename V>
+EarlyEvalMux::Decision EarlyEvalMux::decide(const V& v) {
+  Decision d;
+  const auto sel = v.in(0);
+  d.selValid = sel.vf();
+  if (d.selValid) {
+    const std::uint64_t idx = sel.dataLow64();
+    ESL_CHECK(idx < v.numInputs() - 1u,
+              "EarlyEvalMux '" + v.node().name() + "': select value out of range");
+    d.selIdx = static_cast<unsigned>(idx);
+  }
+  // The selected token is usable only if it is not owed to a pending
+  // anti-token from an earlier firing.
+  d.usable = d.selValid && v.pending(d.selIdx) == 0 && v.in(1 + d.selIdx).vf();
+  const auto out = v.out(0);
+  d.fire = d.usable && (!out.sf() || out.vb());
+  return d;
+}
+
+template <typename V>
+void EarlyEvalMux::comb(const V& v) {
+  const Decision d = decide(v);
+  auto out = v.out(0);
+  auto sel = v.in(0);
+  out.setVf(d.usable);
+  if (d.usable) out.setDataFrom(v.in(1 + d.selIdx));
+  // An anti-token at the output is consumed only by annihilating a firing.
+  out.setSb(!d.usable);
+
+  sel.setSf(!d.fire);
+  sel.setVb(false);
+
+  for (unsigned i = 0; i + 1 < v.numInputs(); ++i) {
+    auto in = v.in(1 + i);
+    const bool anti = antiAvail(v.pending(i), d, i) > 0;
+    in.setVb(anti);
+    if (anti) {
+      in.setSf(false);  // kill and stop are mutually exclusive
+    } else if (d.selValid && i == d.selIdx) {
+      // Selected: released on firing; stopped while waiting — when the channel
+      // is empty this stop is the misprediction demand.
+      in.setSf(!d.fire);
+    } else {
+      // Non-selected: hold an arriving token (it will be killed by a future
+      // firing's anti-token); keep the channel free otherwise so that an
+      // empty non-selected channel never looks like a demand.
+      in.setSf(in.vf());
+    }
+  }
+}
+
+template <typename V>
+void EarlyEvalMux::edge(const V& v) {
+  const Decision d = decide(v);
+  for (unsigned i = 0; i + 1 < v.numInputs(); ++i) {
+    const ChannelEvents in = v.in(1 + i).events();
+    unsigned avail = antiAvail(v.pending(i), d, i);
+    if (in.vb && (in.vf || !in.sb)) {
+      ESL_ASSERT(avail > 0);
+      --avail;  // delivered: killed a token or moved upstream
+    }
+    if (d.fire && i != d.selIdx && v.stats()) ++v.node().antiEmitted_;
+    v.setPending(i, avail);
+  }
+  if (v.out(0).events().fwd && v.stats()) ++v.node().firings_;
+}
 
 }  // namespace esl

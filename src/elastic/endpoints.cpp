@@ -37,62 +37,26 @@ std::optional<BitVec> TokenSource::tokenAt(std::uint64_t index) const {
 }
 
 void TokenSource::reset() {
-  index_ = 0;
-  killCredit_ = 0;
+  st_ = State{};
   emitted_ = 0;
   killedCount_ = 0;
-  offering_ = (!gate_ || gate_(0)) && tokenAt(0).has_value();
+  st_.offering = (!gate_ || gate_(0)) && tokenAt(0).has_value();
 }
 
-void TokenSource::evalComb(SimContext& ctx) {
-  Sig out = ctx.sig(output(0));
-  const std::optional<BitVec> tok = offering_ ? tokenAt(index_) : std::nullopt;
-  // A token owed to an absorbed anti-token is never shown.
-  const bool offer = tok.has_value() && killCredit_ == 0;
-  out.setVf(offer);
-  if (offer) out.setData(*tok);
-  out.setSb(false);  // sources always absorb anti-tokens
-}
+void TokenSource::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
-void TokenSource::clockEdge(SimContext& ctx) {
-  const ConstSig out = ctx.sig(output(0));
-
-  if (killEvent(out)) {
-    ++index_;
-    ++killedCount_;
-    offering_ = false;
-  } else if (fwdTransfer(out)) {
-    ++index_;
-    ++emitted_;
-    offering_ = false;
-  } else if (bwdTransfer(out)) {
-    ++killCredit_;
-  }
-
-  // An owed kill silently consumes the next available token (one per cycle).
-  if (killCredit_ > 0 && tokenAt(index_).has_value() && !out.vf()) {
-    ++index_;
-    --killCredit_;
-    ++killedCount_;
-    offering_ = false;
-  }
-
-  // Offer the next token when the gate opens for the upcoming cycle.
-  if (!offering_ && (!gate_ || gate_(ctx.cycle() + 1)) && tokenAt(index_).has_value() &&
-      killCredit_ == 0)
-    offering_ = true;
-}
+void TokenSource::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
 void TokenSource::packState(StateWriter& w) const {
-  w.writeU64(index_);
-  w.writeBool(offering_);
-  w.writeU32(killCredit_);
+  w.writeU64(st_.index);
+  w.writeBool(st_.offering);
+  w.writeU32(st_.killCredit);
 }
 
 void TokenSource::unpackState(StateReader& r) {
-  index_ = r.readU64();
-  offering_ = r.readBool();
-  killCredit_ = r.readU32();
+  st_.index = r.readU64();
+  st_.offering = r.readBool();
+  st_.killCredit = r.readU32();
 }
 
 void TokenSource::timing(TimingModel& m) const {
@@ -114,44 +78,22 @@ TokenSink::TokenSink(std::string name, unsigned width, Gate ready,
 }
 
 void TokenSink::reset() {
-  antiRemaining_ = antiBudget_;
-  antiActive_ = false;
+  st_ = {false, antiBudget_};
   transfers_.clear();
 }
 
-void TokenSink::evalComb(SimContext& ctx) {
-  Sig in = ctx.sig(input(0));
-  const bool wantAnti =
-      antiActive_ || (antiRemaining_ > 0 && antiGate_ && antiGate_(ctx.cycle()));
-  in.setVb(wantAnti);
-  // Kill and stop are mutually exclusive; anti-token emission wins.
-  in.setSf(!wantAnti && ready_ && !ready_(ctx.cycle()));
-}
+void TokenSink::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
-void TokenSink::clockEdge(SimContext& ctx) {
-  const ConstSig in = ctx.sig(input(0));
-  if (fwdTransfer(in)) transfers_.push_back({ctx.cycle(), in.data()});
-
-  if (in.vb()) {
-    const bool delivered = in.vf() || !in.sb();  // killed a token or moved upstream
-    if (delivered) {
-      ESL_ASSERT(antiRemaining_ > 0);
-      --antiRemaining_;
-      antiActive_ = false;
-    } else {
-      antiActive_ = true;  // Retry-: persist until delivered
-    }
-  }
-}
+void TokenSink::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
 void TokenSink::packState(StateWriter& w) const {
-  w.writeU32(antiRemaining_);
-  w.writeBool(antiActive_);
+  w.writeU32(st_.antiRemaining);
+  w.writeBool(st_.antiActive);
 }
 
 void TokenSink::unpackState(StateReader& r) {
-  antiRemaining_ = r.readU32();
-  antiActive_ = r.readBool();
+  st_.antiRemaining = r.readU32();
+  st_.antiActive = r.readBool();
 }
 
 void TokenSink::timing(TimingModel& m) const {
@@ -175,63 +117,26 @@ NondetSource::NondetSource(std::string name, unsigned width, unsigned killCredit
 }
 
 void NondetSource::reset() {
-  offering_ = false;
+  st_ = State{};
   value_ = BitVec(width_);
-  killCredit_ = 0;
-  idleStreak_ = 0;
 }
 
-bool NondetSource::offeringNow(SimContext& ctx) const {
-  return offering_ || ctx.choice(*this, 0) || idleStreak_ >= maxIdle_;
-}
+void NondetSource::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
-BitVec NondetSource::valueNow(SimContext& ctx) const {
-  if (offering_) return value_;  // Retry+ persistence: value fixed while held
-  BitVec v(width_);
-  for (unsigned b = 0; b < dataBits_; ++b) v.setBit(b, ctx.choice(*this, 1 + b));
-  return v;
-}
-
-void NondetSource::evalComb(SimContext& ctx) {
-  Sig out = ctx.sig(output(0));
-  const bool offer = offeringNow(ctx) && killCredit_ == 0;
-  out.setVf(offer);
-  if (offer) out.setData(valueNow(ctx));
-  out.setSb(!offer && killCredit_ >= cap_);
-}
-
-void NondetSource::clockEdge(SimContext& ctx) {
-  const ConstSig out = ctx.sig(output(0));
-  bool offered = offeringNow(ctx);
-  const BitVec v = valueNow(ctx);
-  if (killEvent(out) || fwdTransfer(out)) offered = false;
-  if (bwdTransfer(out)) ++killCredit_;
-  // An owed kill annihilates the (hidden) offered token.
-  if (offered && killCredit_ > 0) {
-    offered = false;
-    --killCredit_;
-  }
-  offering_ = offered;
-  value_ = offered ? v : BitVec(width_);
-  // Bounded fairness: count consecutive cycles without an offer.
-  if (offeringNow(ctx))
-    idleStreak_ = 0;
-  else if (idleStreak_ < maxIdle_)
-    ++idleStreak_;
-}
+void NondetSource::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
 void NondetSource::packState(StateWriter& w) const {
-  w.writeBool(offering_);
+  w.writeBool(st_.offering);
   w.writeBitVec(value_);
-  w.writeU32(killCredit_);
-  w.writeU32(idleStreak_);
+  w.writeU32(st_.killCredit);
+  w.writeU32(st_.idleStreak);
 }
 
 void NondetSource::unpackState(StateReader& r) {
-  offering_ = r.readBool();
-  value_ = r.readBitVec();
-  killCredit_ = r.readU32();
-  idleStreak_ = r.readU32();
+  st_.offering = r.readBool();
+  value_ = r.readPayload(width_, name());
+  st_.killCredit = r.readU32();
+  st_.idleStreak = r.readU32();
 }
 
 // ---------------------------------------------------------------------------
@@ -247,45 +152,20 @@ NondetSink::NondetSink(std::string name, unsigned width, unsigned maxConsecutive
   declareInput(width);
 }
 
-void NondetSink::reset() {
-  consecutiveStops_ = 0;
-  antiActive_ = false;
-}
+void NondetSink::reset() { st_ = State{}; }
 
-bool NondetSink::antiNow(SimContext& ctx) const {
-  return antiActive_ || (emitsAnti_ && ctx.choice(*this, 1));
-}
+void NondetSink::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
-bool NondetSink::stopNow(SimContext& ctx) const {
-  if (consecutiveStops_ >= maxStops_) return false;  // bounded fairness
-  return ctx.choice(*this, 0);
-}
-
-void NondetSink::evalComb(SimContext& ctx) {
-  Sig in = ctx.sig(input(0));
-  const bool anti = antiNow(ctx);
-  in.setVb(anti);
-  in.setSf(!anti && stopNow(ctx));
-}
-
-void NondetSink::clockEdge(SimContext& ctx) {
-  const ConstSig in = ctx.sig(input(0));
-  consecutiveStops_ = in.sf() ? consecutiveStops_ + 1 : 0;
-  if (consecutiveStops_ > maxStops_) consecutiveStops_ = maxStops_;
-  if (in.vb()) {
-    const bool delivered = in.vf() || !in.sb();
-    antiActive_ = !delivered;
-  }
-}
+void NondetSink::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
 void NondetSink::packState(StateWriter& w) const {
-  w.writeU32(consecutiveStops_);
-  w.writeBool(antiActive_);
+  w.writeU32(st_.stops);
+  w.writeBool(st_.antiActive);
 }
 
 void NondetSink::unpackState(StateReader& r) {
-  consecutiveStops_ = r.readU32();
-  antiActive_ = r.readBool();
+  st_.stops = r.readU32();
+  st_.antiActive = r.readBool();
 }
 
 }  // namespace esl

@@ -15,8 +15,8 @@
 #include <optional>
 #include <vector>
 
-#include "elastic/context.h"
 #include "elastic/node.h"
+#include "elastic/node_view.h"
 
 namespace esl {
 
@@ -55,8 +55,23 @@ class TokenSource : public Node {
   std::uint64_t emitted() const { return emitted_; }
   std::uint64_t killed() const { return killedCount_; }
 
+  struct State {
+    std::uint64_t index = 0;  ///< stream position of the next token
+    bool offering = false;
+    unsigned killCredit = 0;  ///< absorbed anti-tokens owed a token
+  };
+  /// The handshake, once for both views (see elastic/node_view.h).
+  template <typename V>
+  static void comb(const V& v);
+  template <typename V>
+  static void edge(const V& v);
+  template <typename From, typename To>
+  static void copyState(const From& from, const To& to) {
+    to.setState(from.state());
+  }
+
  private:
-  friend class compile::Vm;
+  friend class ObjectPorts<TokenSource>;
 
   std::optional<BitVec> tokenAt(std::uint64_t index) const;
 
@@ -64,9 +79,7 @@ class TokenSource : public Node {
   Generator gen_;
   Gate gate_;
 
-  std::uint64_t index_ = 0;
-  bool offering_ = false;
-  unsigned killCredit_ = 0;
+  State st_;
   std::uint64_t emitted_ = 0;
   std::uint64_t killedCount_ = 0;
 
@@ -120,16 +133,29 @@ class TokenSink : public Node {
   }
   unsigned antiBudget() const { return antiBudget_; }
 
+  struct State {
+    bool antiActive = false;     ///< an emitted anti-token awaits delivery
+    unsigned antiRemaining = 0;  ///< anti-token budget left
+  };
+  /// The handshake, once for both views (see elastic/node_view.h).
+  template <typename V>
+  static void comb(const V& v);
+  template <typename V>
+  static void edge(const V& v);
+  template <typename From, typename To>
+  static void copyState(const From& from, const To& to) {
+    to.setState(from.state());
+  }
+
  private:
-  friend class compile::Vm;
+  friend class ObjectPorts<TokenSink>;
 
   unsigned width_;
   Gate ready_;
   Gate antiGate_;
   unsigned antiBudget_;
 
-  unsigned antiRemaining_ = 0;
-  bool antiActive_ = false;
+  State st_;
   std::vector<Transfer> transfers_;
 };
 
@@ -161,20 +187,48 @@ class NondetSource : public Node {
   unsigned dataBits() const { return dataBits_; }
   unsigned maxIdle() const { return maxIdle_; }
 
- private:
-  friend class compile::Vm;
+  struct State {
+    bool offering = false;    ///< an offered token persists (Retry+)
+    unsigned killCredit = 0;  ///< absorbed anti-tokens owed a token
+    unsigned idleStreak = 0;  ///< consecutive cycles without an offer
+  };
+  /// The handshake, once for both views (see elastic/node_view.h). The held
+  /// payload is value()/setValue(p); blank() is the zero payload.
+  template <typename V>
+  static void comb(const V& v);
+  template <typename V>
+  static void edge(const V& v);
+  template <typename From, typename To>
+  static void copyState(const From& from, const To& to) {
+    to.setState(from.state());
+    to.setValue(from.value());
+  }
 
-  bool offeringNow(SimContext& ctx) const;
-  BitVec valueNow(SimContext& ctx) const;
+ private:
+  friend class ObjectPorts<NondetSource>;
+  friend class ObjectView<NondetSource>;
+
+  /// Offer decision this cycle.
+  template <typename V>
+  static bool offeringNow(const V& v, const State& s) {
+    return s.offering || v.choice(0) || s.idleStreak >= v.node().maxIdle_;
+  }
+  /// Payload this cycle: held while offering (Retry+ persistence), drawn
+  /// from the choice bits otherwise.
+  template <typename V>
+  static auto valueNow(const V& v, const State& s) -> decltype(v.blank()) {
+    if (s.offering) return v.value();
+    auto x = v.blank();
+    for (unsigned b = 0; b < v.node().dataBits_; ++b) x.setBit(b, v.choice(1 + b));
+    return x;
+  }
 
   unsigned width_;
   unsigned cap_;
   unsigned dataBits_;
   unsigned maxIdle_;
-  bool offering_ = false;
+  State st_;
   BitVec value_;
-  unsigned killCredit_ = 0;
-  unsigned idleStreak_ = 0;
 };
 
 /// Verification sink: nondeterministically stops (1 choice bit), but at most
@@ -198,17 +252,170 @@ class NondetSink : public Node {
   unsigned maxConsecutiveStops() const { return maxStops_; }
   bool emitsAntiTokens() const { return emitsAnti_; }
 
- private:
-  friend class compile::Vm;
+  struct State {
+    bool antiActive = false;  ///< an emitted anti-token awaits delivery
+    unsigned stops = 0;       ///< consecutive stop cycles so far
+  };
+  /// The handshake, once for both views (see elastic/node_view.h).
+  template <typename V>
+  static void comb(const V& v);
+  template <typename V>
+  static void edge(const V& v);
+  template <typename From, typename To>
+  static void copyState(const From& from, const To& to) {
+    to.setState(from.state());
+  }
 
-  bool stopNow(SimContext& ctx) const;
-  bool antiNow(SimContext& ctx) const;
+ private:
+  friend class ObjectPorts<NondetSink>;
 
   unsigned width_;
   unsigned maxStops_;
   bool emitsAnti_;
-  unsigned consecutiveStops_ = 0;
-  bool antiActive_ = false;
+  State st_;
 };
+
+template <>
+class ObjectView<NondetSource> : public ObjectPorts<NondetSource> {
+ public:
+  using ObjectPorts::ObjectPorts;
+  const BitVec& value() const { return node().value_; }
+  void setValue(BitVec x) const { node().value_ = std::move(x); }
+  BitVec blank() const { return BitVec(node().width_); }
+};
+
+// --- the handshakes ----------------------------------------------------------
+
+template <typename V>
+void TokenSource::comb(const V& v) {
+  auto out = v.out(0);
+  const State s = v.state();
+  const std::optional<BitVec> tok =
+      s.offering ? v.node().tokenAt(s.index) : std::nullopt;
+  // A token owed to an absorbed anti-token is never shown.
+  const bool offer = tok.has_value() && s.killCredit == 0;
+  out.setVf(offer);
+  if (offer) out.setData(*tok);
+  out.setSb(false);  // sources always absorb anti-tokens
+}
+
+template <typename V>
+void TokenSource::edge(const V& v) {
+  const ChannelEvents out = v.out(0).events();
+  TokenSource& src = v.node();
+  State s = v.state();
+  if (out.kill) {
+    ++s.index;
+    if (v.stats()) ++src.killedCount_;
+    s.offering = false;
+  } else if (out.fwd) {
+    ++s.index;
+    if (v.stats()) ++src.emitted_;
+    s.offering = false;
+  } else if (out.bwd) {
+    ++s.killCredit;
+  }
+
+  // An owed kill silently consumes the next available token (one per cycle).
+  if (s.killCredit > 0 && src.tokenAt(s.index).has_value() && !out.vf) {
+    ++s.index;
+    --s.killCredit;
+    if (v.stats()) ++src.killedCount_;
+    s.offering = false;
+  }
+
+  // Offer the next token when the gate opens for the upcoming cycle.
+  if (!s.offering && (!src.gate_ || src.gate_(v.cycle() + 1)) &&
+      src.tokenAt(s.index).has_value() && s.killCredit == 0)
+    s.offering = true;
+  v.setState(s);
+}
+
+template <typename V>
+void TokenSink::comb(const V& v) {
+  auto in = v.in(0);
+  const State s = v.state();
+  const TokenSink& sink = v.node();
+  const bool wantAnti = s.antiActive || (s.antiRemaining > 0 && sink.antiGate_ &&
+                                         sink.antiGate_(v.cycle()));
+  in.setVb(wantAnti);
+  // Kill and stop are mutually exclusive; anti-token emission wins.
+  in.setSf(!wantAnti && sink.ready_ && !sink.ready_(v.cycle()));
+}
+
+template <typename V>
+void TokenSink::edge(const V& v) {
+  const auto inPort = v.in(0);
+  const ChannelEvents in = inPort.events();
+  if (in.fwd && v.stats()) v.node().transfers_.push_back({v.cycle(), inPort.data()});
+
+  if (in.vb) {
+    State s = v.state();
+    if (in.vf || !in.sb) {  // delivered: killed a token or moved upstream
+      ESL_ASSERT(s.antiRemaining > 0);
+      --s.antiRemaining;
+      s.antiActive = false;
+    } else {
+      s.antiActive = true;  // Retry-: persist until delivered
+    }
+    v.setState(s);
+  }
+}
+
+template <typename V>
+void NondetSource::comb(const V& v) {
+  auto out = v.out(0);
+  const State s = v.state();
+  const bool offer = offeringNow(v, s) && s.killCredit == 0;
+  out.setVf(offer);
+  if (offer) out.setData(valueNow(v, s));
+  out.setSb(!offer && s.killCredit >= v.node().cap_);
+}
+
+template <typename V>
+void NondetSource::edge(const V& v) {
+  const ChannelEvents out = v.out(0).events();
+  State s = v.state();
+  bool offered = offeringNow(v, s);
+  const auto value = valueNow(v, s);
+  if (out.kill || out.fwd) offered = false;
+  if (out.bwd) ++s.killCredit;
+  // An owed kill annihilates the (hidden) offered token.
+  if (offered && s.killCredit > 0) {
+    offered = false;
+    --s.killCredit;
+  }
+  s.offering = offered;
+  v.setValue(offered ? value : v.blank());
+  // Bounded fairness: count consecutive cycles without an offer (the offer
+  // decision re-queried after the update above).
+  if (offeringNow(v, s))
+    s.idleStreak = 0;
+  else if (s.idleStreak < v.node().maxIdle_)
+    ++s.idleStreak;
+  v.setState(s);
+}
+
+template <typename V>
+void NondetSink::comb(const V& v) {
+  auto in = v.in(0);
+  const State s = v.state();
+  const NondetSink& sink = v.node();
+  const bool anti = s.antiActive || (sink.emitsAnti_ && v.choice(1));
+  in.setVb(anti);
+  // Bounded fairness: never more than maxConsecutiveStops stops in a row.
+  in.setSf(!anti && s.stops < sink.maxStops_ && v.choice(0));
+}
+
+template <typename V>
+void NondetSink::edge(const V& v) {
+  const ChannelEvents in = v.in(0).events();
+  State s = v.state();
+  const unsigned maxStops = v.node().maxStops_;
+  s.stops = in.sf ? s.stops + 1 : 0;
+  if (s.stops > maxStops) s.stops = maxStops;
+  if (in.vb) s.antiActive = !(in.vf || !in.sb);  // persists until delivered
+  v.setState(s);
+}
 
 }  // namespace esl

@@ -12,49 +12,9 @@ ForkNode::ForkNode(std::string name, unsigned width, unsigned branches)
 
 void ForkNode::reset() { done_.assign(branches(), false); }
 
-bool ForkNode::branchDoneNow(SimContext& ctx, unsigned i, bool inVf) const {
-  if (done_[i]) return true;
-  // The branch's vf is OUR driven value (inVf && !done_[i]); recompute it
-  // instead of reading it back (the accessor contract forbids read-after-write
-  // of self-driven fields, and under sharding the read would be stale). The
-  // consumer-driven sf/vb are read normally: done = kill or forward transfer
-  // = vf && (vb || !sf).
-  const ConstSig br = ctx.sig(output(i));
-  return inVf && (br.vb() || !br.sf());
-}
+void ForkNode::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
-void ForkNode::evalComb(SimContext& ctx) {
-  Sig in = ctx.sig(input(0));
-  const bool inVf = in.vf();
-
-  for (unsigned i = 0; i < branches(); ++i) {
-    Sig br = ctx.sig(output(i));
-    const bool pending = inVf && !done_[i];
-    br.setVf(pending);
-    if (pending) br.setDataFrom(in);
-    // An anti-token on the branch is only consumable against a pending copy;
-    // otherwise it waits downstream for the copy to materialize.
-    br.setSb(!pending);
-  }
-
-  bool allDone = inVf;
-  for (unsigned i = 0; i < branches() && allDone; ++i)
-    allDone = branchDoneNow(ctx, i, inVf);
-  in.setSf(!allDone);
-  in.setVb(false);
-}
-
-void ForkNode::clockEdge(SimContext& ctx) {
-  const bool inVf = ctx.sig(input(0)).vf();
-  if (!inVf) return;
-  bool all = true;
-  std::vector<bool> next(branches());
-  for (unsigned i = 0; i < branches(); ++i) {
-    next[i] = branchDoneNow(ctx, i, inVf);
-    all = all && next[i];
-  }
-  done_ = all ? std::vector<bool>(branches(), false) : next;
-}
+void ForkNode::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
 void ForkNode::packState(StateWriter& w) const {
   for (bool b : done_) w.writeBool(b);

@@ -10,8 +10,8 @@
 
 #include <vector>
 
-#include "elastic/context.h"
 #include "elastic/node.h"
+#include "elastic/node_view.h"
 
 namespace esl {
 
@@ -33,14 +33,81 @@ class ForkNode : public Node {
 
   unsigned branches() const { return numOutputs(); }
 
+  /// The handshake, once for both views (see elastic/node_view.h). State is
+  /// one done bit per branch (view accessors done(i)/setDone(i, d)).
+  template <typename V>
+  static void comb(const V& v);
+  template <typename V>
+  static void edge(const V& v);
+  template <typename From, typename To>
+  static void copyState(const From& from, const To& to) {
+    for (unsigned i = 0; i < from.numOutputs(); ++i) to.setDone(i, from.done(i));
+  }
+
  private:
-  friend class compile::Vm;
+  friend class ObjectView<ForkNode>;
 
   /// Branch copy consumed this cycle (settled signals).
-  bool branchDoneNow(SimContext& ctx, unsigned i, bool inVf) const;
+  template <typename V>
+  static bool branchDoneNow(const V& v, unsigned i, bool inVf);
 
   unsigned width_;
   std::vector<bool> done_;
 };
+
+template <>
+class ObjectView<ForkNode> : public ObjectPorts<ForkNode> {
+ public:
+  using ObjectPorts::ObjectPorts;
+  bool done(unsigned i) const { return node().done_[i]; }
+  void setDone(unsigned i, bool d) const { node().done_[i] = d; }
+};
+
+template <typename V>
+bool ForkNode::branchDoneNow(const V& v, unsigned i, bool inVf) {
+  if (v.done(i)) return true;
+  // The branch's vf is OUR driven value (inVf && !done(i)); recompute it
+  // instead of reading it back (the accessor contract forbids read-after-write
+  // of self-driven fields, and under sharding the read would be stale). The
+  // consumer-driven sf/vb are read normally: done = kill or forward transfer
+  // = vf && (vb || !sf).
+  const auto br = v.out(i);
+  return inVf && (br.vb() || !br.sf());
+}
+
+template <typename V>
+void ForkNode::comb(const V& v) {
+  auto in = v.in(0);
+  const bool inVf = in.vf();
+  const unsigned n = v.numOutputs();
+  for (unsigned i = 0; i < n; ++i) {
+    auto br = v.out(i);
+    const bool pending = inVf && !v.done(i);
+    br.setVf(pending);
+    if (pending) br.setDataFrom(in);
+    // An anti-token on the branch is only consumable against a pending copy;
+    // otherwise it waits downstream for the copy to materialize.
+    br.setSb(!pending);
+  }
+
+  bool allDone = inVf;
+  for (unsigned i = 0; i < n && allDone; ++i) allDone = branchDoneNow(v, i, inVf);
+  in.setSf(!allDone);
+  in.setVb(false);
+}
+
+template <typename V>
+void ForkNode::edge(const V& v) {
+  if (!v.in(0).vf()) return;
+  const unsigned n = v.numOutputs();
+  bool all = true;
+  for (unsigned i = 0; i < n; ++i) {
+    const bool d = branchDoneNow(v, i, true);  // reads only branch i's bit
+    v.setDone(i, d);
+    all = all && d;
+  }
+  if (all)  // the stem token left: every branch starts the next one afresh
+    for (unsigned i = 0; i < n; ++i) v.setDone(i, false);
+}
 
 }  // namespace esl

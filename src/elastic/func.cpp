@@ -13,54 +13,10 @@ FuncNode::FuncNode(std::string name, std::vector<unsigned> inputWidths,
   declareOutput(outputWidth);
 }
 
-void FuncNode::evalComb(SimContext& ctx) {
-  Sig out = ctx.sig(output(0));
-  const unsigned n = numInputs();
-  inSigs_.clear();
-  for (unsigned i = 0; i < n; ++i) inSigs_.push_back(ctx.sig(input(i)));
+void FuncNode::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
-  bool allIn = true;
-  for (unsigned i = 0; i < n; ++i) allIn = allIn && inSigs_[i].vf();
-
-  out.setVf(allIn);
-  if (allIn) {
-    bool hit = memoValid_;
-    for (unsigned i = 0; hit && i < n; ++i)
-      hit = inSigs_[i].dataEquals(memoArgs_[i]);
-    if (!hit) {
-      memoArgs_.resize(n);
-      for (unsigned i = 0; i < n; ++i) memoArgs_[i] = inSigs_[i].data();
-      memoOut_ = fn_(memoArgs_);
-      ESL_CHECK(memoOut_.width() == outputWidth(0),
-                "FuncNode '" + name() + "': function returned wrong width");
-      memoValid_ = true;
-    }
-    out.setData(memoOut_);
-  }
-
-  // Output consumed this cycle: normal transfer or annihilated by an
-  // anti-token at the output channel.
-  const bool outVb = out.vb();
-  const bool fire = allIn && (!out.sf() || outVb);
-
-  // Counterflow: an anti-token at the output propagates to all inputs
-  // atomically when each input channel can absorb it this cycle (by killing
-  // its token or moving the anti-token further upstream).
-  bool allCan = true;
-  for (unsigned i = 0; i < n; ++i)
-    allCan = allCan && (inSigs_[i].vf() || !inSigs_[i].sb());
-  const bool back = outVb && !allIn && allCan;
-
-  for (unsigned i = 0; i < n; ++i) {
-    inSigs_[i].setVb(back);
-    inSigs_[i].setSf(!fire && !back);
-  }
-  out.setSb(!allIn && !allCan);
-}
-
-void FuncNode::clockEdge(SimContext& ctx) {
-  if (fwdTransfer(ctx.sig(output(0)))) ++firings_;
-}
+// The edge reads only the output: the plain ports skip the input proxies.
+void FuncNode::clockEdge(SimContext& ctx) { edge(ObjectPorts<FuncNode>(ctx, *this)); }
 
 logic::Cost FuncNode::cost() const { return datapathCost_; }
 

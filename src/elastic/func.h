@@ -13,8 +13,8 @@
 #include <functional>
 #include <vector>
 
-#include "elastic/context.h"
 #include "elastic/node.h"
+#include "elastic/node_view.h"
 
 namespace esl {
 
@@ -48,8 +48,23 @@ class FuncNode : public Node {
   /// Forward transfers completed at the output (simulation statistic).
   std::uint64_t firings() const { return firings_; }
 
+  /// The join handshake, once for both views (see elastic/node_view.h). Only
+  /// the payload computation, `v.computeOutput(out)`, is per view: the object
+  /// view runs computeMemoized(); the arena view runs word arithmetic for
+  /// catalog functions and computeMemoized() for the rest.
+  template <typename V>
+  static void comb(const V& v);
+  template <typename V>
+  static void edge(const V& v) {
+    if (v.out(0).events().fwd && v.stats()) ++v.node().firings_;
+  }
+
+  /// Drives fn_ over the input payloads onto `out` through the size-1 memo.
+  template <typename V, typename Port>
+  void computeMemoized(const V& v, Port& out);
+
  private:
-  friend class compile::Vm;
+  friend class ObjectView<FuncNode>;
 
   CombFn fn_;
   logic::Cost datapathCost_;
@@ -63,10 +78,71 @@ class FuncNode : public Node {
   std::vector<BitVec> memoArgs_;
   BitVec memoOut_;
 
-  // Per-eval accessor scratch: the input proxies are resolved once per
-  // evalComb and reused across its loops (capacity retained between calls).
+  // Input proxies of the object view, resolved once per evaluation (the join
+  // reads each input several times); capacity is retained between calls.
   std::vector<Sig> inSigs_;
 };
+
+template <>
+class ObjectView<FuncNode> : public ObjectPorts<FuncNode> {
+ public:
+  ObjectView(SimContext& ctx, FuncNode& node) : ObjectPorts(ctx, node) {
+    node.inSigs_.clear();
+    for (unsigned i = 0; i < node.numInputs(); ++i)
+      node.inSigs_.push_back(ctx.sig(node.input(i)));
+  }
+  Sig in(unsigned i) const { return node().inSigs_[i]; }
+  void computeOutput(Sig& out) const { node().computeMemoized(*this, out); }
+};
+
+template <typename V>
+void FuncNode::comb(const V& v) {
+  const unsigned n = v.numInputs();
+  auto out = v.out(0);
+  bool allIn = true;
+  for (unsigned i = 0; i < n; ++i) allIn = allIn && v.in(i).vf();
+
+  out.setVf(allIn);
+  if (allIn) v.computeOutput(out);
+
+  // Output consumed this cycle: normal transfer or annihilated by an
+  // anti-token at the output channel.
+  const bool outVb = out.vb();
+  const bool fire = allIn && (!out.sf() || outVb);
+
+  // Counterflow: an anti-token at the output propagates to all inputs
+  // atomically when each input channel can absorb it this cycle (by killing
+  // its token or moving the anti-token further upstream).
+  bool allCan = true;
+  for (unsigned i = 0; i < n && allCan; ++i) {
+    const auto in = v.in(i);
+    allCan = in.vf() || !in.sb();
+  }
+  const bool back = outVb && !allIn && allCan;
+
+  for (unsigned i = 0; i < n; ++i) {
+    auto in = v.in(i);
+    in.setVb(back);
+    in.setSf(!fire && !back);
+  }
+  out.setSb(!allIn && !allCan);
+}
+
+template <typename V, typename Port>
+void FuncNode::computeMemoized(const V& v, Port& out) {
+  const unsigned n = v.numInputs();
+  bool hit = memoValid_;
+  for (unsigned i = 0; hit && i < n; ++i) hit = v.in(i).dataEquals(memoArgs_[i]);
+  if (!hit) {
+    memoArgs_.resize(n);
+    for (unsigned i = 0; i < n; ++i) memoArgs_[i] = v.in(i).data();
+    memoOut_ = fn_(memoArgs_);
+    ESL_CHECK(memoOut_.width() == outputWidth(0),
+              "FuncNode '" + name() + "': function returned wrong width");
+    memoValid_ = true;
+  }
+  out.setData(memoOut_);
+}
 
 /// Identity function block (a named wire with join semantics).
 FuncNode& makeWire(class Netlist& nl, std::string name, unsigned width,

@@ -8,6 +8,11 @@
 // only write the signals the node drives:
 //   producer side of an output channel: vf, data, sb
 //   consumer side of an input channel:  sf, vb
+//
+// The built-in kinds write both phases once, as comb/edge templates over a
+// port-and-state view (elastic/node_view.h); evalComb/clockEdge run them
+// through the object view, and the compiled backend runs the same templates
+// over its state arena.
 #pragma once
 
 #include <memory>
@@ -23,13 +28,6 @@
 namespace esl {
 
 class SimContext;
-
-namespace compile {
-/// Bytecode VM of the compiled backend (compile/vm.h). A friend of the node
-/// catalog: its specialized ops transcribe each node's evalComb/clockEdge
-/// over raw board addresses, reading the same private state.
-class Vm;
-}  // namespace compile
 
 /// Timing nets: per channel, the forward (valid/data) and backward
 /// (stop/anti-token) signal groups settle at separate times.

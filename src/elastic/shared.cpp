@@ -29,76 +29,9 @@ void SharedModule::reset() {
   demandCycles_ = 0;
 }
 
-unsigned SharedModule::predictNow(SimContext& ctx) {
-  validScratch_.resize(channels_);
-  for (unsigned i = 0; i < channels_; ++i) validScratch_[i] = ctx.sig(input(i)).vf();
-  const sched::ChoiceReader reader = [this, &ctx](unsigned b) {
-    return ctx.choice(*this, b);
-  };
-  const unsigned p = scheduler_->predict(validScratch_, reader);
-  ESL_CHECK(p < channels_, "SharedModule: scheduler predicted out of range");
-  lastPrediction_ = p;
-  return p;
-}
+void SharedModule::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
-void SharedModule::evalComb(SimContext& ctx) {
-  const unsigned sched = predictNow(ctx);
-  for (unsigned i = 0; i < channels_; ++i) {
-    Sig in = ctx.sig(input(i));
-    Sig out = ctx.sig(output(i));
-    const bool routed = i == sched;
-
-    const bool inVf = in.vf();
-    const bool outVf = routed && inVf;
-    out.setVf(outVf);
-    if (outVf) {
-      if (!memoValid_ || !in.dataEquals(memoIn_)) {
-        memoIn_ = in.data();
-        memoOut_ = fn_(memoIn_);
-        ESL_CHECK(memoOut_.width() == outWidth_,
-                  "SharedModule '" + name() + "': function returned wrong width");
-        memoValid_ = true;
-      }
-      out.setData(memoOut_);
-    }
-
-    // Anti-tokens pass straight through the controller (Fig. 4b): the module
-    // is combinational, so the token seen at out_i *is* the token at in_i and
-    // a kill annihilates it at both channel views at once.
-    const bool anti = out.vb();
-    in.setVb(anti);
-    out.setSb(!inVf && in.sb());
-
-    // Routed channel sees the downstream stop; others are stopped unless
-    // being killed ("stops the other channel (unless it is killed)").
-    in.setSf(!anti && (routed ? out.sf() : true));
-  }
-}
-
-void SharedModule::clockEdge(SimContext& ctx) {
-  // evalComb ran (at least once) on the settled signals, so lastPrediction_
-  // is the settled prediction; predict() is pure, no need to recompute it.
-  const unsigned sched = lastPrediction_;
-  sched::Observation& obs = obsScratch_;
-  obs.predicted = sched;
-  obs.valid.resize(channels_);
-  obs.demand.resize(channels_);
-  obs.served.resize(channels_);
-  obs.killed.resize(channels_);
-  bool anyDemand = false;
-  for (unsigned i = 0; i < channels_; ++i) {
-    const ConstSig in = ctx.sig(input(i));
-    const ConstSig out = ctx.sig(output(i));
-    obs.valid[i] = in.vf();
-    obs.demand[i] = out.sf() && !out.vf();  // selected-but-empty at the EE mux
-    obs.served[i] = fwdTransfer(out);
-    obs.killed[i] = killEvent(in);
-    if (obs.served[i]) ++served_[i];
-    anyDemand = anyDemand || obs.demand[i];
-  }
-  if (anyDemand) ++demandCycles_;
-  scheduler_->observe(obs);
-}
+void SharedModule::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
 void SharedModule::packState(StateWriter& w) const { scheduler_->packState(w); }
 

@@ -16,8 +16,8 @@
 
 #include <memory>
 
-#include "elastic/context.h"
 #include "elastic/node.h"
+#include "elastic/node_view.h"
 #include "sched/scheduler.h"
 
 namespace esl {
@@ -53,7 +53,9 @@ class SharedModule : public Node {
   sched::Scheduler& scheduler() { return *scheduler_; }
 
   /// The channel predicted for the current cycle (e.g. for trace rows).
-  unsigned prediction(SimContext& ctx) { return predictNow(ctx); }
+  unsigned prediction(SimContext& ctx) {
+    return predict(ObjectView<SharedModule>(ctx, *this));
+  }
 
   /// Tokens served per channel (forward transfers on the outputs).
   const std::vector<std::uint64_t>& servedPerChannel() const { return served_; }
@@ -61,10 +63,17 @@ class SharedModule : public Node {
   std::uint64_t demandCycles() const { return demandCycles_; }
   std::uint64_t totalServed() const;
 
- private:
-  friend class compile::Vm;
+  /// The controller of Fig. 4b, once for both views (see
+  /// elastic/node_view.h). All of its state — scheduler, memo — lives in
+  /// node(), so both views are ports only.
+  template <typename V>
+  static void comb(const V& v);
+  template <typename V>
+  static void edge(const V& v);
 
-  unsigned predictNow(SimContext& ctx);
+ private:
+  template <typename V>
+  static unsigned predict(const V& v);
 
   unsigned channels_;
   unsigned inWidth_;
@@ -87,5 +96,79 @@ class SharedModule : public Node {
   std::vector<bool> validScratch_;
   sched::Observation obsScratch_;
 };
+
+template <typename V>
+unsigned SharedModule::predict(const V& v) {
+  SharedModule& m = v.node();
+  m.validScratch_.resize(m.channels_);
+  for (unsigned i = 0; i < m.channels_; ++i) m.validScratch_[i] = v.in(i).vf();
+  const sched::ChoiceReader reader = [&v](unsigned b) { return v.choice(b); };
+  const unsigned p = m.scheduler_->predict(m.validScratch_, reader);
+  ESL_CHECK(p < m.channels_, "SharedModule: scheduler predicted out of range");
+  m.lastPrediction_ = p;
+  return p;
+}
+
+template <typename V>
+void SharedModule::comb(const V& v) {
+  SharedModule& m = v.node();
+  const unsigned sched = predict(v);
+  for (unsigned i = 0; i < m.channels_; ++i) {
+    auto in = v.in(i);
+    auto out = v.out(i);
+    const bool routed = i == sched;
+
+    const bool inVf = in.vf();
+    const bool outVf = routed && inVf;
+    out.setVf(outVf);
+    if (outVf) {
+      if (!m.memoValid_ || !in.dataEquals(m.memoIn_)) {
+        m.memoIn_ = in.data();
+        m.memoOut_ = m.fn_(m.memoIn_);
+        ESL_CHECK(m.memoOut_.width() == m.outWidth_,
+                  "SharedModule '" + m.name() + "': function returned wrong width");
+        m.memoValid_ = true;
+      }
+      out.setData(m.memoOut_);
+    }
+
+    // Anti-tokens pass straight through the controller (Fig. 4b): the module
+    // is combinational, so the token seen at out_i *is* the token at in_i and
+    // a kill annihilates it at both channel views at once.
+    const bool anti = out.vb();
+    in.setVb(anti);
+    out.setSb(!inVf && in.sb());
+
+    // Routed channel sees the downstream stop; others are stopped unless
+    // being killed ("stops the other channel (unless it is killed)").
+    in.setSf(!anti && (routed ? out.sf() : true));
+  }
+}
+
+template <typename V>
+void SharedModule::edge(const V& v) {
+  SharedModule& m = v.node();
+  // comb ran (at least once) on the settled signals, so lastPrediction_ is
+  // the settled prediction; predict() is pure, no need to recompute it.
+  sched::Observation& obs = m.obsScratch_;
+  obs.predicted = m.lastPrediction_;
+  obs.valid.resize(m.channels_);
+  obs.demand.resize(m.channels_);
+  obs.served.resize(m.channels_);
+  obs.killed.resize(m.channels_);
+  bool anyDemand = false;
+  for (unsigned i = 0; i < m.channels_; ++i) {
+    const ChannelEvents in = v.in(i).events();
+    const ChannelEvents out = v.out(i).events();
+    obs.valid[i] = in.vf;
+    obs.demand[i] = out.sf && !out.vf;  // selected-but-empty at the EE mux
+    obs.served[i] = out.fwd;
+    obs.killed[i] = in.kill;
+    if (obs.served[i] && v.stats()) ++m.served_[i];
+    anyDemand = anyDemand || obs.demand[i];
+  }
+  if (anyDemand && v.stats()) ++m.demandCycles_;
+  m.scheduler_->observe(obs);
+}
 
 }  // namespace esl

@@ -246,9 +246,10 @@ class SignalBoard {
   }
 
   // --- raw arena access (compiled backend) -----------------------------------
-  // The bytecode VM (compile/vm.h) addresses the planes and payload arenas
-  // directly, with all offsets resolved at program-compile time; its write
-  // helpers mirror setBitAt/setDataAt exactly, including change tracking.
+  // The compiled backend's port proxies (compile/arena.h) address the planes
+  // and payload arenas directly, with all offsets resolved at program-compile
+  // time; their writes mirror setBitAt/setDataAt exactly, including change
+  // tracking.
   // Raw writes are only valid on slots the boundary staging never covers:
   // under sharding the compiler downgrades every node touching a boundary
   // slot to a generic op (virtual eval through the Sig proxies, which honor
@@ -319,6 +320,7 @@ class ConstSig {
   bool sf() const { return b_->bitAt(slot_, SignalBoard::kSf); }
   bool vb() const { return b_->bitAt(slot_, SignalBoard::kVb); }
   bool sb() const { return b_->bitAt(slot_, SignalBoard::kSb); }
+  ChannelEvents events() const { return ChannelEvents::of(vf(), sf(), vb(), sb()); }
   BitVec data() const { return b_->dataAt(slot_); }
   std::uint64_t dataLow64() const { return b_->dataLow64At(slot_); }
   bool dataEquals(const BitVec& v) const { return b_->dataEqualsValueAt(slot_, v); }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "base/bitvec.h"
@@ -95,6 +96,18 @@ class StateReader {
       if (i % 8 == 0) acc = byte();
       v.setBit(i, (acc >> (i % 8)) & 1);
     }
+    return v;
+  }
+
+  /// readBitVec() of a payload the reader's node declares `width` bits wide.
+  /// A restored token of another width is rejected here: once driven onto
+  /// its channel it would fail the board's width audit mid-simulation.
+  BitVec readPayload(unsigned width, const std::string& node) {
+    BitVec v = readBitVec();
+    ESL_CHECK(v.width() == width, "unpackState: payload width " +
+                                      std::to_string(v.width()) + " on " + node +
+                                      " does not match its declared width " +
+                                      std::to_string(width));
     return v;
   }
 

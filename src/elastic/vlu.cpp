@@ -12,7 +12,9 @@ StallingVLU::StallingVLU(std::string name, unsigned inWidth, unsigned outWidth,
       err_(std::move(err)),
       approxCost_(approxCost),
       exactCost_(exactCost),
-      errCost_(errCost) {
+      errCost_(errCost),
+      pending_(inWidth),
+      result_(outWidth) {
   ESL_CHECK(static_cast<bool>(exact_) && static_cast<bool>(err_),
             "StallingVLU: exact and err functions required");
   declareInput(inWidth);
@@ -20,62 +22,29 @@ StallingVLU::StallingVLU(std::string name, unsigned inWidth, unsigned outWidth,
 }
 
 void StallingVLU::reset() {
-  pending_.reset();
-  result_.reset();
+  st_ = State{};
   completed_ = 0;
   stalls_ = 0;
 }
 
-void StallingVLU::evalComb(SimContext& ctx) {
-  Sig in = ctx.sig(input(0));
-  Sig out = ctx.sig(output(0));
+void StallingVLU::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
-  const bool haveResult = result_.has_value();
-  out.setVf(haveResult);
-  if (haveResult) out.setData(*result_);
-  out.setSb(!haveResult);  // anti-token consumed only against a result
-
-  const bool leave = haveResult && (!out.sf() || out.vb());
-  const bool canAccept = !pending_ && (!haveResult || leave);
-  in.setSf(!canAccept);
-  in.setVb(false);
-}
-
-void StallingVLU::clockEdge(SimContext& ctx) {
-  const ConstSig in = ctx.sig(input(0));
-  const ConstSig out = ctx.sig(output(0));
-
-  if (killEvent(out) || fwdTransfer(out)) {
-    if (fwdTransfer(out)) ++completed_;
-    result_.reset();
-  }
-
-  if (pending_) {
-    // Second cycle of a mispredicted operand: F_exact finishes the job.
-    ESL_ASSERT(!result_.has_value());
-    result_ = exact_(*pending_);
-    pending_.reset();
-  } else if (fwdTransfer(in)) {
-    const BitVec x = in.data();
-    if (err_(x)) {
-      pending_ = x;  // bubble next cycle, sender stalled
-      ++stalls_;
-    } else {
-      result_ = exact_(x);  // approx == exact when no error is flagged
-    }
-  }
-}
+void StallingVLU::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
 void StallingVLU::packState(StateWriter& w) const {
-  w.writeBool(pending_.has_value());
-  if (pending_) w.writeBitVec(*pending_);
-  w.writeBool(result_.has_value());
-  if (result_) w.writeBitVec(*result_);
+  w.writeBool(st_.hasPending);
+  if (st_.hasPending) w.writeBitVec(pending_);
+  w.writeBool(st_.hasResult);
+  if (st_.hasResult) w.writeBitVec(result_);
 }
 
 void StallingVLU::unpackState(StateReader& r) {
-  pending_ = r.readBool() ? std::optional<BitVec>(r.readBitVec()) : std::nullopt;
-  result_ = r.readBool() ? std::optional<BitVec>(r.readBitVec()) : std::nullopt;
+  State s;
+  s.hasPending = r.readBool();
+  if (s.hasPending) pending_ = r.readPayload(inWidth_, name());
+  s.hasResult = r.readBool();
+  if (s.hasResult) result_ = r.readPayload(outWidth_, name());
+  st_ = s;
 }
 
 logic::Cost StallingVLU::cost() const {

@@ -9,10 +9,8 @@
 // gating, which the timing model charges via controlGatingCost().
 #pragma once
 
-#include <optional>
-
-#include "elastic/context.h"
 #include "elastic/node.h"
+#include "elastic/node_view.h"
 
 namespace esl {
 
@@ -44,8 +42,27 @@ class StallingVLU : public Node {
   std::uint64_t completed() const { return completed_; }
   std::uint64_t stalls() const { return stalls_; }
 
+  struct State {
+    bool hasPending = false;  ///< an operand needs its second cycle
+    bool hasResult = false;   ///< a completed result awaits transfer
+  };
+  /// The handshake, once for both views (see elastic/node_view.h). The
+  /// payloads are pending()/setPending(p) and result()/setResult(p).
+  template <typename V>
+  static void comb(const V& v);
+  template <typename V>
+  static void edge(const V& v);
+  template <typename From, typename To>
+  static void copyState(const From& from, const To& to) {
+    const State s = from.state();
+    to.setState(s);
+    if (s.hasPending) to.setPending(from.pending());
+    if (s.hasResult) to.setResult(from.result());
+  }
+
  private:
-  friend class compile::Vm;
+  friend class ObjectPorts<StallingVLU>;
+  friend class ObjectView<StallingVLU>;
 
   unsigned inWidth_;
   unsigned outWidth_;
@@ -55,10 +72,68 @@ class StallingVLU : public Node {
   logic::Cost exactCost_;
   logic::Cost errCost_;
 
-  std::optional<BitVec> pending_;  // operand needing its second cycle
-  std::optional<BitVec> result_;   // completed result awaiting transfer
+  State st_;
+  BitVec pending_;  // operand needing its second cycle
+  BitVec result_;   // completed result awaiting transfer
   std::uint64_t completed_ = 0;
   std::uint64_t stalls_ = 0;
 };
+
+template <>
+class ObjectView<StallingVLU> : public ObjectPorts<StallingVLU> {
+ public:
+  using ObjectPorts::ObjectPorts;
+  const BitVec& pending() const { return node().pending_; }
+  void setPending(BitVec x) const { node().pending_ = std::move(x); }
+  const BitVec& result() const { return node().result_; }
+  void setResult(BitVec x) const { node().result_ = std::move(x); }
+};
+
+template <typename V>
+void StallingVLU::comb(const V& v) {
+  auto in = v.in(0);
+  auto out = v.out(0);
+  const State s = v.state();
+  out.setVf(s.hasResult);
+  if (s.hasResult) out.setData(v.result());
+  out.setSb(!s.hasResult);  // anti-token consumed only against a result
+
+  const bool leave = s.hasResult && (!out.sf() || out.vb());
+  const bool canAccept = !s.hasPending && (!s.hasResult || leave);
+  in.setSf(!canAccept);
+  in.setVb(false);
+}
+
+template <typename V>
+void StallingVLU::edge(const V& v) {
+  const auto inPort = v.in(0);
+  const ChannelEvents in = inPort.events();
+  const ChannelEvents out = v.out(0).events();
+  StallingVLU& unit = v.node();
+  State s = v.state();
+  if (out.kill || out.fwd) {
+    if (out.fwd && v.stats()) ++unit.completed_;
+    s.hasResult = false;
+  }
+
+  if (s.hasPending) {
+    // Second cycle of a mispredicted operand: F_exact finishes the job.
+    ESL_ASSERT(!s.hasResult);
+    v.setResult(unit.exact_(v.pending()));
+    s.hasResult = true;
+    s.hasPending = false;
+  } else if (in.fwd) {
+    const BitVec x = inPort.data();
+    if (unit.err_(x)) {
+      v.setPending(x);  // bubble next cycle, sender stalled
+      s.hasPending = true;
+      if (v.stats()) ++unit.stalls_;
+    } else {
+      v.setResult(unit.exact_(x));  // approx == exact when no error is flagged
+      s.hasResult = true;
+    }
+  }
+  v.setState(s);
+}
 
 }  // namespace esl

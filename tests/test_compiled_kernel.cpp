@@ -126,12 +126,17 @@ TEST(CompiledKernel, WidthBoundariesAroundTheSpillSplit) {
   // 1 and 63/64 stay in the narrow word arena (and in the specialized word
   // kernels); 65/128/200 spill to BitVec storage — both sides of every
   // boundary, plus the widest inline/heap BitVec split at 200 (> 3 words).
-  for (const unsigned width : {1u, 63u, 64u, 65u, 128u, 200u}) {
-    const synth::SynthConfig cfg =
-        famConfig(synth::Topology::kPipeline, 100, 2, 11, width);
-    SCOPED_TRACE("width=" + std::to_string(width));
-    const auto mismatch = test::diffCompiledOnce(cfg, 200);
-    EXPECT_FALSE(mismatch.has_value()) << *mismatch;
+  // Every family, so buffers, forks, early-evaluation muxes and join
+  // functions all run both payload representations of the arena view.
+  for (const synth::Topology topo :
+       {synth::Topology::kPipeline, synth::Topology::kForkJoin,
+        synth::Topology::kSpecLadder, synth::Topology::kRandomDag}) {
+    for (const unsigned width : {1u, 63u, 64u, 65u, 128u, 200u}) {
+      const synth::SynthConfig cfg = famConfig(topo, 100, 2, 11, width);
+      SCOPED_TRACE(synth::describe(cfg));
+      const auto mismatch = test::diffCompiledOnce(cfg, 200);
+      EXPECT_FALSE(mismatch.has_value()) << *mismatch;
+    }
   }
 }
 

@@ -18,6 +18,7 @@
 
 #include "base/fault_inject.h"
 #include "base/rng.h"
+#include "elastic/vlu.h"
 #include "netlist/patterns.h"
 #include "netlist/synth.h"
 #include "sim/state_file.h"
@@ -322,6 +323,139 @@ TEST(StateIo, UnpackRejectsForeignNetlistState) {
   SimContext ca(a);
   SimContext cb(b);
   EXPECT_THROW(cb.unpackState(ca.packState()), EslError);
+}
+
+// ---------------------------------------------------------------------------
+// Restored state is validated. Snapshots reach unpackState from outside (esl
+// --load-state, the serve restore op), so a patched or hand-made one must be
+// refused with EslError at restore time — never accepted as state that breaks
+// a later step with an internal error.
+// ---------------------------------------------------------------------------
+
+/// src -> mid -> sink, 8 bits wide, `mid` built from `args`.
+template <typename Mid, typename... Args>
+Netlist envChain(Args... args) {
+  Netlist nl;
+  auto& src = nl.make<TokenSource>("src", 8, TokenSource::counting(8));
+  auto& mid = nl.make<Mid>("mid", args...);
+  auto& sink = nl.make<TokenSink>("sink", 8);
+  nl.connect(src, 0, mid, 0);
+  nl.connect(mid, 0, sink, 0);
+  return nl;
+}
+
+/// Headerless envChain() snapshot: idle source and sink around the middle
+/// node's state, which `mid` writes.
+std::vector<std::uint8_t> chainSnapshot(
+    const std::function<void(StateWriter&)>& mid) {
+  StateWriter w;
+  w.writeU64(0);  // source: index, offering, killCredit
+  w.writeBool(false);
+  w.writeU32(0);
+  mid(w);
+  w.writeU32(0);  // sink: antiRemaining, antiActive
+  w.writeBool(false);
+  return w.take();
+}
+
+/// Elastic buffer state: `tokens`, then the anti-token count.
+std::function<void(StateWriter&)> ebState(std::vector<BitVec> tokens,
+                                          std::uint32_t anti) {
+  return [tokens, anti](StateWriter& w) {
+    w.writeU32(static_cast<std::uint32_t>(tokens.size()));
+    for (const BitVec& t : tokens) w.writeBitVec(t);
+    w.writeU32(anti);
+  };
+}
+
+TEST(StateIo, UnpackRejectsInvalidAntiTokenCounts) {
+  Netlist nl = envChain<ElasticBuffer>(8u, 2u);  // anti capacity 2
+  SimContext ctx(nl);
+  ctx.unpackState(chainSnapshot(ebState({}, 2)));
+  EXPECT_NO_THROW(ctx.step());
+  ctx.unpackState(chainSnapshot(ebState({BitVec(8, 3)}, 0)));
+  EXPECT_NO_THROW(ctx.step());
+  // A sign-bit count would overflow occupancy(); one past the anti capacity
+  // is unreachable; tokens and anti-tokens never coexist in a buffer.
+  EXPECT_THROW(ctx.unpackState(chainSnapshot(ebState({}, 0x80000000u))),
+               EslError);
+  EXPECT_THROW(ctx.unpackState(chainSnapshot(ebState({}, 3))), EslError);
+  EXPECT_THROW(ctx.unpackState(chainSnapshot(ebState({BitVec(8, 3)}, 1))),
+               EslError);
+}
+
+TEST(StateIo, UnpackRejectsPayloadsOfTheWrongWidth) {
+  // Every node kind that stores a payload, restored once with an 8-bit token
+  // (accepted, and the next step runs) and once with a 7-bit one (refused).
+  const auto vlu = [] {
+    return envChain<StallingVLU>(
+        8u, 8u, [](const BitVec& x) { return x; },
+        [](const BitVec&) { return false; }, logic::Cost{1, 1},
+        logic::Cost{2, 2}, logic::Cost{1, 1});
+  };
+  struct Case {
+    std::string what;
+    std::function<Netlist()> build;
+    std::function<void(StateWriter&, const BitVec&)> mid;
+  };
+  const std::vector<Case> cases = {
+      {"eb ring", [] { return envChain<ElasticBuffer>(8u, 2u); },
+       [](StateWriter& w, const BitVec& t) { ebState({t}, 0)(w); }},
+      {"eb0 slot", [] { return envChain<ElasticBuffer0>(8u); },
+       [](StateWriter& w, const BitVec& t) {
+         w.writeBool(true);
+         w.writeBitVec(t);
+       }},
+      {"broken-eb slot", [] { return envChain<BrokenBuffer>(8u); },
+       [](StateWriter& w, const BitVec& t) {
+         w.writeBool(true);
+         w.writeBitVec(t);
+         w.writeBool(false);
+       }},
+      {"vlu pending operand", vlu,
+       [](StateWriter& w, const BitVec& t) {
+         w.writeBool(true);
+         w.writeBitVec(t);
+         w.writeBool(false);
+       }},
+      {"vlu result", vlu,
+       [](StateWriter& w, const BitVec& t) {
+         w.writeBool(false);
+         w.writeBool(true);
+         w.writeBitVec(t);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    Netlist nl = c.build();
+    SimContext ctx(nl);
+    const auto snap = [&](const BitVec& t) {
+      return chainSnapshot([&](StateWriter& w) { c.mid(w, t); });
+    };
+    ctx.unpackState(snap(BitVec(8, 5)));
+    EXPECT_NO_THROW(ctx.step());
+    EXPECT_THROW(ctx.unpackState(snap(BitVec(7, 5))), EslError);
+  }
+
+  SCOPED_TRACE("nondet-source value");
+  Netlist nl;
+  auto& src = nl.make<NondetSource>("src", 8, 2u, 3u);
+  auto& sink = nl.make<TokenSink>("sink", 8);
+  nl.connect(src, 0, sink, 0);
+  SimContext ctx(nl);
+  const auto snap = [](const BitVec& value) {
+    StateWriter w;
+    w.writeBool(true);  // offering, value, killCredit, idleStreak
+    w.writeBitVec(value);
+    w.writeU32(0);
+    w.writeU32(0);
+    w.writeU32(0);  // sink
+    w.writeBool(false);
+    return w.take();
+  };
+  ctx.unpackState(snap(BitVec(8, 5)));
+  EXPECT_NO_THROW(ctx.step());
+  EXPECT_THROW(ctx.unpackState(snap(BitVec(7, 5))), EslError);
 }
 
 // ---------------------------------------------------------------------------
