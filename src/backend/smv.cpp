@@ -213,11 +213,12 @@ std::string emitSmv(const Netlist& nl) {
   }
 
   // §3.1 properties per channel.
+  const std::vector<bool> persistent = nl.channelPersistence();
   for (const ChannelId id : nl.channelIds()) {
     const std::string vf = chv(id, "vf"), sf = chv(id, "sf"), vb = chv(id, "vb"),
                       sb = chv(id, "sb");
     specs << "-- channel " << nl.channel(id).name << "\n";
-    if (nl.channelIsPersistent(id))
+    if (persistent[id])
       specs << "LTLSPEC G ((" << vf << " & " << sf << " & !" << vb << ") -> X " << vf
             << ")  -- Retry+\n";
     specs << "LTLSPEC G ((" << vb << " & " << sb << " & !" << vf << ") -> X " << vb

@@ -68,9 +68,6 @@ void SimContext::ensureTopologyCache() {
       alwaysEdgeNodes_.push_back(id);
   }
   liveChannels_ = netlist_.channelIds();
-  channelPersistent_.assign(netlist_.channelCapacity(), true);
-  for (const ChannelId ch : liveChannels_)
-    channelPersistent_[ch] = netlist_.channelIsPersistent(ch);
 
   // Shard plan: contiguous blocks of the live-node order, balanced by count.
   // Blocks are snapped to 64-id boundaries so each worklist-bitmap word (and
@@ -106,8 +103,8 @@ void SimContext::ensureTopologyCache() {
   fresh.layout(netlist_, &plan_);
   fresh.adoptValuesFrom(board_);
   board_ = std::move(fresh);
-  // prev() survives the relayout too (new channels read as all-zero): the
-  // protocol monitor must still see a Retry+ token that was stopped on the
+  // The monitor's previous cycle survives the relayout too (new channels read
+  // as all-zero): it must still see a Retry+ token that was stopped on the
   // cycle before a mid-run surgery.
   fresh.layout(netlist_, &plan_);
   fresh.adoptValuesFrom(prevBoard_);
@@ -115,6 +112,12 @@ void SimContext::ensureTopologyCache() {
   sweepScratch_.layout(netlist_, &plan_);
   ccPre_.layout(netlist_, &plan_);
   ccEvent_.layout(netlist_, &plan_);
+  const std::vector<bool> persistent = netlist_.channelPersistence();
+  persistentMask_.assign(board_.groupCount(), 0);
+  for (const ChannelId ch : liveChannels_) {
+    const std::uint32_t slot = board_.slotOf(ch);
+    if (persistent[ch]) persistentMask_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+  }
 
   pendingBits_.assign((netlist_.nodeCapacity() + 63) / 64, 0);
   pendingWordGen_.assign((netlist_.nodeCapacity() + 63) / 64, 0);
@@ -344,6 +347,41 @@ void SimContext::settleCrossChecked() {
 }
 
 void SimContext::checkProtocol() {
+  ensureTopologyCache();
+  if (protocolScanFindsViolation()) reportProtocolViolations();
+}
+
+bool SimContext::protocolScanFindsViolation() const {
+  // One mask per §3.1 rule, 64 channels at a time. A clean group — every
+  // group of a sound design — costs a few word ops and no per-channel work;
+  // payloads are compared only for the stopped tokens that persisted.
+  const std::size_t groups = board_.groupCount();
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::uint64_t vf = board_.planeWord(g, SignalBoard::kVf);
+    const std::uint64_t vb = board_.planeWord(g, SignalBoard::kVb);
+    const std::uint64_t stop =
+        board_.planeWord(g, SignalBoard::kSf) | board_.planeWord(g, SignalBoard::kSb);
+    // Kill and stop are mutually exclusive, in both polarities.
+    if (vf & vb & stop) return true;
+    if (!havePrev_) continue;
+    const std::uint64_t pvf = prevBoard_.planeWord(g, SignalBoard::kVf);
+    const std::uint64_t pvb = prevBoard_.planeWord(g, SignalBoard::kVb);
+    // Last cycle's stopped tokens (persistent channels only) and anti-tokens
+    // must still be there.
+    const std::uint64_t retryF =
+        pvf & prevBoard_.planeWord(g, SignalBoard::kSf) & ~pvb & persistentMask_[g];
+    const std::uint64_t retryB = pvb & prevBoard_.planeWord(g, SignalBoard::kSb) & ~pvf;
+    if ((retryF & ~vf) | (retryB & ~vb)) return true;
+    // ... and a persisting stopped token must keep its data.
+    for (std::uint64_t held = retryF & vf; held != 0; held &= held - 1) {
+      const auto slot = static_cast<std::uint32_t>(g * 64 + __builtin_ctzll(held));
+      if (!board_.dataEqualsAt(slot, prevBoard_)) return true;
+    }
+  }
+  return false;
+}
+
+void SimContext::reportProtocolViolations() {
   auto report = [&](const Channel& ch, const std::string& what) {
     const std::string msg = "cycle " + std::to_string(cycle_) + ", channel '" +
                             ch.name + "': " + what;
@@ -351,31 +389,33 @@ void SimContext::checkProtocol() {
     if (throwOnViolation_) throw ProtocolError(msg);
   };
 
-  ensureTopologyCache();
   for (const ChannelId id : liveChannels_) {
     const Channel& ch = netlist_.channel(id);
     const std::uint32_t slot = board_.slotOf(id);
-    const ChannelSignals cur = board_.snapshotAt(slot);
+    const bool vf = board_.bitAt(slot, SignalBoard::kVf);
+    const bool vb = board_.bitAt(slot, SignalBoard::kVb);
 
     // Invariant (paper §3.1): kill and stop are mutually exclusive, in both
     // polarities.
-    if (cur.vf && cur.vb && cur.sf) report(ch, "token killed and stopped (V+ S+ V-)");
-    if (cur.vf && cur.vb && cur.sb)
+    if (vf && vb && board_.bitAt(slot, SignalBoard::kSf))
+      report(ch, "token killed and stopped (V+ S+ V-)");
+    if (vf && vb && board_.bitAt(slot, SignalBoard::kSb))
       report(ch, "anti-token killed and stopped (V- S- V+)");
 
     if (!havePrev_) continue;
-    const ChannelSignals prevSig = prevBoard_.snapshotAt(slot);
-    const bool relaxed = !channelPersistent_[id];
+    const bool pvf = prevBoard_.bitAt(slot, SignalBoard::kVf);
+    const bool pvb = prevBoard_.bitAt(slot, SignalBoard::kVb);
+    const bool persistent = (persistentMask_[slot >> 6] >> (slot & 63)) & 1;
 
     // Retry+: a stopped token must persist (with its data) next cycle.
-    if (prevSig.vf && prevSig.sf && !prevSig.vb && !relaxed) {
-      if (!cur.vf)
+    if (pvf && prevBoard_.bitAt(slot, SignalBoard::kSf) && !pvb && persistent) {
+      if (!vf)
         report(ch, "Retry+ violated: stopped token vanished");
-      else if (cur.data != prevSig.data)
+      else if (!board_.dataEqualsAt(slot, prevBoard_))
         report(ch, "Retry+ persistence violated: data changed during retry");
     }
     // Retry-: a stopped anti-token must persist next cycle.
-    if (prevSig.vb && prevSig.sb && !prevSig.vf && !cur.vb)
+    if (pvb && prevBoard_.bitAt(slot, SignalBoard::kSb) && !pvf && !vb)
       report(ch, "Retry- violated: stopped anti-token vanished");
   }
 }
@@ -479,11 +519,11 @@ void SimContext::edgeAudited() {
 }
 
 void SimContext::edgeEpilogue() {
-  // prev() is only consumed by the protocol monitors, so the snapshot is
-  // skipped entirely when they are off. Board-to-board value copy: straight
-  // word vectors, no per-channel BitVec traffic.
+  // The protocol monitor is the only reader of the previous cycle, and it
+  // compares payloads only for stopped tokens: keep the control planes and
+  // those payloads, and nothing at all when it is off.
   if (protocolChecking_) {
-    prevBoard_.copyValuesFrom(board_);
+    prevBoard_.copyControlAndStoppedDataFrom(board_);
     havePrev_ = true;
   } else {
     havePrev_ = false;

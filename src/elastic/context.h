@@ -54,7 +54,10 @@
 // The context also resolves per-cycle nondeterministic choice bits for
 // environment nodes (random under simulation, enumerated under verification)
 // and optionally monitors the SELF protocol properties of paper §3.1 on every
-// channel (Retry+/Retry-, kill/stop exclusion, persistence).
+// channel (Retry+/Retry-, kill/stop exclusion, persistence). The monitor is
+// word-parallel: each rule is one mask over a 64-channel plane group of the
+// settled board and of the previous cycle's, and only a cycle whose masks
+// find a violation walks the channels to report it.
 #pragma once
 
 #include <cstdint>
@@ -150,10 +153,6 @@ class SimContext {
   ConstSig sig(ChannelId ch) const {
     return {board_, slotOrThrow(ch)};
   }
-  /// Settled signals of the previous cycle. Maintained only while protocol
-  /// checking is enabled (its sole consumer); stale otherwise.
-  ConstSig prev(ChannelId ch) const { return {prevBoard_, slotOrThrow(ch)}; }
-
   /// The signal board itself (word-parallel consumers: statistics sweeps).
   const SignalBoard& board() const { return board_; }
 
@@ -180,6 +179,11 @@ class SimContext {
 
   // --- Protocol monitoring ---------------------------------------------------
 
+  /// With checking on, edge() keeps what the next cycle's checkProtocol()
+  /// needs of this one; checkProtocol() appends one message per violation,
+  /// in channel-id order (throwing ProtocolError on the first one instead
+  /// when setThrowOnViolation is set). unpackState() drops the kept cycle, so
+  /// a Retry+/Retry- rule spanning a restore is not checked.
   void setProtocolChecking(bool enabled) { protocolChecking_ = enabled; }
   void setThrowOnViolation(bool enabled) { throwOnViolation_ = enabled; }
   const std::vector<std::string>& protocolViolations() const { return violations_; }
@@ -519,6 +523,13 @@ class SimContext {
   /// packStateInto; the former prepends the versioned snapshot header).
   void packNodeState(StateWriter& w) const;
 
+  /// The protocol monitor's word-parallel pass: true if any plane group holds
+  /// a channel that breaks a §3.1 rule this cycle.
+  bool protocolScanFindsViolation() const;
+  /// The monitor's per-channel reporting pass, in channel-id order; runs only
+  /// in a cycle whose scan found a violation.
+  void reportProtocolViolations();
+
   void edgeSparse();
   void edgeSharded();
   void edgeFull();
@@ -548,7 +559,10 @@ class SimContext {
 
   Netlist& netlist_;
   SignalBoard board_;       ///< current signals (SoA)
-  SignalBoard prevBoard_;   ///< previous settled cycle (protocol monitor only)
+  /// The protocol monitor's view of the previous settled cycle: all four
+  /// control planes, but only the payloads of stopped tokens (the Retry+ data
+  /// check) — every other payload is stale. Kept only while checking is on.
+  SignalBoard prevBoard_;
   // Value-snapshot scratch boards (sweep convergence, cross-check pre/event),
   // re-laid only when the topology cache refreshes — never per settle.
   SignalBoard sweepScratch_;
@@ -623,7 +637,9 @@ class SimContext {
   std::vector<std::uint8_t> nodeEdgeOnEvents_;  ///< kOnEvents flag per node
   std::vector<std::uint8_t> nodeStateful_;      ///< !kCombPure flag per node
   std::vector<ChannelId> liveChannels_;
-  std::vector<bool> channelPersistent_;
+  /// Per plane group of board_: bit set = the slot's channel is persistent,
+  /// i.e. not exempt from Retry+ (Netlist::channelPersistence).
+  std::vector<std::uint64_t> persistentMask_;
 
   // Choice bookkeeping: per-node offset into the per-cycle assignment. The
   // cache is two packed bitplanes (known/value) so the per-cycle clear — and

@@ -276,30 +276,35 @@ void Netlist::rebuildAdjacency() const {
   adjacencyVersion_ = topoVersion_;
 }
 
-bool Netlist::channelIsPersistent(ChannelId ch) const {
-  // Depth-limited walk through combinational producers; combinational cycles
-  // cannot occur in valid designs, but guard with a visited set anyway.
-  std::vector<ChannelId> stack{ch};
-  std::vector<bool> seen(channels_.size(), false);
-  while (!stack.empty()) {
-    const ChannelId cur = stack.back();
-    stack.pop_back();
-    if (seen[cur]) continue;
-    seen[cur] = true;
-    const Channel& c = channel(cur);
-    const Node& producer = node(c.producer);
-    switch (producer.outputPersistence(c.producerPort)) {
-      case Node::Persistence::kNonPersistent:
-        return false;
-      case Node::Persistence::kPersistent:
-        break;
-      case Node::Persistence::kDerived:
-        for (unsigned i = 0; i < producer.numInputs(); ++i)
-          if (producer.inputBound(i)) stack.push_back(producer.input(i));
-        break;
+std::vector<bool> Netlist::channelPersistence() const {
+  // Non-persistence starts at the outputs of non-persistent blocks and flows
+  // downstream through combinational (kDerived) outputs until it reaches a
+  // registered one: a single worklist pass, each channel marked at most once.
+  std::vector<bool> persistent(channels_.size(), true);
+  std::vector<ChannelId> work;
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    if (!channelLive_[i]) continue;
+    const Channel& c = channels_[i];
+    if (node(c.producer).outputPersistence(c.producerPort) ==
+        Node::Persistence::kNonPersistent) {
+      persistent[i] = false;
+      work.push_back(c.id);
     }
   }
-  return true;
+  while (!work.empty()) {
+    const Node& consumer = node(channels_[work.back()].consumer);
+    work.pop_back();
+    for (unsigned p = 0; p < consumer.numOutputs(); ++p) {
+      if (!consumer.outputBound(p) ||
+          consumer.outputPersistence(p) != Node::Persistence::kDerived)
+        continue;
+      const ChannelId out = consumer.output(p);
+      if (!persistent[out]) continue;
+      persistent[out] = false;
+      work.push_back(out);
+    }
+  }
+  return persistent;
 }
 
 logic::Cost Netlist::totalCost() const {

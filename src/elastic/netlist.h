@@ -114,10 +114,12 @@ class Netlist {
   /// Sums node costs (area report input).
   logic::Cost totalCost() const;
 
-  /// Resolves Node::Persistence::kDerived transitively: a channel obeys
-  /// Retry+ persistence unless its producer (or any combinational ancestor)
-  /// is a non-persistent block (paper §4.2).
-  bool channelIsPersistent(ChannelId ch) const;
+  /// Retry+ persistence of every channel, indexed by ChannelId
+  /// (channelCapacity() entries; dead ids read true). Resolves
+  /// Node::Persistence::kDerived transitively: a channel obeys Retry+
+  /// persistence unless its producer (or any combinational ancestor) is a
+  /// non-persistent block (paper §4.2).
+  std::vector<bool> channelPersistence() const;
 
  private:
   std::string freshChannelName(const Node& producer, unsigned port) const;

@@ -191,7 +191,7 @@ class Node {
   /// not (the scheduler may change its prediction after a retry); and
   /// combinational blocks *derive* their persistence from their inputs —
   /// non-persistence propagates downstream until the next EB. Use
-  /// channelIsPersistent() to resolve kDerived through the netlist.
+  /// Netlist::channelPersistence() to resolve kDerived through the netlist.
   enum class Persistence { kPersistent, kNonPersistent, kDerived };
   virtual Persistence outputPersistence(unsigned port) const {
     (void)port;

@@ -10,8 +10,11 @@
 //     arena word instead of striding over scattered BitVecs;
 //   * the clock-edge event scan and the per-channel statistics become
 //     bitplane sweeps (transfer/kill masks computed 64 channels at a time);
-//   * snapshot/compare of the whole board (sweep kernel, cross-check,
-//     protocol prev()) is a straight word copy.
+//   * the SELF protocol monitor checks each rule as one mask per 64-channel
+//     group, against a previous-cycle board that keeps the control planes
+//     and only the stopped tokens' payloads;
+//   * snapshot/compare of the whole board (sweep kernel, cross-check) is a
+//     straight word copy.
 //
 // Channels are assigned *slots* by layout(). With a ShardPlan the slots are
 // permuted so that each shard's interior channels (both endpoints owned by
@@ -34,6 +37,7 @@
 // a read returns the round-start value, not the staged write.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -174,6 +178,24 @@ class SignalBoard {
 
   /// Full value copy from an identically laid-out board (near-memcpy).
   void copyValuesFrom(const SignalBoard& other);
+  /// The protocol monitor's previous-cycle copy from an identically laid-out
+  /// board: all four control planes, but of the payloads only those of
+  /// stopped tokens (vf & sf & ~vb), the one payload the Retry+ check
+  /// compares. Every other payload here keeps a stale value.
+  void copyControlAndStoppedDataFrom(const SignalBoard& other) {
+    for (std::size_t g = 0; g < groupCount(); ++g) {
+      const std::uint64_t* src = &other.ctrl_[g * 4];
+      std::copy(src, src + 4, &ctrl_[g * 4]);
+      for (std::uint64_t m = src[kVf] & src[kSf] & ~src[kVb]; m != 0; m &= m - 1) {
+        const std::uint32_t off = dataOff_[g * 64 + __builtin_ctzll(m)];
+        if (off == kNoSlot) continue;
+        if (off & kWideFlag)
+          spill_[off & ~kWideFlag] = other.spill_[off & ~kWideFlag];
+        else
+          words_[off] = other.words_[off];
+      }
+    }
+  }
   /// Full value comparison against an identically laid-out board.
   bool sameValuesAs(const SignalBoard& other) const;
 

@@ -590,12 +590,12 @@ ProtocolReport runSelfSuite(ModelChecker& mc, Netlist& netlist,
   ProtocolReport report;
   report.explore = mc.explore();
 
+  const std::vector<bool> persistent = netlist.channelPersistence();
   for (const ChannelId ch : channels) {
     const std::string base = netlist.channel(ch).name;
     note(report, mc, mc.checkNever(base + ".killStop"));  // Invariant
     if (options.checkPersistence) {
-      const bool exempt = !netlist.channelIsPersistent(ch);
-      if (!exempt)
+      if (persistent[ch])
         note(report, mc, mc.checkStep(base + ".retryF", base + ".vf"));  // Retry+
       note(report, mc, mc.checkStep(base + ".retryB", base + ".vb"));    // Retry-
     }

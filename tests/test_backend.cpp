@@ -4,6 +4,8 @@
 #include "backend/verilog.h"
 #include "netlist/dot.h"
 #include "netlist/patterns.h"
+#include "netlist/synth.h"
+#include "protocol_reference.h"
 
 namespace esl {
 namespace {
@@ -82,11 +84,48 @@ TEST(Smv, NonPersistentChannelsSkipRetryPlus) {
   auto sys = patterns::buildFig1(patterns::Fig1Variant::kSpeculative);
   const std::string m = backend::emitSmv(sys.nl);
   // Count Retry+ specs: only persistent channels get one.
+  const std::vector<bool> table = sys.nl.channelPersistence();
   std::size_t persistent = 0;
   for (const ChannelId id : sys.nl.channelIds())
-    if (sys.nl.channelIsPersistent(id)) ++persistent;
+    if (table[id]) ++persistent;
   EXPECT_EQ(countOccurrences(m, "-- Retry+"), persistent);
   EXPECT_LT(persistent, sys.nl.channelIds().size());
+}
+
+/// Checks Netlist::channelPersistence() channel by channel against the
+/// per-channel backward walk it replaced; returns the non-persistent count.
+std::size_t expectPersistenceMatchesWalk(const Netlist& nl) {
+  const std::vector<bool> table = nl.channelPersistence();
+  EXPECT_EQ(table.size(), nl.channelCapacity());
+  std::size_t nonPersistent = 0;
+  for (const ChannelId ch : nl.channelIds()) {
+    EXPECT_EQ(table[ch], test::walkIsPersistent(nl, ch)) << nl.channel(ch).name;
+    if (!table[ch]) ++nonPersistent;
+  }
+  return nonPersistent;
+}
+
+TEST(NetlistPersistence, ForwardPassMatchesPerChannelWalk) {
+  std::size_t nonPersistent = 0;
+  for (const std::string& name : patterns::designNames()) {
+    SCOPED_TRACE(name);
+    nonPersistent += expectPersistenceMatchesWalk(patterns::buildDesign(name));
+  }
+  // The shared-module designs spread non-persistence through funcs and muxes.
+  EXPECT_GT(nonPersistent, 0u);
+  for (const auto topology :
+       {synth::Topology::kPipeline, synth::Topology::kForkJoin,
+        synth::Topology::kSpecLadder, synth::Topology::kRandomDag}) {
+    for (const std::uint64_t seed : {1u, 2u}) {
+      synth::SynthConfig cfg;
+      cfg.topology = topology;
+      cfg.targetNodes = 400;
+      cfg.seed = seed;
+      cfg.vluPermille = 100;
+      SCOPED_TRACE(synth::describe(cfg));
+      expectPersistenceMatchesWalk(synth::buildNetlist(cfg));
+    }
+  }
 }
 
 TEST(Smv, EnvironmentFairnessEmitted) {
