@@ -487,17 +487,15 @@ int main(int argc, char** argv) {
     std::printf("CHECK OK: event kernel %.1fx vs sweep on >=10k-node sparse "
                 "netlists\n",
                 check10kSparse);
-    // Hard floor at 1.8x — with per-node state packed into the VM-owned
-    // arena, a specialized op streams its op/port/state records instead of
-    // chasing into heap node objects. The win scales with working-set size:
-    // at 10k nodes the interpreted kernel's node state is still largely
-    // cache-resident and the measured ratio is ~1.2-1.6x; at 100k nodes the
-    // scattered node objects miss cache on nearly every touch and the
-    // filled-steady-state pipeline tier measures ~2.6x (random DAGs ~1.6x).
+    // Hard floor at 1.8x — with every port pre-resolved, a specialized op
+    // streams its op/port/state records, while an interpreted evaluation
+    // still goes through the heap node object (virtual call, port and width
+    // lookups). Both read node state from the context's flat record arena.
     // The gate takes the best >=10k-node sparse tier — the 100k
     // event+compiled pair runs even under --quick for exactly this reason —
-    // so a drop below 1.8x means the arena stopped paying at any scale
-    // (e.g. a regression reintroduced node-object loads on the hot path).
+    // so a drop below 1.8x means the compiled ops stopped paying at any
+    // scale (e.g. a regression reintroduced node-object loads on their hot
+    // path).
     // The floor sits well below the measured best — not at it — because CI
     // runners are too noisy to pin an optimization ratio exactly; the ratio
     // itself is reported in the JSON for tracking.

@@ -62,6 +62,19 @@ class BitVec {
     inlineWords_[0] = v;
   }
 
+  /// The value held as ⌈width/64⌉ little-endian words, already masked to the
+  /// width (a node-state record's payload slot), and the way back.
+  static BitVec fromWords(unsigned width, const std::uint64_t* words) {
+    BitVec v;
+    v.width_ = width;
+    v.allocate();
+    std::copy(words, words + v.wordCount(), v.wordsMut());
+    return v;
+  }
+  void toWords(std::uint64_t* out) const {
+    std::copy(words(), words() + wordCount(), out);
+  }
+
   /// True iff every bit is zero (zero-width vectors are zero).
   bool isZero() const;
 

@@ -3,22 +3,15 @@
 // Every specializable kind writes its comb/edge logic once, as templates over
 // a view (elastic/node_view.h). ArenaView<K> is the view the VM runs them
 // through. Its ports are RawSig proxies over pre-resolved SlotAddr records:
-// plain loads and stores into the board's planes and payload arenas, whose
+// plain loads and stores into the board's planes and payload words, whose
 // writes mirror SignalBoard::setBitAt/setDataAt exactly, change tracking
-// included. Its sequential state is the op's record in the VM's node-state
-// arena, where stored payloads are words (Word); the compiler keeps any op
-// whose state does not fit a word generic.
-//
-// Each stateful kind's record layout lives once, in its ArenaView below:
-// plan() sizes the record (stashing the kind's constants in the op), the
-// accessors read and write it, and the VM's adopt/flush move state between
-// it and the node object with the kind's copyState(). A kind's scalar State
-// struct sits bytewise at the head of its record.
+// included. Its sequential state is the node's record in the SimContext's
+// state arena — the same record the object view reads — with stored payloads
+// as words (Word): the compiler specializes only nodes whose payloads are at
+// most 64 bits wide. The record layout and its accessors are the kind's own
+// (K::View, shared with the object view); this file adds only the ports, the
+// word payload form, and the constants an op carries for its kind.
 #pragma once
-
-#include <cstring>
-#include <optional>
-#include <type_traits>
 
 #include "compile/compiler.h"
 #include "elastic/buffer.h"
@@ -31,13 +24,14 @@
 
 namespace esl::compile {
 
-/// The board's raw arrays, re-fetched by the VM before every phase.
+/// The board's raw arrays and the context's record arena, re-fetched by the
+/// VM before every phase.
 struct RawBoard {
   SignalBoard* board = nullptr;  ///< BitVec-level payload access
   std::uint64_t* ctrl = nullptr;
   std::uint64_t* words = nullptr;
-  BitVec* spill = nullptr;
   std::uint64_t* changed = nullptr;
+  std::uint64_t* records = nullptr;
 };
 
 /// A stored payload of at most 64 bits, as the arena keeps it.
@@ -53,7 +47,7 @@ struct Word {
   operator BitVec() const { return BitVec(width, bits); }  // NOLINT
 };
 
-/// A payload as an arena word. A BitVec whose width disagrees with the
+/// A payload as a record word. A BitVec whose width disagrees with the
 /// channel it belongs to cannot be stored (and is unreachable through pushes
 /// from the bound channel or a width-checked unpackState).
 inline std::uint64_t toWord(Word w, unsigned) { return w.bits; }
@@ -65,7 +59,8 @@ inline std::uint64_t toWord(const BitVec& v, unsigned width) {
 
 /// Raw-address port: the arena view's counterpart of Sig. Bits, words and
 /// routing copies go straight to the arrays; BitVec payloads go through the
-/// board (specialized ops never touch a staged boundary slot).
+/// board. Specialized ops never touch a staged boundary slot, nor a payload
+/// wider than a word.
 class RawSig {
  public:
   RawSig(const RawBoard& board, const SlotAddr& addr) : b_(&board), a_(&addr) {}
@@ -85,10 +80,7 @@ class RawSig {
   unsigned width() const { return a_->width; }
   std::uint64_t dataLow64() const {
     const std::uint32_t off = a_->dataOff;
-    if (off == SignalBoard::kNoSlot) return 0;
-    if (off & SignalBoard::kWideFlag)
-      return b_->spill[off & ~SignalBoard::kWideFlag].toUint64();
-    return b_->words[off];
+    return off == SignalBoard::kNoSlot ? 0 : b_->words[off];
   }
   BitVec data() const { return b_->board->dataAt(a_->slot); }
   bool dataEquals(const BitVec& v) const {
@@ -131,24 +123,27 @@ class RawSig {
   const SlotAddr* a_;
 };
 
-/// Ports, node access, per-cycle inputs and the State of the arena view,
-/// built per evaluation on the stack (it vanishes once inlined).
+/// Ports, node access and per-cycle inputs of the arena view, built per
+/// evaluation on the stack (it vanishes once inlined), plus the word form of
+/// the record's payloads.
 template <typename K>
-class ArenaPorts {
+class ArenaPorts : public NodeRecord<K> {
  public:
   ArenaPorts(SimContext& ctx, const RawBoard& board, const Op& op,
              const SlotAddr* ports, std::uint64_t* record, bool stats)
-      : ctx_(&ctx),
+      : NodeRecord<K>(record),
+        ctx_(&ctx),
         board_(&board),
         op_(&op),
         ports_(ports),
-        record_(record),
         stats_(stats) {}
 
   RawSig in(unsigned i) const { return {*board_, ports_[i]}; }
   RawSig out(unsigned i) const { return {*board_, ports_[op_->nIn + i]}; }
   unsigned numInputs() const { return op_->nIn; }
   unsigned numOutputs() const { return op_->nOut; }
+  unsigned inWidth(unsigned i) const { return ports_[i].width; }
+  unsigned outWidth(unsigned i) const { return ports_[op_->nIn + i].width; }
   Word payload(const RawSig& port) const { return {port.dataLow64(), port.width()}; }
 
   K& node() const { return static_cast<K&>(*op_->node); }
@@ -156,166 +151,40 @@ class ArenaPorts {
   bool choice(unsigned i) const { return ctx_->choice(*op_->node, i); }
   std::uint64_t cycle() const { return ctx_->cycle(); }
 
-  auto state() const {
-    typename K::State s;
-    static_assert(std::is_trivially_copyable_v<decltype(s)>);
-    std::memcpy(static_cast<void*>(&s), record_, sizeof s);
-    return s;
+  Word payloadAt(std::uint32_t off, unsigned width) const {
+    return {this->record_[off], width};
   }
-  template <typename State>
-  void setState(const State& s) const {
-    std::memcpy(record_, &s, sizeof s);
+  template <typename P>
+  void setPayloadAt(std::uint32_t off, unsigned width, const P& p) const {
+    this->record_[off] = toWord(p, width);
   }
-
-  /// Record size in words, or nullopt when the state does not fit the word
-  /// arena (the compiler then keeps the node generic). Default: the State
-  /// struct alone, or no record for kinds without one.
-  static std::optional<std::uint32_t> plan(Op&, const SlotAddr*) {
-    if constexpr (requires { typename K::State; })
-      return stateWords();
-    else
-      return 0u;
-  }
+  static Word zeroPayload(unsigned width) { return {0, width}; }
 
  protected:
-  /// Words the kind's State occupies at the head of the record.
-  static constexpr std::uint32_t stateWords() {
-    return (sizeof(typename K::State) + 7) / 8;
-  }
-
   SimContext* ctx_;
   const RawBoard* board_;
   const Op* op_;
   const SlotAddr* ports_;
-  std::uint64_t* record_;
   bool stats_;
 };
 
-/// Arena view of a kind whose record is its State alone (sources, sinks) or
-/// that has none (the shared module: scheduler and memo stay in node()).
+/// The arena view: ports plus the kind's record layout.
 template <typename K>
-class ArenaView : public ArenaPorts<K> {
+class ArenaView : public RecordLayout<K, ArenaPorts<K>>::type {
+  using Base = typename RecordLayout<K, ArenaPorts<K>>::type;
+
  public:
-  using ArenaPorts<K>::ArenaPorts;
+  using Base::Base;
 };
 
-/// Record: State, then one payload word per ring slot. The capacities ride
-/// in the op: the hottest kind never touches its node object.
+/// The buffer's capacities ride in the op: the hottest kind never touches its
+/// node object.
 template <>
-class ArenaView<ElasticBuffer> : public ArenaPorts<ElasticBuffer> {
+class ArenaView<ElasticBuffer> : public ElasticBuffer::View<ArenaPorts<ElasticBuffer>> {
  public:
-  using ArenaPorts::ArenaPorts;
-  static std::optional<std::uint32_t> plan(Op& op, const SlotAddr* P) {
-    if (P[1].width > 64) return std::nullopt;
-    const auto& eb = static_cast<const ElasticBuffer&>(*op.node);
-    op.fnA = eb.capacity();
-    op.fnB = eb.antiCapacity();
-    return stateWords() + eb.capacity();
-  }
+  using View::View;
   unsigned capacity() const { return static_cast<unsigned>(op_->fnA); }
   unsigned antiCapacity() const { return static_cast<unsigned>(op_->fnB); }
-  Word token(unsigned i) const {
-    return {record_[stateWords() + i], ports_[1].width};
-  }
-  template <typename P>
-  void setToken(unsigned i, const P& t) const {
-    record_[stateWords() + i] = toWord(t, ports_[1].width);
-  }
-};
-
-/// Record: State, then the slot's payload word (ElasticBuffer0, BrokenBuffer).
-template <typename K>
-class SlotArenaView : public ArenaPorts<K> {
- public:
-  using ArenaPorts<K>::ArenaPorts;
-  static std::optional<std::uint32_t> plan(Op&, const SlotAddr* P) {
-    if (P[1].width > 64) return std::nullopt;
-    return ArenaPorts<K>::stateWords() + 1;
-  }
-  Word slot() const {
-    return {this->record_[this->stateWords()], this->ports_[1].width};
-  }
-  template <typename P>
-  void setSlot(const P& t) const {
-    this->record_[this->stateWords()] = toWord(t, this->ports_[1].width);
-  }
-};
-template <>
-class ArenaView<ElasticBuffer0> : public SlotArenaView<ElasticBuffer0> {
- public:
-  using SlotArenaView::SlotArenaView;
-};
-template <>
-class ArenaView<BrokenBuffer> : public SlotArenaView<BrokenBuffer> {
- public:
-  using SlotArenaView::SlotArenaView;
-};
-
-/// Record: the branches' done bits as one mask word.
-template <>
-class ArenaView<ForkNode> : public ArenaPorts<ForkNode> {
- public:
-  using ArenaPorts::ArenaPorts;
-  static std::optional<std::uint32_t> plan(Op& op, const SlotAddr*) {
-    if (op.nOut > 64) return std::nullopt;
-    return 1u;
-  }
-  bool done(unsigned i) const { return (record_[0] >> i) & 1; }
-  void setDone(unsigned i, bool d) const {
-    const std::uint64_t m = std::uint64_t{1} << i;
-    record_[0] = d ? record_[0] | m : record_[0] & ~m;
-  }
-};
-
-/// Record: one pending anti-token counter word per data input (payload
-/// routing goes through setDataFrom, which handles wide channels).
-template <>
-class ArenaView<EarlyEvalMux> : public ArenaPorts<EarlyEvalMux> {
- public:
-  using ArenaPorts::ArenaPorts;
-  static std::optional<std::uint32_t> plan(Op& op, const SlotAddr*) {
-    return op.nIn - 1u;
-  }
-  unsigned pending(unsigned i) const { return static_cast<unsigned>(record_[i]); }
-  void setPending(unsigned i, unsigned n) const { record_[i] = n; }
-};
-
-/// Record: State, then the held payload word.
-template <>
-class ArenaView<NondetSource> : public ArenaPorts<NondetSource> {
- public:
-  using ArenaPorts::ArenaPorts;
-  static std::optional<std::uint32_t> plan(Op&, const SlotAddr* P) {
-    if (P[0].width > 64) return std::nullopt;
-    return stateWords() + 1;
-  }
-  Word value() const { return {record_[stateWords()], ports_[0].width}; }
-  template <typename P>
-  void setValue(const P& x) const {
-    record_[stateWords()] = toWord(x, ports_[0].width);
-  }
-  Word blank() const { return {0, ports_[0].width}; }
-};
-
-/// Record: State, then the pending operand word and the result word.
-template <>
-class ArenaView<StallingVLU> : public ArenaPorts<StallingVLU> {
- public:
-  using ArenaPorts::ArenaPorts;
-  static std::optional<std::uint32_t> plan(Op&, const SlotAddr* P) {
-    if (P[0].width > 64 || P[1].width > 64) return std::nullopt;
-    return stateWords() + 2;
-  }
-  Word pending() const { return {record_[stateWords()], ports_[0].width}; }
-  template <typename P>
-  void setPending(const P& x) const {
-    record_[stateWords()] = toWord(x, ports_[0].width);
-  }
-  Word result() const { return {record_[stateWords() + 1], ports_[1].width}; }
-  template <typename P>
-  void setResult(const P& x) const {
-    record_[stateWords() + 1] = toWord(x, ports_[1].width);
-  }
 };
 
 /// No record: the memo stays on the node. Catalog functions whose operands

@@ -1,6 +1,5 @@
 #include "compile/compiler.h"
 
-#include <optional>
 #include <typeinfo>
 
 #include "compile/arena.h"
@@ -38,7 +37,7 @@ OpCode classify(const Node& node) {
 /// nodes carry `fn=<catalog name>` in their stored build attributes; the
 /// catalog factory already validated the width signature at construction, but
 /// every invariant the word kernels rely on is re-checked here — any mismatch
-/// (or any operand wider than a word) keeps the memoized opaque path.
+/// keeps the memoized opaque path. Specialized ops are at most a word wide.
 FuncKind specializeFunc(const Node& node, const Op& op,
                         const std::vector<SlotAddr>& ports, std::uint64_t* fnA,
                         std::uint64_t* fnB) {
@@ -49,8 +48,6 @@ FuncKind specializeFunc(const Node& node, const Op& op,
   const unsigned n = op.nIn;
   const SlotAddr* P = ports.data() + op.portBase;
   const unsigned outW = P[n].width;
-  for (unsigned i = 0; i <= n; ++i)
-    if (P[i].width > 64) return FuncKind::kOpaque;
   const auto unarySameWidth = [&] { return n == 1 && P[0].width == outW; };
   if (fn == "id" && unarySameWidth()) return FuncKind::kId;
   if (fn == "gray" && unarySameWidth()) return FuncKind::kGray;
@@ -83,79 +80,46 @@ FuncKind specializeFunc(const Node& node, const Op& op,
   return FuncKind::kOpaque;
 }
 
-/// Sizes the op's node-state arena record through its kind's ArenaView
-/// (which may stash per-kind constants in fnA/fnB). nullopt when the state
-/// does not fit the word arena (payloads wider than 64 bits, forks wider than
-/// 64 branches): the caller downgrades to kGeneric, keeping the virtual
-/// (interpreter) path, which handles arbitrary widths. 0 words: kGeneric, or
-/// a kind that keeps its state on the node.
-std::optional<std::uint32_t> planStateWords(Op& op,
-                                            const std::vector<SlotAddr>& ports) {
-  std::optional<std::uint32_t> words = 0u;
-  visitKind(op.code, [&]<typename K>() {
-    words = ArenaView<K>::plan(op, ports.data() + op.portBase);
-  });
-  return words;
-}
-
 }  // namespace
 
 Program compileProgram(Netlist& nl, const SignalBoard& board,
-                       const ShardPlan* plan) {
+                       const std::vector<std::uint32_t>& recordOff) {
   Program prog;
   prog.topologyVersion = nl.topologyVersion();
   prog.boardLayout = board.layoutGeneration();
   prog.opOf.assign(nl.nodeCapacity(), Program::kNoOp);
   const std::vector<NodeId> ids = nl.nodeIds();
   prog.ops.reserve(ids.size());
-  const bool sharded = plan != nullptr && plan->shards > 1;
-  unsigned prevShard = ~0u;
   for (const NodeId id : ids) {
     Node& node = nl.node(id);
     Op op;
     op.node = &node;
-    op.nodeId = id;
+    op.stateOff = recordOff[id];
     op.nIn = static_cast<std::uint16_t>(node.numInputs());
     op.nOut = static_cast<std::uint16_t>(node.numOutputs());
     op.portBase = static_cast<std::uint32_t>(prog.ports.size());
-    bool allBound = true;
-    bool anyBoundary = false;
-    for (unsigned i = 0; i < node.numInputs(); ++i) {
-      prog.ports.push_back(addrFor(board, node.input(i)));
-      allBound = allBound && prog.ports.back().bound();
-      anyBoundary = anyBoundary || (prog.ports.back().bound() &&
-                                    board.inBoundary(prog.ports.back().slot));
-    }
-    for (unsigned o = 0; o < node.numOutputs(); ++o) {
-      prog.ports.push_back(addrFor(board, node.output(o)));
-      allBound = allBound && prog.ports.back().bound();
-      anyBoundary = anyBoundary || (prog.ports.back().bound() &&
-                                    board.inBoundary(prog.ports.back().slot));
-    }
-    // An op may only touch raw addresses when every port resolved; a node
-    // caught mid-surgery (dangling port) keeps the virtual path, which throws
-    // the usual accessor error if the dangling channel is actually touched.
+    // An op may only touch raw addresses when every port resolved and holds
+    // at most a word; a node caught mid-surgery (dangling port) keeps the
+    // virtual path, which throws the usual accessor error if the dangling
+    // channel is actually touched, and the object view handles any width.
     // Under sharding, a node adjacent to a boundary slot also stays generic:
     // boundary writes must go through the staging-aware Sig accessors.
-    op.code = allBound && !(sharded && anyBoundary) ? classify(node)
-                                                    : OpCode::kGeneric;
+    bool specializable = true;
+    const auto addPort = [&](ChannelId ch) {
+      const SlotAddr a = addrFor(board, ch);
+      specializable = specializable && a.bound() && a.width <= 64 &&
+                      !board.inBoundary(a.slot);
+      prog.ports.push_back(a);
+    };
+    for (unsigned i = 0; i < node.numInputs(); ++i) addPort(node.input(i));
+    for (unsigned o = 0; o < node.numOutputs(); ++o) addPort(node.output(o));
+    op.code = specializable ? classify(node) : OpCode::kGeneric;
     if (op.code == OpCode::kFunc)
       op.fnKind = specializeFunc(node, op, prog.ports, &op.fnA, &op.fnB);
-    const std::optional<std::uint32_t> words = planStateWords(op, prog.ports);
-    if (!words) {
-      // State too wide for the word arena: virtual path handles any width.
-      op.code = OpCode::kGeneric;
-      op.fnA = op.fnB = 0;
-    } else if (*words > 0) {
-      if (sharded) {
-        // Cache-line-align each shard's first record so concurrent shard
-        // workers never false-share a state record across the slice border.
-        const unsigned s = plan->nodeShard[id];
-        if (s != prevShard) prog.stateWords = (prog.stateWords + 7) & ~7u;
-        prevShard = s;
-      }
-      op.stateOff = prog.stateWords;
-      prog.stateWords += *words;
+    if (op.code == OpCode::kEb) {
+      const auto& eb = static_cast<const ElasticBuffer&>(node);
+      op.fnA = eb.capacity();
+      op.fnB = eb.antiCapacity();
     }
     prog.opOf[id] = static_cast<std::uint32_t>(prog.ops.size());
     prog.ops.push_back(op);

@@ -2,29 +2,30 @@
 //
 // compileProgram() lowers a netlist once into a flat program of per-node ops:
 // each op carries the node's kind (resolved to a specialized opcode by exact
-// type), an offset into the VM's node-state arena (its record layout is the
-// kind's ArenaView, compile/arena.h), and a table of port addresses resolved
-// against the board's current layout. The VM (src/compile/vm.h) then
-// executes settle rounds and clock edges with raw word loads/stores: no
+// type), the offset of its record in the context's node-state arena (the
+// layout is the kind's, elastic/node_view.h), and a table of port addresses
+// resolved against the board's current layout. The VM (src/compile/vm.h)
+// then executes settle rounds and clock edges with raw word loads/stores: no
 // virtual dispatch, no Sig accessor proxies, no slot lookups — and no
 // pointer-chasing into node objects — on the hot path.
 //
 // The op and port records are deliberately flat and small (SlotAddr is 12
 // bytes; derived coordinates are shifts off the slot index) so one settle
-// step streams the op, its ports and its arena record from a couple of cache
+// step streams the op, its ports and its state record from a couple of cache
 // lines instead of touching 5–8 scattered heap objects per active node.
 //
 // Nodes whose exact type is not in the catalog (user subclasses), nodes with
-// unbound ports, nodes whose state does not fit the word arena (payloads
-// wider than 64 bits, forks with more than 64 branches), and — under
-// sharding — nodes touching a boundary slot compile to OpCode::kGeneric,
-// which falls back to the virtual evalComb/clockEdge through the staging-
-// aware Sig accessors: the program is always total over the netlist.
+// unbound ports, nodes with a payload wider than 64 bits (the arena view
+// keeps payloads as words), and — under sharding — nodes touching a boundary
+// slot compile to OpCode::kGeneric, which falls back to the virtual
+// evalComb/clockEdge through the staging-aware Sig accessors, over the same
+// record: the program is always total over the netlist.
 //
 // A Program is valid for one (topologyVersion, board layoutGeneration) pair;
 // the VM recompiles whenever either moves. Topology changes (transformations,
 // splices) bump the former; shard-count changes permute the board WITHOUT a
-// topology bump, which only the latter catches.
+// topology bump, which only the latter catches. The context lays out its
+// record arena together with the board, so the same key covers the records.
 #pragma once
 
 #include <cstdint>
@@ -89,20 +90,16 @@ enum class FuncKind : std::uint8_t {
 
 /// One node lowered to an op. Ports live in Program::ports at [portBase,
 /// portBase + nIn + nOut): inputs first, then outputs. Sequential state lives
-/// in the VM's arena at stateOff (kNoState: the op keeps its state on the
-/// node object — kFunc/kShared, whose "state" is memos/a polymorphic
-/// scheduler — or is kGeneric). fnA/fnB hold constants the kind's ArenaView
-/// reads on every evaluation (one op load instead of a node-object load).
+/// in the context's record arena at stateOff. fnA/fnB hold constants the
+/// kind's ArenaView reads on every evaluation (one op load instead of a
+/// node-object load).
 struct Op {
-  static constexpr std::uint32_t kNoState = ~std::uint32_t{0};
-
   OpCode code = OpCode::kGeneric;
   FuncKind fnKind = FuncKind::kOpaque;  ///< kFunc only
   std::uint16_t nIn = 0;
   std::uint16_t nOut = 0;
   std::uint32_t portBase = 0;
-  std::uint32_t stateOff = kNoState;  ///< arena word offset (VM assigns)
-  NodeId nodeId = 0;                  ///< owning node (arena flush liveness)
+  std::uint32_t stateOff = 0;  ///< record offset in the context's arena
   std::uint64_t fnA = 0;  ///< kFunc: addk constant / permille threshold;
                           ///< kEb: capacity
   std::uint64_t fnB = 0;  ///< kFunc: permille salt; kEb: anti capacity
@@ -115,16 +112,14 @@ struct Program {
   std::vector<Op> ops;                ///< live nodes, insertion order
   std::vector<std::uint32_t> opOf;    ///< NodeId -> ops index (kNoOp = dead id)
   std::vector<SlotAddr> ports;
-  std::uint32_t stateWords = 0;       ///< node-state arena size (u64 words)
   std::uint64_t topologyVersion = 0;  ///< netlist version compiled against
   std::uint64_t boardLayout = 0;      ///< board layoutGeneration compiled against
 };
 
-/// Lowers the netlist against the board's current layout. With a shard plan
-/// (shards > 1) nodes touching boundary slots stay generic, and each shard's
-/// arena slice starts cache-line-aligned so shard workers never false-share a
-/// state record.
+/// Lowers the netlist against the board's current layout and the context's
+/// record offsets (indexed by NodeId). Nodes touching a boundary slot (the
+/// board has some only when sharded) stay generic.
 Program compileProgram(Netlist& nl, const SignalBoard& board,
-                       const ShardPlan* plan = nullptr);
+                       const std::vector<std::uint32_t>& recordOff);
 
 }  // namespace esl::compile

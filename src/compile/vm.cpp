@@ -17,26 +17,20 @@ void Vm::ensureProgram() {
   if (hasProgram_ && prog_.topologyVersion == ctx_.netlist_.topologyVersion() &&
       prog_.boardLayout == ctx_.board_.layoutGeneration())
     return;
-  // The old arena may be the authoritative copy of node state: publish it
-  // through the OLD offsets into every node that survived the change before
-  // the offsets are recomputed.
-  flushState();
-  prog_ = compileProgram(ctx_.netlist_, ctx_.board_,
-                         ctx_.shards_ > 1 ? &ctx_.plan_ : nullptr);
+  prog_ = compileProgram(ctx_.netlist_, ctx_.board_, ctx_.recordOff_);
   hasProgram_ = true;
-  state_.assign(prog_.stateWords, 0);
 }
 
 void Vm::bind() {
   SignalBoard& b = ctx_.board_;
-  raw_ = {&b, b.ctrlData(), b.payloadData(), b.spillData(), b.changedData()};
+  raw_ = {&b, b.ctrlData(), b.payloadData(), b.changedData(),
+          ctx_.records_.data()};
 }
 
 void Vm::settle() {
   ctx_.ensureTopologyCache();  // board layout current before addressing it
   ensureProgram();
   bind();
-  adoptArena();
   if (ctx_.shards_ > 1)
     ctx_.settleShardedWith([this](NodeId id) { evalNode(id); });
   else
@@ -47,7 +41,6 @@ void Vm::edge() {
   ctx_.ensureTopologyCache();
   ensureProgram();
   bind();
-  adoptArena();
   if (ctx_.shards_ > 1)
     ctx_.edgeShardedWith([this](NodeId id) { edgeNode(id, true); });
   else
@@ -66,80 +59,22 @@ bool Vm::hasSpecializedOpFor(NodeId id) const {
   return idx != Program::kNoOp && prog_.ops[idx].code != OpCode::kGeneric;
 }
 
-void Vm::edgeNodeForAudit(NodeId id) {
-  const Op& op = prog_.ops[prog_.opOf[id]];
-  // The audit just rewound the node OBJECT, so re-adopt it, replay the op
-  // against the arena, and flush so packState() sees the compiled result.
-  // The global arena validity is untouched: the audit edge runs interpreted
-  // around these replays, so the node objects stay authoritative throughout.
-  if (op.stateOff != Op::kNoState) adoptOp(op);
-  edgeNode(id, false);
-  if (op.stateOff != Op::kNoState) flushOp(op);
-}
-
-// --- node-state arena adoption/flush -----------------------------------------
-
 template <typename K>
 ArenaView<K> Vm::view(const Op& op, bool stats) {
-  return ArenaView<K>(
-      ctx_, raw_, op, prog_.ports.data() + op.portBase,
-      op.stateOff == Op::kNoState ? nullptr : state_.data() + op.stateOff, stats);
-}
-
-void Vm::adoptArena() {
-  if (arenaValid_) return;
-  for (const Op& op : prog_.ops)
-    if (op.stateOff != Op::kNoState) adoptOp(op);
-  arenaValid_ = true;
-}
-
-void Vm::flushState() {
-  if (!arenaValid_) return;
-  arenaValid_ = false;
-  for (const Op& op : prog_.ops) {
-    if (op.stateOff == Op::kNoState) continue;
-    // NodeIds are never recycled, so liveness is airtight: a node removed by
-    // surgery since the compile simply drops its (now unowned) state.
-    if (!ctx_.netlist_.hasNode(op.nodeId)) continue;
-    flushOp(op);
-  }
-}
-
-// Func and shared ops keep their state (memos, a polymorphic scheduler) on
-// the node, so only kinds with a copyState move anything.
-template <typename K>
-constexpr bool kHasRecord = requires(const ObjectView<K>& v) { K::copyState(v, v); };
-
-void Vm::adoptOp(const Op& op) {
-  visitKind(op.code, [&]<typename K>() {
-    if constexpr (kHasRecord<K>)
-      K::copyState(ObjectView<K>(ctx_, static_cast<K&>(*op.node)), view<K>(op, false));
-  });
-}
-
-void Vm::flushOp(const Op& op) {
-  visitKind(op.code, [&]<typename K>() {
-    if constexpr (kHasRecord<K>)
-      K::copyState(view<K>(op, false), ObjectView<K>(ctx_, static_cast<K&>(*op.node)));
-  });
+  return ArenaView<K>(ctx_, raw_, op, prog_.ports.data() + op.portBase,
+                      raw_.records + op.stateOff, stats);
 }
 
 // --- raw payload routing (mirrors SignalBoard::copyDataFromSlotAt) ------------
 
 void RawSig::setDataFrom(const RawSig& src) {
-  // Widths are equal by construction, audited when the channels were bound.
+  // Widths are equal by construction, audited when the channels were bound;
+  // a specialized op's payloads fit a word.
   const std::uint32_t off = a_->dataOff;
   if (off == SignalBoard::kNoSlot) return;
-  if (off & SignalBoard::kWideFlag) {
-    BitVec& out = b_->spill[off & ~SignalBoard::kWideFlag];
-    const BitVec& in = b_->spill[src.a_->dataOff & ~SignalBoard::kWideFlag];
-    if (out == in) return;
-    out = in;
-  } else {
-    std::uint64_t& out = b_->words[off];
-    if (out == b_->words[src.a_->dataOff]) return;
-    out = b_->words[src.a_->dataOff];
-  }
+  std::uint64_t& out = b_->words[off];
+  if (out == b_->words[src.a_->dataOff]) return;
+  out = b_->words[src.a_->dataOff];
   b_->changed[a_->chWord()] |= a_->bitMask();
 }
 

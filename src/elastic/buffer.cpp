@@ -26,39 +26,45 @@ ElasticBuffer::ElasticBuffer(std::string name, unsigned width, unsigned capacity
     ESL_CHECK(v.width() == width_, "ElasticBuffer: init token width mismatch");
   declareInput(width_);
   declareOutput(width_);
-  // Initialize the ring NOW, not just at context reset: a buffer spliced
-  // into a live context must never push into unsized storage.
-  ElasticBuffer::reset();
 }
 
-void ElasticBuffer::reset() {
-  ring_.assign(capacity_, BitVec(width_));
-  st_ = State{};
-  st_.count = static_cast<unsigned>(init_.size());
-  for (unsigned i = 0; i < st_.count; ++i) ring_[i] = init_[i];
-  st_.anti = initAnti_;
+std::uint32_t ElasticBuffer::recordWords() const {
+  return stateWords<State>() + capacity_ * payloadWords(width_);
+}
+
+void ElasticBuffer::reset(std::uint64_t* record) {
+  const auto v = recordView(*this, record);
+  for (unsigned i = 0; i < init_.size(); ++i) v.setToken(i, init_[i]);
+  v.setState(State{0, static_cast<unsigned>(init_.size()), initAnti_});
+}
+
+int ElasticBuffer::occupancy(SimContext& ctx) const {
+  const State s = recordView(*this, ctx.record(id())).state();
+  return static_cast<int>(s.count) - s.anti;
 }
 
 void ElasticBuffer::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
 void ElasticBuffer::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
-void ElasticBuffer::packState(StateWriter& w) const {
-  w.writeU32(st_.count);
-  for (unsigned i = 0; i < st_.count; ++i) {
-    unsigned idx = st_.head + i;
+void ElasticBuffer::packState(const std::uint64_t* record, StateWriter& w) const {
+  const auto v = recordView(*this, record);
+  const State s = v.state();
+  w.writeU32(s.count);
+  for (unsigned i = 0; i < s.count; ++i) {
+    unsigned idx = s.head + i;
     if (idx >= capacity_) idx -= capacity_;
-    w.writeBitVec(ring_[idx]);
+    w.writeBitVec(v.token(idx));
   }
-  w.writeU32(static_cast<std::uint32_t>(st_.anti));
+  w.writeU32(static_cast<std::uint32_t>(s.anti));
 }
 
-void ElasticBuffer::unpackState(StateReader& r) {
+void ElasticBuffer::unpackState(std::uint64_t* record, StateReader& r) {
+  const auto v = recordView(*this, record);
   const unsigned n = r.readU32();
   ESL_CHECK(n <= capacity_,
             "ElasticBuffer::unpackState: token count exceeds capacity on " + name());
-  std::vector<BitVec> tokens(n);
-  for (BitVec& t : tokens) t = r.readPayload(width_, name());
+  for (unsigned i = 0; i < n; ++i) v.setToken(i, r.readPayload(width_, name()));
   const std::uint32_t anti = r.readU32();
   ESL_CHECK(anti <= antiCapacity_,
             "ElasticBuffer::unpackState: anti-token count exceeds the anti "
@@ -66,8 +72,7 @@ void ElasticBuffer::unpackState(StateReader& r) {
   ESL_CHECK(n == 0 || anti == 0,
             "ElasticBuffer::unpackState: tokens and anti-tokens stored "
             "together on " + name());
-  for (unsigned i = 0; i < n; ++i) ring_[i] = std::move(tokens[i]);
-  st_ = {0, n, static_cast<int>(anti)};
+  v.setState(State{0, n, static_cast<int>(anti)});
 }
 
 logic::Cost ElasticBuffer::cost() const {
@@ -89,30 +94,38 @@ void ElasticBuffer::timing(TimingModel& m) const {
 
 ElasticBuffer0::ElasticBuffer0(std::string name, unsigned width,
                                std::optional<BitVec> initToken)
-    : Node(std::move(name)), width_(width), init_(std::move(initToken)), slot_(width) {
+    : Node(std::move(name)), width_(width), init_(std::move(initToken)) {
   if (init_) ESL_CHECK(init_->width() == width_, "ElasticBuffer0: init width mismatch");
   declareInput(width_);
   declareOutput(width_);
 }
 
-void ElasticBuffer0::reset() {
-  st_.full = init_.has_value();
-  slot_ = init_ ? *init_ : BitVec(width_);
+std::uint32_t ElasticBuffer0::recordWords() const {
+  return stateWords<State>() + payloadWords(width_);
+}
+
+void ElasticBuffer0::reset(std::uint64_t* record) {
+  const auto v = recordView(*this, record);
+  v.setSlot(init_ ? *init_ : BitVec(width_));
+  v.setState(State{init_.has_value()});
 }
 
 void ElasticBuffer0::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
 void ElasticBuffer0::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
-void ElasticBuffer0::packState(StateWriter& w) const {
-  w.writeBool(st_.full);
-  if (st_.full) w.writeBitVec(slot_);
+void ElasticBuffer0::packState(const std::uint64_t* record, StateWriter& w) const {
+  const auto v = recordView(*this, record);
+  const bool full = v.state().full;
+  w.writeBool(full);
+  if (full) w.writeBitVec(v.slot());
 }
 
-void ElasticBuffer0::unpackState(StateReader& r) {
+void ElasticBuffer0::unpackState(std::uint64_t* record, StateReader& r) {
+  const auto v = recordView(*this, record);
   const bool full = r.readBool();
-  if (full) slot_ = r.readPayload(width_, name());
-  st_.full = full;
+  if (full) v.setSlot(r.readPayload(width_, name()));
+  v.setState(State{full});
 }
 
 logic::Cost ElasticBuffer0::cost() const { return logic::eb0Cost(width_); }
@@ -129,27 +142,36 @@ void ElasticBuffer0::timing(TimingModel& m) const {
 // ---------------------------------------------------------------------------
 
 BrokenBuffer::BrokenBuffer(std::string name, unsigned width)
-    : Node(std::move(name)), width_(width), slot_(width) {
+    : Node(std::move(name)), width_(width) {
   declareInput(width_);
   declareOutput(width_);
 }
 
-void BrokenBuffer::reset() { st_ = State{}; }
+std::uint32_t BrokenBuffer::recordWords() const {
+  return stateWords<State>() + payloadWords(width_);
+}
+
+void BrokenBuffer::reset(std::uint64_t* record) {
+  recordView(*this, record).setState(State{});
+}
 
 void BrokenBuffer::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
 void BrokenBuffer::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
-void BrokenBuffer::packState(StateWriter& w) const {
-  w.writeBool(st_.full);
-  if (st_.full) w.writeBitVec(slot_);
-  w.writeBool(st_.stopReg);
+void BrokenBuffer::packState(const std::uint64_t* record, StateWriter& w) const {
+  const auto v = recordView(*this, record);
+  const State s = v.state();
+  w.writeBool(s.full);
+  if (s.full) w.writeBitVec(v.slot());
+  w.writeBool(s.stopReg);
 }
 
-void BrokenBuffer::unpackState(StateReader& r) {
+void BrokenBuffer::unpackState(std::uint64_t* record, StateReader& r) {
+  const auto v = recordView(*this, record);
   const bool full = r.readBool();
-  if (full) slot_ = r.readPayload(width_, name());
-  st_ = {full, r.readBool()};
+  if (full) v.setSlot(r.readPayload(width_, name()));
+  v.setState(State{full, r.readBool()});
 }
 
 }  // namespace esl

@@ -31,14 +31,15 @@ class ElasticBuffer : public Node {
                 std::vector<BitVec> initTokens = {}, unsigned antiCapacity = 2,
                 int initAntiTokens = 0);
 
-  void reset() override;
+  std::uint32_t recordWords() const override;
+  void reset(std::uint64_t* record) override;
   void evalComb(SimContext& ctx) override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateDriven; }
   /// Tokens enter/leave and anti-tokens cancel only on channel events.
   EdgeActivity edgeActivity() const override { return EdgeActivity::kOnEvents; }
   void clockEdge(SimContext& ctx) override;
-  void packState(StateWriter& w) const override;
-  void unpackState(StateReader& r) override;
+  void packState(const std::uint64_t* record, StateWriter& w) const override;
+  void unpackState(std::uint64_t* record, StateReader& r) override;
   logic::Cost cost() const override;
   void timing(TimingModel& m) const override;
   void flowEdges(std::vector<FlowEdge>& out) const override;
@@ -52,48 +53,50 @@ class ElasticBuffer : public Node {
   unsigned antiCapacity() const { return antiCapacity_; }
   const std::vector<BitVec>& initTokens() const { return init_; }
   int initAntiTokens() const { return initAnti_; }
-  /// Current token count (negative = stored anti-tokens).
-  int occupancy() const { return static_cast<int>(st_.count) - st_.anti; }
+  /// Current token count in `ctx` (negative = stored anti-tokens).
+  int occupancy(SimContext& ctx) const;
 
-  /// Scalar sequential state; the stored tokens sit beside it in a fixed ring
-  /// of `capacity` payload slots (view accessors token(i)/setToken(i, p)).
+  /// Scalar sequential state at the head of the record.
   struct State {
     unsigned head = 0;   ///< ring slot of the oldest token
     unsigned count = 0;  ///< stored tokens
     int anti = 0;        ///< stored anti-tokens (never together with tokens)
   };
+  /// Record: State, then a fixed ring of `capacity` token slots. Pops and
+  /// pushes are index arithmetic plus a payload store: no allocation.
+  template <typename Base>
+  class View;
   /// The handshake, once for both views (see elastic/node_view.h).
   template <typename V>
   static void comb(const V& v);
   template <typename V>
   static void edge(const V& v);
-  template <typename From, typename To>
-  static void copyState(const From& from, const To& to);
 
  private:
-  friend class ObjectPorts<ElasticBuffer>;
-  friend class ObjectView<ElasticBuffer>;
-
   unsigned width_;
   unsigned capacity_;
   unsigned antiCapacity_;
   std::vector<BitVec> init_;
   int initAnti_;
-
-  State st_;
-  // Pops and pushes are index arithmetic plus a value assignment that reuses
-  // the slot's storage: no allocation on the clock-edge hot path.
-  std::vector<BitVec> ring_;
 };
 
-template <>
-class ObjectView<ElasticBuffer> : public ObjectPorts<ElasticBuffer> {
+template <typename Base>
+class ElasticBuffer::View : public Base {
  public:
-  using ObjectPorts::ObjectPorts;
-  unsigned capacity() const { return node().capacity_; }
-  unsigned antiCapacity() const { return node().antiCapacity_; }
-  const BitVec& token(unsigned i) const { return node().ring_[i]; }
-  void setToken(unsigned i, BitVec t) const { node().ring_[i] = std::move(t); }
+  using Base::Base;
+  /// The compiled backend's view reads these from its op instead.
+  unsigned capacity() const { return this->node().capacity_; }
+  unsigned antiCapacity() const { return this->node().antiCapacity_; }
+  auto token(unsigned i) const { return this->payloadAt(slot(i), this->outWidth(0)); }
+  template <typename P>
+  void setToken(unsigned i, const P& t) const {
+    this->setPayloadAt(slot(i), this->outWidth(0), t);
+  }
+
+ private:
+  std::uint32_t slot(unsigned i) const {
+    return stateWords<State>() + i * payloadWords(this->outWidth(0));
+  }
 };
 
 template <typename V>
@@ -165,35 +168,35 @@ void ElasticBuffer::edge(const V& v) {
   v.setState(s);
 }
 
-template <typename From, typename To>
-void ElasticBuffer::copyState(const From& from, const To& to) {
-  const State s = from.state();
-  to.setState(s);
-  for (unsigned i = 0; i < s.count; ++i) {
-    unsigned idx = s.head + i;
-    if (idx >= from.capacity()) idx -= from.capacity();
-    to.setToken(idx, from.token(idx));
+/// Record of the single-slot buffers: State, then the slot's payload.
+template <typename K, typename Base>
+class SlotView : public Base {
+ public:
+  using Base::Base;
+  auto slot() const {
+    return this->payloadAt(stateWords<typename K::State>(), this->outWidth(0));
   }
-}
-
-/// Object view shared by the single-slot buffers (defined below them).
-template <typename K>
-class SlotObjectView;
+  template <typename P>
+  void setSlot(const P& t) const {
+    this->setPayloadAt(stateWords<typename K::State>(), this->outWidth(0), t);
+  }
+};
 
 class ElasticBuffer0 : public Node {
  public:
   ElasticBuffer0(std::string name, unsigned width,
                  std::optional<BitVec> initToken = std::nullopt);
 
-  void reset() override;
+  std::uint32_t recordWords() const override;
+  void reset(std::uint64_t* record) override;
   void evalComb(SimContext& ctx) override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateful; }
   /// The slot fills/empties only on channel events (kills at the input
   /// boundary annihilate on the channel and never touch the slot).
   EdgeActivity edgeActivity() const override { return EdgeActivity::kOnEvents; }
   void clockEdge(SimContext& ctx) override;
-  void packState(StateWriter& w) const override;
-  void unpackState(StateReader& r) override;
+  void packState(const std::uint64_t* record, StateWriter& w) const override;
+  void unpackState(std::uint64_t* record, StateReader& r) override;
   logic::Cost cost() const override;
   void timing(TimingModel& m) const override;
   void flowEdges(std::vector<FlowEdge>& out) const override;
@@ -206,85 +209,49 @@ class ElasticBuffer0 : public Node {
   const std::optional<BitVec>& initToken() const { return init_; }
 
   struct State {
-    bool full = false;  ///< the slot holds a token
+    bool full = false;  ///< the slot holds a token, meaningful iff full
   };
+  template <typename Base>
+  using View = SlotView<ElasticBuffer0, Base>;
   template <typename V>
   static void comb(const V& v);
   template <typename V>
   static void edge(const V& v);
-  template <typename From, typename To>
-  static void copyState(const From& from, const To& to) {
-    const State s = from.state();
-    to.setState(s);
-    if (s.full) to.setSlot(from.slot());
-  }
 
  private:
-  friend class ObjectPorts<ElasticBuffer0>;
-  friend class SlotObjectView<ElasticBuffer0>;
-
   unsigned width_;
   std::optional<BitVec> init_;
-  State st_;
-  BitVec slot_;  ///< the stored token, meaningful iff st_.full
 };
 
 class BrokenBuffer : public Node {
  public:
   BrokenBuffer(std::string name, unsigned width);
 
-  void reset() override;
+  std::uint32_t recordWords() const override;
+  void reset(std::uint64_t* record) override;
   void evalComb(SimContext& ctx) override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateDriven; }
   void clockEdge(SimContext& ctx) override;
-  void packState(StateWriter& w) const override;
-  void unpackState(StateReader& r) override;
+  void packState(const std::uint64_t* record, StateWriter& w) const override;
+  void unpackState(std::uint64_t* record, StateReader& r) override;
   Persistence outputPersistence(unsigned) const override {
     return Persistence::kPersistent;
   }
   std::string kindName() const override { return "broken-eb"; }
 
   struct State {
-    bool full = false;     ///< the slot holds a token
+    bool full = false;     ///< the slot holds a token, meaningful iff full
     bool stopReg = false;  ///< the bug: S+ to the sender lags by a cycle
   };
+  template <typename Base>
+  using View = SlotView<BrokenBuffer, Base>;
   template <typename V>
   static void comb(const V& v);
   template <typename V>
   static void edge(const V& v);
-  template <typename From, typename To>
-  static void copyState(const From& from, const To& to) {
-    const State s = from.state();
-    to.setState(s);
-    if (s.full) to.setSlot(from.slot());
-  }
 
  private:
-  friend class ObjectPorts<BrokenBuffer>;
-  friend class SlotObjectView<BrokenBuffer>;
-
   unsigned width_;
-  State st_;
-  BitVec slot_;  ///< the stored token, meaningful iff st_.full
-};
-
-/// Object view of the single-slot buffers (ElasticBuffer0, BrokenBuffer).
-template <typename K>
-class SlotObjectView : public ObjectPorts<K> {
- public:
-  using ObjectPorts<K>::ObjectPorts;
-  const BitVec& slot() const { return this->node().slot_; }
-  void setSlot(BitVec t) const { this->node().slot_ = std::move(t); }
-};
-template <>
-class ObjectView<ElasticBuffer0> : public SlotObjectView<ElasticBuffer0> {
- public:
-  using SlotObjectView::SlotObjectView;
-};
-template <>
-class ObjectView<BrokenBuffer> : public SlotObjectView<BrokenBuffer> {
- public:
-  using SlotObjectView::SlotObjectView;
 };
 
 template <typename V>

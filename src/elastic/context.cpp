@@ -15,16 +15,14 @@ SimContext::SimContext(Netlist& netlist) : netlist_(netlist) {
 SimContext::~SimContext() = default;
 
 void SimContext::reset() {
-  // The node objects are about to be overwritten wholesale: drop the compiled
-  // backend's arena without flushing (re-adopted at the next compiled phase).
-  if (vm_) vm_->invalidateState();
-  for (const NodeId id : netlist_.nodeIds()) netlist_.node(id).reset();
   cycle_ = 0;
   havePrev_ = false;
   violations_.clear();
   ensureChoiceMap();
   hasFixedChoices_ = false;
   std::fill(choiceKnown_.begin(), choiceKnown_.end(), 0);
+  // Every node rejoins: the forced relayout gives each its reset record.
+  recordOff_.clear();
   topologySeen_ = ~std::uint64_t{0};  // force cache + layout + full-seed refresh
   ensureTopologyCache();
   // The cache refresh re-laid the boards through the value-preserving adopt
@@ -138,6 +136,7 @@ void SimContext::ensureTopologyCache() {
       adjFlat_.push_back({board_.slotOf(ch), other});
     adjOffset_[id + 1] = static_cast<std::uint32_t>(adjFlat_.size());
   }
+  layoutRecords();
   topologySeen_ = netlist_.topologyVersion();
   shardsSeen_ = shards_;
   needFullSeed_ = true;
@@ -146,12 +145,42 @@ void SimContext::ensureTopologyCache() {
   sparseSeedValid_ = false;
 }
 
+void SimContext::layoutRecords() {
+  std::vector<std::uint32_t> off(netlist_.nodeCapacity(), kNoRecord);
+  std::uint32_t words = 0;
+  unsigned prevShard = ~0u;
+  memberStateNodes_.clear();
+  for (const NodeId id : liveNodes_) {
+    if (shards_ > 1 && plan_.nodeShard[id] != prevShard) {
+      // Cache-line-align each shard's first record so concurrent shard
+      // workers never false-share one across the slice border.
+      words = (words + 7) & ~7u;
+      prevShard = plan_.nodeShard[id];
+    }
+    off[id] = words;
+    const std::uint32_t n = nodePtr_[id]->recordWords();
+    if (n == 0) memberStateNodes_.push_back(id);
+    words += n;
+  }
+  std::vector<std::uint64_t> fresh(words, 0);
+  for (const NodeId id : liveNodes_) {
+    Node& node = *nodePtr_[id];
+    std::uint64_t* rec = fresh.data() + off[id];
+    if (id < recordOff_.size() && recordOff_[id] != kNoRecord)
+      std::copy_n(records_.data() + recordOff_[id], node.recordWords(), rec);
+    else
+      node.reset(rec);  // joined since the last layout (or the context reset)
+  }
+  records_ = std::move(fresh);
+  recordOff_ = std::move(off);
+}
+
 void SimContext::setShards(unsigned n) {
   if (n == 0) n = 1;
   if (n == shards_) return;
-  // The re-layout below permutes board slots and bumps the layout generation,
-  // so a compiled program (keyed on it) recompiles at the next phase —
-  // flushing its arena through the old offsets first.
+  // The re-layout below permutes board slots and records and bumps the
+  // layout generation, so a compiled program (keyed on it) recompiles at the
+  // next phase.
   shards_ = n;
   exec_.reset();
   invalidateSignals();
@@ -163,10 +192,6 @@ void SimContext::setBackend(Backend backend) { backend_ = backend; }
 void SimContext::parallelShards(const std::function<void(unsigned)>& fn) {
   exec().parallelFor(shards_,
                      [&](std::size_t s, unsigned) { fn(static_cast<unsigned>(s)); });
-}
-
-void SimContext::flushCompiledState() const {
-  if (vm_) vm_->flushState();
 }
 
 compile::Vm& SimContext::vm() {
@@ -276,7 +301,6 @@ void SimContext::settle() {
 
 void SimContext::settleSweep() {
   ensureTopologyCache();
-  flushCompiledState();       // interpreted evals read node-object state
   changeTrackValid_ = false;  // sweep writes bypass the consume loop
   edgeTrackValid_ = false;    // ... and the settled-board guarantee
   const std::vector<NodeId>& ids = liveNodes_;
@@ -294,7 +318,6 @@ void SimContext::settleSweep() {
 }
 
 void SimContext::settleEventDriven() {
-  flushCompiledState();  // interpreted evals read node-object state
   settleEventDrivenWith([this](NodeId id) { nodePtr_[id]->evalComb(*this); });
 }
 
@@ -314,7 +337,6 @@ void SimContext::seedShards(std::uint64_t gen) {
 }
 
 void SimContext::settleSharded() {
-  flushCompiledState();  // interpreted evals read node-object state
   settleShardedWith([this](NodeId id) { nodePtr_[id]->evalComb(*this); });
 }
 
@@ -436,23 +458,19 @@ void SimContext::edge() {
 }
 
 void SimContext::edgeFull() {
-  flushCompiledState();  // interpreted clockEdges read node-object state
   for (const NodeId id : liveNodes_) netlist_.node(id).clockEdge(*this);
   sparseSeedValid_ = false;  // anything may have changed state
 }
 
 void SimContext::edgeSparse() {
-  flushCompiledState();  // interpreted clockEdges read node-object state
   edgeSparseWith([this](NodeId id) { nodePtr_[id]->clockEdge(*this); });
 }
 
 void SimContext::edgeSharded() {
-  flushCompiledState();  // interpreted clockEdges read node-object state
   edgeShardedWith([this](NodeId id) { nodePtr_[id]->clockEdge(*this); });
 }
 
 void SimContext::edgeAudited() {
-  flushCompiledState();  // runs interpreted edges and per-node state surgery
   // Reference clockEdge sweep over every node, auditing the EdgeActivity
   // declarations: a node the sparse path would have skipped (kOnEvents, no
   // adjacent event) must not change its serialized state. Channel events are
@@ -464,29 +482,30 @@ void SimContext::edgeAudited() {
   });
   // Compiled backend: additionally audit every specialized clock-edge op
   // against the interpreted clockEdge — run interpreted (statistics count
-  // once), rewind the node's serialized state, replay the compiled op with
+  // once), rewind the node's record, replay the compiled op over it with
   // statistics suppressed, and require byte-identical packState().
   const bool auditCompiled = backend_ == Backend::kCompiled;
   if (auditCompiled) vm().prepare();
   prevClocked_.clear();
   for (const NodeId id : liveNodes_) {
     Node& node = netlist_.node(id);
+    std::uint64_t* rec = record(id);
     const bool wouldSkip = nodeEdgeOnEvents_[id] && !nodeHasEvent[id];
     if (!wouldSkip) {
       if (nodeStateful_[id]) prevClocked_.push_back(id);
       if (auditCompiled && vm().hasSpecializedOpFor(id)) {
         StateWriter w0;
-        node.packState(w0);
+        node.packState(rec, w0);
         const std::vector<std::uint8_t> s0 = w0.take();
         node.clockEdge(*this);
         StateWriter w1;
-        node.packState(w1);
+        node.packState(rec, w1);
         const std::vector<std::uint8_t> s1 = w1.take();
         StateReader rewind(s0);
-        node.unpackState(rewind);
+        node.unpackState(rec, rewind);
         vm().edgeNodeForAudit(id);
         StateWriter w2;
-        node.packState(w2);
+        node.packState(rec, w2);
         if (s1 != w2.take())
           throw InternalError(
               "edge cross-check: compiled clockEdge op for node '" +
@@ -499,10 +518,10 @@ void SimContext::edgeAudited() {
       continue;
     }
     StateWriter before;
-    node.packState(before);
+    node.packState(rec, before);
     node.clockEdge(*this);
     StateWriter after;
-    node.packState(after);
+    node.packState(rec, after);
     if (before.take() != after.take())
       throw InternalError(
           "edge cross-check: node '" + node.name() + "' (" + node.kindName() +
@@ -539,8 +558,8 @@ void SimContext::step() {
   edge();
 }
 
-std::vector<std::uint8_t> SimContext::packState() const {
-  flushCompiledState();
+std::vector<std::uint8_t> SimContext::packState() {
+  ensureTopologyCache();  // a node spliced in since the last cycle has a record
   StateWriter w;
   w.writeU32(kSnapshotMagic);
   w.writeU32(kSnapshotVersion);
@@ -549,21 +568,16 @@ std::vector<std::uint8_t> SimContext::packState() const {
   return w.take();
 }
 
-void SimContext::packStateInto(std::vector<std::uint8_t>& out) const {
-  flushCompiledState();
+void SimContext::packStateInto(std::vector<std::uint8_t>& out) {
+  ensureTopologyCache();
   StateWriter w(std::move(out));
   packNodeState(w);
   out = w.take();
 }
 
 void SimContext::packNodeState(StateWriter& w) const {
-  // The live-node cache avoids the nodeIds() allocation on the hot path; it
-  // is valid whenever the topology has not moved since the last settle/reset.
-  if (topologySeen_ == netlist_.topologyVersion()) {
-    for (const NodeId id : liveNodes_) netlist_.node(id).packState(w);
-  } else {
-    for (const NodeId id : netlist_.nodeIds()) netlist_.node(id).packState(w);
-  }
+  for (const NodeId id : liveNodes_)
+    nodePtr_[id]->packState(records_.data() + recordOff_[id], w);
 }
 
 namespace {
@@ -579,8 +593,6 @@ std::uint64_t readLeU64(const std::uint8_t* p) {
 }  // namespace
 
 void SimContext::unpackState(const std::vector<std::uint8_t>& bytes) {
-  // Same cached-liveNodes_ fast path as packStateInto: restore runs once per
-  // explored edge in the model checker, so the nodeIds() allocation matters.
   ensureTopologyCache();
   // Sniff the versioned packState() header (magic/version/cycle); headerless
   // packStateInto() snapshots skip straight to node bytes. A raw snapshot
@@ -591,15 +603,31 @@ void SimContext::unpackState(const std::vector<std::uint8_t>& bytes) {
   // into a run) fed through the headerless API — negligible, and the vector
   // API always carries the header.
   std::size_t off = 0;
+  std::uint64_t cycle = cycle_;
   if (bytes.size() >= 16 && readLeU32(bytes.data()) == kSnapshotMagic &&
       readLeU32(bytes.data() + 4) == kSnapshotVersion) {
-    cycle_ = readLeU64(bytes.data() + 8);
+    cycle = readLeU64(bytes.data() + 8);
     off = 16;
   }
+  // All or nothing: the records decode into a copy that is swapped in only
+  // once every byte is accepted. Member-held state (user nodes, the shared
+  // module's scheduler) is packed first, to be put back on a rejection.
+  unpackRecords_.assign(records_.begin(), records_.end());
+  StateWriter undo(std::move(unpackUndo_));
+  for (const NodeId id : memberStateNodes_) nodePtr_[id]->packState(record(id), undo);
+  unpackUndo_ = undo.take();
   StateReader r(bytes, off);
-  for (const NodeId id : liveNodes_) netlist_.node(id).unpackState(r);
-  ESL_CHECK(r.done(), "unpackState: trailing bytes (netlist/state mismatch)");
-  if (vm_) vm_->invalidateState();  // node objects are now authoritative
+  try {
+    for (const NodeId id : liveNodes_)
+      nodePtr_[id]->unpackState(unpackRecords_.data() + recordOff_[id], r);
+    ESL_CHECK(r.done(), "unpackState: trailing bytes (netlist/state mismatch)");
+  } catch (...) {
+    StateReader back(unpackUndo_);
+    for (const NodeId id : memberStateNodes_) nodePtr_[id]->unpackState(record(id), back);
+    throw;
+  }
+  records_.swap(unpackRecords_);
+  cycle_ = cycle;
   havePrev_ = false;
   sparseSeedValid_ = false;  // arbitrary state replacement: reseed stateful set
 }

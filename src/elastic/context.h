@@ -1,7 +1,8 @@
 // SimContext: the cycle-accurate evaluation kernel.
 //
 // Owns the channel SignalBoard (struct-of-arrays signal storage, see
-// elastic/signal_board.h) and drives the two-phase cycle:
+// elastic/signal_board.h) and the nodes' state records, and drives the
+// two-phase cycle:
 //   1. settle(): combinational fixed-point (throws CombinationalCycleError if
 //      the network oscillates, i.e. there is a combinational cycle in data or
 //      control);
@@ -44,12 +45,26 @@
 //     therefore packState() — are bit-identical for every shard count.
 //   * edge: each shard sweeps its interior plane range (plus the boundary
 //     region, filtered by ownership) for event bits and clocks only its own
-//     nodes. clockEdge writes node-local state only, so no synchronization is
-//     needed beyond the join barrier.
+//     nodes. clockEdge writes only its node's record (in the shard's own
+//     slice) and statistics, so no synchronization is needed beyond the join
+//     barrier.
 // Per-cycle choice bits are pre-resolved serially before the parallel phases
 // (the provider must be a pure function of (node, index) per cycle — see
 // sim::Simulator, whose provider hashes (seed, cycle, node, index)), keeping
 // resolution order-independent and the cache read-only under workers.
+//
+// --- Node state --------------------------------------------------------------
+//
+// Every node's sequential state is its record in one context-owned u64 arena
+// (Node::recordWords() words each, in liveNodes_ order, each shard's slice
+// starting on a cache line). The arena is laid out with the board, whenever
+// the topology or the shard count moves: surviving nodes keep their records,
+// a node that joins the context gets its reset record. Every execution path
+// — the sweep, event and sharded kernels, the compiled VM, packState and
+// unpackState — reads and writes the same records, so there is one copy of
+// the state and nothing to keep in step. Two contexts over one netlist keep
+// separate records; what stays on the node objects (statistics, memos, the
+// shared module's scheduler, a user node's members) is still shared.
 //
 // The context also resolves per-cycle nondeterministic choice bits for
 // environment nodes (random under simulation, enumerated under verification)
@@ -128,8 +143,8 @@ class SimContext {
   /// Selects the execution backend for the event-driven kernel. The compiled
   /// backend lowers the netlist once into bytecode (recompiled whenever the
   /// topology or the board layout moves) and runs settle/edge over raw board
-  /// offsets, with per-node sequential state in a VM-owned arena; settled
-  /// signals and packState() are bit-identical to the interpreted kernels.
+  /// offsets and the same node records; settled signals and packState() are
+  /// bit-identical to the interpreted kernels.
   /// Applies when kernel() == kEventDriven (the sweep kernel stays
   /// interpreted — it is the reference oracle) and composes with setShards:
   /// boundary-adjacent nodes fall back to the staging-aware interpreted path,
@@ -155,6 +170,10 @@ class SimContext {
   }
   /// The signal board itself (word-parallel consumers: statistics sweeps).
   const SignalBoard& board() const { return board_; }
+
+  /// Node `id`'s state record (valid until the next relayout; see "Node
+  /// state" above).
+  std::uint64_t* record(NodeId id) { return records_.data() + recordOff_[id]; }
 
   // --- Nondeterministic choices ---------------------------------------------
 
@@ -182,8 +201,8 @@ class SimContext {
   /// With checking on, edge() keeps what the next cycle's checkProtocol()
   /// needs of this one; checkProtocol() appends one message per violation,
   /// in channel-id order (throwing ProtocolError on the first one instead
-  /// when setThrowOnViolation is set). unpackState() drops the kept cycle, so
-  /// a Retry+/Retry- rule spanning a restore is not checked.
+  /// when setThrowOnViolation is set). A successful unpackState() drops the
+  /// kept cycle, so a Retry+/Retry- rule spanning a restore is not checked.
   void setProtocolChecking(bool enabled) { protocolChecking_ = enabled; }
   void setThrowOnViolation(bool enabled) { throwOnViolation_ = enabled; }
   const std::vector<std::string>& protocolViolations() const { return violations_; }
@@ -202,11 +221,14 @@ class SimContext {
   static constexpr std::uint32_t kSnapshotMagic = 0xE51A7E01;
   static constexpr std::uint32_t kSnapshotVersion = 1;
 
-  std::vector<std::uint8_t> packState() const;
+  std::vector<std::uint8_t> packState();
   /// Allocation-free variant: clears `out` but reuses its capacity. This is
   /// the model checker's per-transition fast path (one full-netlist snapshot
   /// per explored edge).
-  void packStateInto(std::vector<std::uint8_t>& out) const;
+  void packStateInto(std::vector<std::uint8_t>& out);
+  /// All or nothing: a snapshot that is truncated, foreign or out of range
+  /// throws EslError and leaves every record, member-held node state, the
+  /// cycle counter and the monitor's kept cycle as they were.
   void unpackState(const std::vector<std::uint8_t>& bytes);
 
  private:
@@ -236,6 +258,8 @@ class SimContext {
 
   void ensureChoiceMap();
   void ensureTopologyCache();
+  /// Re-lays the record arena for liveNodes_ (part of ensureTopologyCache).
+  void layoutRecords();
   void resolveAllChoices();
   void rebuildHotGroups();
   /// Per-node re-evaluation budget (combinational-cycle guard): the sweep
@@ -463,8 +487,8 @@ class SimContext {
   /// shard scans its interior plane range unfiltered (interior endpoints are
   /// owned by construction) plus the shared boundary region filtered by
   /// ownership, then runs `clock` on only its own nodes. clock(id) must write
-  /// node-local state only, so the only shared writes are the
-  /// ownership-filtered (word-exclusive) edge-mark bitmap.
+  /// only node `id`'s record and statistics, so the only shared writes are
+  /// the ownership-filtered (word-exclusive) edge-mark bitmap.
   template <typename Clock>
   void edgeShardedWith(const Clock& clock) {
     const std::uint64_t gen = ++edgeGen_;
@@ -514,11 +538,6 @@ class SimContext {
   /// Runs fn(shard) on the executor, one worker lane per shard (type-erased
   /// so the kernel-loop templates stay free of the executor header).
   void parallelShards(const std::function<void(unsigned)>& fn);
-  /// Publishes the compiled backend's node-state arena into the node objects
-  /// (no-op without a VM or with a clean arena). Every interpreted read of
-  /// node state — the sweep/interpreted kernels, packState, the audits —
-  /// goes through this first.
-  void flushCompiledState() const;
   /// Serializes every live node's state (shared tail of packState and
   /// packStateInto; the former prepends the versioned snapshot header).
   void packNodeState(StateWriter& w) const;
@@ -640,6 +659,17 @@ class SimContext {
   /// Per plane group of board_: bit set = the slot's channel is persistent,
   /// i.e. not exempt from Retry+ (Netlist::channelPersistence).
   std::vector<std::uint64_t> persistentMask_;
+
+  // Node state records (see "Node state" above).
+  static constexpr std::uint32_t kNoRecord = ~std::uint32_t{0};
+  std::vector<std::uint64_t> records_;
+  std::vector<std::uint32_t> recordOff_;  ///< per NodeId; kNoRecord = none
+  /// Live nodes without a record: whatever state they have is in members.
+  std::vector<NodeId> memberStateNodes_;
+  // unpackState scratch, reused: the records it decodes into, and the
+  // member-held state it puts back if the snapshot is rejected.
+  std::vector<std::uint64_t> unpackRecords_;
+  std::vector<std::uint8_t> unpackUndo_;
 
   // Choice bookkeeping: per-node offset into the per-cycle assignment. The
   // cache is two packed bitplanes (known/value) so the per-cycle clear — and

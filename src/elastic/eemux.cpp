@@ -1,5 +1,7 @@
 #include "elastic/eemux.h"
 
+#include <algorithm>
+
 namespace esl {
 
 EarlyEvalMux::EarlyEvalMux(std::string name, unsigned dataInputs, unsigned selWidth,
@@ -9,23 +11,24 @@ EarlyEvalMux::EarlyEvalMux(std::string name, unsigned dataInputs, unsigned selWi
   declareInput(selWidth);  // input 0: select
   for (unsigned i = 0; i < dataInputs; ++i) declareInput(width);
   declareOutput(width);
-  pendingAnti_.assign(dataInputs, 0);
 }
 
-void EarlyEvalMux::reset() {
-  pendingAnti_.assign(dataInputs_, 0);
+void EarlyEvalMux::reset(std::uint64_t* record) {
+  std::fill(record, record + dataInputs_, 0);
 }
 
 void EarlyEvalMux::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
 void EarlyEvalMux::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
-void EarlyEvalMux::packState(StateWriter& w) const {
-  for (unsigned p : pendingAnti_) w.writeU32(p);
+void EarlyEvalMux::packState(const std::uint64_t* record, StateWriter& w) const {
+  const auto v = recordView(*this, record);
+  for (unsigned i = 0; i < dataInputs_; ++i) w.writeU32(v.pending(i));
 }
 
-void EarlyEvalMux::unpackState(StateReader& r) {
-  for (unsigned& p : pendingAnti_) p = r.readU32();
+void EarlyEvalMux::unpackState(std::uint64_t* record, StateReader& r) {
+  const auto v = recordView(*this, record);
+  for (unsigned i = 0; i < dataInputs_; ++i) v.setPending(i, r.readU32());
 }
 
 logic::Cost EarlyEvalMux::cost() const {

@@ -16,8 +16,6 @@
 // Port map: input 0 = select channel; inputs 1..n = data channels; output 0.
 #pragma once
 
-#include <vector>
-
 #include "elastic/node.h"
 #include "elastic/node_view.h"
 
@@ -28,15 +26,16 @@ class EarlyEvalMux : public Node {
   EarlyEvalMux(std::string name, unsigned dataInputs, unsigned selWidth,
                unsigned width);
 
-  void reset() override;
+  std::uint32_t recordWords() const override { return dataInputs_; }
+  void reset(std::uint64_t* record) override;
   void evalComb(SimContext& ctx) override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateful; }
-  /// pendingAnti_ grows only on firings (output transfer/kill events) and
-  /// shrinks only on input kill/backward-transfer events.
+  /// The pending counters grow only on firings (output transfer/kill events)
+  /// and shrink only on input kill/backward-transfer events.
   EdgeActivity edgeActivity() const override { return EdgeActivity::kOnEvents; }
   void clockEdge(SimContext& ctx) override;
-  void packState(StateWriter& w) const override;
-  void unpackState(StateReader& r) override;
+  void packState(const std::uint64_t* record, StateWriter& w) const override;
+  void unpackState(std::uint64_t* record, StateReader& r) override;
   logic::Cost cost() const override;
   void timing(TimingModel& m) const override;
   std::string kindName() const override { return "ee-mux"; }
@@ -50,21 +49,23 @@ class EarlyEvalMux : public Node {
   /// Anti-tokens emitted in total.
   std::uint64_t antiTokensEmitted() const { return antiEmitted_; }
 
-  /// The handshake, once for both views (see elastic/node_view.h). State is
-  /// one pending anti-token counter per data input (pending(i)/setPending).
+  /// Record: one pending anti-token counter word per data input.
+  template <typename Base>
+  class View : public Base {
+   public:
+    using Base::Base;
+    unsigned pending(unsigned i) const {
+      return static_cast<unsigned>(this->record_[i]);
+    }
+    void setPending(unsigned i, unsigned n) const { this->record_[i] = n; }
+  };
+  /// The handshake, once for both views (see elastic/node_view.h).
   template <typename V>
   static void comb(const V& v);
   template <typename V>
   static void edge(const V& v);
-  template <typename From, typename To>
-  static void copyState(const From& from, const To& to) {
-    for (unsigned i = 0; i + 1 < from.numInputs(); ++i)
-      to.setPending(i, from.pending(i));
-  }
 
  private:
-  friend class ObjectView<EarlyEvalMux>;
-
   /// This cycle's firing decision, from state and settled signals.
   struct Decision {
     bool selValid = false;
@@ -81,17 +82,8 @@ class EarlyEvalMux : public Node {
 
   unsigned dataInputs_;
   unsigned width_;
-  std::vector<unsigned> pendingAnti_;
   std::uint64_t firings_ = 0;
   std::uint64_t antiEmitted_ = 0;
-};
-
-template <>
-class ObjectView<EarlyEvalMux> : public ObjectPorts<EarlyEvalMux> {
- public:
-  using ObjectPorts::ObjectPorts;
-  unsigned pending(unsigned i) const { return node().pendingAnti_[i]; }
-  void setPending(unsigned i, unsigned n) const { node().pendingAnti_[i] = n; }
 };
 
 template <typename V>

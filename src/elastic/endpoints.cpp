@@ -36,27 +36,33 @@ std::optional<BitVec> TokenSource::tokenAt(std::uint64_t index) const {
   return v;
 }
 
-void TokenSource::reset() {
-  st_ = State{};
+std::uint32_t TokenSource::recordWords() const { return stateWords<State>(); }
+
+void TokenSource::reset(std::uint64_t* record) {
   emitted_ = 0;
   killedCount_ = 0;
-  st_.offering = (!gate_ || gate_(0)) && tokenAt(0).has_value();
+  State s;
+  s.offering = (!gate_ || gate_(0)) && tokenAt(0).has_value();
+  recordView(*this, record).setState(s);
 }
 
 void TokenSource::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
 void TokenSource::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
-void TokenSource::packState(StateWriter& w) const {
-  w.writeU64(st_.index);
-  w.writeBool(st_.offering);
-  w.writeU32(st_.killCredit);
+void TokenSource::packState(const std::uint64_t* record, StateWriter& w) const {
+  const State s = recordView(*this, record).state();
+  w.writeU64(s.index);
+  w.writeBool(s.offering);
+  w.writeU32(s.killCredit);
 }
 
-void TokenSource::unpackState(StateReader& r) {
-  st_.index = r.readU64();
-  st_.offering = r.readBool();
-  st_.killCredit = r.readU32();
+void TokenSource::unpackState(std::uint64_t* record, StateReader& r) {
+  State s;
+  s.index = r.readU64();
+  s.offering = r.readBool();
+  s.killCredit = r.readU32();
+  recordView(*this, record).setState(s);
 }
 
 void TokenSource::timing(TimingModel& m) const {
@@ -77,8 +83,10 @@ TokenSink::TokenSink(std::string name, unsigned width, Gate ready,
   declareInput(width);
 }
 
-void TokenSink::reset() {
-  st_ = {false, antiBudget_};
+std::uint32_t TokenSink::recordWords() const { return stateWords<State>(); }
+
+void TokenSink::reset(std::uint64_t* record) {
+  recordView(*this, record).setState(State{false, antiBudget_});
   transfers_.clear();
 }
 
@@ -86,14 +94,17 @@ void TokenSink::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
 void TokenSink::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
-void TokenSink::packState(StateWriter& w) const {
-  w.writeU32(st_.antiRemaining);
-  w.writeBool(st_.antiActive);
+void TokenSink::packState(const std::uint64_t* record, StateWriter& w) const {
+  const State s = recordView(*this, record).state();
+  w.writeU32(s.antiRemaining);
+  w.writeBool(s.antiActive);
 }
 
-void TokenSink::unpackState(StateReader& r) {
-  st_.antiRemaining = r.readU32();
-  st_.antiActive = r.readBool();
+void TokenSink::unpackState(std::uint64_t* record, StateReader& r) {
+  State s;
+  s.antiRemaining = r.readU32();
+  s.antiActive = r.readBool();
+  recordView(*this, record).setState(s);
 }
 
 void TokenSink::timing(TimingModel& m) const {
@@ -110,33 +121,42 @@ NondetSource::NondetSource(std::string name, unsigned width, unsigned killCredit
       width_(width),
       cap_(killCreditCap),
       dataBits_(dataBits),
-      maxIdle_(maxIdle),
-      value_(width) {
+      maxIdle_(maxIdle) {
   ESL_CHECK(dataBits_ <= width_, "NondetSource: dataBits exceed width");
   declareOutput(width);
 }
 
-void NondetSource::reset() {
-  st_ = State{};
-  value_ = BitVec(width_);
+std::uint32_t NondetSource::recordWords() const {
+  return stateWords<State>() + payloadWords(width_);
+}
+
+void NondetSource::reset(std::uint64_t* record) {
+  const auto v = recordView(*this, record);
+  v.setState(State{});
+  v.setValue(v.blank());
 }
 
 void NondetSource::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
 void NondetSource::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
-void NondetSource::packState(StateWriter& w) const {
-  w.writeBool(st_.offering);
-  w.writeBitVec(value_);
-  w.writeU32(st_.killCredit);
-  w.writeU32(st_.idleStreak);
+void NondetSource::packState(const std::uint64_t* record, StateWriter& w) const {
+  const auto v = recordView(*this, record);
+  const State s = v.state();
+  w.writeBool(s.offering);
+  w.writeBitVec(v.value());
+  w.writeU32(s.killCredit);
+  w.writeU32(s.idleStreak);
 }
 
-void NondetSource::unpackState(StateReader& r) {
-  st_.offering = r.readBool();
-  value_ = r.readPayload(width_, name());
-  st_.killCredit = r.readU32();
-  st_.idleStreak = r.readU32();
+void NondetSource::unpackState(std::uint64_t* record, StateReader& r) {
+  const auto v = recordView(*this, record);
+  State s;
+  s.offering = r.readBool();
+  v.setValue(r.readPayload(width_, name()));
+  s.killCredit = r.readU32();
+  s.idleStreak = r.readU32();
+  v.setState(s);
 }
 
 // ---------------------------------------------------------------------------
@@ -152,20 +172,27 @@ NondetSink::NondetSink(std::string name, unsigned width, unsigned maxConsecutive
   declareInput(width);
 }
 
-void NondetSink::reset() { st_ = State{}; }
+std::uint32_t NondetSink::recordWords() const { return stateWords<State>(); }
+
+void NondetSink::reset(std::uint64_t* record) {
+  recordView(*this, record).setState(State{});
+}
 
 void NondetSink::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
 void NondetSink::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
-void NondetSink::packState(StateWriter& w) const {
-  w.writeU32(st_.stops);
-  w.writeBool(st_.antiActive);
+void NondetSink::packState(const std::uint64_t* record, StateWriter& w) const {
+  const State s = recordView(*this, record).state();
+  w.writeU32(s.stops);
+  w.writeBool(s.antiActive);
 }
 
-void NondetSink::unpackState(StateReader& r) {
-  st_.stops = r.readU32();
-  st_.antiActive = r.readBool();
+void NondetSink::unpackState(std::uint64_t* record, StateReader& r) {
+  State s;
+  s.stops = r.readU32();
+  s.antiActive = r.readBool();
+  recordView(*this, record).setState(s);
 }
 
 }  // namespace esl

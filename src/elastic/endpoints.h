@@ -34,7 +34,8 @@ class TokenSource : public Node {
   /// Convenience: endless stream counting up from `start`.
   static Generator counting(unsigned width, std::uint64_t start = 0);
 
-  void reset() override;
+  std::uint32_t recordWords() const override;
+  void reset(std::uint64_t* record) override;
   void evalComb(SimContext& ctx) override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateDriven; }
   /// Ungated sources only advance on output events (an owed kill is consumed
@@ -44,8 +45,8 @@ class TokenSource : public Node {
     return gate_ ? EdgeActivity::kEveryCycle : EdgeActivity::kOnEvents;
   }
   void clockEdge(SimContext& ctx) override;
-  void packState(StateWriter& w) const override;
-  void unpackState(StateReader& r) override;
+  void packState(const std::uint64_t* record, StateWriter& w) const override;
+  void unpackState(std::uint64_t* record, StateReader& r) override;
   void timing(TimingModel& m) const override;
   Persistence outputPersistence(unsigned) const override {
     return Persistence::kPersistent;
@@ -65,21 +66,14 @@ class TokenSource : public Node {
   static void comb(const V& v);
   template <typename V>
   static void edge(const V& v);
-  template <typename From, typename To>
-  static void copyState(const From& from, const To& to) {
-    to.setState(from.state());
-  }
 
  private:
-  friend class ObjectPorts<TokenSource>;
-
   std::optional<BitVec> tokenAt(std::uint64_t index) const;
 
   unsigned width_;
   Generator gen_;
   Gate gate_;
 
-  State st_;
   std::uint64_t emitted_ = 0;
   std::uint64_t killedCount_ = 0;
 
@@ -101,7 +95,8 @@ class TokenSink : public Node {
   TokenSink(std::string name, unsigned width, Gate ready = {},
             unsigned antiBudget = 0, Gate antiGate = {});
 
-  void reset() override;
+  std::uint32_t recordWords() const override;
+  void reset(std::uint64_t* record) override;
   void evalComb(SimContext& ctx) override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateDriven; }
   /// Records transfers and resolves its own anti-tokens, all channel events —
@@ -114,8 +109,8 @@ class TokenSink : public Node {
     return static_cast<bool>(ready_) || static_cast<bool>(antiGate_);
   }
   void clockEdge(SimContext& ctx) override;
-  void packState(StateWriter& w) const override;
-  void unpackState(StateReader& r) override;
+  void packState(const std::uint64_t* record, StateWriter& w) const override;
+  void unpackState(std::uint64_t* record, StateReader& r) override;
   void timing(TimingModel& m) const override;
   std::string kindName() const override { return "sink"; }
 
@@ -142,20 +137,13 @@ class TokenSink : public Node {
   static void comb(const V& v);
   template <typename V>
   static void edge(const V& v);
-  template <typename From, typename To>
-  static void copyState(const From& from, const To& to) {
-    to.setState(from.state());
-  }
 
  private:
-  friend class ObjectPorts<TokenSink>;
-
   unsigned width_;
   Gate ready_;
   Gate antiGate_;
   unsigned antiBudget_;
 
-  State st_;
   std::vector<Transfer> transfers_;
 };
 
@@ -170,12 +158,13 @@ class NondetSource : public Node {
   NondetSource(std::string name, unsigned width, unsigned killCreditCap = 2,
                unsigned dataBits = 0, unsigned maxIdle = 2);
 
-  void reset() override;
+  std::uint32_t recordWords() const override;
+  void reset(std::uint64_t* record) override;
   void evalComb(SimContext& ctx) override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateDriven; }
   void clockEdge(SimContext& ctx) override;
-  void packState(StateWriter& w) const override;
-  void unpackState(StateReader& r) override;
+  void packState(const std::uint64_t* record, StateWriter& w) const override;
+  void unpackState(std::uint64_t* record, StateReader& r) override;
   unsigned choiceCount() const override { return 1 + dataBits_; }
   Persistence outputPersistence(unsigned) const override {
     return Persistence::kPersistent;
@@ -192,22 +181,28 @@ class NondetSource : public Node {
     unsigned killCredit = 0;  ///< absorbed anti-tokens owed a token
     unsigned idleStreak = 0;  ///< consecutive cycles without an offer
   };
-  /// The handshake, once for both views (see elastic/node_view.h). The held
-  /// payload is value()/setValue(p); blank() is the zero payload.
+  /// Record: State, then the held payload.
+  template <typename Base>
+  class View : public Base {
+   public:
+    using Base::Base;
+    auto value() const { return this->payloadAt(kValue, this->outWidth(0)); }
+    template <typename P>
+    void setValue(const P& x) const {
+      this->setPayloadAt(kValue, this->outWidth(0), x);
+    }
+    auto blank() const { return this->zeroPayload(this->outWidth(0)); }
+
+   private:
+    static constexpr std::uint32_t kValue = stateWords<State>();
+  };
+  /// The handshake, once for both views (see elastic/node_view.h).
   template <typename V>
   static void comb(const V& v);
   template <typename V>
   static void edge(const V& v);
-  template <typename From, typename To>
-  static void copyState(const From& from, const To& to) {
-    to.setState(from.state());
-    to.setValue(from.value());
-  }
 
  private:
-  friend class ObjectPorts<NondetSource>;
-  friend class ObjectView<NondetSource>;
-
   /// Offer decision this cycle.
   template <typename V>
   static bool offeringNow(const V& v, const State& s) {
@@ -227,8 +222,6 @@ class NondetSource : public Node {
   unsigned cap_;
   unsigned dataBits_;
   unsigned maxIdle_;
-  State st_;
-  BitVec value_;
 };
 
 /// Verification sink: nondeterministically stops (1 choice bit), but at most
@@ -239,12 +232,13 @@ class NondetSink : public Node {
   NondetSink(std::string name, unsigned width, unsigned maxConsecutiveStops = 2,
              bool emitsAntiTokens = false);
 
-  void reset() override;
+  std::uint32_t recordWords() const override;
+  void reset(std::uint64_t* record) override;
   void evalComb(SimContext& ctx) override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateDriven; }
   void clockEdge(SimContext& ctx) override;
-  void packState(StateWriter& w) const override;
-  void unpackState(StateReader& r) override;
+  void packState(const std::uint64_t* record, StateWriter& w) const override;
+  void unpackState(std::uint64_t* record, StateReader& r) override;
   unsigned choiceCount() const override { return emitsAnti_ ? 2u : 1u; }
   std::string kindName() const override { return "nondet-sink"; }
 
@@ -261,27 +255,11 @@ class NondetSink : public Node {
   static void comb(const V& v);
   template <typename V>
   static void edge(const V& v);
-  template <typename From, typename To>
-  static void copyState(const From& from, const To& to) {
-    to.setState(from.state());
-  }
 
  private:
-  friend class ObjectPorts<NondetSink>;
-
   unsigned width_;
   unsigned maxStops_;
   bool emitsAnti_;
-  State st_;
-};
-
-template <>
-class ObjectView<NondetSource> : public ObjectPorts<NondetSource> {
- public:
-  using ObjectPorts::ObjectPorts;
-  const BitVec& value() const { return node().value_; }
-  void setValue(BitVec x) const { node().value_ = std::move(x); }
-  BitVec blank() const { return BitVec(node().width_); }
 };
 
 // --- the handshakes ----------------------------------------------------------

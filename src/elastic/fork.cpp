@@ -1,5 +1,7 @@
 #include "elastic/fork.h"
 
+#include <algorithm>
+
 namespace esl {
 
 ForkNode::ForkNode(std::string name, unsigned width, unsigned branches)
@@ -7,21 +9,24 @@ ForkNode::ForkNode(std::string name, unsigned width, unsigned branches)
   ESL_CHECK(branches >= 2, "ForkNode: need at least two branches");
   declareInput(width);
   for (unsigned i = 0; i < branches; ++i) declareOutput(width);
-  done_.assign(branches, false);
 }
 
-void ForkNode::reset() { done_.assign(branches(), false); }
+void ForkNode::reset(std::uint64_t* record) {
+  std::fill(record, record + recordWords(), 0);
+}
 
 void ForkNode::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
 void ForkNode::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
-void ForkNode::packState(StateWriter& w) const {
-  for (bool b : done_) w.writeBool(b);
+void ForkNode::packState(const std::uint64_t* record, StateWriter& w) const {
+  const auto v = recordView(*this, record);
+  for (unsigned i = 0; i < branches(); ++i) w.writeBool(v.done(i));
 }
 
-void ForkNode::unpackState(StateReader& r) {
-  for (unsigned i = 0; i < done_.size(); ++i) done_[i] = r.readBool();
+void ForkNode::unpackState(std::uint64_t* record, StateReader& r) {
+  const auto v = recordView(*this, record);
+  for (unsigned i = 0; i < branches(); ++i) v.setDone(i, r.readBool());
 }
 
 logic::Cost ForkNode::cost() const { return logic::forkJoinCost(branches()); }

@@ -8,8 +8,6 @@
 // cancel exactly the non-selected copy).
 #pragma once
 
-#include <vector>
-
 #include "elastic/node.h"
 #include "elastic/node_view.h"
 
@@ -19,48 +17,45 @@ class ForkNode : public Node {
  public:
   ForkNode(std::string name, unsigned width, unsigned branches);
 
-  void reset() override;
+  std::uint32_t recordWords() const override { return (branches() + 63) / 64; }
+  void reset(std::uint64_t* record) override;
   void evalComb(SimContext& ctx) override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateful; }
-  /// done_ bits set on branch events and clear on the stem transfer event.
+  /// Done bits set on branch events and clear on the stem transfer event.
   EdgeActivity edgeActivity() const override { return EdgeActivity::kOnEvents; }
   void clockEdge(SimContext& ctx) override;
-  void packState(StateWriter& w) const override;
-  void unpackState(StateReader& r) override;
+  void packState(const std::uint64_t* record, StateWriter& w) const override;
+  void unpackState(std::uint64_t* record, StateReader& r) override;
   logic::Cost cost() const override;
   void timing(TimingModel& m) const override;
   std::string kindName() const override { return "fork"; }
 
   unsigned branches() const { return numOutputs(); }
 
-  /// The handshake, once for both views (see elastic/node_view.h). State is
-  /// one done bit per branch (view accessors done(i)/setDone(i, d)).
+  /// Record: one done bit per branch, a bit array.
+  template <typename Base>
+  class View : public Base {
+   public:
+    using Base::Base;
+    bool done(unsigned i) const { return (this->record_[i / 64] >> (i % 64)) & 1; }
+    void setDone(unsigned i, bool d) const {
+      std::uint64_t& w = this->record_[i / 64];
+      const std::uint64_t m = std::uint64_t{1} << (i % 64);
+      w = d ? w | m : w & ~m;
+    }
+  };
+  /// The handshake, once for both views (see elastic/node_view.h).
   template <typename V>
   static void comb(const V& v);
   template <typename V>
   static void edge(const V& v);
-  template <typename From, typename To>
-  static void copyState(const From& from, const To& to) {
-    for (unsigned i = 0; i < from.numOutputs(); ++i) to.setDone(i, from.done(i));
-  }
 
  private:
-  friend class ObjectView<ForkNode>;
-
   /// Branch copy consumed this cycle (settled signals).
   template <typename V>
   static bool branchDoneNow(const V& v, unsigned i, bool inVf);
 
   unsigned width_;
-  std::vector<bool> done_;
-};
-
-template <>
-class ObjectView<ForkNode> : public ObjectPorts<ForkNode> {
- public:
-  using ObjectPorts::ObjectPorts;
-  bool done(unsigned i) const { return node().done_[i]; }
-  void setDone(unsigned i, bool d) const { node().done_[i] = d; }
 };
 
 template <typename V>

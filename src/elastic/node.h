@@ -9,10 +9,14 @@
 //   producer side of an output channel: vf, data, sb
 //   consumer side of an input channel:  sf, vb
 //
-// The built-in kinds write both phases once, as comb/edge templates over a
-// port-and-state view (elastic/node_view.h); evalComb/clockEdge run them
-// through the object view, and the compiled backend runs the same templates
-// over its state arena.
+// Sequential state lives in the simulating context's record arena
+// (elastic/context.h): each node owns recordWords() words there, and reset,
+// packState and unpackState are handed that record. The built-in kinds keep
+// all their sequential state in it and write both phases once, as comb/edge
+// templates over a port-and-state view (elastic/node_view.h); evalComb/
+// clockEdge run them through the object view, and the compiled backend runs
+// the same templates over the same records. A user node may ignore its record
+// and keep member state instead.
 #pragma once
 
 #include <memory>
@@ -100,8 +104,13 @@ class Node {
   bool inputBound(unsigned port) const { return inputs_.at(port) != kNoChannel; }
   bool outputBound(unsigned port) const { return outputs_.at(port) != kNoChannel; }
 
-  /// Re-initializes sequential state (start of simulation / verification).
-  virtual void reset() {}
+  /// Words of this node's record in its context's state arena; constant over
+  /// the node's life.
+  virtual std::uint32_t recordWords() const { return 0; }
+
+  /// Re-initializes sequential state (start of simulation / verification, or
+  /// joining a live context): the record, member state and statistics.
+  virtual void reset(std::uint64_t* record) { (void)record; }
 
   /// One combinational sweep; called until fixpoint.
   virtual void evalComb(SimContext& ctx) = 0;
@@ -176,8 +185,14 @@ class Node {
   virtual void clockEdge(SimContext& ctx) { (void)ctx; }
 
   /// Sequential state serialization (model checker). Statistics excluded.
-  virtual void packState(StateWriter& w) const { (void)w; }
-  virtual void unpackState(StateReader& r) { (void)r; }
+  virtual void packState(const std::uint64_t* record, StateWriter& w) const {
+    (void)record;
+    (void)w;
+  }
+  virtual void unpackState(std::uint64_t* record, StateReader& r) {
+    (void)record;
+    (void)r;
+  }
 
   /// Number of per-cycle nondeterministic binary choices this node consumes
   /// (environments only; deterministic blocks return 0).

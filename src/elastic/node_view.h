@@ -4,76 +4,169 @@
 // Every specializable kind (elastic buffers, fork, func, early-evaluation
 // mux, environments, shared module, stalling VLU) writes its combinational
 // and clock-edge logic once, as static member templates `comb(view)` and
-// `edge(view)` in its own header. Two views instantiate them:
-//   * ObjectView<K> (below, specialized in each kind's header): Sig ports over
-//     the SimContext's board plus the node object's own members. The node's
-//     evalComb/clockEdge run it, for every interpreted kernel.
-//   * compile::ArenaView<K> (compile/arena.h): raw board addresses plus the
-//     op's record in the compiled backend's node-state arena. The VM runs it.
+// `edge(view)` in its own header. Two views instantiate them, and both keep
+// the node's sequential state in one place: its record in the SimContext's
+// state arena.
+//   * ObjectView<K> (below): Sig ports over the context's board, payloads as
+//     BitVec of any width. The node's evalComb/clockEdge run it — every
+//     interpreted kernel, and every kGeneric op of the compiled backend.
+//   * compile::ArenaView<K> (compile/arena.h): raw board addresses and the
+//     op's pre-resolved record, payloads as words. The VM runs it.
+//
+// A record is the kind's scalar State struct, then its payload slots at
+// payloadWords(width) words each. A kind whose record holds more than its
+// State — stored payloads, per-branch bits, per-input counters — writes the
+// layout once, as a member template `View<Base>` deriving from either view's
+// base; its accessors (token(i), slot(), value(), pending()/result(),
+// done(i), pending(i)) serve both views, and the kind's reset/packState/
+// unpackState read the record through recordView().
 //
 // A view exposes
 //   in(i), out(i)    port proxies: vf/sf/vb/sb and their setters, data(),
 //                    dataLow64(), dataEquals(), setData(), setDataFrom(), and
 //                    events() — the settled bits plus transfer/kill, read once;
-//   numInputs(), numOutputs();
-//   payload(port)    the port's payload in the view's storage form (BitVec
-//                    here, a word in the arena) — what state setters take;
-//   node()           the node object, for what both views keep there:
-//                    functions, memos, schedulers and statistics — never
-//                    sequential state;
+//   numInputs(), numOutputs(), inWidth(i), outWidth(i);
+//   payload(port)    the port's payload in the view's form (BitVec here, a
+//                    word in the arena) — what the record's setters take;
+//   node()           the node object, for what stays there: functions, memos,
+//                    schedulers and statistics — never sequential state;
 //   stats()          whether statistics advance (false only in the compiled
 //                    backend's edge-audit replay);
 //   choice(i), cycle();
-// and, per stateful kind, the kind's scalar State struct through
-// state()/setState(), and its stored payloads and hot constants, under the
-// same names in both views. Each stateful kind's copyState(from, to)
-// moves its state between two views: the compiled backend adopts node state
-// into its arena and flushes it back with it.
+//   state()/setState()  the kind's State struct at the head of its record.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
 
 #include "elastic/context.h"
 
 namespace esl {
 
-/// Ports, node access and per-cycle inputs of the object view.
+/// Words a stored payload of `width` bits takes in a record (one at least, so
+/// every payload slot has an address).
+constexpr std::uint32_t payloadWords(unsigned width) {
+  return width <= 64 ? 1 : (width + 63) / 64;
+}
+
+/// Words a kind's State struct takes at the head of its record.
+template <typename State>
+constexpr std::uint32_t stateWords() {
+  return (sizeof(State) + 7) / 8;
+}
+
+/// A node's record as every view sees it: the State struct at its head.
 template <typename K>
-class ObjectPorts {
+class NodeRecord {
  public:
-  ObjectPorts(SimContext& ctx, K& node) : ctx_(&ctx), node_(&node) {}
+  explicit NodeRecord(std::uint64_t* record) : record_(record) {}
 
-  Sig in(unsigned i) const { return ctx_->sig(node_->input(i)); }
-  Sig out(unsigned i) const { return ctx_->sig(node_->output(i)); }
-  unsigned numInputs() const { return node_->numInputs(); }
-  unsigned numOutputs() const { return node_->numOutputs(); }
-  BitVec payload(const ConstSig& port) const { return port.data(); }
-
-  K& node() const { return *node_; }
-  static constexpr bool stats() { return true; }
-  bool choice(unsigned i) const { return ctx_->choice(*node_, i); }
-  std::uint64_t cycle() const { return ctx_->cycle(); }
-
-  /// A stateful kind keeps its State in a member `st_` and befriends
-  /// ObjectPorts<K>.
-  auto state() const { return node_->st_; }
+  auto state() const {
+    typename K::State s;
+    static_assert(std::is_trivially_copyable_v<decltype(s)>);
+    std::memcpy(static_cast<void*>(&s), record_, sizeof s);
+    return s;
+  }
   template <typename State>
   void setState(const State& s) const {
-    node_->st_ = s;
+    std::memcpy(record_, &s, sizeof s);
   }
 
- private:
-  SimContext* ctx_;
+ protected:
+  std::uint64_t* record_;
+};
+
+/// The object view's side of a record: payloads as BitVec, any width.
+template <typename K>
+class ObjectRecord : public NodeRecord<K> {
+ public:
+  ObjectRecord(K& node, std::uint64_t* record)
+      : NodeRecord<K>(record), node_(&node) {}
+
+  K& node() const { return *node_; }
+  unsigned inWidth(unsigned i) const { return node_->inputWidth(i); }
+  unsigned outWidth(unsigned i) const { return node_->outputWidth(i); }
+
+  BitVec payloadAt(std::uint32_t off, unsigned width) const {
+    return BitVec::fromWords(width, this->record_ + off);
+  }
+  void setPayloadAt(std::uint32_t off, unsigned width, const BitVec& v) const {
+    ESL_CHECK(v.width() == width,
+              "node '" + node_->name() + "': stored payload is " +
+                  std::to_string(v.width()) + " bits, its slot " +
+                  std::to_string(width));
+    v.toWords(this->record_ + off);
+  }
+  static BitVec zeroPayload(unsigned width) { return BitVec(width); }
+
+ protected:
   K* node_;
 };
 
-/// Object view of a kind whose state, if any, is its State struct alone (or
-/// lives wholly in node()); kinds with stored payloads, per-branch state or
-/// per-view datapaths specialize it next to their class, as a friend.
+/// The kind's record layout over `Base`: its View<Base> when it declares one,
+/// else Base alone (a record that is just the State struct, or none).
+template <typename K, typename Base>
+struct RecordLayout {
+  using type = Base;
+};
+template <typename K, typename Base>
+  requires requires { typename K::template View<Base>; }
+struct RecordLayout<K, Base> {
+  using type = typename K::template View<Base>;
+};
+
+/// Whether kind K keeps a record at all (the object view looks it up only
+/// then; func and shared keep their memos and scheduler on the node).
 template <typename K>
-class ObjectView : public ObjectPorts<K> {
+constexpr bool kHasRecord =
+    requires { typename K::State; } ||
+    requires { typename K::template View<ObjectRecord<K>>; };
+
+/// The node's record through its kind's accessors, without ports: what
+/// reset/packState/unpackState use (packState only reads through it).
+template <typename K>
+auto recordView(const K& node, const std::uint64_t* record) {
+  using View = typename RecordLayout<K, ObjectRecord<K>>::type;
+  return View(const_cast<K&>(node), const_cast<std::uint64_t*>(record));
+}
+
+/// Ports, node access and per-cycle inputs of the object view.
+template <typename K>
+class ObjectPorts : public ObjectRecord<K> {
  public:
-  using ObjectPorts<K>::ObjectPorts;
+  ObjectPorts(SimContext& ctx, K& node)
+      : ObjectRecord<K>(node, recordOf(ctx, node)), ctx_(&ctx) {}
+
+  Sig in(unsigned i) const { return ctx_->sig(this->node_->input(i)); }
+  Sig out(unsigned i) const { return ctx_->sig(this->node_->output(i)); }
+  unsigned numInputs() const { return this->node_->numInputs(); }
+  unsigned numOutputs() const { return this->node_->numOutputs(); }
+  BitVec payload(const ConstSig& port) const { return port.data(); }
+
+  static constexpr bool stats() { return true; }
+  bool choice(unsigned i) const { return ctx_->choice(*this->node_, i); }
+  std::uint64_t cycle() const { return ctx_->cycle(); }
+
+ private:
+  static std::uint64_t* recordOf(SimContext& ctx, const K& node) {
+    if constexpr (kHasRecord<K>)
+      return ctx.record(node.id());
+    else
+      return nullptr;
+  }
+
+  SimContext* ctx_;
+};
+
+/// The object view: ports plus the kind's record layout. FuncNode specializes
+/// it for its per-view datapath.
+template <typename K>
+class ObjectView : public RecordLayout<K, ObjectPorts<K>>::type {
+  using Base = typename RecordLayout<K, ObjectPorts<K>>::type;
+
+ public:
+  using Base::Base;
 };
 
 /// A kind's evalComb/clockEdge: its handshake through the object view,

@@ -23,7 +23,7 @@ SharedModule::SharedModule(std::string name, unsigned channels, unsigned inWidth
   served_.assign(channels_, 0);
 }
 
-void SharedModule::reset() {
+void SharedModule::reset(std::uint64_t*) {
   scheduler_->reset();
   served_.assign(channels_, 0);
   demandCycles_ = 0;
@@ -33,9 +33,13 @@ void SharedModule::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
 void SharedModule::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
-void SharedModule::packState(StateWriter& w) const { scheduler_->packState(w); }
+void SharedModule::packState(const std::uint64_t*, StateWriter& w) const {
+  scheduler_->packState(w);
+}
 
-void SharedModule::unpackState(StateReader& r) { scheduler_->unpackState(r); }
+void SharedModule::unpackState(std::uint64_t*, StateReader& r) {
+  scheduler_->unpackState(r);
+}
 
 unsigned SharedModule::choiceCount() const { return scheduler_->choiceBits(); }
 

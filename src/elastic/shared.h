@@ -32,12 +32,12 @@ class SharedModule : public Node {
                std::unique_ptr<sched::Scheduler> scheduler,
                logic::Cost fnCost = {1.0, 1.0});
 
-  void reset() override;
+  void reset(std::uint64_t* record) override;
   void evalComb(SimContext& ctx) override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateful; }
   void clockEdge(SimContext& ctx) override;
-  void packState(StateWriter& w) const override;
-  void unpackState(StateReader& r) override;
+  void packState(const std::uint64_t* record, StateWriter& w) const override;
+  void unpackState(std::uint64_t* record, StateReader& r) override;
   unsigned choiceCount() const override;
   logic::Cost cost() const override;
   void timing(TimingModel& m) const override;

@@ -280,7 +280,6 @@ class SignalBoard {
 
   std::uint64_t* ctrlData() { return ctrl_.data(); }
   std::uint64_t* payloadData() { return words_.data(); }
-  BitVec* spillData() { return spill_.data(); }
   std::uint64_t* changedData() { return changed_.data(); }
   /// Payload arena offset of a slot: word index, or spill index | kWideFlag,
   /// or kNoSlot for zero-width channels.

@@ -12,17 +12,19 @@ StallingVLU::StallingVLU(std::string name, unsigned inWidth, unsigned outWidth,
       err_(std::move(err)),
       approxCost_(approxCost),
       exactCost_(exactCost),
-      errCost_(errCost),
-      pending_(inWidth),
-      result_(outWidth) {
+      errCost_(errCost) {
   ESL_CHECK(static_cast<bool>(exact_) && static_cast<bool>(err_),
             "StallingVLU: exact and err functions required");
   declareInput(inWidth);
   declareOutput(outWidth);
 }
 
-void StallingVLU::reset() {
-  st_ = State{};
+std::uint32_t StallingVLU::recordWords() const {
+  return stateWords<State>() + payloadWords(inWidth_) + payloadWords(outWidth_);
+}
+
+void StallingVLU::reset(std::uint64_t* record) {
+  recordView(*this, record).setState(State{});
   completed_ = 0;
   stalls_ = 0;
 }
@@ -31,20 +33,23 @@ void StallingVLU::evalComb(SimContext& ctx) { runComb(ctx, *this); }
 
 void StallingVLU::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
 
-void StallingVLU::packState(StateWriter& w) const {
-  w.writeBool(st_.hasPending);
-  if (st_.hasPending) w.writeBitVec(pending_);
-  w.writeBool(st_.hasResult);
-  if (st_.hasResult) w.writeBitVec(result_);
+void StallingVLU::packState(const std::uint64_t* record, StateWriter& w) const {
+  const auto v = recordView(*this, record);
+  const State s = v.state();
+  w.writeBool(s.hasPending);
+  if (s.hasPending) w.writeBitVec(v.pending());
+  w.writeBool(s.hasResult);
+  if (s.hasResult) w.writeBitVec(v.result());
 }
 
-void StallingVLU::unpackState(StateReader& r) {
+void StallingVLU::unpackState(std::uint64_t* record, StateReader& r) {
+  const auto v = recordView(*this, record);
   State s;
   s.hasPending = r.readBool();
-  if (s.hasPending) pending_ = r.readPayload(inWidth_, name());
+  if (s.hasPending) v.setPending(r.readPayload(inWidth_, name()));
   s.hasResult = r.readBool();
-  if (s.hasResult) result_ = r.readPayload(outWidth_, name());
-  st_ = s;
+  if (s.hasResult) v.setResult(r.readPayload(outWidth_, name()));
+  v.setState(s);
 }
 
 logic::Cost StallingVLU::cost() const {

@@ -25,12 +25,13 @@ class StallingVLU : public Node {
               ErrFn err, logic::Cost approxCost, logic::Cost exactCost,
               logic::Cost errCost);
 
-  void reset() override;
+  std::uint32_t recordWords() const override;
+  void reset(std::uint64_t* record) override;
   void evalComb(SimContext& ctx) override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateful; }
   void clockEdge(SimContext& ctx) override;
-  void packState(StateWriter& w) const override;
-  void unpackState(StateReader& r) override;
+  void packState(const std::uint64_t* record, StateWriter& w) const override;
+  void unpackState(std::uint64_t* record, StateReader& r) override;
   logic::Cost cost() const override;
   void timing(TimingModel& m) const override;
   void flowEdges(std::vector<FlowEdge>& out) const override;
@@ -46,24 +47,33 @@ class StallingVLU : public Node {
     bool hasPending = false;  ///< an operand needs its second cycle
     bool hasResult = false;   ///< a completed result awaits transfer
   };
-  /// The handshake, once for both views (see elastic/node_view.h). The
-  /// payloads are pending()/setPending(p) and result()/setResult(p).
+  /// Record: State, then the pending operand and the result.
+  template <typename Base>
+  class View : public Base {
+   public:
+    using Base::Base;
+    auto pending() const { return this->payloadAt(kPending, this->inWidth(0)); }
+    template <typename P>
+    void setPending(const P& x) const {
+      this->setPayloadAt(kPending, this->inWidth(0), x);
+    }
+    auto result() const { return this->payloadAt(resultAt(), this->outWidth(0)); }
+    template <typename P>
+    void setResult(const P& x) const {
+      this->setPayloadAt(resultAt(), this->outWidth(0), x);
+    }
+
+   private:
+    static constexpr std::uint32_t kPending = stateWords<State>();
+    std::uint32_t resultAt() const { return kPending + payloadWords(this->inWidth(0)); }
+  };
+  /// The handshake, once for both views (see elastic/node_view.h).
   template <typename V>
   static void comb(const V& v);
   template <typename V>
   static void edge(const V& v);
-  template <typename From, typename To>
-  static void copyState(const From& from, const To& to) {
-    const State s = from.state();
-    to.setState(s);
-    if (s.hasPending) to.setPending(from.pending());
-    if (s.hasResult) to.setResult(from.result());
-  }
 
  private:
-  friend class ObjectPorts<StallingVLU>;
-  friend class ObjectView<StallingVLU>;
-
   unsigned inWidth_;
   unsigned outWidth_;
   UnaryFn exact_;
@@ -72,21 +82,8 @@ class StallingVLU : public Node {
   logic::Cost exactCost_;
   logic::Cost errCost_;
 
-  State st_;
-  BitVec pending_;  // operand needing its second cycle
-  BitVec result_;   // completed result awaiting transfer
   std::uint64_t completed_ = 0;
   std::uint64_t stalls_ = 0;
-};
-
-template <>
-class ObjectView<StallingVLU> : public ObjectPorts<StallingVLU> {
- public:
-  using ObjectPorts::ObjectPorts;
-  const BitVec& pending() const { return node().pending_; }
-  void setPending(BitVec x) const { node().pending_ = std::move(x); }
-  const BitVec& result() const { return node().result_; }
-  void setResult(BitVec x) const { node().result_ = std::move(x); }
 };
 
 template <typename V>

@@ -141,7 +141,7 @@ bool clientLine(Client& client, const std::string& line) {
   } else if (verb == "cycle") {
     std::cout << client.cycle(arg(1)) << "\n";
   } else if (verb == "snapshot") {
-    sim::writeSnapshotFile(arg(2), client.snapshot(t[1]));
+    sim::writeRecordFile(arg(2), client.snapshot(t[1]));
     std::cerr << "snapshot of '" << t[1] << "' written to '" << t[2] << "'\n";
   } else if (verb == "restore") {
     client.restore(arg(1), sim::readSnapshotFile(arg(2)));

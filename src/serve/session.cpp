@@ -51,8 +51,9 @@ std::string SimSession::command(const std::string& line) {
   is >> verb;
   // build/load/undo/redo replace the netlist the live simulator holds a
   // reference into; sim/tput/trace would construct a second Simulator over the
-  // same node objects and clobber their sequential state; save writes to the
-  // daemon's filesystem. All have serve-native equivalents.
+  // same node objects — its own state records, but the nodes' statistics and
+  // schedulers would be reset under the live one; save writes to the daemon's
+  // filesystem. All have serve-native equivalents.
   for (const char* v : {"build", "load", "save", "undo", "redo", "sim", "tput",
                         "trace"}) {
     if (verb == v)
@@ -94,6 +95,10 @@ std::vector<std::uint8_t> SimSession::snapshot() { return sim_->ctx().packState(
 
 void SimSession::restore(const std::vector<std::uint8_t>& bytes) {
   sim::checkSnapshotHeader(bytes, "restore");
+  // Vet the snapshot on the live simulator first: unpackState is all or
+  // nothing, so a rejection leaves the session as it was. A fresh simulator
+  // would reset the statistics and schedulers it shares with the live one.
+  sim_->ctx().unpackState(bytes);
   // CLI --load-state semantics: a fresh simulator (perf logs and carries start
   // at zero), then the snapshot's sequential state and cycle counter.
   makeSimulator();

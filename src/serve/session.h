@@ -7,8 +7,9 @@
 // construction. Transform and query verbs reuse the shell's command language
 // (shell::Session on the same netlist); verbs that would replace the netlist
 // under the live simulator (build/load/undo/redo) or spin up a second
-// SimContext over the same node objects (sim/tput/trace) are rejected —
-// serve has its own step/query surface.
+// SimContext over the same node objects (sim/tput/trace: the state records
+// are per context, but statistics and schedulers live on the shared nodes)
+// are rejected — serve has its own step/query surface.
 //
 // Sessions can leave memory and come back: spoolSave() writes the transformed
 // design (`.esl` text), the packState() snapshot, and the perf-side carries —
@@ -73,7 +74,8 @@ class SimSession {
   /// Replaces the simulator with a fresh one and restores `bytes` — CLI
   /// `--load-state` semantics: perf logs (transfer counts, stats, carries)
   /// restart at zero, sequential state and the cycle counter come from the
-  /// snapshot. Throws EslError on a foreign or version-mismatched snapshot.
+  /// snapshot. Throws EslError on a foreign, version-mismatched or damaged
+  /// snapshot, and then leaves the session untouched.
   void restore(const std::vector<std::uint8_t>& bytes);
 
   // --- Trace streaming -------------------------------------------------------

@@ -28,23 +28,7 @@ void appendSynced(const std::string& path, const std::string& line) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0600);
   ESL_CHECK(fd >= 0,
             "cannot append to '" + path + "': " + std::strerror(errno));
-  const char* p = line.data();
-  std::size_t left = line.size();
-  while (left > 0) {
-    const ssize_t w = ::write(fd, p, left);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      const std::string why = std::strerror(errno);
-      ::close(fd);
-      throw EslError("append to '" + path + "' failed: " + why);
-    }
-    p += w;
-    left -= static_cast<std::size_t>(w);
-  }
-  if (::fsync(fd) != 0 || ::close(fd) != 0) {
-    const std::string why = std::strerror(errno);
-    throw EslError("cannot sync '" + path + "': " + why);
-  }
+  sim::writeSyncedAndClose(fd, line.data(), line.size(), path);
 }
 
 std::string journalLine(const std::string& event, const std::string& sid) {
@@ -98,30 +82,10 @@ void SpoolDir::journalAppend(const std::string& event, const std::string& sid) {
 void SpoolDir::journalCompactLocked() {
   std::string text;
   for (const std::string& sid : journaled_) text += journalLine("spool", sid);
-  std::vector<std::uint8_t> bytes(text.begin(), text.end());
-  const std::string tmp = journalPath() + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
-  ESL_CHECK(fd >= 0, "cannot write '" + tmp + "': " + std::strerror(errno));
-  const std::uint8_t* p = bytes.data();
-  std::size_t left = bytes.size();
-  while (left > 0) {
-    const ssize_t w = ::write(fd, p, left);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      const std::string why = std::strerror(errno);
-      ::close(fd);
-      std::remove(tmp.c_str());
-      throw EslError("write to '" + tmp + "' failed: " + why);
-    }
-    p += w;
-    left -= static_cast<std::size_t>(w);
-  }
-  if (::fsync(fd) != 0 || ::close(fd) != 0 ||
-      std::rename(tmp.c_str(), journalPath().c_str()) != 0) {
-    const std::string why = std::strerror(errno);
-    std::remove(tmp.c_str());
-    throw EslError("cannot replace '" + journalPath() + "': " + why);
-  }
+  // The atomic writer also fsyncs the directory, so lines appended after the
+  // compaction never hang on a rename that is not yet durable.
+  sim::writeFileAtomic(journalPath(),
+                       std::vector<std::uint8_t>(text.begin(), text.end()));
   journalLines_ = journaled_.size();
 }
 

@@ -37,32 +37,43 @@ void putU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
-/// Writes `bytes` to `path` atomically: same-directory temp file, fsync,
-/// rename over the target, fsync of the directory so the rename itself is
-/// durable. POSIX fds, not fstream — fstream cannot fsync.
+}  // namespace
+
+void writeSyncedAndClose(int fd, const void* data, std::size_t n,
+                         const std::string& path) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  while (n > 0) {
+    const ssize_t w = ::write(fd, p, n);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      const std::string why = std::strerror(errno);
+      ::close(fd);
+      throw EslError("write to '" + path + "' failed: " + why);
+    }
+    p += w;
+    n -= static_cast<std::size_t>(w);
+  }
+  if (::fsync(fd) != 0) {
+    const std::string why = std::strerror(errno);
+    ::close(fd);
+    throw EslError("cannot sync '" + path + "': " + why);
+  }
+  if (::close(fd) != 0) {
+    const std::string why = std::strerror(errno);
+    throw EslError("cannot sync '" + path + "': " + why);
+  }
+}
+
 void writeFileAtomic(const std::string& path,
                      const std::vector<std::uint8_t>& bytes) {
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
   ESL_CHECK(fd >= 0, "cannot write '" + tmp + "': " + std::strerror(errno));
-  const std::uint8_t* p = bytes.data();
-  std::size_t left = bytes.size();
-  while (left > 0) {
-    const ssize_t w = ::write(fd, p, left);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      const std::string why = std::strerror(errno);
-      ::close(fd);
-      std::remove(tmp.c_str());
-      throw EslError("write to '" + tmp + "' failed: " + why);
-    }
-    p += w;
-    left -= static_cast<std::size_t>(w);
-  }
-  if (::fsync(fd) != 0 || ::close(fd) != 0) {
-    const std::string why = std::strerror(errno);
+  try {
+    writeSyncedAndClose(fd, bytes.data(), bytes.size(), tmp);
+  } catch (const EslError&) {
     std::remove(tmp.c_str());
-    throw EslError("cannot sync '" + tmp + "': " + why);
+    throw;
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     const std::string why = std::strerror(errno);
@@ -79,8 +90,6 @@ void writeFileAtomic(const std::string& path,
     ::close(dfd);
   }
 }
-
-}  // namespace
 
 void writeRecordFile(const std::string& path,
                      const std::vector<std::uint8_t>& payload,
@@ -119,11 +128,6 @@ std::vector<std::uint8_t> readRecordFile(const std::string& path) {
   ESL_CHECK(got == want, "'" + path + "': checksum mismatch (corrupt record)");
   return std::vector<std::uint8_t>(record.begin() + kRecordHeaderBytes,
                                    record.end());
-}
-
-void writeSnapshotFile(const std::string& path,
-                       const std::vector<std::uint8_t>& bytes) {
-  writeRecordFile(path, bytes);
 }
 
 void checkSnapshotHeader(const std::vector<std::uint8_t>& bytes,

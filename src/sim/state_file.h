@@ -32,6 +32,17 @@ inline constexpr std::uint32_t kRecordMagic = 0x524C5345u;  // "ESLR"
 inline constexpr std::uint32_t kRecordVersion = 1;
 inline constexpr std::size_t kRecordHeaderBytes = 20;
 
+/// Writes all `n` bytes at `data` to `fd` (retrying short writes and EINTR),
+/// fsyncs and closes it; throws EslError naming `path`, with `fd` closed.
+void writeSyncedAndClose(int fd, const void* data, std::size_t n,
+                         const std::string& path);
+
+/// Writes `bytes` to `path` atomically: same-directory temp file, fsync,
+/// rename over the target, fsync of the directory so the rename itself is
+/// durable. POSIX fds, not fstream — fstream cannot fsync.
+void writeFileAtomic(const std::string& path,
+                     const std::vector<std::uint8_t>& bytes);
+
 /// Wraps `payload` in the checksummed container and writes it atomically
 /// (temp + fsync + rename). `faultPoint` names the fault-injection point the
 /// write reports to (fail-Nth / truncate / bit-flip plans hit the container
@@ -45,11 +56,6 @@ void writeRecordFile(const std::string& path,
 /// (citing `path`) on a missing file, foreign magic, unsupported version,
 /// truncation or checksum mismatch. Never returns unverified bytes.
 std::vector<std::uint8_t> readRecordFile(const std::string& path);
-
-/// Writes SimContext snapshot bytes (--save-state): the checksummed
-/// container around the versioned packState() payload.
-void writeSnapshotFile(const std::string& path,
-                       const std::vector<std::uint8_t>& bytes);
 
 /// Validates that `bytes` begins with the SimContext snapshot header (magic +
 /// supported version); throws EslError naming the mismatch otherwise.

@@ -86,7 +86,7 @@ TEST(ElasticBuffer, StopIsRegisteredLb1) {
   sim::Simulator s(nl);
   s.run(10);
   EXPECT_EQ(s.channelStats(up).fwdTransfers, 2u);  // capacity bound
-  EXPECT_EQ(eb.occupancy(), 2);
+  EXPECT_EQ(eb.occupancy(s.ctx()), 2);
   EXPECT_EQ(sink.received(), 0u);
 }
 

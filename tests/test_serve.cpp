@@ -282,6 +282,22 @@ TEST(ServeSession, RestoreHasLoadStateSemantics) {
   EXPECT_THROW(fresh->restore({0xde, 0xad, 0xbe, 0xef}), EslError);
 }
 
+TEST(ServeSession, RejectedRestoreLeavesTheSessionUntouched) {
+  auto s = makeSession("fig1d");
+  s->step(100);
+  std::vector<std::uint8_t> torn = s->snapshot();
+  torn.resize(torn.size() - 3);  // header intact, node state cut short
+  s->step(37);
+  const std::vector<std::uint8_t> snap = s->snapshot();
+  const std::string report = s->report();
+  ASSERT_NE(report.find("108 transfers"), std::string::npos) << report;
+
+  EXPECT_THROW(s->restore(torn), EslError);
+  EXPECT_EQ(s->cycle(), 137u);
+  EXPECT_EQ(s->snapshot(), snap);
+  EXPECT_EQ(s->report(), report);
+}
+
 TEST(ServeSession, StreamBytesAreChunkInvariant) {
   auto whole = makeSession("fig1a");
   whole->watch({"pc.out"});
@@ -628,6 +644,29 @@ TEST(ServeWire, ServerErrorsCarryStructuredKinds) {
   // A failed request leaves the session usable.
   EXPECT_EQ(client.cycle("s"), 0u);
   client.close("s");
+}
+
+TEST(ServeWire, RejectedRestoreKeepsTheSessionInStep) {
+  ServerFixture fx("torn");
+  Client client(fx.server->socketPath());
+  client.openDesign("s", "fig1d", compiled(2));
+  client.openDesign("twin", "fig1d", compiled(2));
+  client.step("s", 100);
+  std::vector<std::uint8_t> torn = client.snapshot("s");
+  torn.resize(torn.size() - 3);
+  client.step("s", 37);
+  client.step("twin", 137);
+  try {
+    client.restore("s", torn);
+    FAIL() << "a truncated snapshot was accepted";
+  } catch (const EslError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("error:", 0), 0u) << e.what();
+  }
+  EXPECT_EQ(client.cycle("s"), 137u);
+  EXPECT_EQ(client.step("s", 200), client.step("twin", 200));
+  EXPECT_EQ(client.snapshot("s"), client.snapshot("twin"));
+  client.close("s");
+  client.close("twin");
 }
 
 TEST(ServeWire, HandshakeRejectsVersionMismatch) {

@@ -15,6 +15,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -238,6 +239,40 @@ TEST(SpoolRecovery, ToleratesTornJournalTailAndMissingRecords) {
   }
   EXPECT_TRUE(sawTorn);
   EXPECT_TRUE(sawMissing);
+  removeTree(dir);
+}
+
+TEST(SpoolRecovery, PeriodicJournalCompactionKeepsExactlyTheLiveSessions) {
+  const std::string dir = makeTempDir();
+  {
+    SpoolDir s;
+    s.open(dir, true);
+    for (const char* sid : {"a", "b", "c"}) s.writeRecord(sid, bytesOf(sid));
+    // 50 open/close cycles append 100 journal lines, well past the 64-line
+    // compaction threshold, while only three sessions stay live.
+    for (int i = 0; i < 50; ++i) {
+      const std::string sid = "churn" + std::to_string(i);
+      s.writeRecord(sid, bytesOf(sid));
+      s.removeRecord(sid);
+    }
+    s.removeRecord("b");
+    s.writeRecord("d", bytesOf("d"));
+  }
+  std::ifstream journal(dir + "/spool.journal");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(journal, line);) ++lines;
+  EXPECT_LT(lines, 64u) << "the journal was never compacted";
+
+  SpoolDir s2;
+  s2.open(dir, true);
+  std::vector<std::string> warnings;
+  const auto recovered = s2.recover(warnings, nullptr);
+  std::vector<std::string> sids;
+  for (const auto& r : recovered) sids.push_back(r.sid);
+  std::sort(sids.begin(), sids.end());
+  EXPECT_EQ(sids, (std::vector<std::string>{"a", "c", "d"}));
+  EXPECT_TRUE(warnings.empty());
+  for (const std::string& sid : sids) EXPECT_EQ(s2.readRecord(sid), bytesOf(sid));
   removeTree(dir);
 }
 

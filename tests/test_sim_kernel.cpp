@@ -251,8 +251,10 @@ class LyingEdgeNode : public Node {
   EvalPurity evalPurity() const override { return EvalPurity::kStateful; }
   EdgeActivity edgeActivity() const override { return EdgeActivity::kOnEvents; }
   void clockEdge(SimContext&) override { ++cycles_; }
-  void packState(StateWriter& w) const override { w.writeU64(cycles_); }
-  void unpackState(StateReader& r) override { cycles_ = r.readU64(); }
+  void packState(const std::uint64_t*, StateWriter& w) const override {
+    w.writeU64(cycles_);
+  }
+  void unpackState(std::uint64_t*, StateReader& r) override { cycles_ = r.readU64(); }
   std::string kindName() const override { return "lying-edge"; }
 
  private:
@@ -384,8 +386,7 @@ TEST(SimKernel, ChannelAddedAfterConstructionGetsSignalSlots) {
   ctx.settle();
   ctx.edge();
 
-  auto& eb = nl.make<ElasticBuffer>("eb", 8);
-  eb.reset();  // node joined after ctx.reset(); initialize its state
+  auto& eb = nl.make<ElasticBuffer>("eb", 8);  // the context resets joiners
   nl.insertOnChannel(ch, eb);
   nl.validate();
   for (int i = 0; i < 5; ++i) {

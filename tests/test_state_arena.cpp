@@ -1,27 +1,27 @@
-// VM-owned node-state arena: adopt/flush identity and sharded composition.
+// Node-state records: one home for every kind's sequential state, shared by
+// the interpreter and the compiled VM, and sharded composition.
 //
-// The compiled backend packs per-node sequential state (EB rings, fork done
-// bits, source cursors, ee-mux anti counters, VLU operands) into one
-// contiguous VM-owned arena (compile/vm.h). The node objects stay the
-// authoritative store whenever the VM is not mid-phase: every compiled phase
-// adopts node state lazily and flushState() publishes the arena back before
-// anything interprets it. These tests pin that protocol:
+// Each node's sequential state (EB rings, fork done bits, source cursors,
+// ee-mux anti counters, VLU operands) is its record in the SimContext's
+// state arena (elastic/context.h). Both backends read and write those
+// records in place; packState/unpackState go through the kinds' own record
+// accessors. These tests pin that:
 //   * per-kind round trips: for every stateful node kind, a compiled run's
 //     packState() restored into a fresh compiled instance repacks byte-equal
-//     and resumes in lockstep — pack reads a freshly flushed arena, unpack
-//     invalidates it, the next phase re-adopts;
-//   * three-way sweep/event/compiled lockstep with the arena active;
+//     and resumes in lockstep — unpack decodes into the records the next
+//     compiled phase runs over;
+//   * three-way sweep/event/compiled lockstep over the shared records;
 //   * program-cache keying on the (topologyVersion, board layout) pair: a
-//     shard-count flip re-lays the board without a topology bump and must
-//     trigger recompilation (regression: the cache used to key on
-//     topologyVersion alone and would run stale SlotAddrs into the new
+//     shard-count flip re-lays the board and the records without a topology
+//     bump and must trigger recompilation (regression: the cache used to key
+//     on topologyVersion alone and would run stale SlotAddrs into the new
 //     layout);
 //   * compiled×sharded composition: packState bit-identical to the serial
 //     compiled backend for every tested shard count.
 //
 // This suite carries the `compiled-kernel` CTest label (ASan/UBSan legs: raw
-// arena addressing) and the `sharded-kernel` label (TSan leg: shard-sliced
-// arena records under real threads).
+// record addressing) and the `sharded-kernel` label (TSan leg: shard-sliced
+// records under real threads).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -45,9 +45,9 @@ sim::SimOptions compiledOpts() {
 
 /// Runs `build`'s netlist on the compiled backend; every cycle of the window,
 /// restores the live snapshot into a second compiled instance, requires the
-/// repack to be byte-equal (arena flush → node bytes → arena re-adopt is the
-/// identity), then steps both and requires them to stay equal (the snapshot
-/// header's cycle field keeps the probe's choice stream aligned).
+/// repack to be byte-equal (records → bytes → records is the identity), then
+/// steps both and requires them to stay equal (the snapshot header's cycle
+/// field keeps the probe's choice stream aligned).
 void expectArenaRoundTrip(const std::function<Netlist()>& build,
                           std::uint64_t warmup, std::uint64_t window) {
   Netlist liveNl = build();
@@ -174,7 +174,7 @@ TEST(StateArena, SpeculativeLoopFullCatalogRoundTrip) {
 
 TEST(StateArena, ThreeWayLockstepUnderArena) {
   // Sweep vs event vs compiled, packState after every cycle (the compiled
-  // instance runs the arena; the oracle pair runs node objects).
+  // instance runs the arena view; the oracle pair runs the object view).
   for (const synth::Topology topo :
        {synth::Topology::kForkJoin, synth::Topology::kSpecLadder}) {
     synth::SynthConfig cfg;
@@ -221,6 +221,34 @@ TEST(StateArena, RecompilesOnBoardRelayoutWithoutTopologyBump) {
     sc.step();
     ASSERT_EQ(si.ctx().packState(), sc.ctx().packState())
         << "diverged at cycle " << c;
+  }
+}
+
+TEST(StateArena, SurgeryKeepsSurvivorsAndResetsTheJoiner) {
+  // Splicing a node in re-lays the record arena mid-run: every surviving
+  // node keeps its record, and the new buffer (highest id, so packed last)
+  // starts from its reset record — its initial token, not a zeroed one.
+  for (const auto backend :
+       {SimContext::Backend::kInterpreted, SimContext::Backend::kCompiled}) {
+    Netlist nl = patterns::designSpec("fig1d").build();
+    sim::SimOptions opts = compiledOpts();
+    opts.backend = backend;
+    sim::Simulator s(nl, opts);
+    s.run(137);
+    std::vector<std::uint8_t> expect = s.ctx().packState();
+    const ChannelId ch = nl.channelIds().front();
+    const unsigned width = nl.channel(ch).width;
+    auto& joiner = nl.make<ElasticBuffer>("joiner", width, 2u,
+                                          std::vector<BitVec>{BitVec(width, 1)});
+    nl.insertOnChannel(ch, joiner);
+    StateWriter tail;  // count, token, anti-token count
+    tail.writeU32(1);
+    tail.writeBitVec(BitVec(width, 1));
+    tail.writeU32(0);
+    const std::vector<std::uint8_t> joined = tail.take();
+    expect.insert(expect.end(), joined.begin(), joined.end());
+    EXPECT_EQ(s.ctx().packState(), expect);
+    EXPECT_NO_THROW(s.run(50));
   }
 }
 
@@ -283,8 +311,9 @@ TEST(StateArena, CompiledShardedNondetEnvironments) {
 }
 
 TEST(StateArena, CrossCheckAuditsThroughTheArena) {
-  // Cross-check mode flushes/adopts around every audit (reference settle,
-  // per-node edge replay); running clean is the assertion.
+  // Cross-check mode runs the interpreted kernels over the compiled run's
+  // records (reference settle, per-node edge replay from a rewound record);
+  // running clean is the assertion.
   synth::SynthConfig cfg;
   cfg.topology = synth::Topology::kSpecLadder;
   cfg.targetNodes = 60;

@@ -459,6 +459,112 @@ TEST(StateIo, UnpackRejectsPayloadsOfTheWrongWidth) {
 }
 
 // ---------------------------------------------------------------------------
+// A rejected restore changes nothing: not the node state before the bad
+// bytes, not the cycle counter, not the protocol monitor's previous cycle.
+// ---------------------------------------------------------------------------
+
+struct RestoreMode {
+  const char* name;
+  SimContext::Backend backend;
+  unsigned shards;
+};
+constexpr RestoreMode kRestoreModes[] = {
+    {"interpreted", SimContext::Backend::kInterpreted, 1},
+    {"compiled", SimContext::Backend::kCompiled, 1},
+    {"shards2", SimContext::Backend::kInterpreted, 2},
+};
+
+sim::SimOptions restoreOpts(const RestoreMode& m, bool monitor = false) {
+  sim::SimOptions o;
+  o.checkProtocol = monitor;
+  o.throwOnViolation = false;
+  o.backend = m.backend;
+  o.shards = m.shards;
+  return o;
+}
+
+/// Runs `build` for `cycles` twice (victim and twin), feeds `bad` to the
+/// victim, and requires the rejection to leave it indistinguishable from the
+/// twin: same cycle, same packState(), and the same future — violations
+/// included — for `after` more cycles.
+void expectRejectedRestoreChangesNothing(
+    const std::function<Netlist()>& build, std::uint64_t cycles,
+    const std::vector<std::uint8_t>& bad, std::uint64_t after = 60,
+    bool monitor = false) {
+  for (const RestoreMode& m : kRestoreModes) {
+    SCOPED_TRACE(m.name);
+    Netlist victimNl = build();
+    Netlist twinNl = build();
+    sim::Simulator victim(victimNl, restoreOpts(m, monitor));
+    sim::Simulator twin(twinNl, restoreOpts(m, monitor));
+    victim.run(cycles);
+    twin.run(cycles);
+    EXPECT_THROW(victim.ctx().unpackState(bad), EslError);
+    EXPECT_EQ(victim.cycle(), cycles);
+    EXPECT_EQ(victim.ctx().packState(), twin.ctx().packState());
+    victim.run(after);
+    twin.run(after);
+    EXPECT_EQ(victim.ctx().packState(), twin.ctx().packState());
+    EXPECT_EQ(victim.ctx().protocolViolations(), twin.ctx().protocolViolations());
+  }
+}
+
+std::vector<std::uint8_t> snapshotAt(const std::function<Netlist()>& build,
+                                     std::uint64_t cycles) {
+  Netlist nl = build();
+  sim::Simulator s(nl, restoreOpts(kRestoreModes[0]));
+  s.run(cycles);
+  return s.ctx().packState();
+}
+
+Netlist fig1d() { return patterns::designSpec("fig1d").build(); }
+
+TEST(StateIo, RejectedTruncatedRestoreChangesNothing) {
+  std::vector<std::uint8_t> bad = snapshotAt(fig1d, 100);
+  bad.resize(bad.size() - 3);
+  expectRejectedRestoreChangesNothing(fig1d, 137, bad);
+}
+
+TEST(StateIo, RejectedForeignDesignRestoreChangesNothing) {
+  const auto fig1a = [] { return patterns::designSpec("fig1a").build(); };
+  expectRejectedRestoreChangesNothing(fig1d, 137, snapshotAt(fig1a, 50));
+}
+
+TEST(StateIo, RejectedOutOfRangeCountRestoreChangesNothing) {
+  // The source's state decodes fine before the buffer's count is refused.
+  const auto chain = [] { return envChain<ElasticBuffer>(8u, 2u); };
+  StateWriter w;
+  w.writeU32(SimContext::kSnapshotMagic);
+  w.writeU32(SimContext::kSnapshotVersion);
+  w.writeU64(5);
+  w.writeU64(3);  // source: index, offering, killCredit
+  w.writeBool(true);
+  w.writeU32(0);
+  ebState({BitVec(8, 1), BitVec(8, 2), BitVec(8, 3)}, 0)(w);  // capacity 2
+  w.writeU32(0);  // sink
+  w.writeBool(false);
+  expectRejectedRestoreChangesNothing(chain, 137, w.take());
+}
+
+TEST(StateIo, RejectedRestoreKeepsTheMonitorsPreviousCycle) {
+  // broken-eb overwrites a token its stalling sink has stopped: a Retry+
+  // violation spans every cycle boundary, this one's included.
+  const auto broken = [] {
+    Netlist nl;
+    auto& src = nl.make<TokenSource>("src", 8, TokenSource::counting(8));
+    auto& bad = nl.make<BrokenBuffer>("bad", 8);
+    auto& sink = nl.make<TokenSink>(
+        "sink", 8, [](std::uint64_t c) { return c % 2 == 0; });
+    nl.connect(src, 0, bad, 0);
+    nl.connect(bad, 0, sink, 0);
+    return nl;
+  };
+  std::vector<std::uint8_t> bad = snapshotAt(broken, 100);
+  bad.resize(bad.size() - 1);
+  expectRejectedRestoreChangesNothing(broken, 250, bad, 250, true);
+}
+
+// ---------------------------------------------------------------------------
 // Durable state files (src/sim/state_file.h): the checksummed container
 // around --save-state snapshots and serve spool records. Damage of every
 // flavor must come back as a clean EslError naming the file — never a crash,
@@ -500,7 +606,7 @@ void writeRawBytes(const std::string& path,
 TEST(StateFile, SnapshotRoundTripsThroughChecksummedContainer) {
   const auto snap = sampleSnapshot();
   const std::string path = tempStatePath("roundtrip.state");
-  sim::writeSnapshotFile(path, snap);
+  sim::writeRecordFile(path, snap);
   // On disk it is a container (record magic first), not raw snapshot bytes.
   const auto onDisk = sim::readFileBytes(path);
   ASSERT_GE(onDisk.size(), sim::kRecordHeaderBytes + snap.size());
@@ -522,7 +628,7 @@ TEST(StateFile, LegacyRawSnapshotStillLoads) {
 TEST(StateFile, TruncatedRecordsAreRejected) {
   const auto snap = sampleSnapshot();
   const std::string path = tempStatePath("truncated.state");
-  sim::writeSnapshotFile(path, snap);
+  sim::writeRecordFile(path, snap);
   auto bytes = sim::readFileBytes(path);
   // Torn mid-payload: header intact, payload short.
   auto torn = bytes;
@@ -540,7 +646,7 @@ TEST(StateFile, TruncatedRecordsAreRejected) {
 TEST(StateFile, BitFlippedRecordsAreRejected) {
   const auto snap = sampleSnapshot();
   const std::string path = tempStatePath("bitflip.state");
-  sim::writeSnapshotFile(path, snap);
+  sim::writeRecordFile(path, snap);
   auto bytes = sim::readFileBytes(path);
   bytes[sim::kRecordHeaderBytes + bytes.size() / 2] ^= 0x10;  // payload rot
   writeRawBytes(path, bytes);
@@ -568,21 +674,21 @@ TEST(StateFile, InjectedWriteFaultsProduceCleanFailures) {
   const std::string path = tempStatePath("faulted.state");
   // fail: the write throws; no file appears under the real name.
   fault::arm("state-file-write", {fault::Kind::kFail, 1, 0});
-  EXPECT_THROW(sim::writeSnapshotFile(path, snap), EslError);
+  EXPECT_THROW(sim::writeRecordFile(path, snap), EslError);
   EXPECT_THROW(sim::readFileBytes(path), EslError);  // nothing was renamed in
   // truncate: the write "succeeds" but the artifact is torn — the reader
   // must catch it by declared-length mismatch.
   fault::arm("state-file-write", {fault::Kind::kTruncate, 1, 40});
-  sim::writeSnapshotFile(path, snap);
+  sim::writeRecordFile(path, snap);
   EXPECT_THROW(sim::readSnapshotFile(path), EslError);
   // bitflip: full-length artifact, one bit of rot — caught by the CRC.
   fault::arm("state-file-write",
              {fault::Kind::kBitFlip, 1, (sim::kRecordHeaderBytes + 9) * 8});
-  sim::writeSnapshotFile(path, snap);
+  sim::writeRecordFile(path, snap);
   EXPECT_THROW(sim::readSnapshotFile(path), EslError);
   fault::disarmAll();
   // Disarmed, the same path round-trips again.
-  sim::writeSnapshotFile(path, snap);
+  sim::writeRecordFile(path, snap);
   EXPECT_EQ(sim::readSnapshotFile(path), snap);
   std::remove(path.c_str());
 }

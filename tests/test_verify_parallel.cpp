@@ -66,7 +66,7 @@ class DroppingBuffer : public Node {
     declareOutput(width);
   }
 
-  void reset() override {
+  void reset(std::uint64_t*) override {
     full_ = false;
     data_ = BitVec(width_);
   }
@@ -93,11 +93,11 @@ class DroppingBuffer : public Node {
     }
   }
 
-  void packState(StateWriter& w) const override {
+  void packState(const std::uint64_t*, StateWriter& w) const override {
     w.writeBool(full_);
     w.writeBitVec(data_);
   }
-  void unpackState(StateReader& r) override {
+  void unpackState(std::uint64_t*, StateReader& r) override {
     full_ = r.readBool();
     data_ = r.readBitVec();
   }

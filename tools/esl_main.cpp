@@ -274,7 +274,7 @@ int main(int argc, char** argv) {
         std::cout << line;
       }
       if (!saveState.empty()) {
-        sim::writeSnapshotFile(saveState, s.ctx().packState());
+        sim::writeRecordFile(saveState, s.ctx().packState());
         std::cerr << "state saved to '" << saveState << "' at cycle "
                   << s.cycle() << "\n";
       }
