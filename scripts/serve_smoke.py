@@ -7,10 +7,16 @@ small scheduler quantum so long steps interleave — and byte-diff each
 session's stdout against the equivalent one-shot `esl <design> --sim N` run.
 This is the end-to-end determinism contract over the real wire.
 
+The same daemon then checks that `esl client snapshot` of a fig1d session
+after 1000 cycles, interpreted and compiled with 2 shards, writes exactly
+the file `esl fig1d.esl --sim 1000 --save-state` writes.
+
 Phase 2 (residency): a second daemon with --max-resident 2 is driven
-serially through open/step cycles over three sessions, so LRU spool
-eviction and transparent restore are on the measured path; outputs are
-byte-diffed the same way and the eviction/restore counters are asserted.
+serially through step cycles over four sessions, so LRU spool eviction and
+transparent restore are on the measured path; outputs are byte-diffed the
+same way and the eviction/restore counters are asserted. One session runs
+a design that breaks the SELF protocol, 250 cycles per touch, so a
+violation that spans an eviction must survive the spool.
 
 Both daemons must exit 0 on `shutdown` with no leaked sessions
 (stats sessions=0 before shutdown). Exit 1 on any mismatch.
@@ -24,6 +30,19 @@ import subprocess
 import sys
 import tempfile
 import threading
+
+DESIGNS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                       "examples", "designs")
+
+# Breaks the SELF protocol: the broken-eb overwrites a token its stalling sink
+# has stopped (125 violations in 500 cycles, as the CI identity step checks).
+BROKEN_EB = """esl 1;
+node source src width=8 gen=counting;
+node broken-eb bad width=8;
+node sink sink width=8 ready=period ready.period=2;
+channel src.out0 -> bad.in0;
+channel bad.out0 -> sink.in0;
+"""
 
 
 def wait_listening(daemon):
@@ -118,9 +137,34 @@ def concurrency_phase(esl, tmp, clients, failures):
                     f"--- serve ---\n{got.stdout.decode()}"
                     f"--- cli ---\n{want.stdout.decode()}"
                 )
+        snapshot_files_match(esl, tmp, sock, failures)
         shutdown_daemon(esl, sock, daemon, failures)
     finally:
         daemon.kill()
+
+
+def snapshot_files_match(esl, tmp, sock, failures):
+    fig1d = os.path.join(DESIGNS, "fig1d.esl")
+    cli = os.path.join(tmp, "cli.snap")
+    want = subprocess.run(
+        [esl, fig1d, "--sim", "1000", "--save-state", cli],
+        capture_output=True, timeout=300)
+    if want.returncode != 0:
+        failures.append(f"snapshot: one-shot CLI failed: {want.stderr.decode()}")
+        return
+    for i, words in enumerate(("", "compiled shards 2")):
+        served = os.path.join(tmp, f"served{i}.snap")
+        got = run_client(
+            esl, sock,
+            f"open-esl snap{i} {fig1d} {words}\n"
+            f"step snap{i} 1000\n"
+            f"snapshot snap{i} {served}\n"
+            f"close snap{i}\n")
+        tag = f"snapshot ({words or 'interpreted'})"
+        if got.returncode != 0:
+            failures.append(f"{tag}: exit {got.returncode}: {got.stderr.decode()}")
+        elif open(served, "rb").read() != open(cli, "rb").read():
+            failures.append(f"{tag}: `esl client snapshot` differs from --save-state")
 
 
 def residency_phase(esl, tmp, failures):
@@ -132,23 +176,32 @@ def residency_phase(esl, tmp, failures):
     )
     try:
         wait_listening(daemon)
-        # Three sessions through two resident slots, touched round-robin:
+        # Four sessions through two resident slots, touched round-robin:
         # every revisit pages one session out and another back in. A serve
         # step's report is cumulative, so the Nth touch of a session must be
-        # byte-identical to a one-shot CLI run of N*500 cycles — reports
-        # carry across the spool or this diff catches it. Each step rides
-        # its own client process: sessions are daemon state, not connection
-        # state, and that persistence is part of what this phase checks.
-        sessions = [("a", "fig1a"), ("b", "fig1d"), ("c", "table1")]
-        opens = run_client(
-            esl, sock, "".join(f"open {sid} {d}\n" for sid, d in sessions))
+        # byte-identical to a one-shot CLI run of N times its step — reports
+        # carry across the spool or this diff catches it. The broken-eb
+        # session has a Retry+ violation spanning cycle 250: the spool must
+        # carry the protocol monitor's last cycle for its count to match.
+        # Each step rides its own client process: sessions are daemon state,
+        # not connection state, and that persistence is part of what this
+        # phase checks.
+        broken = os.path.join(tmp, "broken-eb.esl")
+        with open(broken, "w") as f:
+            f.write(BROKEN_EB)
+        # (sid, open command, one-shot CLI design, cycles per touch)
+        sessions = [("a", "open a fig1a", "fig1a", 500),
+                    ("b", "open b fig1d", "fig1d", 500),
+                    ("c", "open c table1", "table1", 500),
+                    ("e", f"open-esl e {broken}", broken, 250)]
+        opens = run_client(esl, sock, "".join(f"{o}\n" for _, o, _, _ in sessions))
         if opens.returncode != 0:
             failures.append(f"eviction opens: exit {opens.returncode}: "
                             f"{opens.stderr.decode()}")
         for round_ in (1, 2):
-            for sid, design in sessions:
-                got = run_client(esl, sock, f"step {sid} 500\n")
-                want = one_shot(esl, design, 500 * round_, [])
+            for sid, _, design, cycles in sessions:
+                got = run_client(esl, sock, f"step {sid} {cycles}\n")
+                want = one_shot(esl, design, cycles * round_, [])
                 tag = f"eviction {sid} ({design}, touch {round_})"
                 if got.returncode != 0:
                     failures.append(
@@ -159,7 +212,7 @@ def residency_phase(esl, tmp, failures):
                         f"--- serve ---\n{got.stdout.decode()}"
                         f"--- cli ---\n{want.stdout.decode()}")
         closes = run_client(
-            esl, sock, "".join(f"close {sid}\n" for sid, _ in sessions))
+            esl, sock, "".join(f"close {sid}\n" for sid, _, _, _ in sessions))
         if closes.returncode != 0:
             failures.append(f"eviction closes: exit {closes.returncode}: "
                             f"{closes.stderr.decode()}")

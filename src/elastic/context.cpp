@@ -558,14 +558,42 @@ void SimContext::step() {
   edge();
 }
 
+namespace {
+constexpr SignalBoard::Plane kPlanes[] = {SignalBoard::kVf, SignalBoard::kSf,
+                                          SignalBoard::kVb, SignalBoard::kSb};
+/// The channel's four control bits, vf in bit 0 ... sb in bit 3.
+std::uint8_t controlBits(const SignalBoard& b, std::uint32_t slot) {
+  std::uint8_t bits = 0;
+  for (unsigned p = 0; p < 4; ++p)
+    bits |= static_cast<std::uint8_t>(b.bitAt(slot, kPlanes[p]) << p);
+  return bits;
+}
+/// vf sf and no vb: a stopped token, whose payload the monitor keeps.
+bool stoppedToken(std::uint8_t bits) { return (bits & 0b0111) == 0b0011; }
+}  // namespace
+
 std::vector<std::uint8_t> SimContext::packState() {
+  StateWriter w(StateKind::kSnapshot);
+  packSnapshot(w);
+  return w.seal();
+}
+
+void SimContext::packSnapshot(StateWriter& w) {
   ensureTopologyCache();  // a node spliced in since the last cycle has a record
-  StateWriter w;
-  w.writeU32(kSnapshotMagic);
-  w.writeU32(kSnapshotVersion);
   w.writeU64(cycle_);
+  const std::size_t nodes = w.beginSection();
   packNodeState(w);
-  return w.take();
+  w.endSection(nodes);
+  w.writeBool(havePrev_);
+  if (!havePrev_) return;
+  w.writeU32(static_cast<std::uint32_t>(liveChannels_.size()));
+  for (const ChannelId id : liveChannels_)
+    w.writeU8(controlBits(prevBoard_, prevBoard_.slotOf(id)));
+  for (const ChannelId id : liveChannels_) {
+    const std::uint32_t slot = prevBoard_.slotOf(id);
+    if (stoppedToken(controlBits(prevBoard_, slot)))
+      w.writeBitVec(prevBoard_.dataAt(slot));
+  }
 }
 
 void SimContext::packStateInto(std::vector<std::uint8_t>& out) {
@@ -580,43 +608,65 @@ void SimContext::packNodeState(StateWriter& w) const {
     nodePtr_[id]->packState(records_.data() + recordOff_[id], w);
 }
 
-namespace {
-std::uint32_t readLeU32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-std::uint64_t readLeU64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(readLeU32(p)) |
-         (static_cast<std::uint64_t>(readLeU32(p + 4)) << 32);
-}
-}  // namespace
-
-void SimContext::unpackState(const std::vector<std::uint8_t>& bytes) {
-  ensureTopologyCache();
-  // Sniff the versioned packState() header (magic/version/cycle); headerless
-  // packStateInto() snapshots skip straight to node bytes. A raw snapshot
-  // whose first node happens to serialize the 8-byte pattern
-  // magic|version == 0x00000001'E51A7E01 would be misread, but the leading
-  // field of every catalog node is a bool/index far below 2^32, so the
-  // collision requires a TokenSource at index_ == 0x1E51A7E01 (~8.1e9 cycles
-  // into a run) fed through the headerless API — negligible, and the vector
-  // API always carries the header.
-  std::size_t off = 0;
-  std::uint64_t cycle = cycle_;
-  if (bytes.size() >= 16 && readLeU32(bytes.data()) == kSnapshotMagic &&
-      readLeU32(bytes.data() + 4) == kSnapshotVersion) {
-    cycle = readLeU64(bytes.data() + 8);
-    off = 16;
+void SimContext::stageKeptCycle(StateReader& r) {
+  // Staged on the sweep's scratch board (laid out like prevBoard_) without
+  // clearing it: the commit, edgeEpilogue's copy, reads only what is set here.
+  SignalBoard& kept = sweepScratch_;
+  ESL_CHECK(r.readU32() == liveChannels_.size(),
+            "unpackState: the kept cycle covers another channel count "
+            "(netlist/state mismatch)");
+  for (const ChannelId id : liveChannels_) {
+    const std::uint8_t bits = r.readU8();
+    ESL_CHECK(bits < 16, "unpackState: kept-cycle control bits out of range");
+    for (unsigned p = 0; p < 4; ++p)
+      kept.setBitAt(kept.slotOf(id), kPlanes[p], (bits >> p) & 1);
   }
-  // All or nothing: the records decode into a copy that is swapped in only
-  // once every byte is accepted. Member-held state (user nodes, the shared
-  // module's scheduler) is packed first, to be put back on a rejection.
+  for (const ChannelId id : liveChannels_) {
+    const std::uint32_t slot = kept.slotOf(id);
+    if (!stoppedToken(controlBits(kept, slot))) continue;
+    const Channel& ch = netlist_.channel(id);
+    kept.setDataAt(slot, r.readPayload(ch.width, ch.name));
+  }
+}
+
+void SimContext::unpackState(const std::vector<std::uint8_t>& bytes,
+                             const std::string& origin) {
+  unpackSnapshot(StateReader::open(bytes, StateKind::kSnapshot, origin));
+}
+
+void SimContext::unpackSnapshot(StateReader r) {
+  ensureTopologyCache();
+  // All or nothing: every section is decoded and checked before any of it is
+  // committed, the node records into a scratch copy of the arena.
+  const std::uint64_t cycle = r.readU64();
+  const StateReader nodes = r.section();
+  const std::uint8_t kept = r.readU8();
+  ESL_CHECK(kept <= 1, "unpackState: kept-cycle flag is neither 0 nor 1");
+  if (kept) stageKeptCycle(r);
+  ESL_CHECK(r.done(), "unpackState: trailing bytes (netlist/state mismatch)");
+  stageNodeState(nodes);
+  records_.swap(unpackRecords_);
+  cycle_ = cycle;
+  havePrev_ = kept;
+  if (kept) prevBoard_.copyControlAndStoppedDataFrom(sweepScratch_);
+  sparseSeedValid_ = false;  // arbitrary state replacement: reseed stateful set
+}
+
+void SimContext::unpackNodeState(const std::vector<std::uint8_t>& bytes) {
+  ensureTopologyCache();
+  stageNodeState(StateReader(bytes));
+  records_.swap(unpackRecords_);
+  havePrev_ = false;
+  sparseSeedValid_ = false;
+}
+
+void SimContext::stageNodeState(StateReader r) {
+  // Member-held state (user nodes, the shared module's scheduler) cannot be
+  // staged: it is packed first, to be put back on a rejection.
   unpackRecords_.assign(records_.begin(), records_.end());
   StateWriter undo(std::move(unpackUndo_));
   for (const NodeId id : memberStateNodes_) nodePtr_[id]->packState(record(id), undo);
   unpackUndo_ = undo.take();
-  StateReader r(bytes, off);
   try {
     for (const NodeId id : liveNodes_)
       nodePtr_[id]->unpackState(unpackRecords_.data() + recordOff_[id], r);
@@ -626,10 +676,6 @@ void SimContext::unpackState(const std::vector<std::uint8_t>& bytes) {
     for (const NodeId id : memberStateNodes_) nodePtr_[id]->unpackState(record(id), back);
     throw;
   }
-  records_.swap(unpackRecords_);
-  cycle_ = cycle;
-  havePrev_ = false;
-  sparseSeedValid_ = false;  // arbitrary state replacement: reseed stateful set
 }
 
 }  // namespace esl

@@ -201,35 +201,42 @@ class SimContext {
   /// With checking on, edge() keeps what the next cycle's checkProtocol()
   /// needs of this one; checkProtocol() appends one message per violation,
   /// in channel-id order (throwing ProtocolError on the first one instead
-  /// when setThrowOnViolation is set). A successful unpackState() drops the
-  /// kept cycle, so a Retry+/Retry- rule spanning a restore is not checked.
+  /// when setThrowOnViolation is set). packState() carries the kept cycle, so
+  /// a Retry+/Retry- rule spanning a save/restore is checked too.
   void setProtocolChecking(bool enabled) { protocolChecking_ = enabled; }
   void setThrowOnViolation(bool enabled) { throwOnViolation_ = enabled; }
   const std::vector<std::string>& protocolViolations() const { return violations_; }
   void clearProtocolViolations() { violations_.clear(); }
 
-  // --- State snapshots (model checker) ---------------------------------------
+  // --- State snapshots -------------------------------------------------------
 
-  /// packState() snapshots begin with a 16-byte versioned header: magic u32,
-  /// version u32, cycle u64 (all little-endian), then the raw per-node state
-  /// bytes. The cycle counter rides in the header so a cross-backend or
-  /// cross-context resume keeps every cycle-gated environment node (gated
-  /// sources/sinks, every-cycle env nodes) in phase. packStateInto() — the
-  /// model checker's per-transition path — stays headerless: the checker
-  /// compares states within one fixed context, and the cycle counter would
-  /// blow up its state space. unpackState() accepts both (header sniffed).
-  static constexpr std::uint32_t kSnapshotMagic = 0xE51A7E01;
-  static constexpr std::uint32_t kSnapshotVersion = 1;
-
+  /// packState() is a StateKind::kSnapshot container (elastic/state_io.h).
+  /// Its payload, in order: the u64 cycle counter, so a resume keeps
+  /// cycle-gated environment nodes in phase; the node section, a sized
+  /// section holding exactly packStateInto()'s bytes; a u8 flag, 1 if the
+  /// context keeps a monitor cycle, which then follows: a u32 live-channel
+  /// count, each live channel's control bits (a byte, vf sf vb sb from bit
+  /// 0), then each stopped token's (vf sf !vb) payload, in channel-id order,
+  /// so every execution mode packs the same bytes. unpackState() accepts only
+  /// such a container and is all or nothing: a damaged, foreign or
+  /// out-of-range snapshot throws EslError (`origin` prefixes container
+  /// errors) and changes nothing. Restoring and then packing gives back the
+  /// same bytes.
   std::vector<std::uint8_t> packState();
-  /// Allocation-free variant: clears `out` but reuses its capacity. This is
-  /// the model checker's per-transition fast path (one full-netlist snapshot
-  /// per explored edge).
+  void unpackState(const std::vector<std::uint8_t>& bytes,
+                   const std::string& origin = "unpackState");
+  /// The snapshot payload alone, for a format that carries one inline (the
+  /// serve session record); `r` must span exactly the payload.
+  void packSnapshot(StateWriter& w);
+  void unpackSnapshot(StateReader r);
+
+  /// The model checker's per-transition pair: the node section alone (the
+  /// checker compares states within one context, and a cycle counter would
+  /// blow up its state space). packStateInto reuses `out`'s capacity.
+  /// unpackNodeState is all or nothing, keeps the cycle counter and drops
+  /// the kept cycle.
   void packStateInto(std::vector<std::uint8_t>& out);
-  /// All or nothing: a snapshot that is truncated, foreign or out of range
-  /// throws EslError and leaves every record, member-held node state, the
-  /// cycle counter and the monitor's kept cycle as they were.
-  void unpackState(const std::vector<std::uint8_t>& bytes);
+  void unpackNodeState(const std::vector<std::uint8_t>& bytes);
 
  private:
   std::uint32_t slotOrThrow(ChannelId ch) const {
@@ -538,9 +545,14 @@ class SimContext {
   /// Runs fn(shard) on the executor, one worker lane per shard (type-erased
   /// so the kernel-loop templates stay free of the executor header).
   void parallelShards(const std::function<void(unsigned)>& fn);
-  /// Serializes every live node's state (shared tail of packState and
-  /// packStateInto; the former prepends the versioned snapshot header).
+  /// Serializes every live node's state: the node section of packState()
+  /// and all of packStateInto().
   void packNodeState(StateWriter& w) const;
+  /// Decodes a node section into unpackRecords_; member-held node state is
+  /// put back if it throws. Nothing is committed.
+  void stageNodeState(StateReader r);
+  /// Decodes a kept cycle into sweepScratch_, committing nothing.
+  void stageKeptCycle(StateReader& r);
 
   /// The protocol monitor's word-parallel pass: true if any plane group holds
   /// a channel that breaks a §3.1 rule this cycle.
@@ -582,8 +594,9 @@ class SimContext {
   /// control planes, but only the payloads of stopped tokens (the Retry+ data
   /// check) — every other payload is stale. Kept only while checking is on.
   SignalBoard prevBoard_;
-  // Value-snapshot scratch boards (sweep convergence, cross-check pre/event),
-  // re-laid only when the topology cache refreshes — never per settle.
+  // Value-snapshot scratch boards (sweep convergence, cross-check pre/event,
+  // a restored kept cycle), re-laid only when the topology cache refreshes —
+  // never per settle.
   SignalBoard sweepScratch_;
   SignalBoard ccPre_;
   SignalBoard ccEvent_;

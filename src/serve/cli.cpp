@@ -141,10 +141,10 @@ bool clientLine(Client& client, const std::string& line) {
   } else if (verb == "cycle") {
     std::cout << client.cycle(arg(1)) << "\n";
   } else if (verb == "snapshot") {
-    sim::writeRecordFile(arg(2), client.snapshot(t[1]));
+    sim::writeFileAtomic(arg(2), client.snapshot(t[1]), "state-file-write");
     std::cerr << "snapshot of '" << t[1] << "' written to '" << t[2] << "'\n";
   } else if (verb == "restore") {
-    client.restore(arg(1), sim::readSnapshotFile(arg(2)));
+    client.restore(arg(1), sim::readFileBytes(arg(2)));
     std::cerr << "session '" << t[1] << "' restored from '" << t[2] << "'\n";
   } else if (verb == "watch") {
     client.watch(arg(1), std::vector<std::string>(t.begin() + 2, t.end()));

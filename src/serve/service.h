@@ -16,8 +16,8 @@
 //
 // Residency: an admission-control cap bounds in-memory sessions. Opening (or
 // restoring) past the cap evicts the least-recently-used idle session to a
-// spool record (SimSession::spoolSave — design text + snapshot + perf
-// carries, wrapped in the checksummed state_file container); its next
+// spool record (SimSession::spoolSave — one checksummed container holding
+// design text + snapshot + perf carries); its next
 // operation restores it transparently, reports intact. When nothing is
 // evictable — or the spool disk refuses the write — the open is refused with
 // AdmissionError, never OOM and never a crash.

@@ -7,24 +7,8 @@
 #include "elastic/endpoints.h"
 #include "elastic/state_io.h"
 #include "frontend/esl_format.h"
-#include "sim/state_file.h"
 
 namespace esl::serve {
-
-namespace {
-
-void writeString(StateWriter& w, const std::string& s) {
-  w.writeU64(s.size());
-  w.writeBytes(s.data(), s.size());
-}
-
-std::string readString(StateReader& r) {
-  const std::uint64_t n = r.readU64();
-  const std::vector<std::uint8_t> bytes = r.readBytes(static_cast<std::size_t>(n));
-  return std::string(bytes.begin(), bytes.end());
-}
-
-}  // namespace
 
 SimSession::SimSession(NetlistSpec spec, const std::string& origin, Options options)
     : origin_(origin), options_(options) {
@@ -94,15 +78,14 @@ std::uint64_t SimSession::violationCount() {
 std::vector<std::uint8_t> SimSession::snapshot() { return sim_->ctx().packState(); }
 
 void SimSession::restore(const std::vector<std::uint8_t>& bytes) {
-  sim::checkSnapshotHeader(bytes, "restore");
   // Vet the snapshot on the live simulator first: unpackState is all or
   // nothing, so a rejection leaves the session as it was. A fresh simulator
   // would reset the statistics and schedulers it shares with the live one.
-  sim_->ctx().unpackState(bytes);
+  sim_->ctx().unpackState(bytes, "restore");
   // CLI --load-state semantics: a fresh simulator (perf logs and carries start
   // at zero), then the snapshot's sequential state and cycle counter.
   makeSimulator();
-  sim_->ctx().unpackState(bytes);
+  sim_->ctx().unpackState(bytes, "restore");
   sinkCarry_.clear();
   statCarry_.clear();
   violationCarry_ = 0;
@@ -132,21 +115,19 @@ std::string SimSession::drainStream() {
 
 std::vector<std::uint8_t> SimSession::spoolSave() {
   Netlist& nl = *shell_.netlist();
-  StateWriter w;
-  w.writeU32(kSpoolMagic);
-  w.writeU32(kSpoolVersion);
+  StateWriter w(StateKind::kSession);
   w.writeU32(static_cast<std::uint32_t>(options_.backend));
   w.writeU32(options_.shards);
   w.writeU64(options_.seed);
   w.writeBool(options_.checkProtocol);
   w.writeBool(options_.crossCheck);
-  writeString(w, origin_);
+  w.writeString(origin_);
   // The transformed design as .esl text: fromNetlist -> build is bit-identical
   // (a gated invariant), which is what makes the spool a faithful park.
-  writeString(w, frontend::printEsl(NetlistSpec::fromNetlist(nl)));
-  const std::vector<std::uint8_t> snap = sim_->ctx().packState();
-  w.writeU64(snap.size());
-  w.writeBytes(snap.data(), snap.size());
+  w.writeString(frontend::printEsl(NetlistSpec::fromNetlist(nl)));
+  const std::size_t snapshot = w.beginSection();
+  sim_->ctx().packSnapshot(w);
+  w.endSection(snapshot);
 
   // Perf-side history, folded down to totals: existing carries plus whatever
   // the live simulator has accumulated since the last restore.
@@ -157,7 +138,7 @@ std::vector<std::uint8_t> SimSession::spoolSave() {
   }
   w.writeU64(sinks.size());
   for (const auto& [name, n] : sinks) {
-    writeString(w, name);
+    w.writeString(name);
     w.writeU64(n);
   }
   std::map<std::string, sim::ChannelStats> stats = statCarry_;
@@ -170,43 +151,37 @@ std::vector<std::uint8_t> SimSession::spoolSave() {
   }
   w.writeU64(stats.size());
   for (const auto& [name, st] : stats) {
-    writeString(w, name);
+    w.writeString(name);
     w.writeU64(st.fwdTransfers);
     w.writeU64(st.kills);
     w.writeU64(st.bwdTransfers);
   }
   w.writeU64(violationCount());
-  return w.take();
+  return w.seal();
 }
 
 std::unique_ptr<SimSession> SimSession::spoolLoad(
     const std::vector<std::uint8_t>& record) {
-  StateReader r(record);
-  ESL_CHECK(r.readU32() == kSpoolMagic, "not an esl session spool record (bad magic)");
-  const std::uint32_t version = r.readU32();
-  ESL_CHECK(version == kSpoolVersion,
-            "unsupported spool version " + std::to_string(version));
+  StateReader r = StateReader::open(record, StateKind::kSession, "spool record");
   Options opts;
   opts.backend = static_cast<SimContext::Backend>(r.readU32());
   opts.shards = r.readU32();
   opts.seed = r.readU64();
   opts.checkProtocol = r.readBool();
   opts.crossCheck = r.readBool();
-  const std::string origin = readString(r);
-  const std::string esl = readString(r);
+  const std::string origin = r.readString();
+  const std::string esl = r.readString();
   auto session = std::make_unique<SimSession>(frontend::parseEsl(esl, origin),
                                               origin, opts);
-  const std::uint64_t snapSize = r.readU64();
-  session->sim_->ctx().unpackState(
-      r.readBytes(static_cast<std::size_t>(snapSize)));
+  session->sim_->ctx().unpackSnapshot(r.section());
   const std::uint64_t sinkCount = r.readU64();
   for (std::uint64_t i = 0; i < sinkCount; ++i) {
-    const std::string name = readString(r);
+    const std::string name = r.readString();
     session->sinkCarry_[name] = r.readU64();
   }
   const std::uint64_t statCount = r.readU64();
   for (std::uint64_t i = 0; i < statCount; ++i) {
-    const std::string name = readString(r);
+    const std::string name = r.readString();
     sim::ChannelStats& st = session->statCarry_[name];
     st.fwdTransfers = r.readU64();
     st.kills = r.readU64();

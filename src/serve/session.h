@@ -11,13 +11,14 @@
 // are per context, but statistics and schedulers live on the shared nodes)
 // are rejected — serve has its own step/query surface.
 //
-// Sessions can leave memory and come back: spoolSave() writes the transformed
-// design (`.esl` text), the packState() snapshot, and the perf-side carries —
-// sink transfer counts, per-channel stats, violation text — that packState()
-// deliberately excludes; spoolLoad() rebuilds a session whose every
-// subsequent report, tput and snapshot is byte-identical to one that never
-// left. This is the LRU eviction path of serve::Service and the migration
-// path between daemons.
+// Sessions can leave memory and come back: spoolSave() packs the session
+// into one StateKind::kSession container — options, origin, the design as
+// `.esl` text, the packState() snapshot payload, then the perf-side carries
+// packState() deliberately excludes (sink transfer counts, per-channel stats,
+// violation count); spoolLoad() verifies it and rebuilds a session whose
+// every subsequent report, tput and snapshot is byte-identical to one that
+// never left. This is the LRU eviction path of serve::Service and the
+// migration path between daemons.
 #pragma once
 
 #include <cstdint>
@@ -69,13 +70,14 @@ class SimSession {
 
   // --- Snapshots -------------------------------------------------------------
 
-  /// packState() bytes (versioned header included).
+  /// packState(): the snapshot container, as --save-state writes it.
   std::vector<std::uint8_t> snapshot();
   /// Replaces the simulator with a fresh one and restores `bytes` — CLI
   /// `--load-state` semantics: perf logs (transfer counts, stats, carries)
-  /// restart at zero, sequential state and the cycle counter come from the
-  /// snapshot. Throws EslError on a foreign, version-mismatched or damaged
-  /// snapshot, and then leaves the session untouched.
+  /// restart at zero; sequential state, the cycle counter and the protocol
+  /// monitor's kept cycle come from the snapshot. Throws EslError on a
+  /// foreign, version-mismatched or damaged snapshot, and then leaves the
+  /// session untouched.
   void restore(const std::vector<std::uint8_t>& bytes);
 
   // --- Trace streaming -------------------------------------------------------
@@ -89,9 +91,6 @@ class SimSession {
   std::string drainStream();
 
   // --- Eviction spool --------------------------------------------------------
-
-  static constexpr std::uint32_t kSpoolMagic = 0xE5150001u;
-  static constexpr std::uint32_t kSpoolVersion = 1;
 
   std::vector<std::uint8_t> spoolSave();
   static std::unique_ptr<SimSession> spoolLoad(

@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "base/error.h"
+#include "elastic/state_io.h"
 #include "serve/json.h"
 #include "sim/state_file.h"
 
@@ -50,13 +51,13 @@ void SpoolDir::open(const std::string& dir, bool persistent) {
 }
 
 void SpoolDir::writeRecord(const std::string& sid,
-                           const std::vector<std::uint8_t>& payload) {
+                           const std::vector<std::uint8_t>& record) {
   if (persistent_) journalAppend("spool", sid);
-  sim::writeRecordFile(recordPath(sid), payload, "spool-write");
+  sim::writeFileAtomic(recordPath(sid), record, "spool-write");
 }
 
 std::vector<std::uint8_t> SpoolDir::readRecord(const std::string& sid) const {
-  return sim::readRecordFile(recordPath(sid));
+  return sim::readFileBytes(recordPath(sid));
 }
 
 void SpoolDir::removeRecord(const std::string& sid) {
@@ -164,7 +165,7 @@ std::vector<SpoolDir::Recovered> SpoolDir::recover(
     }
     live.erase(sid);
     try {
-      sim::readRecordFile(path);  // full container validation, payload dropped
+      StateReader::open(sim::readFileBytes(path), StateKind::kSession, "'" + path + "'");
       recovered.push_back(Recovered{sid, path});
     } catch (const EslError& e) {
       const std::string quarantine = path + ".corrupt";

@@ -83,7 +83,7 @@ class Simulator {
 
 /// The canonical end-of-run report — one "sink '<name>': N transfers" line
 /// per TokenSink (netlist order) and the protocol-violation count. One
-/// renderer shared by the shell's `sim` verb, the CLI snapshot path and the
+/// renderer shared by the shell's `sim` verb, the CLI's `--sim` and the
 /// serve daemon, so their outputs byte-diff clean against each other.
 /// `sinkCarry`/`violationCarry` add counts accumulated before a state-only
 /// restore (the serve daemon's evict/restore cycle: transfer logs are

@@ -118,7 +118,7 @@ void ModelChecker::stepOnce(SimContext& ctx,
                             std::size_t combo,
                             std::vector<std::uint8_t>& scratch,
                             std::vector<std::uint64_t>& labelsOut) {
-  ctx.unpackState(from);
+  ctx.unpackNodeState(from);
   ctx.setChoicesFrom(comboBits_[combo]);
   ctx.settle();
   const std::size_t base = labelsOut.size();

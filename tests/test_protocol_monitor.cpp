@@ -6,7 +6,9 @@
 //   * one directed case per message, with its exact text, on a channel in the
 //     first plane group and on one in a later group;
 //   * throw-on-first: with throwOnViolation the monitor throws the first
-//     message in channel order and records nothing after it.
+//     message in channel order and records nothing after it;
+//   * across a packState()/unpackState() split: the kept cycle travels in the
+//     snapshot, so a split run reports exactly what the unsplit run does.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -146,6 +148,58 @@ TEST(ProtocolMonitor, MatchesReferenceAcrossMidRunRelayout) {
     if (c == 160) ctx.setShards(2);
   };
   EXPECT_FALSE(runAgainstReference(nl, optionsFor(kModes[0]), 240, reshard).empty());
+}
+
+// --- across a save/restore ----------------------------------------------------
+
+/// Runs `text` for `cycles` straight through, and split at every cycle in
+/// [first, last]: packState() there, a fresh simulator restores it and
+/// finishes the run. In every mode each split must report exactly the
+/// unsplit run's messages, including a Retry+/Retry- rule whose two cycles
+/// straddle the split.
+void expectSplitRunsReportTheUnsplitRun(const std::string& text, std::uint64_t cycles,
+                                        std::uint64_t first, std::uint64_t last) {
+  for (const Mode& mode : kModes) {
+    SCOPED_TRACE(mode.name);
+    Netlist whole = frontend::parseEsl(text, "split").build();
+    sim::Simulator unsplit(whole, optionsFor(mode));
+    unsplit.run(cycles);
+    const std::vector<std::string>& want = unsplit.ctx().protocolViolations();
+    ASSERT_FALSE(want.empty());
+    Netlist headNl = frontend::parseEsl(text, "split").build();
+    sim::Simulator head(headNl, optionsFor(mode));
+    head.run(first);
+    for (std::uint64_t at = first; at <= last; ++at) {
+      Netlist tailNl = frontend::parseEsl(text, "split").build();
+      sim::Simulator tail(tailNl, optionsFor(mode));
+      tail.ctx().unpackState(head.ctx().packState());
+      tail.run(cycles - at);
+      std::vector<std::string> got = head.ctx().protocolViolations();
+      const std::vector<std::string>& rest = tail.ctx().protocolViolations();
+      got.insert(got.end(), rest.begin(), rest.end());
+      EXPECT_EQ(got, want) << "split at cycle " << at;
+      head.step();
+    }
+  }
+}
+
+TEST(ProtocolMonitor, SplitRunsReportTheUnsplitRunOnFaultInjectedLanes) {
+  // The lanes wedge within a hundred cycles (the last violation is at cycle
+  // 99), so the splits cover that stretch.
+  expectSplitRunsReportTheUnsplitRun(faultyLanes(28), 120, 1, 100);
+}
+
+TEST(ProtocolMonitor, SplitRunsReportTheUnsplitRunOnBrokenEb) {
+  // The CI design: the broken-eb overwrites a token its stalling sink has
+  // stopped, a Retry+ violation every fourth cycle.
+  expectSplitRunsReportTheUnsplitRun(
+      "esl 1;\n"
+      "node source src width=8 gen=counting;\n"
+      "node broken-eb bad width=8;\n"
+      "node sink sink width=8 ready=period ready.period=2;\n"
+      "channel src.out0 -> bad.in0;\n"
+      "channel bad.out0 -> sink.in0;\n",
+      500, 240, 260);
 }
 
 // --- directed cases ----------------------------------------------------------

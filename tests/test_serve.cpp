@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <string>
 #include <thread>
@@ -298,6 +299,46 @@ TEST(ServeSession, RejectedRestoreLeavesTheSessionUntouched) {
   EXPECT_EQ(s->report(), report);
 }
 
+/// Calls `fn` with every truncation and every single-bit flip of `good`.
+void forEachDamage(const std::vector<std::uint8_t>& good,
+                   const std::function<void(const std::vector<std::uint8_t>&)>& fn) {
+  for (std::size_t n = 0; n < good.size(); ++n)
+    fn(std::vector<std::uint8_t>(good.begin(), good.begin() + n));
+  for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
+    std::vector<std::uint8_t> bad = good;
+    bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    fn(bad);
+  }
+}
+
+TEST(ServeSession, DamagedSnapshotsAndRecordsAreStructuredErrors) {
+  // Every truncation and every single-bit flip of a fig1a snapshot and of a
+  // fig1a spool record is refused, and a refused restore leaves the session
+  // as it was.
+  auto source = makeSession("fig1a");
+  source->step(300);
+  const std::vector<std::uint8_t> snap = source->snapshot();
+  const std::vector<std::uint8_t> record = source->spoolSave();
+  auto s = makeSession("fig1a");
+  s->step(137);
+  const std::vector<std::uint8_t> before = s->snapshot();
+  const std::string report = s->report();
+  std::size_t damaged = 0;
+  forEachDamage(snap, [&](const std::vector<std::uint8_t>& bad) {
+    EXPECT_THROW(s->restore(bad), EslError);
+    ++damaged;
+  });
+  EXPECT_EQ(s->cycle(), 137u);
+  EXPECT_EQ(s->snapshot(), before);
+  EXPECT_EQ(s->report(), report);
+  forEachDamage(record, [&](const std::vector<std::uint8_t>& bad) {
+    EXPECT_THROW(SimSession::spoolLoad(bad), EslError);
+    ++damaged;
+  });
+  EXPECT_EQ(damaged, 9 * (snap.size() + record.size()));
+  EXPECT_EQ(SimSession::spoolLoad(record)->snapshot(), snap);
+}
+
 TEST(ServeSession, StreamBytesAreChunkInvariant) {
   auto whole = makeSession("fig1a");
   whole->watch({"pc.out"});
@@ -460,6 +501,36 @@ TEST(ServeService, EvictionAndRestoreAreTransparent) {
   EXPECT_EQ(svc.stats().sessions, 0u);
 }
 
+TEST(ServeService, EvictionKeepsAViolationThatSpansIt) {
+  // The broken-eb design has a Retry+ violation every fourth cycle, spanning
+  // cycle 250 among others. Evicted between two 250-cycle steps, the session
+  // must still report the one-shot `--sim 500` run: the spool record carries
+  // the monitor's kept cycle.
+  const std::string broken =
+      "esl 1;\n"
+      "node source src width=8 gen=counting;\n"
+      "node broken-eb bad width=8;\n"
+      "node sink sink width=8 ready=period ready.period=2;\n"
+      "channel src.out0 -> bad.in0;\n"
+      "channel bad.out0 -> sink.in0;\n";
+  SimSession oneShot(frontend::parseEsl(broken, "broken-eb"), "broken-eb", {});
+  oneShot.step(500);
+  ASSERT_NE(oneShot.report().find("protocol violations: 125\n"), std::string::npos);
+
+  Service::Config cfg;
+  cfg.workers = 1;
+  cfg.maxResident = 1;
+  Service svc(cfg);
+  svc.open("bad", frontend::parseEsl(broken, "broken-eb"), "broken-eb", interpreted());
+  svc.step("bad", 250);
+  svc.open("other", patterns::designSpec("fig1a"), "fig1a", interpreted());
+  EXPECT_EQ(svc.stats().evictions, 1u);
+  EXPECT_EQ(svc.step("bad", 250), oneShot.report());
+  EXPECT_EQ(svc.stats().restores, 1u);
+  svc.close("bad");
+  svc.close("other");
+}
+
 TEST(ServeService, AdmissionControlRefusesRatherThanGrows) {
   Service::Config cfg;
   cfg.workers = 1;
@@ -504,11 +575,15 @@ TEST(ServeService, BackPressureParksWithoutChangingTheStream) {
   std::string stream;
   bool more = true;
   while (stepDone.wait_for(std::chrono::milliseconds(1)) !=
-             std::future_status::ready ||
-         more) {
+         std::future_status::ready) {
     stream += svc.drain("s", 96, &more);
     if (!more) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  // The step's last quantum may have filled the outbox after the last drain
+  // above found it empty: once the step is done, drain to exhaustion.
+  do {
+    stream += svc.drain("s", 96, &more);
+  } while (more);
   EXPECT_EQ(stepDone.get(), serialReport);
   EXPECT_EQ(stream, serialStream);
   svc.close("s");

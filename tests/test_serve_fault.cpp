@@ -26,6 +26,7 @@
 
 #include "base/error.h"
 #include "base/fault_inject.h"
+#include "elastic/state_io.h"
 #include "netlist/patterns.h"
 #include "serve/service.h"
 #include "serve/session.h"
@@ -146,8 +147,12 @@ void truncateFile(const std::string& path, std::size_t keep) {
   ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>(keep)), 0);
 }
 
-std::vector<std::uint8_t> bytesOf(const std::string& s) {
-  return std::vector<std::uint8_t>(s.begin(), s.end());
+/// A record file's bytes: `s` as the payload of a session container (the
+/// spool verifies containers, not what they carry).
+std::vector<std::uint8_t> recordOf(const std::string& s) {
+  StateWriter w(StateKind::kSession);
+  w.writeString(s);
+  return w.seal();
 }
 
 Service::Config baseConfig(const std::string& dir) {
@@ -165,12 +170,16 @@ TEST(SpoolRecovery, QuarantinesDamageAndRecoversTheRest) {
   {
     SpoolDir s;
     s.open(dir, true);
-    s.writeRecord("good", bytesOf("payload-good"));
-    s.writeRecord("rot", bytesOf("payload-rot"));
-    s.writeRecord("torn", bytesOf("payload-torn"));
+    s.writeRecord("good", recordOf("payload-good"));
+    s.writeRecord("rot", recordOf("payload-rot"));
+    s.writeRecord("torn", recordOf("payload-torn"));
+    // Written by an older build: reads accept the current version only.
+    std::vector<std::uint8_t> old = recordOf("payload-old");
+    old[4] = 1;
+    s.writeRecord("old", old);
   }
-  flipByte(dir + "/rot.spool", sim::kRecordHeaderBytes + 3);
-  truncateFile(dir + "/torn.spool", sim::kRecordHeaderBytes + 4);
+  flipByte(dir + "/rot.spool", kStateHeaderBytes + 3);
+  truncateFile(dir + "/torn.spool", kStateHeaderBytes + 4);
 
   SpoolDir s2;
   s2.open(dir, true);
@@ -179,13 +188,21 @@ TEST(SpoolRecovery, QuarantinesDamageAndRecoversTheRest) {
   const auto recovered = s2.recover(warnings, &quarantined);
   ASSERT_EQ(recovered.size(), 1u);
   EXPECT_EQ(recovered[0].sid, "good");
-  EXPECT_EQ(quarantined, 2u);
-  EXPECT_EQ(warnings.size(), 2u);
+  EXPECT_EQ(quarantined, 3u);
+  EXPECT_EQ(warnings.size(), 3u);
   EXPECT_TRUE(fileExists(dir + "/rot.spool.corrupt"));
   EXPECT_TRUE(fileExists(dir + "/torn.spool.corrupt"));
+  EXPECT_TRUE(fileExists(dir + "/old.spool.corrupt"));
+  const auto said = [&](const std::string& needle) {
+    return std::any_of(warnings.begin(), warnings.end(), [&](const std::string& w) {
+      return w.find(needle) != std::string::npos;
+    });
+  };
+  EXPECT_TRUE(said("checksum mismatch"));
+  EXPECT_TRUE(said("unsupported state version 1"));
   EXPECT_FALSE(fileExists(dir + "/rot.spool"));
-  // The survivor still round-trips through full checksum validation.
-  EXPECT_EQ(s2.readRecord("good"), bytesOf("payload-good"));
+  // The survivor reads back byte for byte.
+  EXPECT_EQ(s2.readRecord("good"), recordOf("payload-good"));
   removeTree(dir);
 }
 
@@ -193,10 +210,10 @@ TEST(SpoolRecovery, CompactsOrphanRecordsAndInterruptedTemps) {
   const std::string dir = makeTempDir();
   SpoolDir s;
   s.open(dir, true);
-  s.writeRecord("keep", bytesOf("kept"));
+  s.writeRecord("keep", recordOf("kept"));
   // An orphan: a valid record that never made it into the journal (the
   // pre-crash write race recovery must not resurrect).
-  sim::writeRecordFile(dir + "/orphan.spool", bytesOf("orphan"));
+  sim::writeFileAtomic(dir + "/orphan.spool", recordOf("orphan"));
   // A doomed temp from an interrupted atomic write.
   std::ofstream(dir + "/half.spool.tmp") << "half-written";
 
@@ -217,8 +234,8 @@ TEST(SpoolRecovery, ToleratesTornJournalTailAndMissingRecords) {
   const std::string dir = makeTempDir();
   SpoolDir s;
   s.open(dir, true);
-  s.writeRecord("alive", bytesOf("alive"));
-  s.writeRecord("gone", bytesOf("gone"));
+  s.writeRecord("alive", recordOf("alive"));
+  s.writeRecord("gone", recordOf("gone"));
   // The record vanished but its journal entry survived (crash between the
   // journal append and the record rename).
   std::remove((dir + "/gone.spool").c_str());
@@ -247,16 +264,16 @@ TEST(SpoolRecovery, PeriodicJournalCompactionKeepsExactlyTheLiveSessions) {
   {
     SpoolDir s;
     s.open(dir, true);
-    for (const char* sid : {"a", "b", "c"}) s.writeRecord(sid, bytesOf(sid));
+    for (const char* sid : {"a", "b", "c"}) s.writeRecord(sid, recordOf(sid));
     // 50 open/close cycles append 100 journal lines, well past the 64-line
     // compaction threshold, while only three sessions stay live.
     for (int i = 0; i < 50; ++i) {
       const std::string sid = "churn" + std::to_string(i);
-      s.writeRecord(sid, bytesOf(sid));
+      s.writeRecord(sid, recordOf(sid));
       s.removeRecord(sid);
     }
     s.removeRecord("b");
-    s.writeRecord("d", bytesOf("d"));
+    s.writeRecord("d", recordOf("d"));
   }
   std::ifstream journal(dir + "/spool.journal");
   std::size_t lines = 0;
@@ -272,7 +289,7 @@ TEST(SpoolRecovery, PeriodicJournalCompactionKeepsExactlyTheLiveSessions) {
   std::sort(sids.begin(), sids.end());
   EXPECT_EQ(sids, (std::vector<std::string>{"a", "c", "d"}));
   EXPECT_TRUE(warnings.empty());
-  for (const std::string& sid : sids) EXPECT_EQ(s2.readRecord(sid), bytesOf(sid));
+  for (const std::string& sid : sids) EXPECT_EQ(s2.readRecord(sid), recordOf(sid));
   removeTree(dir);
 }
 
@@ -313,7 +330,7 @@ TEST(ServeFault, BitRotOnAnEvictedRecordIsACleanErrorNotACrash) {
   svc.step("s1", 100);
   svc.open("s2", patterns::designSpec("fig1a"), "fig1a", interpreted());
   ASSERT_TRUE(fileExists(dir + "/s1.spool"));
-  flipByte(dir + "/s1.spool", sim::kRecordHeaderBytes + 8);
+  flipByte(dir + "/s1.spool", kStateHeaderBytes + 8);
   try {
     svc.step("s1", 10);
     FAIL() << "restore from a bit-rotted record must throw";
@@ -339,7 +356,7 @@ TEST(ServeFault, RestartQuarantinesDamageAndReattachesTheRest) {
     svc.step("rot", 250);
     EXPECT_EQ(svc.drainAndSpool(), 2u);
   }
-  flipByte(dir + "/rot.spool", sim::kRecordHeaderBytes + 5);
+  flipByte(dir + "/rot.spool", kStateHeaderBytes + 5);
 
   std::vector<std::string> warnings;
   cfg.warn = [&](const std::string& w) { warnings.push_back(w); };

@@ -46,8 +46,8 @@ sim::SimOptions compiledOpts() {
 /// Runs `build`'s netlist on the compiled backend; every cycle of the window,
 /// restores the live snapshot into a second compiled instance, requires the
 /// repack to be byte-equal (records → bytes → records is the identity), then
-/// steps both and requires them to stay equal (the snapshot header's cycle
-/// field keeps the probe's choice stream aligned).
+/// steps both and requires them to stay equal (the snapshot's cycle field
+/// keeps the probe's choice stream aligned).
 void expectArenaRoundTrip(const std::function<Netlist()>& build,
                           std::uint64_t warmup, std::uint64_t window) {
   Netlist liveNl = build();
@@ -235,7 +235,8 @@ TEST(StateArena, SurgeryKeepsSurvivorsAndResetsTheJoiner) {
     opts.backend = backend;
     sim::Simulator s(nl, opts);
     s.run(137);
-    std::vector<std::uint8_t> expect = s.ctx().packState();
+    std::vector<std::uint8_t> expect, after;
+    s.ctx().packStateInto(expect);
     const ChannelId ch = nl.channelIds().front();
     const unsigned width = nl.channel(ch).width;
     auto& joiner = nl.make<ElasticBuffer>("joiner", width, 2u,
@@ -247,7 +248,8 @@ TEST(StateArena, SurgeryKeepsSurvivorsAndResetsTheJoiner) {
     tail.writeU32(0);
     const std::vector<std::uint8_t> joined = tail.take();
     expect.insert(expect.end(), joined.begin(), joined.end());
-    EXPECT_EQ(s.ctx().packState(), expect);
+    s.ctx().packStateInto(after);
+    EXPECT_EQ(after, expect);
     EXPECT_NO_THROW(s.run(50));
   }
 }

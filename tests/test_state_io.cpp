@@ -16,6 +16,7 @@
 #include <fstream>
 #include <functional>
 
+#include "base/crc32.h"
 #include "base/fault_inject.h"
 #include "base/rng.h"
 #include "elastic/vlu.h"
@@ -121,11 +122,11 @@ void expectSnapshotsLossless(const std::function<Netlist()>& build,
 
   // Warm both instances up — with DIFFERENT choice streams, so b's node state
   // genuinely differs before the restore (a restore into an already-equal
-  // instance would not catch an unpacked field). The vector-API packState()
-  // carries the cycle counter in its versioned header, so the restore below
-  // realigns b's cycle automatically; only the headerless packStateInto()
-  // (the model checker's per-transition path, whose environments are
-  // cycle-free by construction) leaves the counter out.
+  // instance would not catch an unpacked field). The packState() snapshot
+  // carries the cycle counter, so the restore below realigns b's cycle
+  // automatically; only the headerless packStateInto() (the model checker's
+  // per-transition path, whose environments are cycle-free by construction)
+  // leaves the counter out.
   Rng rngB(choiceSeed ^ 0xb0b0b0b0ULL);
   for (std::uint64_t i = 0; i < warmup; ++i) {
     stepWith(ca, drawFrom(rng));
@@ -228,7 +229,8 @@ TEST(StateIo, NondetEnvironments) {
 }
 
 // ---------------------------------------------------------------------------
-// Versioned snapshot header: cycle-gated environment resume
+// The snapshot container: cycle-gated environment resume, layout, and the
+// model checker's headerless pair
 // ---------------------------------------------------------------------------
 
 /// Source/sink gated on ctx.cycle() via per-cycle permille draws: resume is
@@ -249,7 +251,7 @@ Netlist buildGatedEnvChain() {
 TEST(StateIo, SnapshotHeaderCarriesCycleForGatedEnvResume) {
   // Deliberately misalign the two instances' cycle counters before the
   // restore. The gated sink draws from hashChancePermille(cycle), so without
-  // the header's cycle field the restored instance would phase-shift every
+  // the snapshot's cycle field the restored instance would phase-shift every
   // draw and diverge within a few cycles.
   Netlist a = buildGatedEnvChain();
   SimContext ca(a);
@@ -261,7 +263,7 @@ TEST(StateIo, SnapshotHeaderCarriesCycleForGatedEnvResume) {
 
   const std::vector<std::uint8_t> snap = ca.packState();
   cb.unpackState(snap);
-  EXPECT_EQ(cb.cycle(), ca.cycle()) << "header cycle not restored";
+  EXPECT_EQ(cb.cycle(), ca.cycle()) << "snapshot cycle not restored";
   EXPECT_EQ(cb.packState(), snap);
 
   for (int i = 0; i < 40; ++i) {
@@ -277,28 +279,29 @@ TEST(StateIo, SnapshotHeaderLayout) {
   SimContext ctx(nl);
   for (int i = 0; i < 7; ++i) ctx.step();
   const std::vector<std::uint8_t> snap = ctx.packState();
-  ASSERT_GE(snap.size(), 16u);
-  const auto le32 = [&](std::size_t off) {
-    return static_cast<std::uint32_t>(snap[off]) |
-           (static_cast<std::uint32_t>(snap[off + 1]) << 8) |
-           (static_cast<std::uint32_t>(snap[off + 2]) << 16) |
-           (static_cast<std::uint32_t>(snap[off + 3]) << 24);
-  };
-  EXPECT_EQ(le32(0), SimContext::kSnapshotMagic);
-  EXPECT_EQ(le32(4), SimContext::kSnapshotVersion);
-  EXPECT_EQ(static_cast<std::uint64_t>(le32(8)) |
-                (static_cast<std::uint64_t>(le32(12)) << 32),
-            ctx.cycle());
-  // The header is exactly the 16-byte prefix: stripping it yields the
-  // headerless per-transition encoding, byte for byte.
   std::vector<std::uint8_t> raw;
   ctx.packStateInto(raw);
-  EXPECT_EQ(std::vector<std::uint8_t>(snap.begin() + 16, snap.end()), raw);
+  StateReader h(snap);
+  EXPECT_EQ(h.readU32(), kStateMagic);
+  EXPECT_EQ(h.readU32(), kStateVersion);
+  EXPECT_EQ(h.readU32(), static_cast<std::uint32_t>(StateKind::kSnapshot));
+  EXPECT_EQ(h.readU64(), snap.size() - kStateHeaderBytes);
+  EXPECT_EQ(h.readU32(), crc32(snap.data() + kStateHeaderBytes,
+                               snap.size() - kStateHeaderBytes));
+  // The payload: the cycle, the node section — exactly the headerless
+  // per-transition encoding, byte for byte — and no kept cycle (the
+  // monitor is off).
+  StateReader r = StateReader::open(snap, StateKind::kSnapshot, "layout");
+  EXPECT_EQ(r.readU64(), ctx.cycle());
+  EXPECT_EQ(r.readU64(), raw.size());
+  for (const std::uint8_t b : raw) ASSERT_EQ(r.readU8(), b);
+  EXPECT_EQ(r.readU8(), 0u);
+  EXPECT_TRUE(r.done());
 }
 
 TEST(StateIo, HeaderlessSnapshotsStillRestore) {
-  // The model checker's per-transition path (packStateInto) stays headerless;
-  // unpackState must keep accepting those raw byte strings unchanged.
+  // The model checker's per-transition pair (packStateInto/unpackNodeState)
+  // stays headerless; unpackState refuses those raw bytes.
   Netlist a = buildGatedEnvChain();
   SimContext ca(a);
   Netlist b = buildGatedEnvChain();
@@ -306,10 +309,12 @@ TEST(StateIo, HeaderlessSnapshotsStillRestore) {
   for (int i = 0; i < 11; ++i) ca.step();
   std::vector<std::uint8_t> raw;
   ca.packStateInto(raw);
-  cb.unpackState(raw);
+  EXPECT_THROW(cb.unpackState(raw), EslError);
+  cb.unpackNodeState(raw);
   std::vector<std::uint8_t> again;
   cb.packStateInto(again);
   EXPECT_EQ(again, raw);
+  EXPECT_EQ(cb.cycle(), 0u) << "the headerless restore carries no cycle";
 }
 
 TEST(StateIo, UnpackRejectsForeignNetlistState) {
@@ -344,8 +349,39 @@ Netlist envChain(Args... args) {
   return nl;
 }
 
-/// Headerless envChain() snapshot: idle source and sink around the middle
-/// node's state, which `mid` writes.
+/// A snapshot container with a valid CRC around a hand-made payload.
+std::vector<std::uint8_t> framed(const std::vector<std::uint8_t>& payload) {
+  StateWriter w(StateKind::kSnapshot);
+  for (const std::uint8_t b : payload) w.writeU8(b);
+  return w.seal();
+}
+
+/// framed() payload of hand-made node bytes: the given cycle, `nodes` as the
+/// node section, no kept cycle.
+std::vector<std::uint8_t> framedSnapshot(const std::vector<std::uint8_t>& nodes,
+                                         std::uint64_t cycle = 0) {
+  StateWriter w;
+  w.writeU64(cycle);
+  w.writeU64(nodes.size());
+  for (const std::uint8_t b : nodes) w.writeU8(b);
+  w.writeBool(false);
+  return framed(w.take());
+}
+
+/// Restores `snap` into `ctx` and requires the rejection to come from the
+/// node decoder that says `what`, past every container check.
+void expectDecoderRejects(SimContext& ctx, const std::vector<std::uint8_t>& snap,
+                          const std::string& what) {
+  try {
+    ctx.unpackState(snap);
+    ADD_FAILURE() << "accepted; expected: " << what;
+  } catch (const EslError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+/// envChain() snapshot: idle source and sink around the middle node's state,
+/// which `mid` writes.
 std::vector<std::uint8_t> chainSnapshot(
     const std::function<void(StateWriter&)>& mid) {
   StateWriter w;
@@ -355,7 +391,7 @@ std::vector<std::uint8_t> chainSnapshot(
   mid(w);
   w.writeU32(0);  // sink: antiRemaining, antiActive
   w.writeBool(false);
-  return w.take();
+  return framedSnapshot(w.take());
 }
 
 /// Elastic buffer state: `tokens`, then the anti-token count.
@@ -377,11 +413,11 @@ TEST(StateIo, UnpackRejectsInvalidAntiTokenCounts) {
   EXPECT_NO_THROW(ctx.step());
   // A sign-bit count would overflow occupancy(); one past the anti capacity
   // is unreachable; tokens and anti-tokens never coexist in a buffer.
-  EXPECT_THROW(ctx.unpackState(chainSnapshot(ebState({}, 0x80000000u))),
-               EslError);
-  EXPECT_THROW(ctx.unpackState(chainSnapshot(ebState({}, 3))), EslError);
-  EXPECT_THROW(ctx.unpackState(chainSnapshot(ebState({BitVec(8, 3)}, 1))),
-               EslError);
+  expectDecoderRejects(ctx, chainSnapshot(ebState({}, 0x80000000u)),
+                       "anti-token count exceeds");
+  expectDecoderRejects(ctx, chainSnapshot(ebState({}, 3)), "anti-token count exceeds");
+  expectDecoderRejects(ctx, chainSnapshot(ebState({BitVec(8, 3)}, 1)),
+                       "tokens and anti-tokens stored");
 }
 
 TEST(StateIo, UnpackRejectsPayloadsOfTheWrongWidth) {
@@ -434,7 +470,7 @@ TEST(StateIo, UnpackRejectsPayloadsOfTheWrongWidth) {
     };
     ctx.unpackState(snap(BitVec(8, 5)));
     EXPECT_NO_THROW(ctx.step());
-    EXPECT_THROW(ctx.unpackState(snap(BitVec(7, 5))), EslError);
+    expectDecoderRejects(ctx, snap(BitVec(7, 5)), "payload width 7");
   }
 
   SCOPED_TRACE("nondet-source value");
@@ -451,11 +487,11 @@ TEST(StateIo, UnpackRejectsPayloadsOfTheWrongWidth) {
     w.writeU32(0);
     w.writeU32(0);  // sink
     w.writeBool(false);
-    return w.take();
+    return framedSnapshot(w.take());
   };
   ctx.unpackState(snap(BitVec(8, 5)));
   EXPECT_NO_THROW(ctx.step());
-  EXPECT_THROW(ctx.unpackState(snap(BitVec(7, 5))), EslError);
+  expectDecoderRejects(ctx, snap(BitVec(7, 5)), "payload width 7");
 }
 
 // ---------------------------------------------------------------------------
@@ -520,9 +556,21 @@ std::vector<std::uint8_t> snapshotAt(const std::function<Netlist()>& build,
 Netlist fig1d() { return patterns::designSpec("fig1d").build(); }
 
 TEST(StateIo, RejectedTruncatedRestoreChangesNothing) {
+  // A torn container fails its length check before any byte is decoded.
   std::vector<std::uint8_t> bad = snapshotAt(fig1d, 100);
   bad.resize(bad.size() - 3);
   expectRejectedRestoreChangesNothing(fig1d, 137, bad);
+  // A valid container whose node section is short: the nodes before the cut
+  // decode, and the restore must still change nothing.
+  Netlist nl = fig1d();
+  sim::Simulator s(nl, restoreOpts(kRestoreModes[0]));
+  s.run(100);
+  std::vector<std::uint8_t> nodes;
+  s.ctx().packStateInto(nodes);
+  nodes.resize(nodes.size() - 3);
+  const std::vector<std::uint8_t> shortNodes = framedSnapshot(nodes, 100);
+  expectDecoderRejects(s.ctx(), shortNodes, "out of data");
+  expectRejectedRestoreChangesNothing(fig1d, 137, shortNodes);
 }
 
 TEST(StateIo, RejectedForeignDesignRestoreChangesNothing) {
@@ -534,16 +582,17 @@ TEST(StateIo, RejectedOutOfRangeCountRestoreChangesNothing) {
   // The source's state decodes fine before the buffer's count is refused.
   const auto chain = [] { return envChain<ElasticBuffer>(8u, 2u); };
   StateWriter w;
-  w.writeU32(SimContext::kSnapshotMagic);
-  w.writeU32(SimContext::kSnapshotVersion);
-  w.writeU64(5);
   w.writeU64(3);  // source: index, offering, killCredit
   w.writeBool(true);
   w.writeU32(0);
   ebState({BitVec(8, 1), BitVec(8, 2), BitVec(8, 3)}, 0)(w);  // capacity 2
   w.writeU32(0);  // sink
   w.writeBool(false);
-  expectRejectedRestoreChangesNothing(chain, 137, w.take());
+  const std::vector<std::uint8_t> bad = framedSnapshot(w.take(), 5);
+  Netlist nl = chain();
+  SimContext probe(nl);
+  expectDecoderRejects(probe, bad, "token count exceeds capacity");
+  expectRejectedRestoreChangesNothing(chain, 137, bad);
 }
 
 TEST(StateIo, RejectedRestoreKeepsTheMonitorsPreviousCycle) {
@@ -562,16 +611,65 @@ TEST(StateIo, RejectedRestoreKeepsTheMonitorsPreviousCycle) {
   std::vector<std::uint8_t> bad = snapshotAt(broken, 100);
   bad.resize(bad.size() - 1);
   expectRejectedRestoreChangesNothing(broken, 250, bad, 250, true);
+  // A valid container whose kept cycle is out of range: the node section
+  // decodes, and still nothing changes.
+  Netlist nl = broken();
+  sim::Simulator s(nl, restoreOpts(kRestoreModes[0], /*monitor=*/true));
+  s.run(100);
+  std::vector<std::uint8_t> nodes;
+  s.ctx().packStateInto(nodes);
+  const std::vector<std::uint8_t> snap = s.ctx().packState();
+  std::vector<std::uint8_t> payload(snap.begin() + kStateHeaderBytes, snap.end());
+  // cycle, node section, kept flag, channel count, then the control bytes
+  const std::size_t firstControl = 8 + 8 + nodes.size() + 1 + 4;
+  ASSERT_EQ(payload[firstControl - 5], 1u) << "no kept cycle";
+  payload[firstControl] = 0xff;
+  expectDecoderRejects(s.ctx(), framed(payload), "kept-cycle control bits out of range");
+  expectRejectedRestoreChangesNothing(broken, 250, framed(payload), 250, true);
 }
 
 // ---------------------------------------------------------------------------
-// Durable state files (src/sim/state_file.h): the checksummed container
-// around --save-state snapshots and serve spool records. Damage of every
-// flavor must come back as a clean EslError naming the file — never a crash,
-// never silently-wrong bytes handed to a deserializer.
+// Every truncation and every single-bit flip of a snapshot is refused at the
+// container, and the refused restore changes nothing.
 // ---------------------------------------------------------------------------
 
-/// A real mid-run snapshot payload (proper SimContext header + node state).
+TEST(StateIo, DamagedSnapshotsAreRejectedAndChangeNothing) {
+  const auto fig1a = [] { return patterns::designSpec("fig1a").build(); };
+  const std::vector<std::uint8_t> snap = [&] {
+    Netlist nl = fig1a();
+    sim::Simulator s(nl, restoreOpts(kRestoreModes[0], /*monitor=*/true));
+    s.run(300);
+    return s.ctx().packState();
+  }();
+  Netlist nl = fig1a();
+  sim::Simulator victim(nl, restoreOpts(kRestoreModes[0], /*monitor=*/true));
+  victim.run(137);
+  const std::vector<std::uint8_t> before = victim.ctx().packState();
+  const auto refused = [&](const std::vector<std::uint8_t>& bad) {
+    EXPECT_THROW(victim.ctx().unpackState(bad), EslError);
+    return victim.ctx().packState() == before && victim.cycle() == 137;
+  };
+  for (std::size_t n = 0; n < snap.size(); ++n) {
+    const std::vector<std::uint8_t> torn(snap.begin(), snap.begin() + n);
+    ASSERT_TRUE(refused(torn)) << "truncated to " << n << " bytes";
+  }
+  for (std::size_t bit = 0; bit < snap.size() * 8; ++bit) {
+    std::vector<std::uint8_t> flipped = snap;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    ASSERT_TRUE(refused(flipped)) << "bit " << bit << " flipped";
+  }
+  victim.ctx().unpackState(snap);
+  EXPECT_EQ(victim.ctx().packState(), snap);
+}
+
+// ---------------------------------------------------------------------------
+// Durable state files (src/sim/state_file.h): packState() bytes go to disk
+// as they are, atomically, and come back verified by the container. Damage
+// of every flavor must come back as a clean EslError naming the file — never
+// a crash, never silently-wrong bytes handed to a deserializer.
+// ---------------------------------------------------------------------------
+
+/// A real mid-run snapshot (cycle, node state, no kept cycle).
 std::vector<std::uint8_t> sampleSnapshot() {
   Netlist nl;
   auto& src = nl.make<TokenSource>("src", 8, TokenSource::counting(8));
@@ -603,70 +701,86 @@ void writeRawBytes(const std::string& path,
             static_cast<std::streamsize>(bytes.size()));
 }
 
+/// What `esl --load-state` does with a file before decoding it.
+void verifySnapshotFile(const std::string& path) {
+  const std::vector<std::uint8_t> bytes = sim::readFileBytes(path);
+  (void)StateReader::open(bytes, StateKind::kSnapshot, "'" + path + "'");
+}
+
+/// The error text of verifySnapshotFile(path); empty if it verified.
+std::string snapshotFileError(const std::string& path) {
+  try {
+    verifySnapshotFile(path);
+  } catch (const EslError& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(StateFile, SnapshotRoundTripsThroughChecksummedContainer) {
   const auto snap = sampleSnapshot();
   const std::string path = tempStatePath("roundtrip.state");
-  sim::writeRecordFile(path, snap);
-  // On disk it is a container (record magic first), not raw snapshot bytes.
-  const auto onDisk = sim::readFileBytes(path);
-  ASSERT_GE(onDisk.size(), sim::kRecordHeaderBytes + snap.size());
-  EXPECT_EQ(onDisk[0], static_cast<std::uint8_t>(sim::kRecordMagic & 0xff));
-  EXPECT_EQ(sim::readSnapshotFile(path), snap);
+  sim::writeFileAtomic(path, snap, "state-file-write");
+  // The file holds the snapshot exactly: the container is packState()'s own.
+  EXPECT_EQ(sim::readFileBytes(path), snap);
+  EXPECT_NO_THROW(verifySnapshotFile(path));
   std::remove(path.c_str());
 }
 
-TEST(StateFile, LegacyRawSnapshotStillLoads) {
-  // Pre-container --save-state output: the bare packState bytes. Sniffing by
-  // the snapshot magic must keep these loading, un-checksummed.
+TEST(StateFile, OlderFormatsAreStructuredErrors) {
   const auto snap = sampleSnapshot();
-  const std::string path = tempStatePath("legacy.state");
-  writeRawBytes(path, snap);
-  EXPECT_EQ(sim::readSnapshotFile(path), snap);
+  const std::string path = tempStatePath("older.state");
+  // A container of the previous version: refused by version, not decoded.
+  std::vector<std::uint8_t> v1 = snap;
+  v1[4] = 1;
+  writeRawBytes(path, v1);
+  EXPECT_NE(snapshotFileError(path).find("unsupported state version 1"),
+            std::string::npos);
+  // A bare file without the container (what --save-state wrote before it
+  // existed) is not sniffed for: it has no magic.
+  writeRawBytes(path, std::vector<std::uint8_t>(snap.begin() + kStateHeaderBytes,
+                                                snap.end()));
+  EXPECT_NE(snapshotFileError(path).find("not an esl state file"), std::string::npos);
+  // A session record is a container of another kind.
+  StateWriter session(StateKind::kSession);
+  writeRawBytes(path, session.seal());
+  EXPECT_NE(snapshotFileError(path).find("holds a session record, not a snapshot"),
+            std::string::npos);
   std::remove(path.c_str());
 }
 
 TEST(StateFile, TruncatedRecordsAreRejected) {
   const auto snap = sampleSnapshot();
   const std::string path = tempStatePath("truncated.state");
-  sim::writeRecordFile(path, snap);
-  auto bytes = sim::readFileBytes(path);
   // Torn mid-payload: header intact, payload short.
-  auto torn = bytes;
-  torn.resize(bytes.size() - 7);
-  writeRawBytes(path, torn);
-  EXPECT_THROW(sim::readSnapshotFile(path), EslError);
-  EXPECT_THROW(sim::readRecordFile(path), EslError);
+  writeRawBytes(path, std::vector<std::uint8_t>(snap.begin(), snap.end() - 7));
+  EXPECT_NE(snapshotFileError(path).find("truncated"), std::string::npos);
   // Torn inside the header itself.
-  torn.resize(sim::kRecordHeaderBytes / 2);
-  writeRawBytes(path, torn);
-  EXPECT_THROW(sim::readSnapshotFile(path), EslError);
+  writeRawBytes(path, std::vector<std::uint8_t>(snap.begin(),
+                                                snap.begin() + kStateHeaderBytes / 2));
+  EXPECT_NE(snapshotFileError(path).find("truncated"), std::string::npos);
   std::remove(path.c_str());
 }
 
 TEST(StateFile, BitFlippedRecordsAreRejected) {
-  const auto snap = sampleSnapshot();
+  auto bytes = sampleSnapshot();
   const std::string path = tempStatePath("bitflip.state");
-  sim::writeRecordFile(path, snap);
-  auto bytes = sim::readFileBytes(path);
-  bytes[sim::kRecordHeaderBytes + bytes.size() / 2] ^= 0x10;  // payload rot
+  bytes[kStateHeaderBytes + (bytes.size() - kStateHeaderBytes) / 2] ^= 0x10;
   writeRawBytes(path, bytes);
-  EXPECT_THROW(sim::readRecordFile(path), EslError);
-  EXPECT_THROW(sim::readSnapshotFile(path), EslError);
+  EXPECT_NE(snapshotFileError(path).find("checksum mismatch"), std::string::npos);
   std::remove(path.c_str());
 }
 
 TEST(StateFile, ForeignFilesAreRejected) {
   const std::string path = tempStatePath("foreign.state");
-  const std::string text = "this is not an esl state file\n";
+  const std::string text = "this is not an esl state file, but it is long\n";
   writeRawBytes(path, std::vector<std::uint8_t>(text.begin(), text.end()));
-  EXPECT_THROW(sim::readSnapshotFile(path), EslError);
-  EXPECT_THROW(sim::readRecordFile(path), EslError);
+  EXPECT_NE(snapshotFileError(path).find("bad magic"), std::string::npos);
   std::remove(path.c_str());
 }
 
 TEST(StateFile, MissingFileIsACleanError) {
-  EXPECT_THROW(sim::readSnapshotFile(tempStatePath("never-written.state")),
-               EslError);
+  EXPECT_THROW(sim::readFileBytes(tempStatePath("never-written.state")), EslError);
 }
 
 TEST(StateFile, InjectedWriteFaultsProduceCleanFailures) {
@@ -674,22 +788,22 @@ TEST(StateFile, InjectedWriteFaultsProduceCleanFailures) {
   const std::string path = tempStatePath("faulted.state");
   // fail: the write throws; no file appears under the real name.
   fault::arm("state-file-write", {fault::Kind::kFail, 1, 0});
-  EXPECT_THROW(sim::writeRecordFile(path, snap), EslError);
+  EXPECT_THROW(sim::writeFileAtomic(path, snap, "state-file-write"), EslError);
   EXPECT_THROW(sim::readFileBytes(path), EslError);  // nothing was renamed in
   // truncate: the write "succeeds" but the artifact is torn — the reader
   // must catch it by declared-length mismatch.
   fault::arm("state-file-write", {fault::Kind::kTruncate, 1, 40});
-  sim::writeRecordFile(path, snap);
-  EXPECT_THROW(sim::readSnapshotFile(path), EslError);
+  sim::writeFileAtomic(path, snap, "state-file-write");
+  EXPECT_THROW(verifySnapshotFile(path), EslError);
   // bitflip: full-length artifact, one bit of rot — caught by the CRC.
   fault::arm("state-file-write",
-             {fault::Kind::kBitFlip, 1, (sim::kRecordHeaderBytes + 9) * 8});
-  sim::writeRecordFile(path, snap);
-  EXPECT_THROW(sim::readSnapshotFile(path), EslError);
+             {fault::Kind::kBitFlip, 1, (kStateHeaderBytes + 9) * 8});
+  sim::writeFileAtomic(path, snap, "state-file-write");
+  EXPECT_THROW(verifySnapshotFile(path), EslError);
   fault::disarmAll();
   // Disarmed, the same path round-trips again.
-  sim::writeRecordFile(path, snap);
-  EXPECT_EQ(sim::readSnapshotFile(path), snap);
+  sim::writeFileAtomic(path, snap, "state-file-write");
+  EXPECT_EQ(sim::readFileBytes(path), snap);
   std::remove(path.c_str());
 }
 

@@ -19,9 +19,9 @@
 //
 // Exit codes: 0 ok, 1 usage, 2 command/load error, 3 check violations,
 // 4 round-trip drift.
-#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -70,15 +70,14 @@ int usage(const char* argv0) {
 
 /// Runs one shell command and fails on "error:" replies. Status replies
 /// (load/transform/save) go to stderr so stdout stays clean for artifacts
-/// and results; pass toStdout for outputs the caller asked for.
-bool run(esl::shell::Session& session, const std::string& cmd,
-         bool toStdout = false) {
+/// and results.
+bool run(esl::shell::Session& session, const std::string& cmd) {
   const std::string out = session.execute(cmd);
   if (out.rfind("error:", 0) == 0) {
     std::cerr << "esl: " << cmd << ": " << out;
     return false;
   }
-  (toStdout ? std::cout : std::cerr) << out;
+  std::cerr << out;
   return true;
 }
 
@@ -249,17 +248,15 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (doSim && (!saveState.empty() || !loadState.empty())) {
-      // Snapshot round-trips drive the simulator directly: the shell's `sim`
-      // verb owns a throwaway simulator and cannot adopt external state.
+    if (doSim) {
       Netlist& nl = *session.netlist();
       sim::SimOptions opts{.checkProtocol = true, .throwOnViolation = false};
       opts.shards = static_cast<unsigned>(simShards);
       if (simBackend == "compiled") opts.backend = SimContext::Backend::kCompiled;
       opts.crossCheckKernels = doCrossCheck;
       sim::Simulator s(nl, opts);
-      // readSnapshotFile rejects foreign magic / future versions cleanly.
-      if (!loadState.empty()) s.ctx().unpackState(sim::readSnapshotFile(loadState));
+      if (!loadState.empty())
+        s.ctx().unpackState(sim::readFileBytes(loadState), "'" + loadState + "'");
       s.run(simCycles);
       std::cout << sim::runReport(nl, s.ctx());
       if (!tputChannel.empty()) {
@@ -268,28 +265,14 @@ int main(int argc, char** argv) {
           std::cerr << "esl: no channel named '" << tputChannel << "'\n";
           return 2;
         }
-        char line[128];
-        std::snprintf(line, sizeof line, "throughput(%s) = %.4f\n",
-                      tputChannel.c_str(), s.throughput(ch->id));
-        std::cout << line;
+        std::cout << "throughput(" << tputChannel << ") = " << std::fixed
+                  << std::setprecision(4) << s.throughput(ch->id) << "\n";
       }
       if (!saveState.empty()) {
-        sim::writeRecordFile(saveState, s.ctx().packState());
+        sim::writeFileAtomic(saveState, s.ctx().packState(), "state-file-write");
         std::cerr << "state saved to '" << saveState << "' at cycle "
                   << s.cycle() << "\n";
       }
-    } else if (doSim) {
-      std::string simCmd = "sim " + std::to_string(simCycles);
-      if (simShards > 1) simCmd += " " + std::to_string(simShards);
-      if (!simBackend.empty()) simCmd += " " + simBackend;
-      if (doCrossCheck) simCmd += " cross-check";
-      if (!run(session, simCmd,
-               /*toStdout=*/true))
-        return 2;
-      if (!tputChannel.empty() &&
-          !run(session, "tput " + std::to_string(simCycles) + " " + tputChannel,
-               /*toStdout=*/true))
-        return 2;
     }
 
     if (doCheck) {
