@@ -84,7 +84,7 @@ Row measure(const synth::SynthConfig& cfg, SimContext::SettleKernel kernel,
   r.nsPerCycle = best * 1e9 / static_cast<double>(cycles);
   r.cycles = cycles;
   r.nodes = sys.nodeCount;
-  r.received = sys.mainSink != nullptr ? sys.mainSink->received() : 0;
+  r.received = sys.mainSink != nullptr ? sys.mainSink->received(s.ctx()) : 0;
   return r;
 }
 
@@ -130,9 +130,9 @@ double farmGrid(unsigned threads, std::uint64_t seeds, std::size_t nodes,
         synth::SynthSystem sys = synth::build(cfg);
         TokenSink* sink = sys.mainSink;
         inst.nl = std::move(sys.nl);
-        inst.harvest = [sink](sim::Simulator&,
+        inst.harvest = [sink](sim::Simulator& s,
                               std::vector<std::pair<std::string, double>>& m) {
-          m.emplace_back("received", static_cast<double>(sink->received()));
+          m.emplace_back("received", static_cast<double>(sink->received(s.ctx())));
         };
       },
       {.checkProtocol = false, .trackChannelStats = false});
@@ -238,13 +238,13 @@ bool shardedIdentityCheck() {
   sim::Simulator sref(ref.nl, {.checkProtocol = false});
   sref.run(400);
   const auto want = sref.ctx().packState();
-  const auto received = ref.mainSink != nullptr ? ref.mainSink->received() : 0;
+  const auto received = ref.mainSink != nullptr ? ref.mainSink->received(sref.ctx()) : 0;
   for (const unsigned shards : {2u, 4u, 8u}) {
     synth::SynthSystem sys = synth::build(cfg);
     sim::Simulator s(sys.nl, {.checkProtocol = false, .shards = shards});
     s.run(400);
     if (s.ctx().packState() != want ||
-        (sys.mainSink != nullptr && sys.mainSink->received() != received)) {
+        (sys.mainSink != nullptr && sys.mainSink->received(s.ctx()) != received)) {
       std::printf("CHECK FAILED: sharded run (%u shards) diverged from the "
                   "serial event kernel on %s\n",
                   shards, synth::describe(cfg).c_str());
@@ -273,7 +273,7 @@ bool compiledShardedIdentityCheck() {
   sim::Simulator sref(ref.nl, {.checkProtocol = false});
   sref.run(400);
   const auto want = sref.ctx().packState();
-  const auto received = ref.mainSink != nullptr ? ref.mainSink->received() : 0;
+  const auto received = ref.mainSink != nullptr ? ref.mainSink->received(sref.ctx()) : 0;
   for (const unsigned shards : {1u, 2u, 8u}) {
     synth::SynthSystem sys = synth::build(cfg);
     sim::Simulator s(sys.nl, {.checkProtocol = false,
@@ -281,7 +281,7 @@ bool compiledShardedIdentityCheck() {
                               .backend = SimContext::Backend::kCompiled});
     s.run(400);
     if (s.ctx().packState() != want ||
-        (sys.mainSink != nullptr && sys.mainSink->received() != received)) {
+        (sys.mainSink != nullptr && sys.mainSink->received(s.ctx()) != received)) {
       std::printf("CHECK FAILED: compiled backend with %u shard(s) diverged "
                   "from the serial reference on %s\n",
                   shards, synth::describe(cfg).c_str());
@@ -310,13 +310,13 @@ bool compiledIdentityCheck() {
       sref.run(400);
       const auto want = sref.ctx().packState();
       const auto received =
-          ref.mainSink != nullptr ? ref.mainSink->received() : 0;
+          ref.mainSink != nullptr ? ref.mainSink->received(sref.ctx()) : 0;
       synth::SynthSystem sys = synth::build(cfg);
       sim::Simulator s(sys.nl, {.checkProtocol = false,
                                 .backend = SimContext::Backend::kCompiled});
       s.run(400);
       if (s.ctx().packState() != want ||
-          (sys.mainSink != nullptr && sys.mainSink->received() != received)) {
+          (sys.mainSink != nullptr && sys.mainSink->received(s.ctx()) != received)) {
         std::printf("CHECK FAILED: compiled backend diverged from the "
                     "interpreted event kernel on %s\n",
                     synth::describe(cfg).c_str());

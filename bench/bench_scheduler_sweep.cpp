@@ -42,9 +42,9 @@ int main() {
         inst.nl = std::move(sys.nl);
         inst.watch.emplace_back("loop", sys.loopChannel);
         SharedModule* shared = sys.shared;
-        inst.harvest = [shared](sim::Simulator&,
+        inst.harvest = [shared](sim::Simulator& s,
                                 std::vector<std::pair<std::string, double>>& m) {
-          m.emplace_back("demand", static_cast<double>(shared->demandCycles()));
+          m.emplace_back("demand", static_cast<double>(shared->demandCycles(s.ctx())));
         };
       });
   for (const unsigned taken : kTakenRates)

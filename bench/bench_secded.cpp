@@ -36,18 +36,22 @@ int main() {
 
     auto pipe = patterns::buildSecdedPipeline(cfg);
     sim::Simulator sp(pipe.nl);
+    sp.ctx().logTransfers(pipe.sink->input(0));
     sp.run(2000);
 
     auto spec = patterns::buildSecdedSpeculative(cfg);
     sim::Simulator ss(spec.nl);
+    ss.ctx().logTransfers(spec.sink->input(0));
     ss.run(2000);
 
     std::printf("%10.1f%% | %9.3f %11llu | %9.3f %11llu | %llu\n", flip / 10.0,
                 sp.throughput(pipe.outChannel),
-                static_cast<unsigned long long>(pipe.sink->transfers().front().cycle),
+                static_cast<unsigned long long>(
+                    sp.ctx().transfers(pipe.sink->input(0)).front().cycle),
                 ss.throughput(spec.outChannel),
-                static_cast<unsigned long long>(spec.sink->transfers().front().cycle),
-                static_cast<unsigned long long>(spec.shared->demandCycles()));
+                static_cast<unsigned long long>(
+                    ss.ctx().transfers(spec.sink->input(0)).front().cycle),
+                static_cast<unsigned long long>(spec.shared->demandCycles(ss.ctx())));
   }
 
   // Correctness: all sums equal golden (corrected) results despite injections.
@@ -55,11 +59,14 @@ int main() {
   cfg.flipPermille = 200;
   auto spec = patterns::buildSecdedSpeculative(cfg);
   sim::Simulator ss(spec.nl);
+  ss.ctx().logTransfers(spec.sink->input(0));
   ss.run(1500);
-  const std::size_t checked = std::min<std::size_t>(1000, spec.sink->received());
+  const std::size_t checked =
+      std::min<std::size_t>(1000, spec.sink->received(ss.ctx()));
   const auto golden = patterns::secdedGolden(cfg, checked);
+  const auto& got = ss.ctx().transfers(spec.sink->input(0));
   for (std::size_t i = 0; i < checked; ++i)
-    if (spec.sink->transfers().at(i).data.toUint64() != golden[i]) {
+    if (got.at(i).data.toUint64() != golden[i]) {
       std::printf("\nMISMATCH at %zu\n", i);
       return 1;
     }

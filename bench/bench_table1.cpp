@@ -36,6 +36,7 @@ int main() {
 
   sim::Simulator sim(sys.nl, {.checkProtocol = true, .throwOnViolation = true});
   sim.attachTrace(&trace);
+  sim.ctx().logTransfers(sys.sink->input(0));
   sim.run(7);
 
   std::printf("%s\n", trace.render().c_str());
@@ -74,11 +75,11 @@ int main() {
 
   // The semantic content of the trace:
   std::printf("\nmux output (transfers): ");
-  for (const auto& t : sys.sink->transfers())
+  for (const auto& t : sim.ctx().transfers(sys.sink->input(0)))
     std::printf("cycle %llu: %llu  ", static_cast<unsigned long long>(t.cycle),
                 static_cast<unsigned long long>(t.data.toUint64()));
   std::printf("\nmispredictions (demand cycles): %llu — at cycles 2 and 5, as in "
               "the paper\n",
-              static_cast<unsigned long long>(sys.shared->demandCycles()));
+              static_cast<unsigned long long>(sys.shared->demandCycles(sim.ctx())));
   return mismatch <= 1 ? 0 : 1;
 }

@@ -175,14 +175,13 @@ FrontierRun exploreOnce(const synth::SynthConfig& cfg, unsigned workers) {
   opts.maxStates = 2000000;
   opts.maxChoiceBits = 16;
   opts.workers = workers;
-  // The lanes run from the serializable IR, round-tripped through the `.esl`
-  // text form — so the gated fingerprints certify the parsed spec, not just
-  // the C++ builder.
-  const NetlistSpec spec =
-      frontend::parseEsl(frontend::printEsl(synth::spec(cfg)), "<bench_verify>");
-  verify::ModelChecker mc(spec, opts);
+  // The netlist is built from the serializable IR, round-tripped through the
+  // `.esl` text form — so the gated fingerprints certify the parsed spec, not
+  // just the C++ builder.
+  const Netlist nl =
+      frontend::parseEsl(frontend::printEsl(synth::spec(cfg)), "<bench_verify>").build();
+  verify::ModelChecker mc(nl, opts);
   // One representative label so edges carry masks like the real suites do.
-  const Netlist& nl = mc.netlist();
   const auto channels = nl.channelIds();
   const ChannelId watch = channels.back();
   mc.addLabel("progress",

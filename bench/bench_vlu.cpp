@@ -64,11 +64,14 @@ int main() {
   cfg.errPermille = 300;
   auto spec = patterns::buildSpeculativeVlu(cfg);
   sim::Simulator sp(spec.nl);
+  sp.ctx().logTransfers(spec.sink->input(0));
   sp.run(1500);
-  const std::size_t checked = std::min<std::size_t>(1000, spec.sink->received());
+  const std::size_t checked =
+      std::min<std::size_t>(1000, spec.sink->received(sp.ctx()));
   const auto golden = patterns::vluGolden(cfg, checked);
+  const auto& got = sp.ctx().transfers(spec.sink->input(0));
   for (std::size_t i = 0; i < checked; ++i)
-    if (spec.sink->transfers().at(i).data.toUint64() != golden[i]) {
+    if (got.at(i).data.toUint64() != golden[i]) {
       std::printf("\nMISMATCH at %zu\n", i);
       return 1;
     }

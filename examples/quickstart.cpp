@@ -62,8 +62,9 @@ int main() {
 
   // 4. Functional equivalence is guaranteed; spot-check the PC stream.
   sim::Simulator s(design.nl);
+  s.ctx().logTransfers(design.observer->input(0));
   s.run(100);
-  const auto& got = design.observer->transfers();
+  const auto& got = s.ctx().transfers(design.observer->input(0));
   const auto golden = patterns::fig1PcSequence(cfg, 32);
   for (std::size_t i = 0; i < golden.size(); ++i) {
     if (got.at(i).data.toUint64() != golden[i]) {

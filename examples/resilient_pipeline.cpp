@@ -83,8 +83,12 @@ int main() {
 
   sim::Simulator sp(pipePlain.nl, {.checkProtocol = true, .throwOnViolation = true});
   sim::Simulator ss(pipeSpec.nl, {.checkProtocol = true, .throwOnViolation = true});
+  sp.ctx().logTransfers(sinkPlain.input(0));
+  ss.ctx().logTransfers(sinkSpec.input(0));
   sp.run(800);
   ss.run(800);
+  const auto& plain = sp.ctx().transfers(sinkPlain.input(0));
+  const auto& spec = ss.ctx().transfers(sinkSpec.input(0));
 
   const double aPipePlain = pipelineArea(pipePlain.nl);
   const double aPipeSpec = pipelineArea(pipeSpec.nl);
@@ -96,13 +100,13 @@ int main() {
               aPipeSpec, 100.0 * (aPipeSpec - aPipePlain) / aPipePlain);
 
   std::printf("\nend-to-end latency (first retired result): %llu vs %llu cycles\n",
-              static_cast<unsigned long long>(sinkPlain.transfers().front().cycle),
-              static_cast<unsigned long long>(sinkSpec.transfers().front().cycle));
+              static_cast<unsigned long long>(plain.front().cycle),
+              static_cast<unsigned long long>(spec.front().cycle));
 
   // Both pipelines retire identical results.
-  const std::size_t n = std::min(sinkPlain.received(), sinkSpec.received());
+  const std::size_t n = std::min(plain.size(), spec.size());
   for (std::size_t i = 0; i < n; ++i) {
-    if (sinkPlain.transfers()[i].data != sinkSpec.transfers()[i].data) {
+    if (plain[i].data != spec[i].data) {
       std::printf("MISMATCH at %zu\n", i);
       return 1;
     }

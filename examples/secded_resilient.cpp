@@ -28,25 +28,29 @@ int main(int argc, char** argv) {
   auto spec = patterns::buildSecdedSpeculative(cfg);
   sim::Simulator sp(pipe.nl, {.checkProtocol = true, .throwOnViolation = true});
   sim::Simulator ss(spec.nl, {.checkProtocol = true, .throwOnViolation = true});
+  sp.ctx().logTransfers(pipe.sink->input(0));
+  ss.ctx().logTransfers(spec.sink->input(0));
   sp.run(1200);
   ss.run(1200);
+  const auto& pipeSums = sp.ctx().transfers(pipe.sink->input(0));
+  const auto& specSums = ss.ctx().transfers(spec.sink->input(0));
 
   std::printf("%-24s %12s %12s %10s\n", "design", "first-sum@", "throughput", "area");
   std::printf("%-24s %12llu %12.3f %10.0f\n", "SECDED stage + adder",
-              static_cast<unsigned long long>(pipe.sink->transfers().front().cycle),
+              static_cast<unsigned long long>(pipeSums.front().cycle),
               sp.throughput(pipe.outChannel), perf::areaReport(pipe.nl).total);
   std::printf("%-24s %12llu %12.3f %10.0f\n", "speculative adder",
-              static_cast<unsigned long long>(spec.sink->transfers().front().cycle),
+              static_cast<unsigned long long>(specSums.front().cycle),
               ss.throughput(spec.outChannel), perf::areaReport(spec.nl).total);
 
   std::printf("\nreplay cycles in the speculative design: %llu\n",
-              static_cast<unsigned long long>(spec.shared->demandCycles()));
+              static_cast<unsigned long long>(spec.shared->demandCycles(ss.ctx())));
 
   // Every sum equals the golden (error-corrected) result in both designs.
   const auto golden = patterns::secdedGolden(cfg, 1000);
   for (std::size_t i = 0; i < 1000; ++i) {
-    if (pipe.sink->transfers().at(i).data.toUint64() != golden[i] ||
-        spec.sink->transfers().at(i).data.toUint64() != golden[i]) {
+    if (pipeSums.at(i).data.toUint64() != golden[i] ||
+        specSums.at(i).data.toUint64() != golden[i]) {
       std::printf("MISMATCH at %zu\n", i);
       return 1;
     }

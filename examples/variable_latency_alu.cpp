@@ -32,6 +32,8 @@ int main(int argc, char** argv) {
 
   sim::Simulator ss(stall.nl, {.checkProtocol = true, .throwOnViolation = true});
   sim::Simulator sp(spec.nl, {.checkProtocol = true, .throwOnViolation = true});
+  ss.ctx().logTransfers(stall.sink->input(0));
+  sp.ctx().logTransfers(spec.sink->input(0));
   ss.run(1500);
   sp.run(1500);
 
@@ -52,14 +54,16 @@ int main(int argc, char** argv) {
   std::printf("\neffective cycle time improvement: %.1f%% (paper: ~9%%)\n",
               gain * 100.0);
   std::printf("stalling unit replays: %llu of %llu operands\n",
-              static_cast<unsigned long long>(stall.vlu->stalls()),
-              static_cast<unsigned long long>(stall.vlu->completed()));
+              static_cast<unsigned long long>(stall.vlu->stalls(ss.ctx())),
+              static_cast<unsigned long long>(stall.vlu->completed(ss.ctx())));
 
   // Functional exactness: both sinks saw G(exact(op)) for every operand.
   const auto golden = patterns::vluGolden(cfg, 1000);
+  const auto& stallResults = ss.ctx().transfers(stall.sink->input(0));
+  const auto& specResults = sp.ctx().transfers(spec.sink->input(0));
   for (std::size_t i = 0; i < 1000; ++i) {
-    if (stall.sink->transfers().at(i).data.toUint64() != golden[i] ||
-        spec.sink->transfers().at(i).data.toUint64() != golden[i]) {
+    if (stallResults.at(i).data.toUint64() != golden[i] ||
+        specResults.at(i).data.toUint64() != golden[i]) {
       std::printf("MISMATCH at %zu\n", i);
       return 1;
     }

@@ -74,6 +74,9 @@ class BitVec {
   void toWords(std::uint64_t* out) const {
     std::copy(words(), words() + wordCount(), out);
   }
+  bool equalsWords(const std::uint64_t* w) const {
+    return std::equal(words(), words() + wordCount(), w);
+  }
 
   /// True iff every bit is zero (zero-width vectors are zero).
   bool isZero() const;

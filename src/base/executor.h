@@ -8,10 +8,10 @@
 //
 // This is the shared engine behind SimFarm (independent simulations per
 // index) and the parallel model checker (one BFS-frontier state per index);
-// both need the same thing: an index space, a lane id to select per-thread
-// scratch (netlist replicas are not shareable across threads), and
-// deterministic by-index result slots so scheduling order never leaks into
-// results.
+// both need the same thing: an index space, a lane id to select per-lane
+// scratch (a checker lane's SimContext, which only one thread may drive at a
+// time), and deterministic by-index result slots so scheduling order never
+// leaks into results.
 #pragma once
 
 #include <cstddef>

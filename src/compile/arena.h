@@ -5,12 +5,13 @@
 // through. Its ports are RawSig proxies over pre-resolved SlotAddr records:
 // plain loads and stores into the board's planes and payload words, whose
 // writes mirror SignalBoard::setBitAt/setDataAt exactly, change tracking
-// included. Its sequential state is the node's record in the SimContext's
-// state arena — the same record the object view reads — with stored payloads
-// as words (Word): the compiler specializes only nodes whose payloads are at
-// most 64 bits wide. The record layout and its accessors are the kind's own
-// (K::View, shared with the object view); this file adds only the ports, the
-// word payload form, and the constants an op carries for its kind.
+// included. Its state — sequential state, memos, statistics — is the node's
+// record in the SimContext's state arena, the same record the object view
+// reads, with stored payloads as words (Word): the compiler specializes only
+// nodes whose payloads are at most 64 bits wide. The record layout and its
+// accessors are the kind's own (K::View, shared with the object view); this
+// file adds only the ports, the word payload form, and the constants an op
+// carries for its kind.
 #pragma once
 
 #include "compile/compiler.h"
@@ -83,9 +84,8 @@ class RawSig {
     return off == SignalBoard::kNoSlot ? 0 : b_->words[off];
   }
   BitVec data() const { return b_->board->dataAt(a_->slot); }
-  bool dataEquals(const BitVec& v) const {
-    return b_->board->dataEqualsValueAt(a_->slot, v);
-  }
+  /// A specialized op's payloads fit a word.
+  bool dataEqualsWords(const std::uint64_t* w) const { return dataLow64() == w[0]; }
 
   void setVf(bool v) { setBit(SignalBoard::kVf, v); }
   void setSf(bool v) { setBit(SignalBoard::kSf, v); }
@@ -146,7 +146,7 @@ class ArenaPorts : public NodeRecord<K> {
   unsigned outWidth(unsigned i) const { return ports_[op_->nIn + i].width; }
   Word payload(const RawSig& port) const { return {port.dataLow64(), port.width()}; }
 
-  K& node() const { return static_cast<K&>(*op_->node); }
+  const K& node() const { return static_cast<const K&>(*op_->node); }
   bool stats() const { return stats_; }
   bool choice(unsigned i) const { return ctx_->choice(*op_->node, i); }
   std::uint64_t cycle() const { return ctx_->cycle(); }
@@ -187,16 +187,16 @@ class ArenaView<ElasticBuffer> : public ElasticBuffer::View<ArenaPorts<ElasticBu
   unsigned antiCapacity() const { return static_cast<unsigned>(op_->fnB); }
 };
 
-/// No record: the memo stays on the node. Catalog functions whose operands
-/// all fit a word (Op::fnKind != kOpaque) skip it for word arithmetic — fn_
-/// is pure, so bypassing its memo is unobservable.
+/// Catalog functions whose operands all fit a word (Op::fnKind != kOpaque)
+/// skip the record's memo for word arithmetic — fn_ is pure, so bypassing
+/// its memo is unobservable.
 template <>
-class ArenaView<FuncNode> : public ArenaPorts<FuncNode> {
+class ArenaView<FuncNode> : public FuncNode::View<ArenaPorts<FuncNode>> {
  public:
-  using ArenaPorts::ArenaPorts;
+  using View::View;
   void computeOutput(RawSig& out) const {
     if (op_->fnKind == FuncKind::kOpaque)
-      node().computeMemoized(*this, out);
+      computeMemoized(out);
     else
       out.setData(Word{wordResult(), out.width()});
   }

@@ -38,23 +38,33 @@ OpCode classify(const Node& node) {
 /// catalog factory already validated the width signature at construction, but
 /// every invariant the word kernels rely on is re-checked here — any mismatch
 /// keeps the memoized opaque path. Specialized ops are at most a word wide.
+/// The attributes are scanned, not read through Params' tracked getters:
+/// contexts over one netlist compile it concurrently.
 FuncKind specializeFunc(const Node& node, const Op& op,
                         const std::vector<SlotAddr>& ports, std::uint64_t* fnA,
                         std::uint64_t* fnB) {
-  if (!node.hasBuildParams()) return FuncKind::kOpaque;
-  const Params& p = node.buildParams();
-  const std::string fn = p.str("fn", "");
-  if (fn.empty()) return FuncKind::kOpaque;
+  const auto attr = [&node](const char* key) -> const std::string* {
+    for (const auto& [k, v] : node.buildParams().entries())
+      if (k == key) return &v;
+    return nullptr;
+  };
+  const std::string* fnName = attr("fn");
+  if (fnName == nullptr) return FuncKind::kOpaque;
+  const std::string& fn = *fnName;
+  const auto num = [&attr](const char* key, std::uint64_t* out) {
+    const std::string* v = attr(key);
+    if (v != nullptr) *out = parseU64(*v, std::string("attribute '") + key + "'");
+    return v != nullptr;
+  };
   const unsigned n = op.nIn;
   const SlotAddr* P = ports.data() + op.portBase;
   const unsigned outW = P[n].width;
   const auto unarySameWidth = [&] { return n == 1 && P[0].width == outW; };
   if (fn == "id" && unarySameWidth()) return FuncKind::kId;
   if (fn == "gray" && unarySameWidth()) return FuncKind::kGray;
-  if (fn == "addk" && unarySameWidth() && p.has("fn.k")) {
+  if (fn == "addk" && unarySameWidth() && num("fn.k", fnA)) {
     // Same truncation the factory applies: k is taken modulo the width.
-    *fnA = outW >= 64 ? p.u64("fn.k")
-                      : p.u64("fn.k") & ((std::uint64_t{1} << outW) - 1);
+    if (outW < 64) *fnA &= (std::uint64_t{1} << outW) - 1;
     return FuncKind::kAddK;
   }
   if (fn == "add" && n == 2 && P[0].width == outW && P[1].width == outW)
@@ -72,9 +82,9 @@ FuncKind specializeFunc(const Node& node, const Op& op,
   if (fn == "concat" && n == 2 && P[0].width + P[1].width == outW &&
       P[0].width < 64)
     return FuncKind::kConcat;
-  if (fn == "permille" && n == 1 && outW == 1 && p.has("fn.permille")) {
-    *fnA = p.u64("fn.permille");
-    *fnB = p.u64("fn.salt", 0);
+  if (fn == "permille" && n == 1 && outW == 1 && num("fn.permille", fnA)) {
+    *fnB = 0;
+    num("fn.salt", fnB);
     return FuncKind::kPermille;
   }
   return FuncKind::kOpaque;
@@ -82,7 +92,7 @@ FuncKind specializeFunc(const Node& node, const Op& op,
 
 }  // namespace
 
-Program compileProgram(Netlist& nl, const SignalBoard& board,
+Program compileProgram(const Netlist& nl, const SignalBoard& board,
                        const std::vector<std::uint32_t>& recordOff) {
   Program prog;
   prog.topologyVersion = nl.topologyVersion();
@@ -91,7 +101,7 @@ Program compileProgram(Netlist& nl, const SignalBoard& board,
   const std::vector<NodeId> ids = nl.nodeIds();
   prog.ops.reserve(ids.size());
   for (const NodeId id : ids) {
-    Node& node = nl.node(id);
+    const Node& node = nl.node(id);
     Op op;
     op.node = &node;
     op.stateOff = recordOff[id];

@@ -103,7 +103,7 @@ struct Op {
   std::uint64_t fnA = 0;  ///< kFunc: addk constant / permille threshold;
                           ///< kEb: capacity
   std::uint64_t fnB = 0;  ///< kFunc: permille salt; kEb: anti capacity
-  Node* node = nullptr;  ///< exact type given by `code` (or any, kGeneric)
+  const Node* node = nullptr;  ///< exact type given by `code` (or any, kGeneric)
 };
 
 struct Program {
@@ -119,7 +119,7 @@ struct Program {
 /// Lowers the netlist against the board's current layout and the context's
 /// record offsets (indexed by NodeId). Nodes touching a boundary slot (the
 /// board has some only when sharded) stay generic.
-Program compileProgram(Netlist& nl, const SignalBoard& board,
+Program compileProgram(const Netlist& nl, const SignalBoard& board,
                        const std::vector<std::uint32_t>& recordOff);
 
 }  // namespace esl::compile

@@ -11,13 +11,14 @@
 //
 // --- Node state ---------------------------------------------------------------
 //
-// Per-node sequential state (EB rings, fork done bits, source cursors, VLU
-// operands, pending anti-token counters) lives in the SimContext's record
-// arena, one contiguous u64 vector laid out with the board; each op carries
-// its node's record offset. Both backends read and write those records in
-// place: a compiled phase, an interpreted phase, packState() and a kGeneric
-// fallback all see the same words. Statistics and memos (firings, transfer
-// logs, the shared module's scheduler) stay on the node objects.
+// Everything a node changes during a run (EB rings, fork done bits, source
+// cursors, VLU operands, pending anti-token counters, the shared module's
+// scheduler state, memos, statistics) lives in the SimContext's record arena,
+// one contiguous u64 vector laid out with the board; each op carries its
+// node's record offset. Both backends read and write those records in place:
+// a compiled phase, an interpreted phase, packState() and a kGeneric fallback
+// all see the same words. The node objects an op points at are only read, so
+// contexts over one netlist each run their own program side by side.
 //
 // A specialized op runs its node kind's own comb/edge template — the one the
 // interpreter runs through ObjectView<K> in evalComb/clockEdge — through

@@ -32,20 +32,20 @@ std::uint32_t ElasticBuffer::recordWords() const {
   return stateWords<State>() + capacity_ * payloadWords(width_);
 }
 
-void ElasticBuffer::reset(std::uint64_t* record) {
+void ElasticBuffer::reset(std::uint64_t* record) const {
   const auto v = recordView(*this, record);
   for (unsigned i = 0; i < init_.size(); ++i) v.setToken(i, init_[i]);
   v.setState(State{0, static_cast<unsigned>(init_.size()), initAnti_});
 }
 
-int ElasticBuffer::occupancy(SimContext& ctx) const {
+int ElasticBuffer::occupancy(const SimContext& ctx) const {
   const State s = recordView(*this, ctx.record(id())).state();
   return static_cast<int>(s.count) - s.anti;
 }
 
-void ElasticBuffer::evalComb(SimContext& ctx) { runComb(ctx, *this); }
+void ElasticBuffer::evalComb(SimContext& ctx) const { runComb(ctx, *this); }
 
-void ElasticBuffer::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
+void ElasticBuffer::clockEdge(SimContext& ctx) const { runEdge(ctx, *this); }
 
 void ElasticBuffer::packState(const std::uint64_t* record, StateWriter& w) const {
   const auto v = recordView(*this, record);
@@ -59,7 +59,7 @@ void ElasticBuffer::packState(const std::uint64_t* record, StateWriter& w) const
   w.writeU32(static_cast<std::uint32_t>(s.anti));
 }
 
-void ElasticBuffer::unpackState(std::uint64_t* record, StateReader& r) {
+void ElasticBuffer::unpackState(std::uint64_t* record, StateReader& r) const {
   const auto v = recordView(*this, record);
   const unsigned n = r.readU32();
   ESL_CHECK(n <= capacity_,
@@ -104,15 +104,15 @@ std::uint32_t ElasticBuffer0::recordWords() const {
   return stateWords<State>() + payloadWords(width_);
 }
 
-void ElasticBuffer0::reset(std::uint64_t* record) {
+void ElasticBuffer0::reset(std::uint64_t* record) const {
   const auto v = recordView(*this, record);
   v.setSlot(init_ ? *init_ : BitVec(width_));
   v.setState(State{init_.has_value()});
 }
 
-void ElasticBuffer0::evalComb(SimContext& ctx) { runComb(ctx, *this); }
+void ElasticBuffer0::evalComb(SimContext& ctx) const { runComb(ctx, *this); }
 
-void ElasticBuffer0::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
+void ElasticBuffer0::clockEdge(SimContext& ctx) const { runEdge(ctx, *this); }
 
 void ElasticBuffer0::packState(const std::uint64_t* record, StateWriter& w) const {
   const auto v = recordView(*this, record);
@@ -121,7 +121,7 @@ void ElasticBuffer0::packState(const std::uint64_t* record, StateWriter& w) cons
   if (full) w.writeBitVec(v.slot());
 }
 
-void ElasticBuffer0::unpackState(std::uint64_t* record, StateReader& r) {
+void ElasticBuffer0::unpackState(std::uint64_t* record, StateReader& r) const {
   const auto v = recordView(*this, record);
   const bool full = r.readBool();
   if (full) v.setSlot(r.readPayload(width_, name()));
@@ -151,13 +151,13 @@ std::uint32_t BrokenBuffer::recordWords() const {
   return stateWords<State>() + payloadWords(width_);
 }
 
-void BrokenBuffer::reset(std::uint64_t* record) {
+void BrokenBuffer::reset(std::uint64_t* record) const {
   recordView(*this, record).setState(State{});
 }
 
-void BrokenBuffer::evalComb(SimContext& ctx) { runComb(ctx, *this); }
+void BrokenBuffer::evalComb(SimContext& ctx) const { runComb(ctx, *this); }
 
-void BrokenBuffer::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
+void BrokenBuffer::clockEdge(SimContext& ctx) const { runEdge(ctx, *this); }
 
 void BrokenBuffer::packState(const std::uint64_t* record, StateWriter& w) const {
   const auto v = recordView(*this, record);
@@ -167,7 +167,7 @@ void BrokenBuffer::packState(const std::uint64_t* record, StateWriter& w) const 
   w.writeBool(s.stopReg);
 }
 
-void BrokenBuffer::unpackState(std::uint64_t* record, StateReader& r) {
+void BrokenBuffer::unpackState(std::uint64_t* record, StateReader& r) const {
   const auto v = recordView(*this, record);
   const bool full = r.readBool();
   if (full) v.setSlot(r.readPayload(width_, name()));

@@ -32,14 +32,14 @@ class ElasticBuffer : public Node {
                 int initAntiTokens = 0);
 
   std::uint32_t recordWords() const override;
-  void reset(std::uint64_t* record) override;
-  void evalComb(SimContext& ctx) override;
+  void reset(std::uint64_t* record) const override;
+  void evalComb(SimContext& ctx) const override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateDriven; }
   /// Tokens enter/leave and anti-tokens cancel only on channel events.
   EdgeActivity edgeActivity() const override { return EdgeActivity::kOnEvents; }
-  void clockEdge(SimContext& ctx) override;
+  void clockEdge(SimContext& ctx) const override;
   void packState(const std::uint64_t* record, StateWriter& w) const override;
-  void unpackState(std::uint64_t* record, StateReader& r) override;
+  void unpackState(std::uint64_t* record, StateReader& r) const override;
   logic::Cost cost() const override;
   void timing(TimingModel& m) const override;
   void flowEdges(std::vector<FlowEdge>& out) const override;
@@ -54,7 +54,7 @@ class ElasticBuffer : public Node {
   const std::vector<BitVec>& initTokens() const { return init_; }
   int initAntiTokens() const { return initAnti_; }
   /// Current token count in `ctx` (negative = stored anti-tokens).
-  int occupancy(SimContext& ctx) const;
+  int occupancy(const SimContext& ctx) const;
 
   /// Scalar sequential state at the head of the record.
   struct State {
@@ -188,15 +188,15 @@ class ElasticBuffer0 : public Node {
                  std::optional<BitVec> initToken = std::nullopt);
 
   std::uint32_t recordWords() const override;
-  void reset(std::uint64_t* record) override;
-  void evalComb(SimContext& ctx) override;
+  void reset(std::uint64_t* record) const override;
+  void evalComb(SimContext& ctx) const override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateful; }
   /// The slot fills/empties only on channel events (kills at the input
   /// boundary annihilate on the channel and never touch the slot).
   EdgeActivity edgeActivity() const override { return EdgeActivity::kOnEvents; }
-  void clockEdge(SimContext& ctx) override;
+  void clockEdge(SimContext& ctx) const override;
   void packState(const std::uint64_t* record, StateWriter& w) const override;
-  void unpackState(std::uint64_t* record, StateReader& r) override;
+  void unpackState(std::uint64_t* record, StateReader& r) const override;
   logic::Cost cost() const override;
   void timing(TimingModel& m) const override;
   void flowEdges(std::vector<FlowEdge>& out) const override;
@@ -228,12 +228,12 @@ class BrokenBuffer : public Node {
   BrokenBuffer(std::string name, unsigned width);
 
   std::uint32_t recordWords() const override;
-  void reset(std::uint64_t* record) override;
-  void evalComb(SimContext& ctx) override;
+  void reset(std::uint64_t* record) const override;
+  void evalComb(SimContext& ctx) const override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateDriven; }
-  void clockEdge(SimContext& ctx) override;
+  void clockEdge(SimContext& ctx) const override;
   void packState(const std::uint64_t* record, StateWriter& w) const override;
-  void unpackState(std::uint64_t* record, StateReader& r) override;
+  void unpackState(std::uint64_t* record, StateReader& r) const override;
   Persistence outputPersistence(unsigned) const override {
     return Persistence::kPersistent;
   }

@@ -7,7 +7,7 @@
 
 namespace esl {
 
-SimContext::SimContext(Netlist& netlist) : netlist_(netlist) {
+SimContext::SimContext(const Netlist& netlist) : netlist_(netlist) {
   netlist_.validate();
   reset();
 }
@@ -18,6 +18,7 @@ void SimContext::reset() {
   cycle_ = 0;
   havePrev_ = false;
   violations_.clear();
+  for (auto& [ch, log] : logs_) log.clear();
   ensureChoiceMap();
   hasFixedChoices_ = false;
   std::fill(choiceKnown_.begin(), choiceKnown_.end(), 0);
@@ -149,7 +150,6 @@ void SimContext::layoutRecords() {
   std::vector<std::uint32_t> off(netlist_.nodeCapacity(), kNoRecord);
   std::uint32_t words = 0;
   unsigned prevShard = ~0u;
-  memberStateNodes_.clear();
   for (const NodeId id : liveNodes_) {
     if (shards_ > 1 && plan_.nodeShard[id] != prevShard) {
       // Cache-line-align each shard's first record so concurrent shard
@@ -158,13 +158,11 @@ void SimContext::layoutRecords() {
       prevShard = plan_.nodeShard[id];
     }
     off[id] = words;
-    const std::uint32_t n = nodePtr_[id]->recordWords();
-    if (n == 0) memberStateNodes_.push_back(id);
-    words += n;
+    words += nodePtr_[id]->recordWords();
   }
   std::vector<std::uint64_t> fresh(words, 0);
   for (const NodeId id : liveNodes_) {
-    Node& node = *nodePtr_[id];
+    const Node& node = *nodePtr_[id];
     std::uint64_t* rec = fresh.data() + off[id];
     if (id < recordOff_.size() && recordOff_[id] != kNoRecord)
       std::copy_n(records_.data() + recordOff_[id], node.recordWords(), rec);
@@ -175,7 +173,14 @@ void SimContext::layoutRecords() {
   recordOff_ = std::move(off);
 }
 
+void SimContext::checkShardCount(std::uint64_t n) {
+  ESL_CHECK(n <= kMaxShards, "shard count " + std::to_string(n) +
+                                 " is above the limit of " +
+                                 std::to_string(kMaxShards));
+}
+
 void SimContext::setShards(unsigned n) {
+  checkShardCount(n);
   if (n == 0) n = 1;
   if (n == shards_) return;
   // The re-layout below permutes board slots and records and bumps the
@@ -188,6 +193,12 @@ void SimContext::setShards(unsigned n) {
 }
 
 void SimContext::setBackend(Backend backend) { backend_ = backend; }
+
+const std::vector<SimContext::Transfer>& SimContext::transfers(ChannelId ch) const {
+  static const std::vector<Transfer> kNone;
+  const auto it = logs_.find(ch);
+  return it == logs_.end() ? kNone : it->second;
+}
 
 void SimContext::parallelShards(const std::function<void(unsigned)>& fn) {
   exec().parallelFor(shards_,
@@ -308,7 +319,7 @@ void SimContext::settleSweep() {
   SignalBoard& before = sweepScratch_;
   for (unsigned iter = 0; iter < maxIters; ++iter) {
     before.copyValuesFrom(board_);
-    for (const NodeId id : ids) netlist_.node(id).evalComb(*this);
+    for (const NodeId id : ids) nodePtr_[id]->evalComb(*this);
     if (board_.sameValuesAs(before) && iter > 0) return;
     if (board_.sameValuesAs(before) && ids.empty()) return;
   }
@@ -458,7 +469,7 @@ void SimContext::edge() {
 }
 
 void SimContext::edgeFull() {
-  for (const NodeId id : liveNodes_) netlist_.node(id).clockEdge(*this);
+  for (const NodeId id : liveNodes_) nodePtr_[id]->clockEdge(*this);
   sparseSeedValid_ = false;  // anything may have changed state
 }
 
@@ -488,7 +499,7 @@ void SimContext::edgeAudited() {
   if (auditCompiled) vm().prepare();
   prevClocked_.clear();
   for (const NodeId id : liveNodes_) {
-    Node& node = netlist_.node(id);
+    const Node& node = *nodePtr_[id];
     std::uint64_t* rec = record(id);
     const bool wouldSkip = nodeEdgeOnEvents_[id] && !nodeHasEvent[id];
     if (!wouldSkip) {
@@ -538,6 +549,12 @@ void SimContext::edgeAudited() {
 }
 
 void SimContext::edgeEpilogue() {
+  for (auto& [ch, log] : logs_) {
+    const std::uint32_t slot = board_.slotOf(ch);
+    if (slot != SignalBoard::kNoSlot && board_.bitAt(slot, SignalBoard::kVf) &&
+        !board_.bitAt(slot, SignalBoard::kSf) && !board_.bitAt(slot, SignalBoard::kVb))
+      log.push_back({cycle_, board_.dataAt(slot)});
+  }
   // The protocol monitor is the only reader of the previous cycle, and it
   // compares payloads only for stopped tokens: keep the control planes and
   // those payloads, and nothing at all when it is off.
@@ -661,21 +678,12 @@ void SimContext::unpackNodeState(const std::vector<std::uint8_t>& bytes) {
 }
 
 void SimContext::stageNodeState(StateReader r) {
-  // Member-held state (user nodes, the shared module's scheduler) cannot be
-  // staged: it is packed first, to be put back on a rejection.
+  // Statistics and memos are not packed: the staged records start as copies,
+  // so those words carry over.
   unpackRecords_.assign(records_.begin(), records_.end());
-  StateWriter undo(std::move(unpackUndo_));
-  for (const NodeId id : memberStateNodes_) nodePtr_[id]->packState(record(id), undo);
-  unpackUndo_ = undo.take();
-  try {
-    for (const NodeId id : liveNodes_)
-      nodePtr_[id]->unpackState(unpackRecords_.data() + recordOff_[id], r);
-    ESL_CHECK(r.done(), "unpackState: trailing bytes (netlist/state mismatch)");
-  } catch (...) {
-    StateReader back(unpackUndo_);
-    for (const NodeId id : memberStateNodes_) nodePtr_[id]->unpackState(record(id), back);
-    throw;
-  }
+  for (const NodeId id : liveNodes_)
+    nodePtr_[id]->unpackState(unpackRecords_.data() + recordOff_[id], r);
+  ESL_CHECK(r.done(), "unpackState: trailing bytes (netlist/state mismatch)");
 }
 
 }  // namespace esl

@@ -46,8 +46,7 @@
 //   * edge: each shard sweeps its interior plane range (plus the boundary
 //     region, filtered by ownership) for event bits and clocks only its own
 //     nodes. clockEdge writes only its node's record (in the shard's own
-//     slice) and statistics, so no synchronization is needed beyond the join
-//     barrier.
+//     slice), so no synchronization is needed beyond the join barrier.
 // Per-cycle choice bits are pre-resolved serially before the parallel phases
 // (the provider must be a pure function of (node, index) per cycle — see
 // sim::Simulator, whose provider hashes (seed, cycle, node, index)), keeping
@@ -55,16 +54,19 @@
 //
 // --- Node state --------------------------------------------------------------
 //
-// Every node's sequential state is its record in one context-owned u64 arena
-// (Node::recordWords() words each, in liveNodes_ order, each shard's slice
-// starting on a cache line). The arena is laid out with the board, whenever
-// the topology or the shard count moves: surviving nodes keep their records,
-// a node that joins the context gets its reset record. Every execution path
-// — the sweep, event and sharded kernels, the compiled VM, packState and
-// unpackState — reads and writes the same records, so there is one copy of
-// the state and nothing to keep in step. Two contexts over one netlist keep
-// separate records; what stays on the node objects (statistics, memos, the
-// shared module's scheduler, a user node's members) is still shared.
+// Everything a node changes during a run — sequential state, memos,
+// statistics, a shared module's scheduler state — is its record in one
+// context-owned u64 arena (Node::recordWords() words each, in liveNodes_
+// order, each shard's slice starting on a cache line). The arena is laid out
+// with the board, whenever the topology or the shard count moves: surviving
+// nodes keep their records, a node that joins the context gets its reset
+// record. Every execution path — the sweep, event and sharded kernels, the
+// compiled VM, packState and unpackState — reads and writes the same
+// records, so there is one copy of the state and nothing to keep in step.
+// The netlist and its node objects are only read, so any number of contexts
+// can simulate one netlist at once, on any threads, as long as nobody edits
+// it meanwhile. What a caller wants logged beyond the records — the transfer
+// stream of a channel — the context logs too, only when asked.
 //
 // The context also resolves per-cycle nondeterministic choice bits for
 // environment nodes (random under simulation, enumerated under verification)
@@ -78,6 +80,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -105,11 +108,11 @@ class SimContext {
     kCompiled,     ///< bytecode program over raw board offsets (compile/vm.h)
   };
 
-  /// The netlist must outlive the context and is validated on construction.
-  explicit SimContext(Netlist& netlist);
+  /// The netlist must outlive the context, and must not change while the
+  /// context runs a phase; it is validated on construction.
+  explicit SimContext(const Netlist& netlist);
   ~SimContext();
 
-  Netlist& netlist() { return netlist_; }
   const Netlist& netlist() const { return netlist_; }
 
   /// Resets all node state and signals; cycle counter back to 0.
@@ -134,6 +137,14 @@ class SimContext {
   /// event side runs sharded, so this doubles as the sharded-vs-serial oracle.
   void setCrossCheck(bool enabled) { crossCheck_ = enabled; }
   bool crossCheck() const { return crossCheck_; }
+
+  /// Most worker lanes a context shards across: setShards refuses more
+  /// before allocating anything, so a count from outside (a flag, a frame,
+  /// a spool record) cannot ask for thousands of threads.
+  static constexpr unsigned kMaxShards = 256;
+  /// Throws EslError if `n` is above kMaxShards. Callers that narrow a wider
+  /// count check it first.
+  static void checkShardCount(std::uint64_t n);
 
   /// Shard the netlist across `n` worker lanes (1 = serial, the default).
   /// Settled signals and packState() are bit-identical for every value.
@@ -174,6 +185,30 @@ class SimContext {
   /// Node `id`'s state record (valid until the next relayout; see "Node
   /// state" above).
   std::uint64_t* record(NodeId id) { return records_.data() + recordOff_[id]; }
+  /// The read-only form (statistics getters) checks that `id` has a record:
+  /// a node spliced in since the last cycle gets one at the next.
+  const std::uint64_t* record(NodeId id) const {
+    ESL_CHECK(id < recordOff_.size() && recordOff_[id] != kNoRecord,
+              "SimContext::record: node " + std::to_string(id) +
+                  " has no record in this context yet");
+    return records_.data() + recordOff_[id];
+  }
+
+  // --- Transfer logs ---------------------------------------------------------
+
+  /// One forward transfer on a logged channel.
+  struct Transfer {
+    std::uint64_t cycle;
+    BitVec data;
+  };
+  /// Logs `ch`'s forward transfers from the next edge on, read off the
+  /// settled board (a sink's input channel carries its transfer stream, the
+  /// observable behaviour of paper §3.1). A log grows by a token per
+  /// transfer, so the context keeps only the ones asked for; reset() empties
+  /// them, unpackState leaves them be.
+  void logTransfers(ChannelId ch) { logs_.try_emplace(ch); }
+  /// `ch`'s log (empty if it was never asked for).
+  const std::vector<Transfer>& transfers(ChannelId ch) const;
 
   // --- Nondeterministic choices ---------------------------------------------
 
@@ -494,8 +529,8 @@ class SimContext {
   /// shard scans its interior plane range unfiltered (interior endpoints are
   /// owned by construction) plus the shared boundary region filtered by
   /// ownership, then runs `clock` on only its own nodes. clock(id) must write
-  /// only node `id`'s record and statistics, so the only shared writes are
-  /// the ownership-filtered (word-exclusive) edge-mark bitmap.
+  /// only node `id`'s record, so the only shared writes are the
+  /// ownership-filtered (word-exclusive) edge-mark bitmap.
   template <typename Clock>
   void edgeShardedWith(const Clock& clock) {
     const std::uint64_t gen = ++edgeGen_;
@@ -548,8 +583,7 @@ class SimContext {
   /// Serializes every live node's state: the node section of packState()
   /// and all of packStateInto().
   void packNodeState(StateWriter& w) const;
-  /// Decodes a node section into unpackRecords_; member-held node state is
-  /// put back if it throws. Nothing is committed.
+  /// Decodes a node section into unpackRecords_, committing nothing.
   void stageNodeState(StateReader r);
   /// Decodes a kept cycle into sweepScratch_, committing nothing.
   void stageKeptCycle(StateReader& r);
@@ -588,8 +622,9 @@ class SimContext {
 
   friend class compile::Vm;
 
-  Netlist& netlist_;
+  const Netlist& netlist_;
   SignalBoard board_;       ///< current signals (SoA)
+  std::map<ChannelId, std::vector<Transfer>> logs_;  ///< see logTransfers
   /// The protocol monitor's view of the previous settled cycle: all four
   /// control planes, but only the payloads of stopped tokens (the Retry+ data
   /// check) — every other payload is stale. Kept only while checking is on.
@@ -651,7 +686,7 @@ class SimContext {
   std::uint64_t topologySeen_ = ~std::uint64_t{0};
   unsigned shardsSeen_ = 0;
   std::vector<NodeId> liveNodes_;
-  std::vector<Node*> nodePtr_;  ///< cached per-id pointers (hot dispatch)
+  std::vector<const Node*> nodePtr_;  ///< cached per-id pointers (hot dispatch)
   /// Flattened channel→reader adjacency (CSR) with the board slot resolved at
   /// cache-build time: the drain loops walk one contiguous range per node.
   struct AdjEntry {
@@ -677,12 +712,8 @@ class SimContext {
   static constexpr std::uint32_t kNoRecord = ~std::uint32_t{0};
   std::vector<std::uint64_t> records_;
   std::vector<std::uint32_t> recordOff_;  ///< per NodeId; kNoRecord = none
-  /// Live nodes without a record: whatever state they have is in members.
-  std::vector<NodeId> memberStateNodes_;
-  // unpackState scratch, reused: the records it decodes into, and the
-  // member-held state it puts back if the snapshot is rejected.
+  /// unpackState scratch, reused: the records it decodes into.
   std::vector<std::uint64_t> unpackRecords_;
-  std::vector<std::uint8_t> unpackUndo_;
 
   // Choice bookkeeping: per-node offset into the per-cycle assignment. The
   // cache is two packed bitplanes (known/value) so the per-cycle clear — and

@@ -13,20 +13,24 @@ EarlyEvalMux::EarlyEvalMux(std::string name, unsigned dataInputs, unsigned selWi
   declareOutput(width);
 }
 
-void EarlyEvalMux::reset(std::uint64_t* record) {
-  std::fill(record, record + dataInputs_, 0);
+void EarlyEvalMux::reset(std::uint64_t* record) const {
+  std::fill(record, record + recordWords(), 0);
 }
 
-void EarlyEvalMux::evalComb(SimContext& ctx) { runComb(ctx, *this); }
+std::uint64_t EarlyEvalMux::antiTokensEmitted(const SimContext& ctx) const {
+  return recordView(*this, ctx.record(id())).antiEmitted();
+}
 
-void EarlyEvalMux::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
+void EarlyEvalMux::evalComb(SimContext& ctx) const { runComb(ctx, *this); }
+
+void EarlyEvalMux::clockEdge(SimContext& ctx) const { runEdge(ctx, *this); }
 
 void EarlyEvalMux::packState(const std::uint64_t* record, StateWriter& w) const {
   const auto v = recordView(*this, record);
   for (unsigned i = 0; i < dataInputs_; ++i) w.writeU32(v.pending(i));
 }
 
-void EarlyEvalMux::unpackState(std::uint64_t* record, StateReader& r) {
+void EarlyEvalMux::unpackState(std::uint64_t* record, StateReader& r) const {
   const auto v = recordView(*this, record);
   for (unsigned i = 0; i < dataInputs_; ++i) v.setPending(i, r.readU32());
 }

@@ -26,16 +26,16 @@ class EarlyEvalMux : public Node {
   EarlyEvalMux(std::string name, unsigned dataInputs, unsigned selWidth,
                unsigned width);
 
-  std::uint32_t recordWords() const override { return dataInputs_; }
-  void reset(std::uint64_t* record) override;
-  void evalComb(SimContext& ctx) override;
+  std::uint32_t recordWords() const override { return dataInputs_ + 1; }
+  void reset(std::uint64_t* record) const override;
+  void evalComb(SimContext& ctx) const override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateful; }
   /// The pending counters grow only on firings (output transfer/kill events)
   /// and shrink only on input kill/backward-transfer events.
   EdgeActivity edgeActivity() const override { return EdgeActivity::kOnEvents; }
-  void clockEdge(SimContext& ctx) override;
+  void clockEdge(SimContext& ctx) const override;
   void packState(const std::uint64_t* record, StateWriter& w) const override;
-  void unpackState(std::uint64_t* record, StateReader& r) override;
+  void unpackState(std::uint64_t* record, StateReader& r) const override;
   logic::Cost cost() const override;
   void timing(TimingModel& m) const override;
   std::string kindName() const override { return "ee-mux"; }
@@ -44,12 +44,11 @@ class EarlyEvalMux : public Node {
   ChannelId selectChannel() const { return input(0); }
   ChannelId dataChannel(unsigned i) const { return input(1 + i); }
 
-  /// Completed firings (forward transfers at the output).
-  std::uint64_t firings() const { return firings_; }
-  /// Anti-tokens emitted in total.
-  std::uint64_t antiTokensEmitted() const { return antiEmitted_; }
+  /// Anti-tokens emitted in total in `ctx`.
+  std::uint64_t antiTokensEmitted(const SimContext& ctx) const;
 
-  /// Record: one pending anti-token counter word per data input.
+  /// Record: one pending anti-token counter word per data input, then the
+  /// emitted anti-token count (a statistic, not packed).
   template <typename Base>
   class View : public Base {
    public:
@@ -58,6 +57,7 @@ class EarlyEvalMux : public Node {
       return static_cast<unsigned>(this->record_[i]);
     }
     void setPending(unsigned i, unsigned n) const { this->record_[i] = n; }
+    std::uint64_t& antiEmitted() const { return this->record_[this->numInputs() - 1]; }
   };
   /// The handshake, once for both views (see elastic/node_view.h).
   template <typename V>
@@ -82,8 +82,6 @@ class EarlyEvalMux : public Node {
 
   unsigned dataInputs_;
   unsigned width_;
-  std::uint64_t firings_ = 0;
-  std::uint64_t antiEmitted_ = 0;
 };
 
 template <typename V>
@@ -147,10 +145,9 @@ void EarlyEvalMux::edge(const V& v) {
       ESL_ASSERT(avail > 0);
       --avail;  // delivered: killed a token or moved upstream
     }
-    if (d.fire && i != d.selIdx && v.stats()) ++v.node().antiEmitted_;
+    if (d.fire && i != d.selIdx && v.stats()) ++v.antiEmitted();
     v.setPending(i, avail);
   }
-  if (v.out(0).events().fwd && v.stats()) ++v.node().firings_;
 }
 
 }  // namespace esl

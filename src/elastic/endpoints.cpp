@@ -1,5 +1,7 @@
 #include "elastic/endpoints.h"
 
+#include <algorithm>
+
 namespace esl {
 
 // ---------------------------------------------------------------------------
@@ -26,29 +28,25 @@ TokenSource::Generator TokenSource::counting(unsigned width, std::uint64_t start
   };
 }
 
-std::optional<BitVec> TokenSource::tokenAt(std::uint64_t index) const {
-  if (memoValid_ && memoIndex_ == index) return memoTok_;
-  std::optional<BitVec> v = gen_(index);
-  if (v) ESL_CHECK(v->width() == width_, "TokenSource: generated width mismatch");
-  memoIndex_ = index;
-  memoTok_ = v;
-  memoValid_ = true;
-  return v;
+std::uint32_t TokenSource::recordWords() const {
+  return stateWords<State>() + 2 + payloadWords(width_);
 }
 
-std::uint32_t TokenSource::recordWords() const { return stateWords<State>(); }
-
-void TokenSource::reset(std::uint64_t* record) {
-  emitted_ = 0;
-  killedCount_ = 0;
+void TokenSource::reset(std::uint64_t* record) const {
+  const auto v = recordView(*this, record);
+  std::fill(record, record + recordWords(), 0);  // an empty memo
   State s;
-  s.offering = (!gate_ || gate_(0)) && tokenAt(0).has_value();
-  recordView(*this, record).setState(s);
+  s.offering = (!gate_ || gate_(0)) && v.hasToken(0);
+  v.setState(s);
 }
 
-void TokenSource::evalComb(SimContext& ctx) { runComb(ctx, *this); }
+std::uint64_t TokenSource::killed(const SimContext& ctx) const {
+  return recordView(*this, ctx.record(id())).state().killed;
+}
 
-void TokenSource::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
+void TokenSource::evalComb(SimContext& ctx) const { runComb(ctx, *this); }
+
+void TokenSource::clockEdge(SimContext& ctx) const { runEdge(ctx, *this); }
 
 void TokenSource::packState(const std::uint64_t* record, StateWriter& w) const {
   const State s = recordView(*this, record).state();
@@ -57,12 +55,13 @@ void TokenSource::packState(const std::uint64_t* record, StateWriter& w) const {
   w.writeU32(s.killCredit);
 }
 
-void TokenSource::unpackState(std::uint64_t* record, StateReader& r) {
-  State s;
+void TokenSource::unpackState(std::uint64_t* record, StateReader& r) const {
+  const auto v = recordView(*this, record);
+  State s = v.state();  // keeps the statistic
   s.index = r.readU64();
   s.offering = r.readBool();
   s.killCredit = r.readU32();
-  recordView(*this, record).setState(s);
+  v.setState(s);
 }
 
 void TokenSource::timing(TimingModel& m) const {
@@ -85,14 +84,17 @@ TokenSink::TokenSink(std::string name, unsigned width, Gate ready,
 
 std::uint32_t TokenSink::recordWords() const { return stateWords<State>(); }
 
-void TokenSink::reset(std::uint64_t* record) {
+void TokenSink::reset(std::uint64_t* record) const {
   recordView(*this, record).setState(State{false, antiBudget_});
-  transfers_.clear();
 }
 
-void TokenSink::evalComb(SimContext& ctx) { runComb(ctx, *this); }
+std::uint64_t TokenSink::received(const SimContext& ctx) const {
+  return recordView(*this, ctx.record(id())).state().received;
+}
 
-void TokenSink::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
+void TokenSink::evalComb(SimContext& ctx) const { runComb(ctx, *this); }
+
+void TokenSink::clockEdge(SimContext& ctx) const { runEdge(ctx, *this); }
 
 void TokenSink::packState(const std::uint64_t* record, StateWriter& w) const {
   const State s = recordView(*this, record).state();
@@ -100,11 +102,12 @@ void TokenSink::packState(const std::uint64_t* record, StateWriter& w) const {
   w.writeBool(s.antiActive);
 }
 
-void TokenSink::unpackState(std::uint64_t* record, StateReader& r) {
-  State s;
+void TokenSink::unpackState(std::uint64_t* record, StateReader& r) const {
+  const auto v = recordView(*this, record);
+  State s = v.state();  // keeps the statistic
   s.antiRemaining = r.readU32();
   s.antiActive = r.readBool();
-  recordView(*this, record).setState(s);
+  v.setState(s);
 }
 
 void TokenSink::timing(TimingModel& m) const {
@@ -130,15 +133,15 @@ std::uint32_t NondetSource::recordWords() const {
   return stateWords<State>() + payloadWords(width_);
 }
 
-void NondetSource::reset(std::uint64_t* record) {
+void NondetSource::reset(std::uint64_t* record) const {
   const auto v = recordView(*this, record);
   v.setState(State{});
   v.setValue(v.blank());
 }
 
-void NondetSource::evalComb(SimContext& ctx) { runComb(ctx, *this); }
+void NondetSource::evalComb(SimContext& ctx) const { runComb(ctx, *this); }
 
-void NondetSource::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
+void NondetSource::clockEdge(SimContext& ctx) const { runEdge(ctx, *this); }
 
 void NondetSource::packState(const std::uint64_t* record, StateWriter& w) const {
   const auto v = recordView(*this, record);
@@ -149,7 +152,7 @@ void NondetSource::packState(const std::uint64_t* record, StateWriter& w) const 
   w.writeU32(s.idleStreak);
 }
 
-void NondetSource::unpackState(std::uint64_t* record, StateReader& r) {
+void NondetSource::unpackState(std::uint64_t* record, StateReader& r) const {
   const auto v = recordView(*this, record);
   State s;
   s.offering = r.readBool();
@@ -174,13 +177,13 @@ NondetSink::NondetSink(std::string name, unsigned width, unsigned maxConsecutive
 
 std::uint32_t NondetSink::recordWords() const { return stateWords<State>(); }
 
-void NondetSink::reset(std::uint64_t* record) {
+void NondetSink::reset(std::uint64_t* record) const {
   recordView(*this, record).setState(State{});
 }
 
-void NondetSink::evalComb(SimContext& ctx) { runComb(ctx, *this); }
+void NondetSink::evalComb(SimContext& ctx) const { runComb(ctx, *this); }
 
-void NondetSink::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
+void NondetSink::clockEdge(SimContext& ctx) const { runEdge(ctx, *this); }
 
 void NondetSink::packState(const std::uint64_t* record, StateWriter& w) const {
   const State s = recordView(*this, record).state();
@@ -188,7 +191,7 @@ void NondetSink::packState(const std::uint64_t* record, StateWriter& w) const {
   w.writeBool(s.antiActive);
 }
 
-void NondetSink::unpackState(std::uint64_t* record, StateReader& r) {
+void NondetSink::unpackState(std::uint64_t* record, StateReader& r) const {
   State s;
   s.stops = r.readU32();
   s.antiActive = r.readBool();

@@ -35,8 +35,8 @@ class TokenSource : public Node {
   static Generator counting(unsigned width, std::uint64_t start = 0);
 
   std::uint32_t recordWords() const override;
-  void reset(std::uint64_t* record) override;
-  void evalComb(SimContext& ctx) override;
+  void reset(std::uint64_t* record) const override;
+  void evalComb(SimContext& ctx) const override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateDriven; }
   /// Ungated sources only advance on output events (an owed kill is consumed
   /// at the edge of the backward-transfer cycle that created it); a gate makes
@@ -44,22 +44,48 @@ class TokenSource : public Node {
   EdgeActivity edgeActivity() const override {
     return gate_ ? EdgeActivity::kEveryCycle : EdgeActivity::kOnEvents;
   }
-  void clockEdge(SimContext& ctx) override;
+  void clockEdge(SimContext& ctx) const override;
   void packState(const std::uint64_t* record, StateWriter& w) const override;
-  void unpackState(std::uint64_t* record, StateReader& r) override;
+  void unpackState(std::uint64_t* record, StateReader& r) const override;
   void timing(TimingModel& m) const override;
   Persistence outputPersistence(unsigned) const override {
     return Persistence::kPersistent;
   }
   std::string kindName() const override { return "source"; }
 
-  std::uint64_t emitted() const { return emitted_; }
-  std::uint64_t killed() const { return killedCount_; }
+  /// Tokens killed in `ctx` (by an anti-token on the channel or an owed
+  /// kill).
+  std::uint64_t killed(const SimContext& ctx) const;
 
   struct State {
     std::uint64_t index = 0;  ///< stream position of the next token
     bool offering = false;
     unsigned killCredit = 0;  ///< absorbed anti-tokens owed a token
+    std::uint64_t killed = 0;  ///< statistic, not packed
+  };
+  /// Record: State, then a size-1 memo of gen_ — the index, a tag (0 empty,
+  /// 1 the stream has ended there, 2 a token), the token. The stream is a
+  /// pure function of the index, and a stalled token would otherwise be
+  /// regenerated on every evaluation.
+  template <typename Base>
+  class View : public Base {
+   public:
+    using Base::Base;
+    /// Whether the stream has a token at `index` (then token() is it).
+    bool hasToken(std::uint64_t index) const {
+      std::uint64_t* const memo = this->record_ + kMemo;
+      if (memo[1] == 0 || memo[0] != index) {
+        const std::optional<BitVec> t = this->node().gen_(index);
+        if (t) this->setPayloadAt(kMemo + 2, this->outWidth(0), *t);
+        memo[0] = index;
+        memo[1] = t ? 2 : 1;
+      }
+      return memo[1] == 2;
+    }
+    auto token() const { return this->payloadAt(kMemo + 2, this->outWidth(0)); }
+
+   private:
+    static constexpr std::uint32_t kMemo = stateWords<State>();
   };
   /// The handshake, once for both views (see elastic/node_view.h).
   template <typename V>
@@ -68,26 +94,16 @@ class TokenSource : public Node {
   static void edge(const V& v);
 
  private:
-  std::optional<BitVec> tokenAt(std::uint64_t index) const;
-
   unsigned width_;
   Generator gen_;
   Gate gate_;
-
-  std::uint64_t emitted_ = 0;
-  std::uint64_t killedCount_ = 0;
-
-  // Size-1 memo of gen_(index): the stream is a pure function of the index,
-  // and a stalled token would otherwise be regenerated on every evaluation.
-  mutable bool memoValid_ = false;
-  mutable std::uint64_t memoIndex_ = 0;
-  mutable std::optional<BitVec> memoTok_;
 };
 
 /// Consumes tokens; readiness controlled by `ready(cycle)`; can inject a
 /// budget of anti-tokens upstream (`antiBudget` released by `antiGate`).
-/// Records the transfer stream — the observable behaviour for transfer
-/// equivalence (paper §3.1).
+/// Counts what it receives; the transfer stream itself — the observable
+/// behaviour for transfer equivalence (paper §3.1) — is logged by a context
+/// asked to (SimContext::logTransfers on input(0)).
 class TokenSink : public Node {
  public:
   using Gate = std::function<bool(std::uint64_t cycle)>;
@@ -96,10 +112,10 @@ class TokenSink : public Node {
             unsigned antiBudget = 0, Gate antiGate = {});
 
   std::uint32_t recordWords() const override;
-  void reset(std::uint64_t* record) override;
-  void evalComb(SimContext& ctx) override;
+  void reset(std::uint64_t* record) const override;
+  void evalComb(SimContext& ctx) const override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateDriven; }
-  /// Records transfers and resolves its own anti-tokens, all channel events —
+  /// Counts transfers and resolves its own anti-tokens, all channel events —
   /// except the anti gate, which opens as a function of the cycle counter.
   EdgeActivity edgeActivity() const override {
     return antiGate_ ? EdgeActivity::kEveryCycle : EdgeActivity::kOnEvents;
@@ -108,18 +124,14 @@ class TokenSink : public Node {
   bool evalReadsPerCycleInputs() const override {
     return static_cast<bool>(ready_) || static_cast<bool>(antiGate_);
   }
-  void clockEdge(SimContext& ctx) override;
+  void clockEdge(SimContext& ctx) const override;
   void packState(const std::uint64_t* record, StateWriter& w) const override;
-  void unpackState(std::uint64_t* record, StateReader& r) override;
+  void unpackState(std::uint64_t* record, StateReader& r) const override;
   void timing(TimingModel& m) const override;
   std::string kindName() const override { return "sink"; }
 
-  struct Transfer {
-    std::uint64_t cycle;
-    BitVec data;
-  };
-  const std::vector<Transfer>& transfers() const { return transfers_; }
-  std::uint64_t received() const { return transfers_.size(); }
+  /// Tokens received in `ctx`.
+  std::uint64_t received(const SimContext& ctx) const;
 
   /// True when behaviour depends on gate closures (then the sink can only be
   /// serialized if it was built from a registry gate spec).
@@ -131,6 +143,7 @@ class TokenSink : public Node {
   struct State {
     bool antiActive = false;     ///< an emitted anti-token awaits delivery
     unsigned antiRemaining = 0;  ///< anti-token budget left
+    std::uint64_t received = 0;  ///< statistic, not packed
   };
   /// The handshake, once for both views (see elastic/node_view.h).
   template <typename V>
@@ -143,8 +156,6 @@ class TokenSink : public Node {
   Gate ready_;
   Gate antiGate_;
   unsigned antiBudget_;
-
-  std::vector<Transfer> transfers_;
 };
 
 /// Verification source: nondeterministically offers tokens (1 choice bit) and
@@ -159,12 +170,12 @@ class NondetSource : public Node {
                unsigned dataBits = 0, unsigned maxIdle = 2);
 
   std::uint32_t recordWords() const override;
-  void reset(std::uint64_t* record) override;
-  void evalComb(SimContext& ctx) override;
+  void reset(std::uint64_t* record) const override;
+  void evalComb(SimContext& ctx) const override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateDriven; }
-  void clockEdge(SimContext& ctx) override;
+  void clockEdge(SimContext& ctx) const override;
   void packState(const std::uint64_t* record, StateWriter& w) const override;
-  void unpackState(std::uint64_t* record, StateReader& r) override;
+  void unpackState(std::uint64_t* record, StateReader& r) const override;
   unsigned choiceCount() const override { return 1 + dataBits_; }
   Persistence outputPersistence(unsigned) const override {
     return Persistence::kPersistent;
@@ -233,12 +244,12 @@ class NondetSink : public Node {
              bool emitsAntiTokens = false);
 
   std::uint32_t recordWords() const override;
-  void reset(std::uint64_t* record) override;
-  void evalComb(SimContext& ctx) override;
+  void reset(std::uint64_t* record) const override;
+  void evalComb(SimContext& ctx) const override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateDriven; }
-  void clockEdge(SimContext& ctx) override;
+  void clockEdge(SimContext& ctx) const override;
   void packState(const std::uint64_t* record, StateWriter& w) const override;
-  void unpackState(std::uint64_t* record, StateReader& r) override;
+  void unpackState(std::uint64_t* record, StateReader& r) const override;
   unsigned choiceCount() const override { return emitsAnti_ ? 2u : 1u; }
   std::string kindName() const override { return "nondet-sink"; }
 
@@ -268,43 +279,40 @@ template <typename V>
 void TokenSource::comb(const V& v) {
   auto out = v.out(0);
   const State s = v.state();
-  const std::optional<BitVec> tok =
-      s.offering ? v.node().tokenAt(s.index) : std::nullopt;
   // A token owed to an absorbed anti-token is never shown.
-  const bool offer = tok.has_value() && s.killCredit == 0;
+  const bool offer = s.offering && v.hasToken(s.index) && s.killCredit == 0;
   out.setVf(offer);
-  if (offer) out.setData(*tok);
+  if (offer) out.setData(v.token());
   out.setSb(false);  // sources always absorb anti-tokens
 }
 
 template <typename V>
 void TokenSource::edge(const V& v) {
   const ChannelEvents out = v.out(0).events();
-  TokenSource& src = v.node();
+  const TokenSource& src = v.node();
   State s = v.state();
   if (out.kill) {
     ++s.index;
-    if (v.stats()) ++src.killedCount_;
+    if (v.stats()) ++s.killed;
     s.offering = false;
   } else if (out.fwd) {
     ++s.index;
-    if (v.stats()) ++src.emitted_;
     s.offering = false;
   } else if (out.bwd) {
     ++s.killCredit;
   }
 
   // An owed kill silently consumes the next available token (one per cycle).
-  if (s.killCredit > 0 && src.tokenAt(s.index).has_value() && !out.vf) {
+  if (s.killCredit > 0 && v.hasToken(s.index) && !out.vf) {
     ++s.index;
     --s.killCredit;
-    if (v.stats()) ++src.killedCount_;
+    if (v.stats()) ++s.killed;
     s.offering = false;
   }
 
   // Offer the next token when the gate opens for the upcoming cycle.
   if (!s.offering && (!src.gate_ || src.gate_(v.cycle() + 1)) &&
-      src.tokenAt(s.index).has_value() && s.killCredit == 0)
+      v.hasToken(s.index) && s.killCredit == 0)
     s.offering = true;
   v.setState(s);
 }
@@ -323,12 +331,11 @@ void TokenSink::comb(const V& v) {
 
 template <typename V>
 void TokenSink::edge(const V& v) {
-  const auto inPort = v.in(0);
-  const ChannelEvents in = inPort.events();
-  if (in.fwd && v.stats()) v.node().transfers_.push_back({v.cycle(), inPort.data()});
-
+  const ChannelEvents in = v.in(0).events();
+  if (!in.fwd && !in.vb) return;
+  State s = v.state();
+  if (in.fwd && v.stats()) ++s.received;
   if (in.vb) {
-    State s = v.state();
     if (in.vf || !in.sb) {  // delivered: killed a token or moved upstream
       ESL_ASSERT(s.antiRemaining > 0);
       --s.antiRemaining;
@@ -336,8 +343,8 @@ void TokenSink::edge(const V& v) {
     } else {
       s.antiActive = true;  // Retry-: persist until delivered
     }
-    v.setState(s);
   }
+  v.setState(s);
 }
 
 template <typename V>

@@ -11,20 +11,20 @@ ForkNode::ForkNode(std::string name, unsigned width, unsigned branches)
   for (unsigned i = 0; i < branches; ++i) declareOutput(width);
 }
 
-void ForkNode::reset(std::uint64_t* record) {
+void ForkNode::reset(std::uint64_t* record) const {
   std::fill(record, record + recordWords(), 0);
 }
 
-void ForkNode::evalComb(SimContext& ctx) { runComb(ctx, *this); }
+void ForkNode::evalComb(SimContext& ctx) const { runComb(ctx, *this); }
 
-void ForkNode::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
+void ForkNode::clockEdge(SimContext& ctx) const { runEdge(ctx, *this); }
 
 void ForkNode::packState(const std::uint64_t* record, StateWriter& w) const {
   const auto v = recordView(*this, record);
   for (unsigned i = 0; i < branches(); ++i) w.writeBool(v.done(i));
 }
 
-void ForkNode::unpackState(std::uint64_t* record, StateReader& r) {
+void ForkNode::unpackState(std::uint64_t* record, StateReader& r) const {
   const auto v = recordView(*this, record);
   for (unsigned i = 0; i < branches(); ++i) v.setDone(i, r.readBool());
 }

@@ -18,14 +18,14 @@ class ForkNode : public Node {
   ForkNode(std::string name, unsigned width, unsigned branches);
 
   std::uint32_t recordWords() const override { return (branches() + 63) / 64; }
-  void reset(std::uint64_t* record) override;
-  void evalComb(SimContext& ctx) override;
+  void reset(std::uint64_t* record) const override;
+  void evalComb(SimContext& ctx) const override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateful; }
   /// Done bits set on branch events and clear on the stem transfer event.
   EdgeActivity edgeActivity() const override { return EdgeActivity::kOnEvents; }
-  void clockEdge(SimContext& ctx) override;
+  void clockEdge(SimContext& ctx) const override;
   void packState(const std::uint64_t* record, StateWriter& w) const override;
-  void unpackState(std::uint64_t* record, StateReader& r) override;
+  void unpackState(std::uint64_t* record, StateReader& r) const override;
   logic::Cost cost() const override;
   void timing(TimingModel& m) const override;
   std::string kindName() const override { return "fork"; }

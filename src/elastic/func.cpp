@@ -13,10 +13,13 @@ FuncNode::FuncNode(std::string name, std::vector<unsigned> inputWidths,
   declareOutput(outputWidth);
 }
 
-void FuncNode::evalComb(SimContext& ctx) { runComb(ctx, *this); }
+std::uint32_t FuncNode::recordWords() const {
+  std::uint32_t words = 1 + payloadWords(outputWidth(0));
+  for (unsigned i = 0; i < numInputs(); ++i) words += payloadWords(inputWidth(i));
+  return words;
+}
 
-// The edge reads only the output: the plain ports skip the input proxies.
-void FuncNode::clockEdge(SimContext& ctx) { edge(ObjectPorts<FuncNode>(ctx, *this)); }
+void FuncNode::evalComb(SimContext& ctx) const { runComb(ctx, *this); }
 
 logic::Cost FuncNode::cost() const { return datapathCost_; }
 

@@ -7,7 +7,7 @@
 // [Cortadella & Kishinevsky, DAC'07] — cancelling one whole would-be firing.
 //
 // FuncNode is stateless (forward latency 0); pipelining comes from explicit
-// elastic buffers around it.
+// elastic buffers around it. Its record holds only the memo of its datapath.
 #pragma once
 
 #include <functional>
@@ -26,12 +26,13 @@ class FuncNode : public Node {
   FuncNode(std::string name, std::vector<unsigned> inputWidths, unsigned outputWidth,
            CombFn fn, logic::Cost datapathCost = {1.0, 1.0});
 
-  void evalComb(SimContext& ctx) override;
-  /// Stateless join (firings_ is edge-only), so fully signal-determined.
+  std::uint32_t recordWords() const override;
+  void reset(std::uint64_t* record) const override { record[0] = 0; }
+  void evalComb(SimContext& ctx) const override;
+  /// Stateless join, so fully signal-determined.
   EvalPurity evalPurity() const override { return EvalPurity::kCombPure; }
-  /// Only the firing counter advances, on the output transfer event.
+  /// Nothing to clock: kept off the every-cycle edge list.
   EdgeActivity edgeActivity() const override { return EdgeActivity::kOnEvents; }
-  void clockEdge(SimContext& ctx) override;
   logic::Cost cost() const override;
   void timing(TimingModel& m) const override;
   std::string kindName() const override { return "func"; }
@@ -45,54 +46,34 @@ class FuncNode : public Node {
   const std::string& role() const { return role_; }
   void setRole(std::string role) { role_ = std::move(role); }
 
-  /// Forward transfers completed at the output (simulation statistic).
-  std::uint64_t firings() const { return firings_; }
+  /// Record: a size-1 memo of the datapath — a valid word, each operand,
+  /// then the result. fn_ is pure, so replaying it on identical operands is
+  /// pure waste — and both settle kernels replay a lot (the sweep on every
+  /// iteration, retried tokens on every cycle).
+  template <typename Base>
+  class View : public Base {
+   public:
+    using Base::Base;
+    /// The object view's datapath; the arena view lowers catalog functions
+    /// to word arithmetic instead (compile/arena.h).
+    template <typename Port>
+    void computeOutput(Port& out) const { computeMemoized(out); }
+    /// Drives fn_ over the input payloads onto `out` through the memo.
+    template <typename Port>
+    void computeMemoized(Port& out) const;
+  };
 
   /// The join handshake, once for both views (see elastic/node_view.h). Only
-  /// the payload computation, `v.computeOutput(out)`, is per view: the object
-  /// view runs computeMemoized(); the arena view runs word arithmetic for
-  /// catalog functions and computeMemoized() for the rest.
+  /// the payload computation, `v.computeOutput(out)`, is per view.
   template <typename V>
   static void comb(const V& v);
   template <typename V>
-  static void edge(const V& v) {
-    if (v.out(0).events().fwd && v.stats()) ++v.node().firings_;
-  }
-
-  /// Drives fn_ over the input payloads onto `out` through the size-1 memo.
-  template <typename V, typename Port>
-  void computeMemoized(const V& v, Port& out);
+  static void edge(const V&) {}
 
  private:
-  friend class ObjectView<FuncNode>;
-
   CombFn fn_;
   logic::Cost datapathCost_;
   std::string role_;
-  std::uint64_t firings_ = 0;
-
-  // Size-1 memo of the last datapath computation. fn_ is pure, so replaying
-  // it on identical operands is pure waste — and both settle kernels replay a
-  // lot (the sweep on every iteration, retried tokens on every cycle).
-  bool memoValid_ = false;
-  std::vector<BitVec> memoArgs_;
-  BitVec memoOut_;
-
-  // Input proxies of the object view, resolved once per evaluation (the join
-  // reads each input several times); capacity is retained between calls.
-  std::vector<Sig> inSigs_;
-};
-
-template <>
-class ObjectView<FuncNode> : public ObjectPorts<FuncNode> {
- public:
-  ObjectView(SimContext& ctx, FuncNode& node) : ObjectPorts(ctx, node) {
-    node.inSigs_.clear();
-    for (unsigned i = 0; i < node.numInputs(); ++i)
-      node.inSigs_.push_back(ctx.sig(node.input(i)));
-  }
-  Sig in(unsigned i) const { return node().inSigs_[i]; }
-  void computeOutput(Sig& out) const { node().computeMemoized(*this, out); }
 };
 
 template <typename V>
@@ -128,20 +109,34 @@ void FuncNode::comb(const V& v) {
   out.setSb(!allIn && !allCan);
 }
 
-template <typename V, typename Port>
-void FuncNode::computeMemoized(const V& v, Port& out) {
-  const unsigned n = v.numInputs();
-  bool hit = memoValid_;
-  for (unsigned i = 0; hit && i < n; ++i) hit = v.in(i).dataEquals(memoArgs_[i]);
-  if (!hit) {
-    memoArgs_.resize(n);
-    for (unsigned i = 0; i < n; ++i) memoArgs_[i] = v.in(i).data();
-    memoOut_ = fn_(memoArgs_);
-    ESL_CHECK(memoOut_.width() == outputWidth(0),
-              "FuncNode '" + name() + "': function returned wrong width");
-    memoValid_ = true;
+template <typename Base>
+template <typename Port>
+void FuncNode::View<Base>::computeMemoized(Port& out) const {
+  const unsigned n = this->numInputs();
+  std::uint64_t* const memo = this->record_;
+  std::uint32_t at = 1;  // operands follow the valid word
+  bool hit = memo[0] != 0;
+  for (unsigned i = 0; hit && i < n; ++i) {
+    hit = this->in(i).dataEqualsWords(memo + at);
+    at += payloadWords(this->inWidth(i));
   }
-  out.setData(memoOut_);
+  if (!hit) {
+    std::vector<BitVec> args;
+    args.reserve(n);
+    at = 1;
+    for (unsigned i = 0; i < n; ++i) {
+      args.push_back(this->in(i).data());
+      args.back().toWords(memo + at);
+      at += payloadWords(this->inWidth(i));
+    }
+    const FuncNode& f = this->node();
+    const BitVec result = f.fn_(args);
+    ESL_CHECK(result.width() == this->outWidth(0),
+              "FuncNode '" + f.name() + "': function returned wrong width");
+    result.toWords(memo + at);
+    memo[0] = 1;
+  }
+  out.setData(this->payloadAt(at, this->outWidth(0)));
 }
 
 /// Identity function block (a named wire with join semantics).

@@ -10,13 +10,8 @@ NodeId Netlist::addNode(std::unique_ptr<Node> node) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
   node->setId(id);
   nodes_.push_back(std::move(node));
-  // Keep the adjacency index hot through the common build-up path.
-  const bool synced = adjacencyVersion_ == topoVersion_;
+  adjacency_.emplace_back();
   ++topoVersion_;
-  if (synced) {
-    adjacency_.emplace_back();
-    adjacencyVersion_ = topoVersion_;
-  }
   return id;
 }
 
@@ -30,7 +25,7 @@ void Netlist::removeNode(NodeId id) {
     ESL_CHECK(!n.outputBound(p),
               "Netlist::removeNode: output still connected on " + n.name());
   nodes_[id].reset();
-  invalidateAdjacency();
+  rewired();
 }
 
 ChannelId Netlist::connect(Node& producer, unsigned producerPort, Node& consumer,
@@ -61,13 +56,9 @@ ChannelId Netlist::connect(Node& producer, unsigned producerPort, Node& consumer
   producer.bindOutput(producerPort, ch.id);
   consumer.bindInput(consumerPort, ch.id);
 
-  const bool synced = adjacencyVersion_ == topoVersion_;
+  adjacency_[producer.id()].push_back({ch.id, consumer.id()});
+  adjacency_[consumer.id()].push_back({ch.id, producer.id()});
   ++topoVersion_;
-  if (synced) {
-    adjacency_[producer.id()].push_back({ch.id, consumer.id()});
-    adjacency_[consumer.id()].push_back({ch.id, producer.id()});
-    adjacencyVersion_ = topoVersion_;
-  }
   return ch.id;
 }
 
@@ -77,7 +68,7 @@ void Netlist::disconnect(ChannelId chId) {
   node(ch.producer).bindOutput(ch.producerPort, kNoChannel);
   node(ch.consumer).bindInput(ch.consumerPort, kNoChannel);
   channelLive_[chId] = false;
-  invalidateAdjacency();
+  rewired();
 }
 
 void Netlist::rebindConsumer(ChannelId chId, Node& consumer, unsigned consumerPort) {
@@ -91,7 +82,7 @@ void Netlist::rebindConsumer(ChannelId chId, Node& consumer, unsigned consumerPo
   ch.consumer = consumer.id();
   ch.consumerPort = consumerPort;
   consumer.bindInput(consumerPort, chId);
-  invalidateAdjacency();
+  rewired();
 }
 
 void Netlist::rebindProducer(ChannelId chId, Node& producer, unsigned producerPort) {
@@ -105,7 +96,7 @@ void Netlist::rebindProducer(ChannelId chId, Node& producer, unsigned producerPo
   ch.producer = producer.id();
   ch.producerPort = producerPort;
   producer.bindOutput(producerPort, chId);
-  invalidateAdjacency();
+  rewired();
 }
 
 ChannelId Netlist::insertOnChannel(ChannelId chId, Node& mid) {
@@ -116,13 +107,14 @@ ChannelId Netlist::insertOnChannel(ChannelId chId, Node& mid) {
   Node& consumer = node(ch.consumer);
   const unsigned consumerPort = ch.consumerPort;
   // Detach the old consumer, attach the new node, then connect downstream.
-  // The direct rebind below bypasses connect(), so drop the incremental index.
-  invalidateAdjacency();
+  // The direct rebind bypasses connect(), so the index is rebuilt after.
   consumer.bindInput(consumerPort, kNoChannel);
   ch.consumer = mid.id();
   ch.consumerPort = 0;
   mid.bindInput(0, chId);
-  return connect(mid, 0, consumer, consumerPort);
+  const ChannelId down = connect(mid, 0, consumer, consumerPort);
+  rewired();
+  return down;
 }
 
 ChannelId Netlist::bypassNode(NodeId id) {
@@ -133,7 +125,6 @@ ChannelId Netlist::bypassNode(NodeId id) {
   ESL_CHECK(n.inputBound(0) && n.outputBound(0), "bypassNode: node not fully connected");
   const ChannelId up = n.input(0);
   const ChannelId down = n.output(0);
-  invalidateAdjacency();
   Channel& downCh = channels_[down];
   Node& consumer = node(downCh.consumer);
   const unsigned consumerPort = downCh.consumerPort;
@@ -143,6 +134,7 @@ ChannelId Netlist::bypassNode(NodeId id) {
   upCh.consumer = consumer.id();
   upCh.consumerPort = consumerPort;
   consumer.bindInput(consumerPort, up);
+  rewired();
   return up;
 }
 
@@ -186,7 +178,7 @@ void Netlist::renameNode(NodeId id, std::string name) {
   nodes_[id]->rename(std::move(name));
   // The rename invalidates the name index only, but versions are unified;
   // renames are rare and never happen mid-simulation.
-  invalidateAdjacency();
+  rewired();
 }
 
 bool Netlist::hasChannel(ChannelId ch) const {
@@ -205,7 +197,7 @@ Channel& Netlist::channelMutable(ChannelId ch) {
   // widths). Bump the version so caches re-derive — and the width audit in
   // validate()/SignalBoard::layout() rejects a width that no longer matches
   // the endpoint ports instead of silently corrupting payload storage.
-  invalidateAdjacency();
+  rewired();
   return channels_[ch];
 }
 
@@ -261,11 +253,11 @@ void Netlist::validate() const {
 
 const std::vector<Netlist::AdjacentChannel>& Netlist::adjacency(NodeId id) const {
   ESL_CHECK(hasNode(id), "Netlist::adjacency: unknown node id " + std::to_string(id));
-  if (adjacencyVersion_ != topoVersion_) rebuildAdjacency();
   return adjacency_[id];
 }
 
-void Netlist::rebuildAdjacency() const {
+void Netlist::rewired() {
+  ++topoVersion_;
   adjacency_.assign(nodes_.size(), {});
   for (std::size_t i = 0; i < channels_.size(); ++i) {
     if (!channelLive_[i]) continue;
@@ -273,7 +265,6 @@ void Netlist::rebuildAdjacency() const {
     adjacency_[ch.producer].push_back({ch.id, ch.consumer});
     adjacency_[ch.consumer].push_back({ch.id, ch.producer});
   }
-  adjacencyVersion_ = topoVersion_;
 }
 
 std::vector<bool> Netlist::channelPersistence() const {

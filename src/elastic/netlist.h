@@ -97,14 +97,14 @@ class Netlist {
 
   /// Bumped by every structural mutation (add/remove node, connect,
   /// disconnect, rebind, splice). Lets cached per-topology structures
-  /// (the adjacency index, a SimContext's seeding state) detect staleness.
+  /// (the name index, a SimContext's seeding state) detect staleness.
   std::uint64_t topologyVersion() const { return topoVersion_; }
 
   /// Fan-in + fan-out channels of `id` with their opposite endpoints. The
-  /// index is maintained incrementally by connect() on the common build-up
-  /// path and rebuilt lazily after rewiring; not thread-safe against
-  /// concurrent structural mutation (SimFarm gives each worker its own
-  /// netlist instead of sharing one).
+  /// index is always current: connect() extends it on the common build-up
+  /// path, and every other mutation rebuilds it before returning — so
+  /// reading it never writes, and contexts on several threads may read it
+  /// while no one mutates the netlist.
   const std::vector<AdjacentChannel>& adjacency(NodeId id) const;
 
   /// Throws NetlistError unless every port of every node is bound and every
@@ -123,10 +123,9 @@ class Netlist {
 
  private:
   std::string freshChannelName(const Node& producer, unsigned port) const;
-  /// Structural mutation that the incremental index cannot follow: bump the
-  /// version without updating the cache, forcing a lazy rebuild.
-  void invalidateAdjacency() { ++topoVersion_; }
-  void rebuildAdjacency() const;
+  /// Structural mutation that connect()'s incremental update cannot follow:
+  /// bump the version and rebuild the adjacency index.
+  void rewired();
   void rebuildNameIndex() const;
 
   std::vector<std::unique_ptr<Node>> nodes_;  // nullptr = removed slot
@@ -134,9 +133,7 @@ class Netlist {
   std::vector<bool> channelLive_;
 
   std::uint64_t topoVersion_ = 0;
-  // Cache of adjacency(), valid while adjacencyVersion_ == topoVersion_.
-  mutable std::vector<std::vector<AdjacentChannel>> adjacency_;
-  mutable std::uint64_t adjacencyVersion_ = 0;
+  std::vector<std::vector<AdjacentChannel>> adjacency_;  ///< per NodeId
 
   // Name -> id index behind findNode/findChannel, rebuilt lazily whenever
   // the topology version moves (renameNode bumps it too). Duplicated names

@@ -9,14 +9,19 @@
 //   producer side of an output channel: vf, data, sb
 //   consumer side of an input channel:  sf, vb
 //
-// Sequential state lives in the simulating context's record arena
-// (elastic/context.h): each node owns recordWords() words there, and reset,
-// packState and unpackState are handed that record. The built-in kinds keep
-// all their sequential state in it and write both phases once, as comb/edge
-// templates over a port-and-state view (elastic/node_view.h); evalComb/
-// clockEdge run them through the object view, and the compiled backend runs
-// the same templates over the same records. A user node may ignore its record
-// and keep member state instead.
+// All node state is in the record: every byte a node changes during a run —
+// sequential state, memos, statistics — lives in the simulating context's
+// record arena (elastic/context.h). Each node owns recordWords() words there,
+// and reset, packState and unpackState are handed that record; evalComb and
+// clockEdge reach it through the context. The node object itself is a
+// description, read-only while it simulates (the simulation methods are
+// const), so one netlist can be simulated by any number of contexts at once,
+// on any threads. Its generator, gate and function closures must therefore
+// be pure functions of their arguments: no captured scratch, no counters.
+// The built-in kinds write both phases once, as comb/edge templates over a
+// port-and-state view (elastic/node_view.h); evalComb/clockEdge run them
+// through the object view, and the compiled backend runs the same templates
+// over the same records.
 #pragma once
 
 #include <memory>
@@ -108,12 +113,12 @@ class Node {
   /// the node's life.
   virtual std::uint32_t recordWords() const { return 0; }
 
-  /// Re-initializes sequential state (start of simulation / verification, or
-  /// joining a live context): the record, member state and statistics.
-  virtual void reset(std::uint64_t* record) { (void)record; }
+  /// Re-initializes the record (start of simulation / verification, or
+  /// joining a live context): sequential state, memos and statistics.
+  virtual void reset(std::uint64_t* record) const { (void)record; }
 
   /// One combinational sweep; called until fixpoint.
-  virtual void evalComb(SimContext& ctx) = 0;
+  virtual void evalComb(SimContext& ctx) const = 0;
 
   /// How far the event-driven settle kernel may trust this node's evalComb.
   ///
@@ -169,8 +174,9 @@ class Node {
   /// The declaration is audited: in cross-check mode the kernel still clocks
   /// every node but verifies that each node it *would* have skipped left its
   /// packState() bytes unchanged, turning a wrong hint into InternalError.
-  /// Note the audit sees packState() only — statistics excluded from
-  /// serialization are not covered, so counters must also be event-triggered.
+  /// Note the audit sees packState() only — statistics and memos excluded
+  /// from serialization are not covered, so counters must also be
+  /// event-triggered.
   enum class EdgeActivity {
     /// Default: clockEdge() must run every cycle (cycle-dependent gates,
     /// schedulers, per-cycle choice consumers, multi-cycle latency counters).
@@ -182,14 +188,16 @@ class Node {
   virtual EdgeActivity edgeActivity() const { return EdgeActivity::kEveryCycle; }
 
   /// Sequential update with settled signals.
-  virtual void clockEdge(SimContext& ctx) { (void)ctx; }
+  virtual void clockEdge(SimContext& ctx) const { (void)ctx; }
 
-  /// Sequential state serialization (model checker). Statistics excluded.
+  /// Sequential state serialization (snapshots, the model checker).
+  /// Statistics and memos are excluded: unpackState must leave those words
+  /// of the record as they are.
   virtual void packState(const std::uint64_t* record, StateWriter& w) const {
     (void)record;
     (void)w;
   }
-  virtual void unpackState(std::uint64_t* record, StateReader& r) {
+  virtual void unpackState(std::uint64_t* record, StateReader& r) const {
     (void)record;
     (void)r;
   }

@@ -5,8 +5,8 @@
 // mux, environments, shared module, stalling VLU) writes its combinational
 // and clock-edge logic once, as static member templates `comb(view)` and
 // `edge(view)` in its own header. Two views instantiate them, and both keep
-// the node's sequential state in one place: its record in the SimContext's
-// state arena.
+// everything the node changes during a run in one place: its record in the
+// SimContext's state arena.
 //   * ObjectView<K> (below): Sig ports over the context's board, payloads as
 //     BitVec of any width. The node's evalComb/clockEdge run it — every
 //     interpreted kernel, and every kGeneric op of the compiled backend.
@@ -15,21 +15,27 @@
 //
 // A record is the kind's scalar State struct, then its payload slots at
 // payloadWords(width) words each. A kind whose record holds more than its
-// State — stored payloads, per-branch bits, per-input counters — writes the
-// layout once, as a member template `View<Base>` deriving from either view's
-// base; its accessors (token(i), slot(), value(), pending()/result(),
-// done(i), pending(i)) serve both views, and the kind's reset/packState/
-// unpackState read the record through recordView().
+// State — stored payloads, per-branch bits, per-input counters, memos, a
+// scheduler's words — writes the layout once, as a member template
+// `View<Base>` deriving from either view's base; its accessors (token(i),
+// slot(), value(), pending()/result(), done(i), pending(i), the memos)
+// serve both views, and the kind's reset/packState/unpackState read the
+// record through recordView(). Statistics are State fields that packState
+// skips; memos and statistics are never packed, so unpackState leaves them
+// as they are.
 //
 // A view exposes
 //   in(i), out(i)    port proxies: vf/sf/vb/sb and their setters, data(),
-//                    dataLow64(), dataEquals(), setData(), setDataFrom(), and
-//                    events() — the settled bits plus transfer/kill, read once;
+//                    dataLow64(), dataEqualsWords() (against a payload stored
+//                    in the record), setData(), setDataFrom(), and events() —
+//                    the settled bits plus transfer/kill, read once;
 //   numInputs(), numOutputs(), inWidth(i), outWidth(i);
 //   payload(port)    the port's payload in the view's form (BitVec here, a
 //                    word in the arena) — what the record's setters take;
-//   node()           the node object, for what stays there: functions, memos,
-//                    schedulers and statistics — never sequential state;
+//   node()           the node object, read-only: its parameters and its pure
+//                    functions, gates and scheduler policy. Every byte that
+//                    changes during a run — sequential state, memos,
+//                    statistics — is in the record;
 //   stats()          whether statistics advance (false only in the compiled
 //                    backend's edge-audit replay);
 //   choice(i), cycle();
@@ -81,10 +87,12 @@ class NodeRecord {
 template <typename K>
 class ObjectRecord : public NodeRecord<K> {
  public:
-  ObjectRecord(K& node, std::uint64_t* record)
+  ObjectRecord(const K& node, std::uint64_t* record)
       : NodeRecord<K>(record), node_(&node) {}
 
-  K& node() const { return *node_; }
+  const K& node() const { return *node_; }
+  unsigned numInputs() const { return node_->numInputs(); }
+  unsigned numOutputs() const { return node_->numOutputs(); }
   unsigned inWidth(unsigned i) const { return node_->inputWidth(i); }
   unsigned outWidth(unsigned i) const { return node_->outputWidth(i); }
 
@@ -101,7 +109,7 @@ class ObjectRecord : public NodeRecord<K> {
   static BitVec zeroPayload(unsigned width) { return BitVec(width); }
 
  protected:
-  K* node_;
+  const K* node_;
 };
 
 /// The kind's record layout over `Base`: its View<Base> when it declares one,
@@ -116,32 +124,24 @@ struct RecordLayout<K, Base> {
   using type = typename K::template View<Base>;
 };
 
-/// Whether kind K keeps a record at all (the object view looks it up only
-/// then; func and shared keep their memos and scheduler on the node).
-template <typename K>
-constexpr bool kHasRecord =
-    requires { typename K::State; } ||
-    requires { typename K::template View<ObjectRecord<K>>; };
-
 /// The node's record through its kind's accessors, without ports: what
-/// reset/packState/unpackState use (packState only reads through it).
+/// reset/packState/unpackState and the statistics getters use (packState and
+/// the getters only read through it).
 template <typename K>
 auto recordView(const K& node, const std::uint64_t* record) {
   using View = typename RecordLayout<K, ObjectRecord<K>>::type;
-  return View(const_cast<K&>(node), const_cast<std::uint64_t*>(record));
+  return View(node, const_cast<std::uint64_t*>(record));
 }
 
 /// Ports, node access and per-cycle inputs of the object view.
 template <typename K>
 class ObjectPorts : public ObjectRecord<K> {
  public:
-  ObjectPorts(SimContext& ctx, K& node)
-      : ObjectRecord<K>(node, recordOf(ctx, node)), ctx_(&ctx) {}
+  ObjectPorts(SimContext& ctx, const K& node)
+      : ObjectRecord<K>(node, ctx.record(node.id())), ctx_(&ctx) {}
 
   Sig in(unsigned i) const { return ctx_->sig(this->node_->input(i)); }
   Sig out(unsigned i) const { return ctx_->sig(this->node_->output(i)); }
-  unsigned numInputs() const { return this->node_->numInputs(); }
-  unsigned numOutputs() const { return this->node_->numOutputs(); }
   BitVec payload(const ConstSig& port) const { return port.data(); }
 
   static constexpr bool stats() { return true; }
@@ -149,18 +149,10 @@ class ObjectPorts : public ObjectRecord<K> {
   std::uint64_t cycle() const { return ctx_->cycle(); }
 
  private:
-  static std::uint64_t* recordOf(SimContext& ctx, const K& node) {
-    if constexpr (kHasRecord<K>)
-      return ctx.record(node.id());
-    else
-      return nullptr;
-  }
-
   SimContext* ctx_;
 };
 
-/// The object view: ports plus the kind's record layout. FuncNode specializes
-/// it for its per-view datapath.
+/// The object view: ports plus the kind's record layout.
 template <typename K>
 class ObjectView : public RecordLayout<K, ObjectPorts<K>>::type {
   using Base = typename RecordLayout<K, ObjectPorts<K>>::type;
@@ -173,11 +165,11 @@ class ObjectView : public RecordLayout<K, ObjectPorts<K>>::type {
 /// flattened so the template inlines whole — it exceeds the default inlining
 /// budget, and the interpreter pays a call per node evaluation otherwise.
 template <typename K>
-[[gnu::flatten]] void runComb(SimContext& ctx, K& node) {
+[[gnu::flatten]] void runComb(SimContext& ctx, const K& node) {
   K::comb(ObjectView<K>(ctx, node));
 }
 template <typename K>
-[[gnu::flatten]] void runEdge(SimContext& ctx, K& node) {
+[[gnu::flatten]] void runEdge(SimContext& ctx, const K& node) {
   K::edge(ObjectView<K>(ctx, node));
 }
 

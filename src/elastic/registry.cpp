@@ -375,7 +375,7 @@ void registerCoreKinds(Registry& r) {
         return nl.make<StallingVLU>(
             name, inW, outW, unaryAdapter(r.makeFn({{inW}, outW}, p, "exact")),
             [err = unaryAdapter(r.makeFn({{inW}, 1}, p, "err"))](
-                const BitVec& x) mutable { return err(x).bit(0); },
+                const BitVec& x) { return err(x).bit(0); },
             costPair(p, "acost", {1.0, 1.0}), costPair(p, "ecost", {1.0, 1.0}),
             costPair(p, "rcost", {1.0, 1.0}));
       });
@@ -384,11 +384,7 @@ void registerCoreKinds(Registry& r) {
 }  // namespace
 
 std::function<BitVec(const BitVec&)> unaryAdapter(CombFn fn) {
-  return [fn = std::move(fn),
-          args = std::vector<BitVec>(1)](const BitVec& x) mutable {
-    args[0] = x;
-    return fn(args);
-  };
+  return [fn = std::move(fn)](const BitVec& x) { return fn(std::vector<BitVec>{x}); };
 }
 
 Registry::Registry() {
@@ -447,7 +443,7 @@ Node& Registry::makeNode(Netlist& nl, const NodeSpec& spec) const {
                        spec.name + "'");
   // The factory runs against a private copy: Params tracks reads through
   // mutable state for checkConsumed(), and one spec may be built from many
-  // threads at once (SimFarm::specRecipe, parallel checker lanes).
+  // threads at once (SimFarm::specRecipe, runSuiteFarm jobs).
   const Params params = spec.params;
   Node& n = it->second.factory(nl, spec.name, params);
   params.checkConsumed("node '" + spec.name + "' (" + spec.kind + ")");

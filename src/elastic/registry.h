@@ -11,10 +11,10 @@
 //    `fn=addk fn.k=7` is bit-identical to one built in C++ through the same
 //    catalog entry.
 //  * NetlistSpec is the serializable value form of a whole netlist: node
-//    specs plus channel specs. It replaces the opaque verify::NetlistRecipe
-//    closure as the thing ModelChecker lanes, SimFarm sweeps and the shell's
-//    save/load/undo consume — a spec can be named, printed (src/frontend),
-//    diffed and handed to a tool; a closure cannot.
+//    specs plus channel specs. It is the thing model-checker suite jobs,
+//    SimFarm sweeps and the shell's save/load/undo consume — a spec can be
+//    named, printed (src/frontend), diffed and handed to a tool; a closure
+//    cannot.
 //
 // C++ builders that want their netlists serializable construct through the
 // make*Node helpers below (the construction *is* a registry call, so parsing
@@ -153,8 +153,8 @@ class Registry {
 };
 
 /// Adapts an n-ary catalog CombFn to the unary shape SharedModule/StallingVLU
-/// consume, reusing one argument vector per node instead of allocating per
-/// token (nodes are never shared across threads).
+/// consume. The adapter is pure (it captures nothing it writes), as every
+/// node closure must be: contexts on several threads call it at once.
 std::function<BitVec(const BitVec&)> unaryAdapter(CombFn fn);
 
 /// Throws NetlistError unless `name` is a representable IR token: nonempty

@@ -18,27 +18,37 @@ SharedModule::SharedModule(std::string name, unsigned channels, unsigned inWidth
   ESL_CHECK(scheduler_ != nullptr, "SharedModule: scheduler required");
   ESL_CHECK(scheduler_->channels() == channels_,
             "SharedModule: scheduler arity mismatch");
+  ESL_CHECK(channels_ <= sched::Scheduler::kMaxChannels,
+            "SharedModule: more channels than a scheduler arbitrates");
   for (unsigned i = 0; i < channels_; ++i) declareInput(inWidth_);
   for (unsigned i = 0; i < channels_; ++i) declareOutput(outWidth_);
-  served_.assign(channels_, 0);
 }
 
-void SharedModule::reset(std::uint64_t*) {
-  scheduler_->reset();
-  served_.assign(channels_, 0);
-  demandCycles_ = 0;
+std::uint32_t SharedModule::recordWords() const {
+  return stateWords<State>() + payloadWords(inWidth_) + payloadWords(outWidth_) +
+         scheduler_->stateWords();
 }
 
-void SharedModule::evalComb(SimContext& ctx) { runComb(ctx, *this); }
-
-void SharedModule::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
-
-void SharedModule::packState(const std::uint64_t*, StateWriter& w) const {
-  scheduler_->packState(w);
+void SharedModule::reset(std::uint64_t* record) const {
+  const auto v = recordView(*this, record);
+  v.setState(State{});
+  scheduler_->reset(v.sched());
 }
 
-void SharedModule::unpackState(std::uint64_t*, StateReader& r) {
-  scheduler_->unpackState(r);
+std::uint64_t SharedModule::demandCycles(const SimContext& ctx) const {
+  return recordView(*this, ctx.record(id())).state().demandCycles;
+}
+
+void SharedModule::evalComb(SimContext& ctx) const { runComb(ctx, *this); }
+
+void SharedModule::clockEdge(SimContext& ctx) const { runEdge(ctx, *this); }
+
+void SharedModule::packState(const std::uint64_t* record, StateWriter& w) const {
+  scheduler_->packState(recordView(*this, record).sched(), w);
+}
+
+void SharedModule::unpackState(std::uint64_t* record, StateReader& r) const {
+  scheduler_->unpackState(recordView(*this, record).sched(), r);
 }
 
 unsigned SharedModule::choiceCount() const { return scheduler_->choiceBits(); }
@@ -56,16 +66,6 @@ void SharedModule::timing(TimingModel& m) const {
     m.arc({input(i), NetKind::kFwd}, {output(i), NetKind::kBwd}, 1.0);
   }
 }
-
-std::uint64_t SharedModule::totalServed() const {
-  std::uint64_t total = 0;
-  for (const std::uint64_t s : served_) total += s;
-  return total;
-}
-
-}  // namespace esl
-
-namespace esl {
 
 void SharedModule::flowEdges(std::vector<FlowEdge>& out) const {
   for (unsigned i = 0; i < channels_; ++i)

@@ -32,12 +32,13 @@ class SharedModule : public Node {
                std::unique_ptr<sched::Scheduler> scheduler,
                logic::Cost fnCost = {1.0, 1.0});
 
-  void reset(std::uint64_t* record) override;
-  void evalComb(SimContext& ctx) override;
+  std::uint32_t recordWords() const override;
+  void reset(std::uint64_t* record) const override;
+  void evalComb(SimContext& ctx) const override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateful; }
-  void clockEdge(SimContext& ctx) override;
+  void clockEdge(SimContext& ctx) const override;
   void packState(const std::uint64_t* record, StateWriter& w) const override;
-  void unpackState(std::uint64_t* record, StateReader& r) override;
+  void unpackState(std::uint64_t* record, StateReader& r) const override;
   unsigned choiceCount() const override;
   logic::Cost cost() const override;
   void timing(TimingModel& m) const override;
@@ -50,22 +51,45 @@ class SharedModule : public Node {
   std::string kindName() const override { return "shared"; }
 
   unsigned channels() const { return channels_; }
-  sched::Scheduler& scheduler() { return *scheduler_; }
 
-  /// The channel predicted for the current cycle (e.g. for trace rows).
-  unsigned prediction(SimContext& ctx) {
+  /// The channel predicted for the current cycle in `ctx` (e.g. for trace
+  /// rows).
+  unsigned prediction(SimContext& ctx) const {
     return predict(ObjectView<SharedModule>(ctx, *this));
   }
 
-  /// Tokens served per channel (forward transfers on the outputs).
-  const std::vector<std::uint64_t>& servedPerChannel() const { return served_; }
-  /// Cycles in which some output carried a misprediction demand.
-  std::uint64_t demandCycles() const { return demandCycles_; }
-  std::uint64_t totalServed() const;
+  /// Cycles in which some output carried a misprediction demand in `ctx`.
+  std::uint64_t demandCycles(const SimContext& ctx) const;
+
+  struct State {
+    unsigned lastPrediction = 0;  ///< prediction of the latest evaluation
+    bool memoValid = false;       ///< the memo below holds fn_(memo operand)
+    std::uint64_t demandCycles = 0;  ///< statistic, not packed
+  };
+  /// Record: State, a size-1 memo of fn_ (operand, then result: fn_ is pure,
+  /// and retried and re-settled tokens would otherwise recompute it every
+  /// evaluation), then the scheduler's state.
+  template <typename Base>
+  class View : public Base {
+   public:
+    using Base::Base;
+    const std::uint64_t* memoOperand() const { return this->record_ + kMemo; }
+    auto memoResult() const { return this->payloadAt(resultAt(), this->outWidth(0)); }
+    void setMemo(const BitVec& operand, const BitVec& result) const {
+      this->setPayloadAt(kMemo, this->inWidth(0), operand);
+      this->setPayloadAt(resultAt(), this->outWidth(0), result);
+    }
+    std::uint64_t* sched() const {
+      return this->record_ + resultAt() + payloadWords(this->outWidth(0));
+    }
+
+   private:
+    static constexpr std::uint32_t kMemo = stateWords<State>();
+    std::uint32_t resultAt() const { return kMemo + payloadWords(this->inWidth(0)); }
+  };
 
   /// The controller of Fig. 4b, once for both views (see
-  /// elastic/node_view.h). All of its state — scheduler, memo — lives in
-  /// node(), so both views are ports only.
+  /// elastic/node_view.h).
   template <typename V>
   static void comb(const V& v);
   template <typename V>
@@ -81,55 +105,40 @@ class SharedModule : public Node {
   SharedFn fn_;
   std::unique_ptr<sched::Scheduler> scheduler_;
   logic::Cost fnCost_;
-
-  std::vector<std::uint64_t> served_;
-  std::uint64_t demandCycles_ = 0;
-
-  // Size-1 memo of the last fn_ computation (fn_ is pure; retried and
-  // re-settled tokens would otherwise recompute it every evaluation).
-  bool memoValid_ = false;
-  BitVec memoIn_;
-  BitVec memoOut_;
-
-  // Scratch reused across cycles to keep the per-cycle path allocation-free.
-  unsigned lastPrediction_ = 0;  ///< prediction from the latest evalComb
-  std::vector<bool> validScratch_;
-  sched::Observation obsScratch_;
 };
 
 template <typename V>
 unsigned SharedModule::predict(const V& v) {
-  SharedModule& m = v.node();
-  m.validScratch_.resize(m.channels_);
-  for (unsigned i = 0; i < m.channels_; ++i) m.validScratch_[i] = v.in(i).vf();
+  const SharedModule& m = v.node();
   const sched::ChoiceReader reader = [&v](unsigned b) { return v.choice(b); };
-  const unsigned p = m.scheduler_->predict(m.validScratch_, reader);
+  const unsigned p = m.scheduler_->predict(v.sched(), reader);
   ESL_CHECK(p < m.channels_, "SharedModule: scheduler predicted out of range");
-  m.lastPrediction_ = p;
   return p;
 }
 
 template <typename V>
 void SharedModule::comb(const V& v) {
-  SharedModule& m = v.node();
-  const unsigned sched = predict(v);
+  const SharedModule& m = v.node();
+  State s = v.state();
+  s.lastPrediction = predict(v);
   for (unsigned i = 0; i < m.channels_; ++i) {
     auto in = v.in(i);
     auto out = v.out(i);
-    const bool routed = i == sched;
+    const bool routed = i == s.lastPrediction;
 
     const bool inVf = in.vf();
     const bool outVf = routed && inVf;
     out.setVf(outVf);
     if (outVf) {
-      if (!m.memoValid_ || !in.dataEquals(m.memoIn_)) {
-        m.memoIn_ = in.data();
-        m.memoOut_ = m.fn_(m.memoIn_);
-        ESL_CHECK(m.memoOut_.width() == m.outWidth_,
+      if (!s.memoValid || !in.dataEqualsWords(v.memoOperand())) {
+        const BitVec operand = in.data();
+        const BitVec result = m.fn_(operand);
+        ESL_CHECK(result.width() == m.outWidth_,
                   "SharedModule '" + m.name() + "': function returned wrong width");
-        m.memoValid_ = true;
+        v.setMemo(operand, result);
+        s.memoValid = true;
       }
-      out.setData(m.memoOut_);
+      out.setData(v.memoResult());
     }
 
     // Anti-tokens pass straight through the controller (Fig. 4b): the module
@@ -143,32 +152,31 @@ void SharedModule::comb(const V& v) {
     // being killed ("stops the other channel (unless it is killed)").
     in.setSf(!anti && (routed ? out.sf() : true));
   }
+  v.setState(s);
 }
 
 template <typename V>
 void SharedModule::edge(const V& v) {
-  SharedModule& m = v.node();
-  // comb ran (at least once) on the settled signals, so lastPrediction_ is
+  const SharedModule& m = v.node();
+  State s = v.state();
+  // comb ran (at least once) on the settled signals, so lastPrediction is
   // the settled prediction; predict() is pure, no need to recompute it.
-  sched::Observation& obs = m.obsScratch_;
-  obs.predicted = m.lastPrediction_;
-  obs.valid.resize(m.channels_);
-  obs.demand.resize(m.channels_);
-  obs.served.resize(m.channels_);
-  obs.killed.resize(m.channels_);
-  bool anyDemand = false;
+  sched::Observation obs;
+  obs.predicted = s.lastPrediction;
   for (unsigned i = 0; i < m.channels_; ++i) {
     const ChannelEvents in = v.in(i).events();
     const ChannelEvents out = v.out(i).events();
-    obs.valid[i] = in.vf;
-    obs.demand[i] = out.sf && !out.vf;  // selected-but-empty at the EE mux
-    obs.served[i] = out.fwd;
-    obs.killed[i] = in.kill;
-    if (obs.served[i] && v.stats()) ++m.served_[i];
-    anyDemand = anyDemand || obs.demand[i];
+    const std::uint64_t bit = std::uint64_t{1} << i;
+    if (in.vf) obs.valid |= bit;
+    if (out.sf && !out.vf) obs.demand |= bit;  // selected-but-empty at the EE mux
+    if (out.fwd) obs.served |= bit;
+    if (in.kill) obs.killed |= bit;
   }
-  if (anyDemand && v.stats()) ++m.demandCycles_;
-  m.scheduler_->observe(obs);
+  if (obs.demand != 0 && v.stats()) {
+    ++s.demandCycles;
+    v.setState(s);
+  }
+  m.scheduler_->observe(v.sched(), obs);
 }
 
 }  // namespace esl

@@ -158,13 +158,12 @@ class SignalBoard {
       if ((ctrl_[g + p] ^ other.ctrl_[g + p]) & m) return false;
     return dataEqualsAt(slot, other);
   }
-  /// Payload equality against a BitVec value without materializing a copy.
-  bool dataEqualsValueAt(std::uint32_t slot, const BitVec& v) const {
-    if (v.width() != slotWidth_[slot]) return false;
+  /// Payload equality against a value stored as words (BitVec::toWords).
+  bool dataEqualsWordsAt(std::uint32_t slot, const std::uint64_t* w) const {
     const std::uint32_t off = dataOff_[slot];
     if (off == kNoSlot) return true;
-    if (off & kWideFlag) return spill_[off & ~kWideFlag] == v;
-    return words_[off] == v.toUint64();
+    if (off & kWideFlag) return spill_[off & ~kWideFlag].equalsWords(w);
+    return words_[off] == w[0];
   }
   bool dataEqualsAt(std::uint32_t slot, const SignalBoard& other) const {
     const std::uint32_t off = dataOff_[slot];
@@ -344,7 +343,9 @@ class ConstSig {
   ChannelEvents events() const { return ChannelEvents::of(vf(), sf(), vb(), sb()); }
   BitVec data() const { return b_->dataAt(slot_); }
   std::uint64_t dataLow64() const { return b_->dataLow64At(slot_); }
-  bool dataEquals(const BitVec& v) const { return b_->dataEqualsValueAt(slot_, v); }
+  bool dataEqualsWords(const std::uint64_t* w) const {
+    return b_->dataEqualsWordsAt(slot_, w);
+  }
   unsigned width() const { return b_->widthAtSlot(slot_); }
 
   /// Legacy AoS snapshot: lets `const ChannelSignals s = ctx.sig(ch);` keep

@@ -23,15 +23,21 @@ std::uint32_t StallingVLU::recordWords() const {
   return stateWords<State>() + payloadWords(inWidth_) + payloadWords(outWidth_);
 }
 
-void StallingVLU::reset(std::uint64_t* record) {
+void StallingVLU::reset(std::uint64_t* record) const {
   recordView(*this, record).setState(State{});
-  completed_ = 0;
-  stalls_ = 0;
 }
 
-void StallingVLU::evalComb(SimContext& ctx) { runComb(ctx, *this); }
+std::uint64_t StallingVLU::completed(const SimContext& ctx) const {
+  return recordView(*this, ctx.record(id())).state().completed;
+}
 
-void StallingVLU::clockEdge(SimContext& ctx) { runEdge(ctx, *this); }
+std::uint64_t StallingVLU::stalls(const SimContext& ctx) const {
+  return recordView(*this, ctx.record(id())).state().stalls;
+}
+
+void StallingVLU::evalComb(SimContext& ctx) const { runComb(ctx, *this); }
+
+void StallingVLU::clockEdge(SimContext& ctx) const { runEdge(ctx, *this); }
 
 void StallingVLU::packState(const std::uint64_t* record, StateWriter& w) const {
   const auto v = recordView(*this, record);
@@ -42,9 +48,9 @@ void StallingVLU::packState(const std::uint64_t* record, StateWriter& w) const {
   if (s.hasResult) w.writeBitVec(v.result());
 }
 
-void StallingVLU::unpackState(std::uint64_t* record, StateReader& r) {
+void StallingVLU::unpackState(std::uint64_t* record, StateReader& r) const {
   const auto v = recordView(*this, record);
-  State s;
+  State s = v.state();  // keeps the statistics
   s.hasPending = r.readBool();
   if (s.hasPending) v.setPending(r.readPayload(inWidth_, name()));
   s.hasResult = r.readBool();

@@ -26,12 +26,12 @@ class StallingVLU : public Node {
               logic::Cost errCost);
 
   std::uint32_t recordWords() const override;
-  void reset(std::uint64_t* record) override;
-  void evalComb(SimContext& ctx) override;
+  void reset(std::uint64_t* record) const override;
+  void evalComb(SimContext& ctx) const override;
   EvalPurity evalPurity() const override { return EvalPurity::kStateful; }
-  void clockEdge(SimContext& ctx) override;
+  void clockEdge(SimContext& ctx) const override;
   void packState(const std::uint64_t* record, StateWriter& w) const override;
-  void unpackState(std::uint64_t* record, StateReader& r) override;
+  void unpackState(std::uint64_t* record, StateReader& r) const override;
   logic::Cost cost() const override;
   void timing(TimingModel& m) const override;
   void flowEdges(std::vector<FlowEdge>& out) const override;
@@ -40,12 +40,15 @@ class StallingVLU : public Node {
   }
   std::string kindName() const override { return "stalling-vlu"; }
 
-  std::uint64_t completed() const { return completed_; }
-  std::uint64_t stalls() const { return stalls_; }
+  /// Results delivered, and operands that took the slow path, in `ctx`.
+  std::uint64_t completed(const SimContext& ctx) const;
+  std::uint64_t stalls(const SimContext& ctx) const;
 
   struct State {
     bool hasPending = false;  ///< an operand needs its second cycle
     bool hasResult = false;   ///< a completed result awaits transfer
+    std::uint64_t completed = 0;  ///< statistic, not packed
+    std::uint64_t stalls = 0;     ///< statistic, not packed
   };
   /// Record: State, then the pending operand and the result.
   template <typename Base>
@@ -81,9 +84,6 @@ class StallingVLU : public Node {
   logic::Cost approxCost_;
   logic::Cost exactCost_;
   logic::Cost errCost_;
-
-  std::uint64_t completed_ = 0;
-  std::uint64_t stalls_ = 0;
 };
 
 template <typename V>
@@ -106,10 +106,10 @@ void StallingVLU::edge(const V& v) {
   const auto inPort = v.in(0);
   const ChannelEvents in = inPort.events();
   const ChannelEvents out = v.out(0).events();
-  StallingVLU& unit = v.node();
+  const StallingVLU& unit = v.node();
   State s = v.state();
   if (out.kill || out.fwd) {
-    if (out.fwd && v.stats()) ++unit.completed_;
+    if (out.fwd && v.stats()) ++s.completed;
     s.hasResult = false;
   }
 
@@ -124,7 +124,7 @@ void StallingVLU::edge(const V& v) {
     if (unit.err_(x)) {
       v.setPending(x);  // bubble next cycle, sender stalled
       s.hasPending = true;
-      if (v.stats()) ++unit.stalls_;
+      if (v.stats()) ++s.stalls;
     } else {
       v.setResult(unit.exact_(x));  // approx == exact when no error is flagged
       s.hasResult = true;

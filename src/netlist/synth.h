@@ -69,10 +69,8 @@ struct SynthSystem {
 /// Builds the configured system; validates the netlist before returning.
 SynthSystem build(const SynthConfig& config);
 
-/// Netlist-only build for verification recipes: same deterministic
-/// construction as build(), dropping the endpoint bookkeeping. Because equal
-/// configs produce bit-identical netlists, `[cfg] { return buildNetlist(cfg); }`
-/// is a valid verify::NetlistRecipe for the parallel model checker.
+/// Netlist-only build: same deterministic construction as build(), dropping
+/// the endpoint bookkeeping (what the model checker needs).
 Netlist buildNetlist(const SynthConfig& config);
 
 /// Serializable IR of the generated system. The generator constructs every

@@ -6,51 +6,55 @@ namespace esl::sched {
 
 // --- CorrectingScheduler ----------------------------------------------------
 
-unsigned CorrectingScheduler::predict(const std::vector<bool>& valid,
-                                      const ChoiceReader& choice) {
-  if (pending_ >= 0) return static_cast<unsigned>(pending_);
-  const unsigned p = basePredict(valid, choice);
+unsigned CorrectingScheduler::predict(const std::uint64_t* state,
+                                      const ChoiceReader& choice) const {
+  if (state[0] != 0) return static_cast<unsigned>(state[0] - 1);
+  const unsigned p = basePredict(state + 2, choice);
   ESL_CHECK(p < channels(), "scheduler: base prediction out of range");
   return p;
 }
 
-void CorrectingScheduler::observe(const Observation& obs) {
+void CorrectingScheduler::observe(std::uint64_t* state, const Observation& obs) const {
   // Release the lock once the owed channel is served or its token killed,
   // or when it ages out (false demand from an intervening buffer).
-  if (pending_ >= 0) {
-    const auto i = static_cast<std::size_t>(pending_);
-    const bool done = (i < obs.served.size() && obs.served[i]) ||
-                      (i < obs.killed.size() && obs.killed[i]);
-    if (done || ++pendingAge_ > kMaxLockAge) {
-      pending_ = -1;
-      pendingAge_ = 0;
+  if (state[0] != 0) {
+    const auto i = static_cast<unsigned>(state[0] - 1);
+    if (has(obs.served, i) || has(obs.killed, i) || ++state[1] > kMaxLockAge) {
+      state[0] = 0;
+      state[1] = 0;
     }
   }
   // A new demand (selected-but-empty) locks the prediction onto that channel.
-  for (unsigned i = 0; i < obs.demand.size(); ++i)
-    if (obs.demand[i] && pending_ != static_cast<int>(i)) {
-      pending_ = static_cast<int>(i);
-      pendingAge_ = 0;
+  // Of several, the highest wins, and the lock restarts its age (each demand
+  // in turn moves it).
+  if (obs.demand != 0) {
+    const std::uint64_t lock = highest(obs.demand) + 1u;
+    if (state[0] != lock || (obs.demand & (obs.demand - 1)) != 0) {
+      state[0] = lock;
+      state[1] = 0;
     }
-  observeBase(obs);
+  }
+  observeBase(state + 2, obs);
 }
 
-void CorrectingScheduler::reset() {
-  pending_ = -1;
-  pendingAge_ = 0;
-  resetBase();
+void CorrectingScheduler::reset(std::uint64_t* state) const {
+  state[0] = 0;
+  state[1] = 0;
+  resetBase(state + 2);
 }
 
-void CorrectingScheduler::packState(StateWriter& w) const {
-  w.writeU32(static_cast<std::uint32_t>(pending_ + 1));
-  w.writeU32(pendingAge_);
-  packBase(w);
+void CorrectingScheduler::packState(const std::uint64_t* state, StateWriter& w) const {
+  w.writeU32(static_cast<std::uint32_t>(state[0]));
+  w.writeU32(static_cast<std::uint32_t>(state[1]));
+  packBase(state + 2, w);
 }
 
-void CorrectingScheduler::unpackState(StateReader& r) {
-  pending_ = static_cast<int>(r.readU32()) - 1;
-  pendingAge_ = r.readU32();
-  unpackBase(r);
+void CorrectingScheduler::unpackState(std::uint64_t* state, StateReader& r) const {
+  state[0] = r.readU32();
+  ESL_CHECK(state[0] <= channels(), "unpackState: scheduler lock channel out of range");
+  state[1] = r.readU32();
+  ESL_CHECK(state[1] <= kMaxLockAge, "unpackState: scheduler lock age out of range");
+  unpackBase(state + 2, r);
 }
 
 // --- StaticScheduler --------------------------------------------------------
@@ -60,51 +64,52 @@ StaticScheduler::StaticScheduler(unsigned channels, unsigned pick)
   ESL_CHECK(pick < channels, "StaticScheduler: pick out of range");
 }
 
-// --- RoundRobinScheduler ----------------------------------------------------
+// --- CurrentChannelScheduler ----------------------------------------------------
 
-RoundRobinScheduler::RoundRobinScheduler(unsigned channels) : channels_(channels) {
-  ESL_CHECK(channels >= 1, "RoundRobinScheduler: need at least one channel");
+CurrentChannelScheduler::CurrentChannelScheduler(unsigned channels)
+    : channels_(channels) {
+  ESL_CHECK(channels >= 1, "scheduler: need at least one channel");
 }
 
-void RoundRobinScheduler::observeBase(const Observation& obs) {
+void CurrentChannelScheduler::unpackBase(std::uint64_t* base, StateReader& r) const {
+  base[0] = r.readU32();
+  ESL_CHECK(base[0] < channels_, "unpackState: " + name() + " channel out of range");
+}
+
+// --- RoundRobinScheduler ----------------------------------------------------
+
+void RoundRobinScheduler::observeBase(std::uint64_t* base,
+                                      const Observation& obs) const {
   // The rotation advances every cycle; a demand re-anchors it (Table 1).
-  int demanded = -1;
-  for (unsigned i = 0; i < obs.demand.size(); ++i)
-    if (obs.demand[i]) demanded = static_cast<int>(i);
-  current_ = demanded >= 0 ? static_cast<unsigned>(demanded)
-                           : (current_ + 1) % channels_;
+  base[0] = obs.demand != 0 ? highest(obs.demand) : (base[0] + 1) % channels();
 }
 
 // --- LastServedScheduler ----------------------------------------------------
 
-LastServedScheduler::LastServedScheduler(unsigned channels) : channels_(channels) {
-  ESL_CHECK(channels >= 1, "LastServedScheduler: need at least one channel");
-}
-
-void LastServedScheduler::observeBase(const Observation& obs) {
-  for (unsigned i = 0; i < obs.served.size(); ++i)
-    if (obs.served[i]) current_ = i;
-  for (unsigned i = 0; i < obs.demand.size(); ++i)
-    if (obs.demand[i]) current_ = i;
+void LastServedScheduler::observeBase(std::uint64_t* base,
+                                      const Observation& obs) const {
+  if (obs.served != 0) base[0] = highest(obs.served);
+  if (obs.demand != 0) base[0] = highest(obs.demand);
 }
 
 // --- TwoBitScheduler --------------------------------------------------------
 
 TwoBitScheduler::TwoBitScheduler() = default;
 
-void TwoBitScheduler::observeBase(const Observation& obs) {
-  int demanded = -1;
-  for (unsigned i = 0; i < obs.demand.size(); ++i)
-    if (obs.demand[i]) demanded = static_cast<int>(i);
-  if (demanded >= 0) {
+void TwoBitScheduler::observeBase(std::uint64_t* base, const Observation& obs) const {
+  std::uint64_t& counter = base[0];
+  if (obs.demand != 0) {
     // A demand is ground truth about the current select; saturate toward it.
-    counter_ = demanded == 1 ? 3 : 0;
+    counter = highest(obs.demand) == 1 ? 3 : 0;
     return;
   }
-  if (obs.served.size() >= 2) {
-    if (obs.served[1] && counter_ < 3) ++counter_;
-    if (obs.served[0] && counter_ > 0) --counter_;
-  }
+  if (has(obs.served, 1) && counter < 3) ++counter;
+  if (has(obs.served, 0) && counter > 0) --counter;
+}
+
+void TwoBitScheduler::unpackBase(std::uint64_t* base, StateReader& r) const {
+  base[0] = r.readU32();
+  ESL_CHECK(base[0] <= 3, "unpackState: two-bit counter out of range");
 }
 
 // --- OracleScheduler --------------------------------------------------------
@@ -115,49 +120,42 @@ OracleScheduler::OracleScheduler(unsigned channels,
   ESL_CHECK(static_cast<bool>(truth_), "OracleScheduler: truth function required");
 }
 
-unsigned OracleScheduler::basePredict(const std::vector<bool>&, const ChoiceReader&) {
-  const unsigned t = truth_(firings_);
+unsigned OracleScheduler::basePredict(const std::uint64_t* base,
+                                      const ChoiceReader&) const {
+  const unsigned t = truth_(base[0]);
   ESL_CHECK(t < channels_, "OracleScheduler: truth out of range");
   return t;
 }
 
-void OracleScheduler::observeBase(const Observation& obs) {
-  for (unsigned i = 0; i < obs.served.size(); ++i)
-    if (obs.served[i]) ++firings_;
+void OracleScheduler::observeBase(std::uint64_t* base, const Observation& obs) const {
+  base[0] += static_cast<unsigned>(__builtin_popcountll(obs.served));
 }
 
 // --- TimeoutScheduler ---------------------------------------------------------
 
 TimeoutScheduler::TimeoutScheduler(unsigned channels, unsigned timeout)
-    : channels_(channels), timeout_(timeout) {
-  ESL_CHECK(channels >= 1, "TimeoutScheduler: need at least one channel");
+    : CurrentChannelScheduler(channels), timeout_(timeout) {
   ESL_CHECK(timeout >= 1, "TimeoutScheduler: timeout must be positive");
 }
 
-void TimeoutScheduler::observeBase(const Observation& obs) {
-  bool servedAny = false;
-  for (unsigned i = 0; i < obs.served.size(); ++i)
-    if (obs.served[i]) {
-      current_ = i;  // last-value prediction
-      servedAny = true;
-    }
-  for (unsigned i = 0; i < obs.demand.size(); ++i)
-    if (obs.demand[i]) current_ = i;
-  if (servedAny) {
-    stalled_ = 0;
-    return;
-  }
+void TimeoutScheduler::observeBase(std::uint64_t* base, const Observation& obs) const {
+  std::uint64_t& current = base[0];
+  std::uint64_t& stalled = base[1];
+  if (obs.served != 0) current = highest(obs.served);  // last-value prediction
+  if (obs.demand != 0) current = highest(obs.demand);
   // Valid work exists but nothing moved: count toward the rotation timeout.
-  bool pendingWork = false;
-  for (unsigned i = 0; i < obs.valid.size(); ++i) pendingWork |= obs.valid[i];
-  if (!pendingWork) {
-    stalled_ = 0;
-    return;
+  if (obs.served != 0 || obs.valid == 0) {
+    stalled = 0;
+  } else if (++stalled > timeout_) {
+    current = (current + 1) % channels();
+    stalled = 0;
   }
-  if (++stalled_ > timeout_) {
-    current_ = (current_ + 1) % channels_;
-    stalled_ = 0;
-  }
+}
+
+void TimeoutScheduler::unpackBase(std::uint64_t* base, StateReader& r) const {
+  CurrentChannelScheduler::unpackBase(base, r);
+  base[1] = r.readU32();
+  ESL_CHECK(base[1] <= timeout_, "unpackState: timeout stall count out of range");
 }
 
 // --- BoundedFairScheduler ---------------------------------------------------
@@ -168,8 +166,8 @@ BoundedFairScheduler::BoundedFairScheduler(unsigned channels, unsigned maxDefer)
   (void)maxDefer_;
 }
 
-unsigned BoundedFairScheduler::basePredict(const std::vector<bool>&,
-                                           const ChoiceReader& choice) {
+unsigned BoundedFairScheduler::basePredict(const std::uint64_t*,
+                                           const ChoiceReader& choice) const {
   unsigned idx = 0;
   for (unsigned b = 0; b < choiceBits(); ++b)
     if (choice(b)) idx |= 1u << b;

@@ -8,9 +8,12 @@
 // asserts S+ on its *selected-but-empty* input (a "demand"), which the shared
 // module reports to the scheduler so it can correct a misprediction.
 //
-// predict() is called during combinational settling and MUST be a pure
-// function of (internal state, the argument vectors, the per-cycle choice
-// bits); all state updates happen in observe(), called once per clock edge.
+// A scheduler object is only a policy: its per-run state is stateWords()
+// words that the shared module keeps in its record (elastic/shared.h), so one
+// netlist can be simulated by any number of contexts. Every method takes
+// that state. predict() is called during combinational settling and MUST be
+// a pure function of (state, the per-cycle choice bits); all state updates
+// happen in observe(), called once per clock edge.
 #pragma once
 
 #include <functional>
@@ -24,14 +27,21 @@
 
 namespace esl::sched {
 
-/// Everything a scheduler may learn at a clock edge.
+/// Everything a scheduler may learn at a clock edge, one bit per channel.
 struct Observation {
-  std::vector<bool> valid;   ///< input channel carried a token this cycle
-  std::vector<bool> demand;  ///< output channel was selected-but-empty (mispredict)
-  std::vector<bool> served;  ///< output channel completed a forward transfer
-  std::vector<bool> killed;  ///< input token was cancelled by an anti-token
+  std::uint64_t valid = 0;   ///< input channel carried a token this cycle
+  std::uint64_t demand = 0;  ///< output channel was selected-but-empty (mispredict)
+  std::uint64_t served = 0;  ///< output channel completed a forward transfer
+  std::uint64_t killed = 0;  ///< input token was cancelled by an anti-token
   unsigned predicted = 0;    ///< the prediction that was in force this cycle
 };
+
+/// Whether channel `i`'s bit is set in an Observation mask.
+inline bool has(std::uint64_t mask, unsigned i) { return (mask >> i) & 1; }
+/// The highest channel set in a non-empty mask.
+inline unsigned highest(std::uint64_t mask) {
+  return 63 - static_cast<unsigned>(__builtin_clzll(mask));
+}
 
 /// Reads one of the per-cycle nondeterministic choice bits owned by the
 /// enclosing shared module (used only by verification schedulers).
@@ -39,25 +49,33 @@ using ChoiceReader = std::function<bool(unsigned)>;
 
 class Scheduler {
  public:
+  /// Most channels one scheduler arbitrates (an Observation mask's bits).
+  static constexpr unsigned kMaxChannels = 64;
+
   virtual ~Scheduler() = default;
 
   /// Number of channels this scheduler arbitrates.
   virtual unsigned channels() const = 0;
 
+  /// Words of per-run state the shared module keeps for this scheduler.
+  virtual std::uint32_t stateWords() const { return 0; }
+
   /// Channel predicted for the current cycle. Pure (see file comment).
-  virtual unsigned predict(const std::vector<bool>& valid,
-                           const ChoiceReader& choice) = 0;
+  virtual unsigned predict(const std::uint64_t* state,
+                           const ChoiceReader& choice) const = 0;
 
   /// Clock-edge update with the cycle's outcome.
-  virtual void observe(const Observation& obs) { (void)obs; }
+  virtual void observe(std::uint64_t* /*state*/, const Observation& /*obs*/) const {}
 
-  virtual void reset() {}
+  virtual void reset(std::uint64_t* /*state*/) const {}
 
   /// Nondeterministic choice bits consumed per cycle (verification only).
   virtual unsigned choiceBits() const { return 0; }
 
-  virtual void packState(StateWriter& w) const { (void)w; }
-  virtual void unpackState(StateReader& r) { (void)r; }
+  /// Serialization of the state; unpackState throws EslError on a value the
+  /// scheduler can never reach.
+  virtual void packState(const std::uint64_t* /*state*/, StateWriter& /*w*/) const {}
+  virtual void unpackState(std::uint64_t* /*state*/, StateReader& /*r*/) const {}
 
   virtual std::string name() const = 0;
 };
@@ -68,25 +86,18 @@ class Scheduler {
 /// adversarial consumer can livelock the system — the mux's demand disappears
 /// while the channel is routed, the scheduler drifts away, and the token is
 /// never served (a leads-to violation our model checker finds).
+///
+/// State: the lock (channel + 1, 0 when none), its age, then baseWords() words
+/// of the policy's own.
 class CorrectingScheduler : public Scheduler {
  public:
-  unsigned predict(const std::vector<bool>& valid, const ChoiceReader& choice) final;
-  void observe(const Observation& obs) final;
-  void reset() final;
-  void packState(StateWriter& w) const final;
-  void unpackState(StateReader& r) final;
+  std::uint32_t stateWords() const final { return 2 + baseWords(); }
+  unsigned predict(const std::uint64_t* state, const ChoiceReader& choice) const final;
+  void observe(std::uint64_t* state, const Observation& obs) const final;
+  void reset(std::uint64_t* state) const final;
+  void packState(const std::uint64_t* state, StateWriter& w) const final;
+  void unpackState(std::uint64_t* state, StateReader& r) const final;
 
- protected:
-  /// Prediction when no correction is pending.
-  virtual unsigned basePredict(const std::vector<bool>& valid,
-                               const ChoiceReader& choice) = 0;
-  /// Policy-specific part of observe().
-  virtual void observeBase(const Observation& obs) { (void)obs; }
-  virtual void resetBase() {}
-  virtual void packBase(StateWriter& w) const { (void)w; }
-  virtual void unpackBase(StateReader& r) { (void)r; }
-
- private:
   /// The correction lock ages out after this many cycles without service.
   /// A demand from the early-eval mux is always serviced within a couple of
   /// cycles (bounded-fair consumers), so a lock that persists longer is a
@@ -95,8 +106,17 @@ class CorrectingScheduler : public Scheduler {
   /// ports, and without the age-out the scheduler would wedge on it.
   static constexpr unsigned kMaxLockAge = 4;
 
-  int pending_ = -1;  ///< channel owed service after a demand, -1 if none
-  unsigned pendingAge_ = 0;
+ protected:
+  /// The policy's words, after the lock's two.
+  virtual std::uint32_t baseWords() const { return 0; }
+  /// Prediction when no correction is pending.
+  virtual unsigned basePredict(const std::uint64_t* base,
+                               const ChoiceReader& choice) const = 0;
+  /// Policy-specific part of observe().
+  virtual void observeBase(std::uint64_t* /*base*/, const Observation& /*obs*/) const {}
+  virtual void resetBase(std::uint64_t* /*base*/) const {}
+  virtual void packBase(const std::uint64_t* /*base*/, StateWriter& /*w*/) const {}
+  virtual void unpackBase(std::uint64_t* /*base*/, StateReader& /*r*/) const {}
 };
 
 /// Always predicts a fixed channel. Relies entirely on demand correction;
@@ -110,7 +130,7 @@ class StaticScheduler : public CorrectingScheduler {
   std::string name() const override { return "static"; }
 
  protected:
-  unsigned basePredict(const std::vector<bool>&, const ChoiceReader&) override {
+  unsigned basePredict(const std::uint64_t*, const ChoiceReader&) const override {
     return pick_;
   }
 
@@ -119,51 +139,52 @@ class StaticScheduler : public CorrectingScheduler {
   unsigned pick_;
 };
 
-/// Alternates channels every cycle; a demand overrides the rotation.
-/// This is the scheduler that reproduces Table 1.
-class RoundRobinScheduler : public CorrectingScheduler {
+/// Base of the policies that predict a current channel, kept in their first
+/// word: round-robin, last-served and timeout.
+class CurrentChannelScheduler : public CorrectingScheduler {
  public:
-  explicit RoundRobinScheduler(unsigned channels);
+  explicit CurrentChannelScheduler(unsigned channels);
   unsigned channels() const override { return channels_; }
-  std::string name() const override { return "round-robin"; }
 
  protected:
-  unsigned basePredict(const std::vector<bool>&, const ChoiceReader&) override {
-    return current_;
+  std::uint32_t baseWords() const override { return 1; }
+  unsigned basePredict(const std::uint64_t* base, const ChoiceReader&) const override {
+    return static_cast<unsigned>(base[0]);
   }
-  void observeBase(const Observation& obs) override;
-  void resetBase() override { current_ = 0; }
-  void packBase(StateWriter& w) const override { w.writeU32(current_); }
-  void unpackBase(StateReader& r) override { current_ = r.readU32(); }
+  void resetBase(std::uint64_t* base) const override { base[0] = 0; }
+  void packBase(const std::uint64_t* base, StateWriter& w) const override {
+    w.writeU32(static_cast<std::uint32_t>(base[0]));
+  }
+  void unpackBase(std::uint64_t* base, StateReader& r) const override;
 
  private:
   unsigned channels_;
-  unsigned current_ = 0;
+};
+
+/// Alternates channels every cycle; a demand overrides the rotation.
+/// This is the scheduler that reproduces Table 1.
+class RoundRobinScheduler : public CurrentChannelScheduler {
+ public:
+  using CurrentChannelScheduler::CurrentChannelScheduler;
+  std::string name() const override { return "round-robin"; }
+
+ protected:
+  void observeBase(std::uint64_t* base, const Observation& obs) const override;
 };
 
 /// Predicts the channel that was most recently actually used (last-value
 /// prediction); demands override immediately.
-class LastServedScheduler : public CorrectingScheduler {
+class LastServedScheduler : public CurrentChannelScheduler {
  public:
-  explicit LastServedScheduler(unsigned channels);
-  unsigned channels() const override { return channels_; }
+  using CurrentChannelScheduler::CurrentChannelScheduler;
   std::string name() const override { return "last-served"; }
 
  protected:
-  unsigned basePredict(const std::vector<bool>&, const ChoiceReader&) override {
-    return current_;
-  }
-  void observeBase(const Observation& obs) override;
-  void resetBase() override { current_ = 0; }
-  void packBase(StateWriter& w) const override { w.writeU32(current_); }
-  void unpackBase(StateReader& r) override { current_ = r.readU32(); }
-
- private:
-  unsigned channels_;
-  unsigned current_ = 0;
+  void observeBase(std::uint64_t* base, const Observation& obs) const override;
 };
 
 /// Two-bit saturating counter between two channels (branch-predictor style).
+/// State: the counter, 0..3; >=2 predicts channel 1.
 class TwoBitScheduler : public CorrectingScheduler {
  public:
   TwoBitScheduler();
@@ -171,20 +192,21 @@ class TwoBitScheduler : public CorrectingScheduler {
   std::string name() const override { return "two-bit"; }
 
  protected:
-  unsigned basePredict(const std::vector<bool>&, const ChoiceReader&) override {
-    return counter_ >= 2 ? 1 : 0;
+  std::uint32_t baseWords() const override { return 1; }
+  unsigned basePredict(const std::uint64_t* base, const ChoiceReader&) const override {
+    return base[0] >= 2 ? 1 : 0;
   }
-  void observeBase(const Observation& obs) override;
-  void resetBase() override { counter_ = 1; }
-  void packBase(StateWriter& w) const override { w.writeU32(counter_); }
-  void unpackBase(StateReader& r) override { counter_ = r.readU32(); }
-
- private:
-  unsigned counter_ = 1;  // 0..3; >=2 predicts channel 1
+  void observeBase(std::uint64_t* base, const Observation& obs) const override;
+  void resetBase(std::uint64_t* base) const override { base[0] = 1; }
+  void packBase(const std::uint64_t* base, StateWriter& w) const override {
+    w.writeU32(static_cast<std::uint32_t>(base[0]));
+  }
+  void unpackBase(std::uint64_t* base, StateReader& r) const override;
 };
 
 /// Perfect prediction: told the true channel of each upcoming firing.
 /// `truth(k)` must return the channel of the k-th firing (0-based).
+/// State: the firings so far.
 class OracleScheduler : public CorrectingScheduler {
  public:
   OracleScheduler(unsigned channels, std::function<unsigned(std::uint64_t)> truth);
@@ -192,16 +214,20 @@ class OracleScheduler : public CorrectingScheduler {
   std::string name() const override { return "oracle"; }
 
  protected:
-  unsigned basePredict(const std::vector<bool>&, const ChoiceReader&) override;
-  void observeBase(const Observation& obs) override;
-  void resetBase() override { firings_ = 0; }
-  void packBase(StateWriter& w) const override { w.writeU64(firings_); }
-  void unpackBase(StateReader& r) override { firings_ = r.readU64(); }
+  std::uint32_t baseWords() const override { return 1; }
+  unsigned basePredict(const std::uint64_t* base, const ChoiceReader&) const override;
+  void observeBase(std::uint64_t* base, const Observation& obs) const override;
+  void resetBase(std::uint64_t* base) const override { base[0] = 0; }
+  void packBase(const std::uint64_t* base, StateWriter& w) const override {
+    w.writeU64(base[0]);
+  }
+  void unpackBase(std::uint64_t* base, StateReader& r) const override {
+    base[0] = r.readU64();
+  }
 
  private:
   unsigned channels_;
   std::function<unsigned(std::uint64_t)> truth_;
-  std::uint64_t firings_ = 0;
 };
 
 /// Last-served prediction with a stall timeout: if the predicted channel has
@@ -209,37 +235,29 @@ class OracleScheduler : public CorrectingScheduler {
 /// prediction rotates. Needed when elastic buffers sit between the shared
 /// module and the early-evaluation mux (§4.1): the mux's misprediction demand
 /// cannot reach the scheduler through the buffer, so liveness (eq. 1) must
-/// come from the scheduler's own rotation.
-class TimeoutScheduler : public CorrectingScheduler {
+/// come from the scheduler's own rotation. Its second word counts the stalled
+/// cycles, 0..timeout.
+class TimeoutScheduler : public CurrentChannelScheduler {
  public:
   TimeoutScheduler(unsigned channels, unsigned timeout = 1);
-  unsigned channels() const override { return channels_; }
   unsigned timeout() const { return timeout_; }
   std::string name() const override { return "timeout"; }
 
  protected:
-  unsigned basePredict(const std::vector<bool>&, const ChoiceReader&) override {
-    return current_;
+  std::uint32_t baseWords() const override { return 2; }
+  void observeBase(std::uint64_t* base, const Observation& obs) const override;
+  void resetBase(std::uint64_t* base) const override {
+    base[0] = 0;
+    base[1] = 0;
   }
-  void observeBase(const Observation& obs) override;
-  void resetBase() override {
-    current_ = 0;
-    stalled_ = 0;
+  void packBase(const std::uint64_t* base, StateWriter& w) const override {
+    CurrentChannelScheduler::packBase(base, w);
+    w.writeU32(static_cast<std::uint32_t>(base[1]));
   }
-  void packBase(StateWriter& w) const override {
-    w.writeU32(current_);
-    w.writeU32(stalled_);
-  }
-  void unpackBase(StateReader& r) override {
-    current_ = r.readU32();
-    stalled_ = r.readU32();
-  }
+  void unpackBase(std::uint64_t* base, StateReader& r) const override;
 
  private:
-  unsigned channels_;
   unsigned timeout_;
-  unsigned current_ = 0;
-  unsigned stalled_ = 0;
 };
 
 /// Nondeterministic scheduler with bounded-fairness demand correction: free
@@ -255,7 +273,7 @@ class BoundedFairScheduler : public CorrectingScheduler {
   std::string name() const override { return "bounded-fair"; }
 
  protected:
-  unsigned basePredict(const std::vector<bool>&, const ChoiceReader& choice) override;
+  unsigned basePredict(const std::uint64_t*, const ChoiceReader& choice) const override;
 
  private:
   unsigned channels_;
@@ -268,7 +286,9 @@ class StarvingScheduler : public Scheduler {
  public:
   explicit StarvingScheduler(unsigned channels) : channels_(channels) {}
   unsigned channels() const override { return channels_; }
-  unsigned predict(const std::vector<bool>&, const ChoiceReader&) override { return 0; }
+  unsigned predict(const std::uint64_t*, const ChoiceReader&) const override {
+    return 0;
+  }
   std::string name() const override { return "starving"; }
 
  private:

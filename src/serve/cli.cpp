@@ -92,7 +92,9 @@ SimSession::Options parseOptionWords(const std::vector<std::string>& t,
     } else if (t[i] == "cross-check") {
       opts.crossCheck = true;
     } else if (t[i] == "shards" && i + 1 < t.size()) {
-      opts.shards = static_cast<unsigned>(parseNum("shards", t[++i]));
+      const std::uint64_t shards = parseNum("shards", t[++i]);
+      SimContext::checkShardCount(shards);
+      opts.shards = static_cast<unsigned>(shards);
     } else if (t[i] == "seed" && i + 1 < t.size()) {
       opts.seed = parseNum("seed", t[++i]);
     } else {

@@ -37,8 +37,10 @@ SimSession::Options sessionOptions(const json::Value& head) {
     else
       ESL_CHECK(b == "interpreted", "unknown backend '" + b + "'");
   }
-  if (const json::Value* v = head.find("shards"))
+  if (const json::Value* v = head.find("shards")) {
+    SimContext::checkShardCount(v->asU64());
     opts.shards = static_cast<unsigned>(v->asU64());
+  }
   if (const json::Value* v = head.find("seed")) opts.seed = v->asU64();
   if (const json::Value* v = head.find("check")) opts.checkProtocol = v->asBool();
   if (const json::Value* v = head.find("cross-check"))

@@ -13,10 +13,10 @@ namespace esl::serve {
 SimSession::SimSession(NetlistSpec spec, const std::string& origin, Options options)
     : origin_(origin), options_(options) {
   shell_.loadSpec(std::move(spec), origin);
-  makeSimulator();
+  sim_ = makeSimulator();
 }
 
-void SimSession::makeSimulator() {
+std::unique_ptr<sim::Simulator> SimSession::makeSimulator() {
   sim::SimOptions opts;
   opts.checkProtocol = options_.checkProtocol;
   // Violations are reported through report(), shell-style, never thrown.
@@ -25,8 +25,9 @@ void SimSession::makeSimulator() {
   opts.crossCheckKernels = options_.crossCheck;
   opts.shards = options_.shards;
   opts.backend = options_.backend;
-  sim_ = std::make_unique<sim::Simulator>(*shell_.netlist(), opts);
-  if (trace_ != nullptr) sim_->attachTrace(trace_.get());
+  auto sim = std::make_unique<sim::Simulator>(*shell_.netlist(), opts);
+  if (trace_ != nullptr) sim->attachTrace(trace_.get());
+  return sim;
 }
 
 std::string SimSession::command(const std::string& line) {
@@ -34,10 +35,9 @@ std::string SimSession::command(const std::string& line) {
   std::string verb;
   is >> verb;
   // build/load/undo/redo replace the netlist the live simulator holds a
-  // reference into; sim/tput/trace would construct a second Simulator over the
-  // same node objects — its own state records, but the nodes' statistics and
-  // schedulers would be reset under the live one; save writes to the daemon's
-  // filesystem. All have serve-native equivalents.
+  // reference into; sim/tput/trace run a whole simulation inside one command,
+  // outside the quantum scheduler that keeps a session's work bounded; save
+  // writes to the daemon's filesystem. All have serve-native equivalents.
   for (const char* v : {"build", "load", "save", "undo", "redo", "sim", "tput",
                         "trace"}) {
     if (verb == v)
@@ -78,14 +78,12 @@ std::uint64_t SimSession::violationCount() {
 std::vector<std::uint8_t> SimSession::snapshot() { return sim_->ctx().packState(); }
 
 void SimSession::restore(const std::vector<std::uint8_t>& bytes) {
-  // Vet the snapshot on the live simulator first: unpackState is all or
-  // nothing, so a rejection leaves the session as it was. A fresh simulator
-  // would reset the statistics and schedulers it shares with the live one.
-  sim_->ctx().unpackState(bytes, "restore");
-  // CLI --load-state semantics: a fresh simulator (perf logs and carries start
-  // at zero), then the snapshot's sequential state and cycle counter.
-  makeSimulator();
-  sim_->ctx().unpackState(bytes, "restore");
+  // CLI --load-state semantics: a fresh simulator (statistics and carries
+  // start at zero), then the snapshot's sequential state and cycle counter.
+  // It is built aside, so a rejected snapshot leaves the session as it was.
+  std::unique_ptr<sim::Simulator> fresh = makeSimulator();
+  fresh->ctx().unpackState(bytes, "restore");
+  sim_ = std::move(fresh);
   sinkCarry_.clear();
   statCarry_.clear();
   violationCarry_ = 0;
@@ -134,7 +132,7 @@ std::vector<std::uint8_t> SimSession::spoolSave() {
   std::map<std::string, std::uint64_t> sinks = sinkCarry_;
   for (const NodeId id : nl.nodeIds()) {
     if (const auto* sink = dynamic_cast<const TokenSink*>(&nl.node(id)))
-      sinks[sink->name()] += sink->received();
+      sinks[sink->name()] += sink->received(sim_->ctx());
   }
   w.writeU64(sinks.size());
   for (const auto& [name, n] : sinks) {
@@ -164,8 +162,12 @@ std::unique_ptr<SimSession> SimSession::spoolLoad(
     const std::vector<std::uint8_t>& record) {
   StateReader r = StateReader::open(record, StateKind::kSession, "spool record");
   Options opts;
-  opts.backend = static_cast<SimContext::Backend>(r.readU32());
+  const std::uint32_t backend = r.readU32();
+  ESL_CHECK(backend <= static_cast<std::uint32_t>(SimContext::Backend::kCompiled),
+            "spool record: unknown backend " + std::to_string(backend));
+  opts.backend = static_cast<SimContext::Backend>(backend);
   opts.shards = r.readU32();
+  SimContext::checkShardCount(opts.shards);
   opts.seed = r.readU64();
   opts.checkProtocol = r.readBool();
   opts.crossCheck = r.readBool();

@@ -6,19 +6,19 @@
 // node, index), so chunking a run into quanta is identity-preserving by
 // construction. Transform and query verbs reuse the shell's command language
 // (shell::Session on the same netlist); verbs that would replace the netlist
-// under the live simulator (build/load/undo/redo) or spin up a second
-// SimContext over the same node objects (sim/tput/trace: the state records
-// are per context, but statistics and schedulers live on the shared nodes)
-// are rejected — serve has its own step/query surface.
+// under the live simulator (build/load/undo/redo) or run a whole simulation
+// inside one command, outside the quantum scheduler (sim/tput/trace), are
+// rejected — serve has its own step/query surface.
 //
 // Sessions can leave memory and come back: spoolSave() packs the session
 // into one StateKind::kSession container — options, origin, the design as
 // `.esl` text, the packState() snapshot payload, then the perf-side carries
 // packState() deliberately excludes (sink transfer counts, per-channel stats,
-// violation count); spoolLoad() verifies it and rebuilds a session whose
-// every subsequent report, tput and snapshot is byte-identical to one that
-// never left. This is the LRU eviction path of serve::Service and the
-// migration path between daemons.
+// violation count); spoolLoad() verifies it — a backend or shard count out of
+// range is an EslError — and rebuilds a session whose every subsequent
+// report, tput and snapshot is byte-identical to one that never left. This
+// is the LRU eviction path of serve::Service and the migration path between
+// daemons.
 #pragma once
 
 #include <cstdint>
@@ -72,12 +72,12 @@ class SimSession {
 
   /// packState(): the snapshot container, as --save-state writes it.
   std::vector<std::uint8_t> snapshot();
-  /// Replaces the simulator with a fresh one and restores `bytes` — CLI
-  /// `--load-state` semantics: perf logs (transfer counts, stats, carries)
-  /// restart at zero; sequential state, the cycle counter and the protocol
-  /// monitor's kept cycle come from the snapshot. Throws EslError on a
-  /// foreign, version-mismatched or damaged snapshot, and then leaves the
-  /// session untouched.
+  /// Replaces the simulator with a fresh one restored from `bytes` — CLI
+  /// `--load-state` semantics: statistics (transfer counts, channel stats,
+  /// carries) restart at zero; sequential state, the cycle counter and the
+  /// protocol monitor's kept cycle come from the snapshot. Throws EslError
+  /// on a foreign, version-mismatched or damaged snapshot, and then leaves
+  /// the session untouched.
   void restore(const std::vector<std::uint8_t>& bytes);
 
   // --- Trace streaming -------------------------------------------------------
@@ -97,7 +97,7 @@ class SimSession {
       const std::vector<std::uint8_t>& record);
 
  private:
-  void makeSimulator();
+  std::unique_ptr<sim::Simulator> makeSimulator();
 
   std::string origin_;
   Options options_;

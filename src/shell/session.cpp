@@ -275,8 +275,11 @@ std::string Session::dispatch(const std::string& line, bool replaying) {
         opts.backend = SimContext::Backend::kInterpreted;
       else if (t[i] == "cross-check")
         opts.crossCheckKernels = true;
-      else
-        opts.shards = static_cast<unsigned>(std::stoul(t[i]));
+      else {
+        const std::uint64_t shards = std::stoull(t[i]);
+        SimContext::checkShardCount(shards);
+        opts.shards = static_cast<unsigned>(shards);
+      }
     }
     sim::Simulator s(nl, opts);
     s.run(std::stoull(t[1]));

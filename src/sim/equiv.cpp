@@ -8,15 +8,20 @@ std::map<std::string, std::vector<BitVec>> collectSinkStreams(Netlist& netlist,
                                                               std::uint64_t cycles,
                                                               SimOptions options) {
   Simulator simulator(netlist, options);
+  std::vector<const TokenSink*> sinks;
+  for (const NodeId id : netlist.nodeIds()) {
+    if (const auto* sink = dynamic_cast<const TokenSink*>(&netlist.node(id))) {
+      sinks.push_back(sink);
+      simulator.ctx().logTransfers(sink->input(0));
+    }
+  }
   simulator.run(cycles);
 
   std::map<std::string, std::vector<BitVec>> streams;
-  for (const NodeId id : netlist.nodeIds()) {
-    const auto* sink = dynamic_cast<const TokenSink*>(&netlist.node(id));
-    if (sink == nullptr) continue;
+  for (const TokenSink* sink : sinks) {
     std::vector<BitVec> values;
-    values.reserve(sink->transfers().size());
-    for (const TokenSink::Transfer& t : sink->transfers()) values.push_back(t.data);
+    for (const SimContext::Transfer& t : simulator.ctx().transfers(sink->input(0)))
+      values.push_back(t.data);
     ESL_CHECK(streams.emplace(sink->name(), std::move(values)).second,
               "collectSinkStreams: duplicate sink name " + sink->name());
   }

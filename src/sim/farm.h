@@ -5,12 +5,12 @@
 // vs. ALU hit-rate, paper Fig. 9 style), scheduler comparisons (Table 1
 // style), or any multi-config sweep — and merges the per-channel statistics.
 //
-// Netlists are not shareable across threads (nodes carry mutable state), so
-// every task gets its own instance built by the recipe; this also makes
-// results independent of thread count: task i always runs (recipe(task_i),
-// Simulator seeded with task_i.seed, task_i.cycles cycles), and results are
-// returned in task order. Same task list ⇒ bit-identical results whether the
-// farm runs on 1 thread or 64.
+// A netlist could be shared by every task's context (it is read-only while
+// simulated), but the recipe varies the netlist by task config, so every task
+// builds its own instance; results are independent of thread count: task i
+// always runs (recipe(task_i), Simulator seeded with task_i.seed,
+// task_i.cycles cycles), and results are returned in task order. Same task
+// list ⇒ bit-identical results whether the farm runs on 1 thread or 64.
 #pragma once
 
 #include <functional>

@@ -4,7 +4,7 @@
 
 namespace esl::sim {
 
-Simulator::Simulator(Netlist& netlist, SimOptions options)
+Simulator::Simulator(const Netlist& netlist, SimOptions options)
     : ctx_(netlist), options_(options) {
   ctx_.setProtocolChecking(options_.checkProtocol);
   ctx_.setThrowOnViolation(options_.throwOnViolation);
@@ -74,7 +74,7 @@ std::string runReport(const Netlist& nl, const SimContext& ctx,
   std::string out;
   for (const NodeId id : nl.nodeIds()) {
     if (const auto* sink = dynamic_cast<const TokenSink*>(&nl.node(id))) {
-      std::uint64_t n = sink->received();
+      std::uint64_t n = sink->received(ctx);
       if (sinkCarry != nullptr) {
         const auto it = sinkCarry->find(sink->name());
         if (it != sinkCarry->end()) n += it->second;

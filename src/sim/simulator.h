@@ -54,7 +54,7 @@ struct ChannelStats {
 
 class Simulator {
  public:
-  explicit Simulator(Netlist& netlist, SimOptions options = {});
+  explicit Simulator(const Netlist& netlist, SimOptions options = {});
 
   SimContext& ctx() { return ctx_; }
   std::uint64_t cycle() const { return ctx_.cycle(); }
@@ -86,8 +86,8 @@ class Simulator {
 /// renderer shared by the shell's `sim` verb, the CLI's `--sim` and the
 /// serve daemon, so their outputs byte-diff clean against each other.
 /// `sinkCarry`/`violationCarry` add counts accumulated before a state-only
-/// restore (the serve daemon's evict/restore cycle: transfer logs are
-/// perf-side observations, deliberately outside packState()).
+/// restore (the serve daemon's evict/restore cycle: received counts are
+/// statistics, deliberately outside packState()).
 std::string runReport(const Netlist& nl, const SimContext& ctx,
                       const std::map<std::string, std::uint64_t>* sinkCarry =
                           nullptr,

@@ -13,43 +13,8 @@ namespace esl::verify {
 // Construction
 // ---------------------------------------------------------------------------
 
-/// Per-lane exploration replica: its own netlist instance (nodes carry
-/// mutable state, so they cannot be shared across threads) plus the context
-/// and scratch buffers that lane expands states with.
-struct ModelChecker::Replica {
-  explicit Replica(Netlist netlist) : nl(std::move(netlist)), ctx(nl) {
-    ctx.setProtocolChecking(false);
-  }
-  Netlist nl;
-  SimContext ctx;
-  std::vector<std::uint8_t> scratch;
-};
-
-ModelChecker::ModelChecker(Netlist& netlist, CheckerOptions options)
+ModelChecker::ModelChecker(const Netlist& netlist, CheckerOptions options)
     : netlist_(netlist),
-      options_(options),
-      ctx_(netlist_),
-      index_([this](std::uint32_t id) -> const std::vector<std::uint8_t>& {
-        return states_[id];
-      }) {
-  ctx_.setProtocolChecking(false);
-}
-
-namespace {
-Netlist buildFromRecipe(const NetlistRecipe& recipe) {
-  ESL_CHECK(static_cast<bool>(recipe), "ModelChecker: recipe required");
-  return recipe();
-}
-}  // namespace
-
-ModelChecker::ModelChecker(NetlistSpec spec, CheckerOptions options)
-    : ModelChecker(NetlistRecipe([spec = std::move(spec)] { return spec.build(); }),
-                   options) {}
-
-ModelChecker::ModelChecker(NetlistRecipe recipe, CheckerOptions options)
-    : recipe_(std::move(recipe)),
-      ownedNetlist_(std::make_unique<Netlist>(buildFromRecipe(recipe_))),
-      netlist_(*ownedNetlist_),
       options_(options),
       ctx_(netlist_),
       index_([this](std::uint32_t id) -> const std::vector<std::uint8_t>& {
@@ -133,9 +98,6 @@ ExploreResult ModelChecker::explore() {
   ESL_CHECK(ctx_.totalChoices() <= options_.maxChoiceBits,
             "ModelChecker: too many choice bits to enumerate");
   const bool parallel = options_.workers != 1;
-  ESL_CHECK(!parallel || static_cast<bool>(recipe_),
-            "ModelChecker: workers != 1 requires a recipe-constructed checker "
-            "(per-lane netlist replicas)");
 
   states_.clear();
   edges_.clear();
@@ -189,26 +151,21 @@ void ModelChecker::exploreSerial() {
   }
 }
 
-void ModelChecker::ensureReplicas(unsigned workers) {
-  while (replicas_.size() + 1 < workers) {
-    auto replica = std::make_unique<Replica>(recipe_());
-    ESL_CHECK(replica->ctx.totalChoices() == ctx_.totalChoices(),
-              "ModelChecker: recipe rebuilt a netlist with different choice "
-              "bits (recipe must be deterministic)");
-    replica->ctx.packStateInto(replica->scratch);
-    ESL_CHECK(replica->scratch == states_[0],
-              "ModelChecker: recipe rebuilt a netlist with a different "
-              "initial state (recipe must be deterministic)");
-    replicas_.push_back(std::move(replica));
-  }
-}
-
 void ModelChecker::exploreParallel() {
   // The executor owns the 0-means-hardware-concurrency resolution; its lane
   // count is the worker count everywhere below.
   Executor executor(options_.workers);
   const unsigned workers = executor.lanes();
-  ensureReplicas(workers);
+  // Lane 0 is the checker's own context; every other lane gets a context
+  // over the same netlist, and the scratch buffer it expands states with.
+  struct Lane {
+    explicit Lane(const Netlist& nl) : ctx(nl) { ctx.setProtocolChecking(false); }
+    SimContext ctx;
+    std::vector<std::uint8_t> scratch;
+  };
+  std::vector<std::unique_ptr<Lane>> lanes;
+  for (unsigned l = 1; l < workers; ++l)
+    lanes.push_back(std::make_unique<Lane>(netlist_));
   const std::size_t combos = comboCount();
 
   /// Expansion output for one frontier state: per-combo successor records
@@ -228,9 +185,9 @@ void ModelChecker::exploreParallel() {
     // writer, and it runs strictly between parallelFor calls).
     executor.parallelFor(
         levelEnd - levelBegin, [&](std::size_t i, unsigned lane) {
-          SimContext& ctx = lane == 0 ? ctx_ : replicas_[lane - 1]->ctx;
+          SimContext& ctx = lane == 0 ? ctx_ : lanes[lane - 1]->ctx;
           std::vector<std::uint8_t>& scratch =
-              lane == 0 ? packScratch_ : replicas_[lane - 1]->scratch;
+              lane == 0 ? packScratch_ : lanes[lane - 1]->scratch;
           const std::uint32_t cur = levelBegin + static_cast<std::uint32_t>(i);
           StateExpansion& out = slots[i];
           out.recs.resize(combos);
@@ -575,7 +532,7 @@ void note(ProtocolReport& report, ModelChecker& mc,
   report.violations.push_back(std::move(*violation));
 }
 
-ProtocolReport runSelfSuite(ModelChecker& mc, Netlist& netlist,
+ProtocolReport runSelfSuite(ModelChecker& mc, const Netlist& netlist,
                             const ProtocolSuiteOptions& options) {
   const auto channels = netlist.channelIds();
   for (const ChannelId ch : channels) addChannelLabels(mc, netlist, ch);
@@ -605,9 +562,9 @@ ProtocolReport runSelfSuite(ModelChecker& mc, Netlist& netlist,
   return report;
 }
 
-ProtocolReport runSchedulerSuite(ModelChecker& mc, Netlist& netlist,
+ProtocolReport runSchedulerSuite(ModelChecker& mc, const Netlist& netlist,
                                  NodeId sharedId) {
-  auto* shared = dynamic_cast<SharedModule*>(&netlist.node(sharedId));
+  const auto* shared = dynamic_cast<const SharedModule*>(&netlist.node(sharedId));
   ESL_CHECK(shared != nullptr, "checkSchedulerLeadsTo: node is not a SharedModule");
 
   const unsigned k = shared->channels();
@@ -634,39 +591,15 @@ ProtocolReport runSchedulerSuite(ModelChecker& mc, Netlist& netlist,
 
 }  // namespace
 
-ProtocolReport checkSelfProtocol(Netlist& netlist, ProtocolSuiteOptions options) {
+ProtocolReport checkSelfProtocol(const Netlist& netlist, ProtocolSuiteOptions options) {
   ModelChecker mc(netlist, options);
   return runSelfSuite(mc, netlist, options);
 }
 
-ProtocolReport checkSelfProtocol(const NetlistSpec& spec,
-                                 ProtocolSuiteOptions options) {
-  ModelChecker mc(spec, options);
-  return runSelfSuite(mc, mc.netlist(), options);
-}
-
-ProtocolReport checkSelfProtocol(const NetlistRecipe& recipe,
-                                 ProtocolSuiteOptions options) {
-  ModelChecker mc(recipe, options);
-  return runSelfSuite(mc, mc.netlist(), options);
-}
-
-ProtocolReport checkSchedulerLeadsTo(Netlist& netlist, NodeId sharedId,
+ProtocolReport checkSchedulerLeadsTo(const Netlist& netlist, NodeId sharedId,
                                      ProtocolSuiteOptions options) {
   ModelChecker mc(netlist, options);
   return runSchedulerSuite(mc, netlist, sharedId);
-}
-
-ProtocolReport checkSchedulerLeadsTo(const NetlistSpec& spec, NodeId sharedId,
-                                     ProtocolSuiteOptions options) {
-  ModelChecker mc(spec, options);
-  return runSchedulerSuite(mc, mc.netlist(), sharedId);
-}
-
-ProtocolReport checkSchedulerLeadsTo(const NetlistRecipe& recipe, NodeId sharedId,
-                                     ProtocolSuiteOptions options) {
-  ModelChecker mc(recipe, options);
-  return runSchedulerSuite(mc, mc.netlist(), sharedId);
 }
 
 // ---------------------------------------------------------------------------
@@ -686,15 +619,12 @@ std::vector<SuiteFarmResult> runSuiteFarm(const std::vector<SuiteJob>& jobs,
     SuiteFarmResult& result = results[i];
     result.name = job.name;
     try {
-      ESL_CHECK(!job.spec.empty() || static_cast<bool>(job.recipe),
-                "runSuiteFarm: job '" + job.name + "' has no spec or recipe");
-      const NetlistRecipe recipe =
-          job.spec.empty() ? job.recipe
-                           : NetlistRecipe([&job] { return job.spec.build(); });
-      result.report = checkSelfProtocol(recipe, job.options);
+      ESL_CHECK(!job.spec.empty(), "runSuiteFarm: job '" + job.name + "' has no spec");
+      Netlist netlist = job.spec.build();
+      result.report = checkSelfProtocol(netlist, job.options);
       if (job.sharedModule != kNoNode) {
         ProtocolReport leadsTo =
-            checkSchedulerLeadsTo(recipe, job.sharedModule, job.options);
+            checkSchedulerLeadsTo(netlist, job.sharedModule, job.options);
         result.report.propertiesChecked += leadsTo.propertiesChecked;
         for (Violation& v : leadsTo.violations)
           result.report.violations.push_back(std::move(v));

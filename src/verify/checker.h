@@ -17,14 +17,14 @@
 // synth families verified at <=8 nodes.
 //
 // Exploration can be sharded across worker lanes (CheckerOptions::workers):
-// the BFS runs level-synchronously, each level's states expand in parallel on
-// per-lane netlist replicas (built from a NetlistRecipe — netlists carry
-// mutable node state and are not shareable across threads), successors are
-// probed against a striped visited-set keyed on the canonical state hash, and
-// a single-threaded merge interns fresh states in exactly the serial BFS
-// discovery order. The result — state numbering, transition counts, label
-// bitmasks, truncation point, counterexample traces — is bit-identical to the
-// serial checker for every worker count.
+// the BFS runs level-synchronously, each level's states expand in parallel,
+// one SimContext per lane over the checker's one netlist (the netlist is a
+// read-only description; every byte a transition changes is in the lane's
+// context), successors are probed against a striped visited-set keyed on the
+// canonical state hash, and a single-threaded merge interns fresh states in
+// exactly the serial BFS discovery order. The result — state numbering,
+// transition counts, label bitmasks, truncation point, counterexample traces
+// — is bit-identical to the serial checker for every worker count.
 //
 // Violated properties come back as Violation records carrying a replayable
 // counterexample: the choice-combo path from reset to the witness (plus, for
@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -46,21 +45,11 @@
 
 namespace esl::verify {
 
-/// DEPRECATED shim: an opaque closure building a fresh netlist instance.
-/// Must be pure: every call returns a bit-identical netlist (same nodes, ids,
-/// channels, initial state). Prefer NetlistSpec — the data form can be named,
-/// printed to `.esl`, diffed and handed to tools, and spec.build() satisfies
-/// the purity contract by construction (patterns::designSpec, synth::spec).
-/// Required shape for workers != 1, where each lane explores on its own
-/// replica; the spec overloads wrap themselves in one of these internally.
-using NetlistRecipe = std::function<Netlist()>;
-
 struct CheckerOptions {
   std::size_t maxStates = 100000;
   std::size_t maxChoiceBits = 14;  ///< refuse to enumerate beyond 2^14 per state
-  /// BFS worker lanes: 1 = serial; 0 = one lane per hardware thread; values
-  /// other than 1 require a recipe-constructed checker. Results are
-  /// bit-identical for every setting.
+  /// BFS worker lanes: 1 = serial; 0 = one lane per hardware thread. Results
+  /// are bit-identical for every setting.
   unsigned workers = 1;
 };
 
@@ -101,19 +90,11 @@ using LabelFn = std::function<bool(const SimContext&)>;
 
 class ModelChecker {
  public:
-  /// Serial checker over a borrowed netlist (workers must stay 1).
-  explicit ModelChecker(Netlist& netlist, CheckerOptions options = {});
-  /// Spec-owned checker: builds its primary netlist (and, when workers != 1,
-  /// one replica per additional lane) from the serializable IR. This is the
-  /// primary parallel-checking entry point — a parsed `.esl` design checks
-  /// exactly like a C++-built one.
-  explicit ModelChecker(NetlistSpec spec, CheckerOptions options = {});
-  /// Deprecated closure shim (see NetlistRecipe).
-  explicit ModelChecker(NetlistRecipe recipe, CheckerOptions options = {});
+  /// Checker over a borrowed netlist, which must not change while it runs.
+  explicit ModelChecker(const Netlist& netlist, CheckerOptions options = {});
   ~ModelChecker();
 
-  /// The primary netlist the checker explores (recipe-built or borrowed).
-  Netlist& netlist() { return netlist_; }
+  const Netlist& netlist() const { return netlist_; }
 
   /// Registers a labelled predicate; returns its index. Register every label
   /// before explore() — the explored graph only stores bits for labels that
@@ -164,7 +145,6 @@ class ModelChecker {
   void replay(const Violation& v);
 
  private:
-  struct Replica;
   struct SuccessorRec {
     std::uint64_t hash = 0;
     std::uint32_t known = kNoState;     ///< probe hit during expansion
@@ -184,7 +164,6 @@ class ModelChecker {
                 std::vector<std::uint64_t>& labelsOut);
   void exploreSerial();
   void exploreParallel();
-  void ensureReplicas(unsigned workers);
 
   /// Index of `name` for graph queries; throws unless the label was already
   /// registered when the last explore() ran (its bits exist in the graph).
@@ -212,9 +191,7 @@ class ModelChecker {
   void traceLasso(Violation& v, unsigned avoidLabel,
                   const std::vector<bool>& can) const;
 
-  NetlistRecipe recipe_;                    ///< empty for borrowed netlists
-  std::unique_ptr<Netlist> ownedNetlist_;   ///< set when recipe-built
-  Netlist& netlist_;
+  const Netlist& netlist_;
   CheckerOptions options_;
   SimContext ctx_;
   std::vector<std::string> labelNames_;
@@ -236,7 +213,6 @@ class ModelChecker {
   StateIndex index_;
   std::vector<std::vector<bool>> comboBits_;  ///< choice bits per combo
   std::vector<std::uint8_t> packScratch_;
-  std::vector<std::unique_ptr<Replica>> replicas_;  ///< lanes 1..workers-1
 };
 
 // ---------------------------------------------------------------------------
@@ -266,25 +242,12 @@ struct ProtocolSuiteOptions : CheckerOptions {
 /// Runs the full §3.1 property set on every channel of the netlist:
 /// Invariant (kill/stop exclusion), Retry+/Retry- (skipped on channels whose
 /// producer is exempt, §4.2), global liveness and deadlock freedom.
-ProtocolReport checkSelfProtocol(Netlist& netlist, ProtocolSuiteOptions options = {});
-/// Spec overload — the form to use when options.workers != 1.
-ProtocolReport checkSelfProtocol(const NetlistSpec& spec,
-                                 ProtocolSuiteOptions options = {});
-/// Deprecated closure shim.
-ProtocolReport checkSelfProtocol(const NetlistRecipe& recipe,
+ProtocolReport checkSelfProtocol(const Netlist& netlist,
                                  ProtocolSuiteOptions options = {});
 
 /// The leads-to property of eq. (1) for each input channel of a shared
 /// module: a valid input token is eventually served or killed.
-ProtocolReport checkSchedulerLeadsTo(Netlist& netlist, NodeId sharedModule,
-                                     ProtocolSuiteOptions options = {});
-/// Spec overload — `sharedModule` is the node id in the rebuilt netlist
-/// (specs build deterministically, so ids are stable across instances).
-ProtocolReport checkSchedulerLeadsTo(const NetlistSpec& spec, NodeId sharedModule,
-                                     ProtocolSuiteOptions options = {});
-/// Deprecated closure shim.
-ProtocolReport checkSchedulerLeadsTo(const NetlistRecipe& recipe,
-                                     NodeId sharedModule,
+ProtocolReport checkSchedulerLeadsTo(const Netlist& netlist, NodeId sharedModule,
                                      ProtocolSuiteOptions options = {});
 
 // ---------------------------------------------------------------------------
@@ -293,13 +256,10 @@ ProtocolReport checkSchedulerLeadsTo(const NetlistRecipe& recipe,
 
 /// One verification job: a netlist IR plus the property toggles. When
 /// sharedModule is set, the eq. (1) scheduler suite runs after the SELF suite
-/// and its findings are merged into the same report. `spec` is the primary
-/// form; the closure `recipe` remains as a deprecated shim and is used only
-/// when the spec is empty.
+/// and its findings are merged into the same report.
 struct SuiteJob {
   std::string name;
   NetlistSpec spec;
-  NetlistRecipe recipe;  ///< deprecated shim, consulted when spec is empty
   ProtocolSuiteOptions options = {};
   NodeId sharedModule = kNoNode;
 };

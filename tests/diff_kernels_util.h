@@ -19,13 +19,21 @@
 
 namespace esl::test {
 
-/// Compares the two sinks' transfer streams; `label` names the pair.
-inline std::optional<std::string> diffSinkStreams(const TokenSink* a,
+/// Logs the system's main sink's transfer stream in `s` (before it runs).
+inline void logMainSink(sim::Simulator& s, const synth::SynthSystem& sys) {
+  if (sys.mainSink != nullptr) s.ctx().logTransfers(sys.mainSink->input(0));
+}
+
+/// Compares two sinks' transfer streams, logged in `sa` and `sb`; `label`
+/// names the pair.
+inline std::optional<std::string> diffSinkStreams(sim::Simulator& sa,
+                                                  const TokenSink* a,
+                                                  sim::Simulator& sb,
                                                   const TokenSink* b,
                                                   const std::string& label) {
   if (a == nullptr || b == nullptr) return std::nullopt;
-  const auto& ta = a->transfers();
-  const auto& tb = b->transfers();
+  const auto& ta = sa.ctx().transfers(a->input(0));
+  const auto& tb = sb.ctx().transfers(b->input(0));
   if (ta.size() != tb.size())
     return label + ": sink transfer counts differ (" +
            std::to_string(ta.size()) + " vs " + std::to_string(tb.size()) + ")";
@@ -53,6 +61,9 @@ inline std::optional<std::string> diffKernelsOnce(const synth::SynthConfig& cfg,
   sim::Simulator ss(sweep.nl, sweepOpts);
   sim::Simulator se(event.nl, eventOpts);
   sim::Simulator sc(comp.nl, compOpts);
+  logMainSink(ss, sweep);
+  logMainSink(se, event);
+  logMainSink(sc, comp);
 
   for (std::uint64_t c = 0; c < cycles; ++c) {
     ss.step();
@@ -65,10 +76,11 @@ inline std::optional<std::string> diffKernelsOnce(const synth::SynthConfig& cfg,
       return "event-vs-compiled: packed state diverged at cycle " +
              std::to_string(c);
   }
-  if (auto d = diffSinkStreams(sweep.mainSink, event.mainSink, "sweep-vs-event"))
+  if (auto d = diffSinkStreams(ss, sweep.mainSink, se, event.mainSink,
+                               "sweep-vs-event"))
     return d;
-  if (auto d =
-          diffSinkStreams(event.mainSink, comp.mainSink, "event-vs-compiled"))
+  if (auto d = diffSinkStreams(se, event.mainSink, sc, comp.mainSink,
+                               "event-vs-compiled"))
     return d;
   return std::nullopt;
 }
@@ -86,6 +98,8 @@ inline std::optional<std::string> diffCompiledOnce(const synth::SynthConfig& cfg
   compOpts.backend = SimContext::Backend::kCompiled;
   sim::Simulator si(interp.nl, base);
   sim::Simulator sc(comp.nl, compOpts);
+  logMainSink(si, interp);
+  logMainSink(sc, comp);
 
   for (std::uint64_t c = 0; c < cycles; ++c) {
     si.step();
@@ -93,7 +107,8 @@ inline std::optional<std::string> diffCompiledOnce(const synth::SynthConfig& cfg
     if (si.ctx().packState() != sc.ctx().packState())
       return "packed state diverged at cycle " + std::to_string(c);
   }
-  return diffSinkStreams(interp.mainSink, comp.mainSink, "interp-vs-compiled");
+  return diffSinkStreams(si, interp.mainSink, sc, comp.mainSink,
+                         "interp-vs-compiled");
 }
 
 /// Sharded-vs-serial differential: the same system, one instance on the
@@ -111,6 +126,8 @@ inline std::optional<std::string> diffShardedOnce(const synth::SynthConfig& cfg,
   shardedOpts.shards = shards;
   sim::Simulator ss(serial.nl, base);
   sim::Simulator sh(sharded.nl, shardedOpts);
+  logMainSink(ss, serial);
+  logMainSink(sh, sharded);
 
   for (std::uint64_t c = 0; c < cycles; ++c) {
     ss.step();
@@ -119,17 +136,8 @@ inline std::optional<std::string> diffShardedOnce(const synth::SynthConfig& cfg,
       return "packed state diverged at cycle " + std::to_string(c) + " (" +
              std::to_string(shards) + " shards)";
   }
-  if (serial.mainSink != nullptr && sharded.mainSink != nullptr) {
-    const auto& a = serial.mainSink->transfers();
-    const auto& b = sharded.mainSink->transfers();
-    if (a.size() != b.size())
-      return "sink transfer counts differ (" + std::to_string(a.size()) + " vs " +
-             std::to_string(b.size()) + ")";
-    for (std::size_t i = 0; i < a.size(); ++i)
-      if (a[i].cycle != b[i].cycle || !(a[i].data == b[i].data))
-        return "sink transfer " + std::to_string(i) + " differs";
-  }
-  return std::nullopt;
+  return diffSinkStreams(ss, serial.mainSink, sh, sharded.mainSink,
+                         "serial-vs-sharded");
 }
 
 /// Compiled×sharded differential: the compiled backend sharded across
@@ -148,6 +156,8 @@ inline std::optional<std::string> diffCompiledShardedOnce(
   shardedOpts.shards = shards;
   sim::Simulator ss(serial.nl, base);
   sim::Simulator sh(sharded.nl, shardedOpts);
+  logMainSink(ss, serial);
+  logMainSink(sh, sharded);
 
   for (std::uint64_t c = 0; c < cycles; ++c) {
     ss.step();
@@ -156,7 +166,7 @@ inline std::optional<std::string> diffCompiledShardedOnce(
       return "compiled packed state diverged at cycle " + std::to_string(c) +
              " (" + std::to_string(shards) + " shards)";
   }
-  return diffSinkStreams(serial.mainSink, sharded.mainSink,
+  return diffSinkStreams(ss, serial.mainSink, sh, sharded.mainSink,
                          "compiled-serial-vs-sharded");
 }
 

@@ -20,11 +20,12 @@ TEST(ElasticBuffer, ForwardLatencyOne) {
   nl.connect(eb, 0, sink, 0);
 
   sim::Simulator s(nl);
+  test::logSinks(s);
   s.run(10);
   // Token 0 enters the EB at cycle 0 and reaches the sink at cycle 1 (Lf=1);
   // thereafter one token per cycle.
-  EXPECT_EQ(receivedValues(sink), iota(9));
-  EXPECT_EQ(receivedCycles(sink), iota(9, 1));
+  EXPECT_EQ(receivedValues(s, sink), iota(9));
+  EXPECT_EQ(receivedCycles(s, sink), iota(9, 1));
 }
 
 TEST(ElasticBuffer, InitialTokenAvailableImmediately) {
@@ -36,12 +37,13 @@ TEST(ElasticBuffer, InitialTokenAvailableImmediately) {
   nl.connect(eb, 0, sink, 0);
 
   sim::Simulator s(nl);
+  test::logSinks(s);
   s.run(5);
-  const auto vals = receivedValues(sink);
+  const auto vals = receivedValues(s, sink);
   ASSERT_GE(vals.size(), 2u);
   EXPECT_EQ(vals[0], 99u);  // the initial token, at cycle 0
   EXPECT_EQ(vals[1], 10u);
-  EXPECT_EQ(receivedCycles(sink)[0], 0u);
+  EXPECT_EQ(receivedCycles(s, sink)[0], 0u);
 }
 
 TEST(ElasticBuffer, BackpressureLosesNothing) {
@@ -55,8 +57,9 @@ TEST(ElasticBuffer, BackpressureLosesNothing) {
   nl.connect(eb, 0, sink, 0);
 
   sim::Simulator s(nl);
+  test::logSinks(s);
   s.run(31);
-  EXPECT_EQ(receivedValues(sink), iota(10));  // in order, no loss, no dup
+  EXPECT_EQ(receivedValues(s, sink), iota(10));  // in order, no loss, no dup
 }
 
 TEST(ElasticBuffer, ThroughputOneWhenUncontended) {
@@ -87,7 +90,7 @@ TEST(ElasticBuffer, StopIsRegisteredLb1) {
   s.run(10);
   EXPECT_EQ(s.channelStats(up).fwdTransfers, 2u);  // capacity bound
   EXPECT_EQ(eb.occupancy(s.ctx()), 2);
-  EXPECT_EQ(sink.received(), 0u);
+  EXPECT_EQ(sink.received(s.ctx()), 0u);
 }
 
 TEST(ElasticBuffer, CapacityBelowTwoRejected) {
@@ -118,8 +121,9 @@ TEST(ElasticBuffer, AntiTokenKillsStoredToken) {
   nl.connect(eb, 0, sink, 0);
 
   sim::Simulator s(nl);
+  test::logSinks(s);
   s.run(10);
-  const auto vals = receivedValues(sink);
+  const auto vals = receivedValues(s, sink);
   ASSERT_FALSE(vals.empty());
   EXPECT_EQ(vals.front(), 1u);  // token 0 was annihilated
   EXPECT_EQ(vals, iota(vals.size(), 1));
@@ -136,11 +140,12 @@ TEST(ElasticBuffer, InitialAntiTokenCancelsFirstArrival) {
   nl.connect(eb, 0, sink, 0);
 
   sim::Simulator s(nl);
+  test::logSinks(s);
   s.run(10);
-  const auto vals = receivedValues(sink);
+  const auto vals = receivedValues(s, sink);
   ASSERT_FALSE(vals.empty());
   EXPECT_EQ(vals, iota(vals.size(), 1));  // token 0 killed by the anti-token
-  EXPECT_EQ(src.killed(), 1u);
+  EXPECT_EQ(src.killed(s.ctx()), 1u);
 }
 
 TEST(ElasticBuffer0, ZeroBackwardLatency) {
@@ -155,10 +160,11 @@ TEST(ElasticBuffer0, ZeroBackwardLatency) {
   nl.connect(eb0, 0, sink, 0);
 
   sim::Simulator s(nl);
+  test::logSinks(s);
   s.step();
   EXPECT_EQ(s.channelStats(up).kills, 1u);  // killed at cycle 0, upstream
   s.run(9);
-  EXPECT_EQ(receivedValues(sink), iota(8, 1));
+  EXPECT_EQ(receivedValues(s, sink), iota(8, 1));
 }
 
 TEST(ElasticBuffer0, FullThroughput) {
@@ -170,8 +176,9 @@ TEST(ElasticBuffer0, FullThroughput) {
   nl.connect(eb0, 0, sink, 0);
 
   sim::Simulator s(nl);
+  test::logSinks(s);
   s.run(20);
-  EXPECT_EQ(receivedValues(sink), iota(19));  // Lf=1, then 1 token/cycle
+  EXPECT_EQ(receivedValues(s, sink), iota(19));  // Lf=1, then 1 token/cycle
 }
 
 TEST(ElasticBuffer0, CapacityOneUnderBackpressure) {
@@ -185,10 +192,11 @@ TEST(ElasticBuffer0, CapacityOneUnderBackpressure) {
   nl.connect(eb0, 0, sink, 0);
 
   sim::Simulator s(nl);
+  test::logSinks(s);
   s.run(5);
   EXPECT_EQ(s.channelStats(up).fwdTransfers, 1u);
   s.run(10);
-  EXPECT_EQ(receivedValues(sink), iota(10));  // nothing lost once unblocked
+  EXPECT_EQ(receivedValues(s, sink), iota(10));  // nothing lost once unblocked
 }
 
 TEST(BrokenBuffer, ViolatingCapacityTheoremLosesTokens) {
@@ -202,8 +210,9 @@ TEST(BrokenBuffer, ViolatingCapacityTheoremLosesTokens) {
   nl.connect(bad, 0, sink, 0);
 
   sim::Simulator s(nl, {.checkProtocol = false});
+  test::logSinks(s);
   s.run(20);
-  const auto vals = receivedValues(sink);
+  const auto vals = receivedValues(s, sink);
   ASSERT_FALSE(vals.empty());
   // The stream has a gap: token(s) lost to the overrun.
   EXPECT_NE(vals, iota(vals.size()));
@@ -224,8 +233,9 @@ TEST(ElasticBuffer, ChainPreservesStreamUnderRandomStalls) {
   nl.connect(eb3, 0, sink, 0);
 
   sim::Simulator s(nl);
+  test::logSinks(s);
   s.run(200);
-  const auto vals = receivedValues(sink);
+  const auto vals = receivedValues(s, sink);
   EXPECT_GT(vals.size(), 50u);
   EXPECT_EQ(vals, iota(vals.size()));
 }

@@ -52,6 +52,8 @@ std::optional<std::string> lockstepCompiledDiff(Netlist& interp, Netlist& comp,
                                                 std::uint64_t cycles) {
   sim::Simulator si(interp, interpOpts());
   sim::Simulator sc(comp, compiledOpts());
+  test::logSinks(si);
+  test::logSinks(sc);
   for (std::uint64_t c = 0; c < cycles; ++c) {
     si.step();
     sc.step();
@@ -69,8 +71,8 @@ std::optional<std::string> lockstepCompiledDiff(Netlist& interp, Netlist& comp,
   const auto b = sinksOf(comp);
   if (a.size() != b.size()) return "sink sets differ";
   for (std::size_t s = 0; s < a.size(); ++s)
-    if (auto d = test::diffSinkStreams(a[s], b[s],
-                                       "sink " + std::to_string(s)))
+    if (auto d =
+            test::diffSinkStreams(si, a[s], sc, b[s], "sink " + std::to_string(s)))
       return d;
   return std::nullopt;
 }
@@ -239,7 +241,7 @@ class CompiledOscillator : public Node {
   explicit CompiledOscillator(std::string name) : Node(std::move(name)) {
     declareOutput(1);
   }
-  void evalComb(SimContext& ctx) override {
+  void evalComb(SimContext& ctx) const override {
     Sig out = ctx.sig(output(0));
     const bool flipped = !out.vf();
     out.setVf(flipped);
@@ -333,11 +335,13 @@ TEST(CompiledKernel, SpecializedFuncKernelsMatchOpaqueClosures) {
   TokenSink* sb = buildOpaque(b);
   sim::Simulator simA(a, compiledOpts());
   sim::Simulator simB(b, compiledOpts());
+  test::logSinks(simA);
+  test::logSinks(simB);
   simA.run(200);
   simB.run(200);
-  EXPECT_EQ(test::receivedValues(*sa), test::receivedValues(*sb));
-  EXPECT_EQ(test::receivedCycles(*sa), test::receivedCycles(*sb));
-  EXPECT_EQ(sa->transfers().size(), 64u);
+  EXPECT_EQ(test::receivedValues(simA, *sa), test::receivedValues(simB, *sb));
+  EXPECT_EQ(test::receivedCycles(simA, *sa), test::receivedCycles(simB, *sb));
+  EXPECT_EQ(test::receivedValues(simA, *sa).size(), 64u);
 }
 
 TEST(CompiledKernel, BackendSwitchMidRunPreservesSignals) {

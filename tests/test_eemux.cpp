@@ -31,10 +31,11 @@ TEST(EarlyEvalMux, FiresWithoutNonSelectedInput) {
   nl.connect(mux, 0, sink, 0);
 
   sim::Simulator s(nl);
+  test::logSinks(s);
   s.run(10);
-  EXPECT_EQ(receivedValues(sink), test::iota(10, 1));
+  EXPECT_EQ(receivedValues(s, sink), test::iota(10, 1));
   // Anti-tokens pile up as pending obligations on the dead channel.
-  EXPECT_EQ(mux.antiTokensEmitted(), 10u);
+  EXPECT_EQ(mux.antiTokensEmitted(s.ctx()), 10u);
   EXPECT_EQ(s.channelStats(ch1).kills, 0u);
 }
 
@@ -55,8 +56,9 @@ TEST(EarlyEvalMux, AntiTokenKillsLateArrival) {
   nl.connect(mux, 0, sink, 0);
 
   sim::Simulator s(nl);
+  test::logSinks(s);
   s.run(20);
-  EXPECT_EQ(receivedValues(sink), test::iota(20, 1));  // ch0 streams through
+  EXPECT_EQ(receivedValues(s, sink), test::iota(20, 1));  // ch0 streams through
   EXPECT_GT(s.channelStats(ch1).kills, 10u);           // ch1 tokens all killed
   EXPECT_EQ(s.channelStats(ch1).fwdTransfers, 0u);
 }
@@ -84,7 +86,7 @@ class StubbornProducer : public Node {
   explicit StubbornProducer(std::string name, unsigned width) : Node(std::move(name)) {
     declareOutput(width);
   }
-  void evalComb(SimContext& ctx) override {
+  void evalComb(SimContext& ctx) const override {
     Sig out = ctx.sig(output(0));
     out.setVf(false);
     out.setSb(true);  // refuses anti-tokens
@@ -108,7 +110,7 @@ TEST(EarlyEvalMux, PendingAntiTokenPersists) {
   sim::Simulator s(nl);
   s.run(6);
   // Six firings, all anti-tokens blocked: V- held high (Retry-), none lost.
-  EXPECT_EQ(mux.antiTokensEmitted(), 6u);
+  EXPECT_EQ(mux.antiTokensEmitted(s.ctx()), 6u);
   EXPECT_EQ(s.channelStats(ch1).bwdTransfers, 0u);
   EXPECT_EQ(s.channelStats(ch1).kills, 0u);
   EXPECT_TRUE(s.ctx().sig(ch1).vb());
@@ -120,12 +122,13 @@ TEST(EarlyEvalMux, MispredictionCostsOneCycle) {
   auto sys = patterns::buildTable1({0, 1, 0, 1, 0, 1}, 1, 101,
                                    std::make_unique<sched::StaticScheduler>(2, 0));
   sim::Simulator s(sys.nl);
+  test::logSinks(s);
   s.run(12);
-  const auto cycles = receivedCycles(*sys.sink);
+  const auto cycles = receivedCycles(s, *sys.sink);
   ASSERT_EQ(cycles.size(), 6u);
   // sel=0 fires immediately; sel=1 stalls one cycle first.
   EXPECT_EQ(cycles, (std::vector<std::uint64_t>{0, 2, 3, 5, 6, 8}));
-  EXPECT_EQ(sys.shared->demandCycles(), 3u);
+  EXPECT_EQ(sys.shared->demandCycles(s.ctx()), 3u);
 }
 
 TEST(Table1, ReproducesThePaperTrace) {
@@ -169,11 +172,12 @@ TEST(Table1, ReproducesThePaperTrace) {
 TEST(Table1, SinkReceivesSelectedStream) {
   auto sys = patterns::buildTable1({0, 1, 1, 0, 0});
   sim::Simulator s(sys.nl);
+  test::logSinks(s);
   s.run(7);
   // Firings: ch0 #1 (1), ch1 #2 (102), ch1 #3 (103), ch0 #4 (4), ch0 #5 (5).
-  EXPECT_EQ(receivedValues(*sys.sink),
+  EXPECT_EQ(receivedValues(s, *sys.sink),
             (std::vector<std::uint64_t>{1, 102, 103, 4, 5}));
-  EXPECT_EQ(receivedCycles(*sys.sink),
+  EXPECT_EQ(receivedCycles(s, *sys.sink),
             (std::vector<std::uint64_t>{0, 1, 3, 4, 6}));
 }
 
@@ -202,8 +206,9 @@ TEST(EarlyEvalMux, BackpressuredOutputRetries) {
   nl.connect(mux, 0, sink, 0);
 
   sim::Simulator s(nl);
+  test::logSinks(s);
   s.run(40);
-  const auto vals = receivedValues(sink);
+  const auto vals = receivedValues(s, sink);
   ASSERT_GE(vals.size(), 10u);
   // Alternating select: 1, 102, 3, 104, ... (each stream advances by kills).
   for (std::size_t i = 0; i < vals.size(); ++i) {

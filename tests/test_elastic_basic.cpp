@@ -20,8 +20,9 @@ TEST(FuncNode, UnaryThroughPipeline) {
   nl.connect(inc, 0, sink, 0);
 
   sim::Simulator s(nl);
+  test::logSinks(s);
   s.run(10);
-  EXPECT_EQ(receivedValues(sink), iota(9, 1));
+  EXPECT_EQ(receivedValues(s, sink), iota(9, 1));
 }
 
 TEST(FuncNode, JoinWaitsForBothInputs) {
@@ -38,8 +39,9 @@ TEST(FuncNode, JoinWaitsForBothInputs) {
   nl.connect(add, 0, sink, 0);
 
   sim::Simulator s(nl);
+  test::logSinks(s);
   s.run(21);
-  const auto vals = receivedValues(sink);
+  const auto vals = receivedValues(s, sink);
   ASSERT_GE(vals.size(), 5u);
   for (std::size_t i = 0; i < vals.size(); ++i)
     EXPECT_EQ(vals[i], (i + (100 + i)) & 0xFF);  // pairwise, in order
@@ -72,9 +74,10 @@ TEST(ForkNode, BothBranchesReceiveStream) {
   nl.connect(fork, 1, s1, 0);
 
   sim::Simulator s(nl);
+  test::logSinks(s);
   s.run(10);
-  EXPECT_EQ(receivedValues(s0), iota(9));
-  EXPECT_EQ(receivedValues(s1), iota(9));
+  EXPECT_EQ(receivedValues(s, s0), iota(9));
+  EXPECT_EQ(receivedValues(s, s1), iota(9));
 }
 
 TEST(ForkNode, EagerBranchRunsAheadBoundedly) {
@@ -91,11 +94,12 @@ TEST(ForkNode, EagerBranchRunsAheadBoundedly) {
   nl.connect(fork, 1, slow, 0);
 
   sim::Simulator s(nl);
+  test::logSinks(s);
   s.run(41);
   // Both see the same prefix of the stream, the fast one at most one ahead
   // (the eager fork's done bit lets it take its copy early).
-  const auto vf = receivedValues(fast);
-  const auto vs = receivedValues(slow);
+  const auto vf = receivedValues(s, fast);
+  const auto vs = receivedValues(s, slow);
   EXPECT_EQ(vs, iota(vs.size()));
   EXPECT_EQ(vf, iota(vf.size()));
   EXPECT_GE(vf.size(), vs.size());
@@ -115,10 +119,11 @@ TEST(ForkNode, ThreeWay) {
   nl.connect(fork, 2, s2, 0);
 
   sim::Simulator s(nl);
+  test::logSinks(s);
   s.run(10);
-  EXPECT_EQ(receivedValues(s0), iota(10));
-  EXPECT_EQ(receivedValues(s1), iota(10));
-  EXPECT_EQ(receivedValues(s2), iota(10));
+  EXPECT_EQ(receivedValues(s, s0), iota(10));
+  EXPECT_EQ(receivedValues(s, s1), iota(10));
+  EXPECT_EQ(receivedValues(s, s2), iota(10));
 }
 
 TEST(Netlist, ValidateCatchesUnboundPorts) {
@@ -156,8 +161,9 @@ TEST(Netlist, InsertOnChannelSplices) {
   EXPECT_EQ(nl.channel(down).consumer, sink.id());
 
   sim::Simulator s(nl);
+  test::logSinks(s);
   s.run(5);
-  EXPECT_EQ(receivedValues(sink), iota(4));
+  EXPECT_EQ(receivedValues(s, sink), iota(4));
 }
 
 TEST(Netlist, BypassNodeRemovesStage) {
@@ -172,8 +178,9 @@ TEST(Netlist, BypassNodeRemovesStage) {
   nl.validate();
 
   sim::Simulator s(nl);
+  test::logSinks(s);
   s.run(5);
-  EXPECT_EQ(receivedValues(sink), iota(5));  // no EB latency anymore
+  EXPECT_EQ(receivedValues(s, sink), iota(5));  // no EB latency anymore
 }
 
 // A deliberately ill-formed node whose output oscillates: the settle loop
@@ -183,7 +190,7 @@ class OscillatorNode : public Node {
   explicit OscillatorNode(std::string name) : Node(std::move(name)) {
     declareOutput(1);
   }
-  void evalComb(SimContext& ctx) override {
+  void evalComb(SimContext& ctx) const override {
     // Deliberate contract violation: oscillates on its own output (the
     // serial kernels read back the live value and must flag non-convergence).
     Sig out = ctx.sig(output(0));
@@ -220,29 +227,30 @@ TEST(SimContext, StatePackUnpackRoundTrip) {
   Netlist nlA;
   TokenSink* sinkA = build(nlA);
   sim::Simulator simA(nlA);
+  test::logSinks(simA);
   simA.run(7);
   const auto snapshot = simA.ctx().packState();
-  const std::size_t alreadyReceived = sinkA->received();
+  const std::size_t alreadyReceived = sinkA->received(simA.ctx());
 
   // Restore into a freshly built identical netlist and continue both.
   Netlist nlB;
   TokenSink* sinkB = build(nlB);
   sim::Simulator simB(nlB, {.checkProtocol = false});
+  test::logSinks(simB);
   simB.ctx().unpackState(snapshot);
   EXPECT_EQ(simB.ctx().packState(), snapshot);
 
   // NOTE: sink gates are cycle-indexed; align simB's cycle by stepping from 7.
   // Instead compare against simA's future stream directly.
   simA.run(9);
-  std::vector<std::uint64_t> tailA;
-  for (std::size_t i = alreadyReceived; i < sinkA->transfers().size(); ++i)
-    tailA.push_back(sinkA->transfers()[i].data.toUint64());
+  const std::vector<std::uint64_t> valsA = receivedValues(simA, *sinkA);
+  const std::vector<std::uint64_t> tailA(valsA.begin() + alreadyReceived, valsA.end());
 
   // simB starts its cycle counter at 0 but its state is from cycle 7; the
   // ready gate pattern has period 3 and 7 % 3 == 1, so offset the comparison
   // window only over values, which are state- not cycle-determined.
   simB.run(30);
-  const auto valsB = receivedValues(*sinkB);
+  const auto valsB = receivedValues(simB, *sinkB);
   ASSERT_GE(valsB.size(), tailA.size());
   // The first transferred value after restore must continue the stream.
   EXPECT_EQ(valsB.front(), tailA.front());

@@ -21,6 +21,7 @@
 #include "netlist/synth.h"
 #include "sim/farm.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 #include "verify/checker.h"
 
 namespace esl {
@@ -51,6 +52,8 @@ std::optional<std::string> lockstepDiff(Netlist& a, Netlist& b,
   opts.checkProtocol = false;
   sim::Simulator sa(a, opts);
   sim::Simulator sb(b, opts);
+  test::logSinks(sa);
+  test::logSinks(sb);
   for (std::uint64_t c = 0; c < cycles; ++c) {
     sa.step();
     sb.step();
@@ -68,8 +71,8 @@ std::optional<std::string> lockstepDiff(Netlist& a, Netlist& b,
   const auto sb_sinks = sinksOf(b);
   if (sa_sinks.size() != sb_sinks.size()) return "sink sets differ";
   for (std::size_t s = 0; s < sa_sinks.size(); ++s) {
-    const auto& ta = sa_sinks[s]->transfers();
-    const auto& tb = sb_sinks[s]->transfers();
+    const auto& ta = sa.ctx().transfers(sa_sinks[s]->input(0));
+    const auto& tb = sb.ctx().transfers(sb_sinks[s]->input(0));
     if (ta.size() != tb.size())
       return "sink '" + sa_sinks[s]->name() + "' transfer counts differ (" +
              std::to_string(ta.size()) + " vs " + std::to_string(tb.size()) + ")";
@@ -214,8 +217,7 @@ TEST(EslFormat, CheckerExploresParsedSpecIdenticallyToBorrowedNetlist) {
   verify::ModelChecker serial(reference);
   serial.explore();
 
-  const NetlistSpec parsed =
-      parseEsl(printEsl(synth::spec(cfg)), "<checker>");
+  const Netlist parsed = parseEsl(printEsl(synth::spec(cfg)), "<checker>").build();
   for (const unsigned workers : {1u, 2u}) {
     verify::CheckerOptions opts;
     opts.workers = workers;

@@ -68,8 +68,9 @@ class PipelineFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(PipelineFuzzTest, InOrderLosslessDeliveryWithoutAntiTokens) {
   RandomPipeline p = buildRandomPipeline(GetParam(), /*withAnti=*/false);
   sim::Simulator s(p.nl, {.checkProtocol = true, .throwOnViolation = true});
+  test::logSinks(s);
   s.run(300);
-  const auto vals = receivedValues(*p.sink);
+  const auto vals = receivedValues(s, *p.sink);
   ASSERT_GT(vals.size(), 50u);
   // The pipeline applies `increments` many +1 stages to a counting stream.
   for (std::size_t i = 0; i < vals.size(); ++i)
@@ -80,9 +81,10 @@ TEST_P(PipelineFuzzTest, InOrderLosslessDeliveryWithoutAntiTokens) {
 TEST_P(PipelineFuzzTest, TokenConservationWithAntiTokens) {
   RandomPipeline p = buildRandomPipeline(GetParam(), /*withAnti=*/true);
   sim::Simulator s(p.nl, {.checkProtocol = true, .throwOnViolation = true});
+  test::logSinks(s);
   // 200 cycles keeps every observed value below the 8-bit wrap.
   s.run(200);
-  const auto vals = receivedValues(*p.sink);
+  const auto vals = receivedValues(s, *p.sink);
   ASSERT_GT(vals.size(), 20u);
   // Anti-tokens may remove tokens, but delivery stays in order without
   // duplication: the received stream is strictly increasing (mod wrap-free
@@ -90,7 +92,7 @@ TEST_P(PipelineFuzzTest, TokenConservationWithAntiTokens) {
   for (std::size_t i = 1; i < vals.size(); ++i)
     ASSERT_GT(vals[i], vals[i - 1]) << "position " << i;
   // Conservation: received + killed-at-source <= emitted-by-generator bound.
-  EXPECT_LE(p.src->killed(), 4u);  // at most the sink's anti budget
+  EXPECT_LE(p.src->killed(s.ctx()), 4u);  // at most the sink's anti budget
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineFuzzTest,
@@ -168,8 +170,9 @@ TEST(FuzzScheduler, AllSchedulersKeepTheLoopCorrect) {
     cfg.scheduler = sched;
     auto sys = patterns::buildFig1(patterns::Fig1Variant::kSpeculative, cfg);
     sim::Simulator s(sys.nl, {.checkProtocol = true, .throwOnViolation = true});
+    test::logSinks(s);
     s.run(250);
-    const auto vals = receivedValues(*sys.observer);
+    const auto vals = receivedValues(s, *sys.observer);
     ASSERT_GE(vals.size(), golden.size());
     for (std::size_t i = 0; i < golden.size(); ++i)
       ASSERT_EQ(vals[i], golden[i]) << "scheduler " << static_cast<int>(sched);

@@ -26,8 +26,9 @@ TEST_P(VluErrorRateTest, StallingUnitIsFunctionallyExact) {
   cfg.errPermille = GetParam();
   auto sys = patterns::buildStallingVlu(cfg);
   sim::Simulator s(sys.nl);
+  test::logSinks(s);
   s.run(400);
-  const auto vals = receivedValues(*sys.sink);
+  const auto vals = receivedValues(s, *sys.sink);
   const auto golden = patterns::vluGolden(cfg, vals.size());
   ASSERT_GT(vals.size(), 100u);
   EXPECT_EQ(vals, golden);
@@ -38,8 +39,9 @@ TEST_P(VluErrorRateTest, SpeculativeUnitIsFunctionallyExact) {
   cfg.errPermille = GetParam();
   auto sys = patterns::buildSpeculativeVlu(cfg);
   sim::Simulator s(sys.nl);
+  test::logSinks(s);
   s.run(400);
-  const auto vals = receivedValues(*sys.sink);
+  const auto vals = receivedValues(s, *sys.sink);
   const auto golden = patterns::vluGolden(cfg, vals.size());
   ASSERT_GT(vals.size(), 100u);
   EXPECT_EQ(vals, golden);
@@ -80,8 +82,8 @@ TEST(Vlu, StallsMatchInjectedErrors) {
   auto sys = patterns::buildStallingVlu(cfg);
   sim::Simulator s(sys.nl);
   s.run(1000);
-  const double rate = static_cast<double>(sys.vlu->stalls()) /
-                      static_cast<double>(sys.vlu->completed());
+  const double rate = static_cast<double>(sys.vlu->stalls(s.ctx())) /
+                      static_cast<double>(sys.vlu->completed(s.ctx()));
   EXPECT_NEAR(rate, 0.2, 0.05);
 }
 
@@ -128,7 +130,7 @@ TEST(Vlu, ZeroErrorRateGivesFullThroughput) {
   sim::Simulator s(sys.nl);
   s.run(500);
   EXPECT_NEAR(s.throughput(sys.outChannel), 1.0, 0.01);
-  EXPECT_EQ(sys.shared->demandCycles(), 0u);
+  EXPECT_EQ(sys.shared->demandCycles(s.ctx()), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -142,8 +144,9 @@ TEST_P(SecdedErrorRateTest, PipelineCorrectsAllSingleErrors) {
   cfg.flipPermille = GetParam();
   auto sys = patterns::buildSecdedPipeline(cfg);
   sim::Simulator s(sys.nl);
+  test::logSinks(s);
   s.run(300);
-  const auto vals = receivedValues(*sys.sink);
+  const auto vals = receivedValues(s, *sys.sink);
   ASSERT_GT(vals.size(), 100u);
   EXPECT_EQ(vals, patterns::secdedGolden(cfg, vals.size()));
 }
@@ -153,8 +156,9 @@ TEST_P(SecdedErrorRateTest, SpeculativeCorrectsAllSingleErrors) {
   cfg.flipPermille = GetParam();
   auto sys = patterns::buildSecdedSpeculative(cfg);
   sim::Simulator s(sys.nl);
+  test::logSinks(s);
   s.run(300);
-  const auto vals = receivedValues(*sys.sink);
+  const auto vals = receivedValues(s, *sys.sink);
   ASSERT_GT(vals.size(), 100u);
   EXPECT_EQ(vals, patterns::secdedGolden(cfg, vals.size()));
 }
@@ -179,11 +183,13 @@ TEST(Secded, SpeculationRemovesThePipelineStage) {
   auto pipe = patterns::buildSecdedPipeline(cfg);
   auto spec = patterns::buildSecdedSpeculative(cfg);
   sim::Simulator sp(pipe.nl), ss(spec.nl);
+  test::logSinks(sp);
+  test::logSinks(ss);
   sp.run(20);
   ss.run(20);
   // First sum arrives one stage earlier in the speculative design.
-  EXPECT_EQ(receivedCycles(*spec.sink).front() + 1,
-            receivedCycles(*pipe.sink).front());
+  EXPECT_EQ(receivedCycles(ss, *spec.sink).front() + 1,
+            receivedCycles(sp, *pipe.sink).front());
 }
 
 TEST(Secded, NoPenaltyWhenErrorFree) {
@@ -193,7 +199,7 @@ TEST(Secded, NoPenaltyWhenErrorFree) {
   sim::Simulator s(sys.nl);
   s.run(500);
   EXPECT_NEAR(s.throughput(sys.outChannel), 1.0, 0.01);
-  EXPECT_EQ(sys.shared->demandCycles(), 0u);
+  EXPECT_EQ(sys.shared->demandCycles(s.ctx()), 0u);
 }
 
 TEST(Secded, OneCycleLostPerError) {
@@ -205,7 +211,7 @@ TEST(Secded, OneCycleLostPerError) {
   const double tput = s.throughput(sys.outChannel);
   // Expected: 1/(1+p_pair) with p_pair = 1-(1-0.25)^2 = 0.4375.
   EXPECT_NEAR(tput, 1.0 / 1.4375, 0.03);
-  EXPECT_GT(sys.shared->demandCycles(), 300u);
+  EXPECT_GT(sys.shared->demandCycles(s.ctx()), 300u);
 }
 
 TEST(Secded, AreaOverheadOnTheProtectedStage) {
@@ -236,14 +242,16 @@ TEST(Secded, TradeoffUnderModerateErrors) {
   auto pipe = patterns::buildSecdedPipeline(cfg);
   auto spec = patterns::buildSecdedSpeculative(cfg);
   sim::Simulator sp(pipe.nl), ss(spec.nl);
+  test::logSinks(sp);
+  test::logSinks(ss);
   sp.run(1000);
   ss.run(1000);
   EXPECT_NEAR(sp.throughput(pipe.outChannel), 1.0, 0.01);
   const double pErr = 1.0 - 0.9 * 0.9;
   EXPECT_NEAR(ss.throughput(spec.outChannel), 1.0 / (1.0 + pErr), 0.03);
   // Latency advantage: the speculative sink sees its first sum a cycle early.
-  EXPECT_LT(spec.sink->transfers().front().cycle,
-            pipe.sink->transfers().front().cycle);
+  EXPECT_LT(receivedCycles(ss, *spec.sink).front(),
+            receivedCycles(sp, *pipe.sink).front());
 }
 
 }  // namespace

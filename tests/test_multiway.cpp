@@ -48,8 +48,9 @@ TEST(ThreeWay, RoundRobinServesAllChannels) {
   auto sys =
       buildKWay(3, {0, 1, 2, 0, 1, 2}, std::make_unique<sched::RoundRobinScheduler>(3));
   sim::Simulator s(sys.nl, {.checkProtocol = true, .throwOnViolation = true});
+  test::logSinks(s);
   s.run(20);
-  const auto vals = receivedValues(*sys.sink);
+  const auto vals = receivedValues(s, *sys.sink);
   ASSERT_EQ(vals.size(), 6u);
   // Round-robin prediction matches the 0,1,2 select pattern perfectly:
   // every firing takes the head of its stream; each firing also kills the
@@ -60,28 +61,31 @@ TEST(ThreeWay, RoundRobinServesAllChannels) {
 TEST(ThreeWay, EveryFiringKillsBothOtherStreams) {
   auto sys = buildKWay(3, {0, 0, 0, 0}, std::make_unique<sched::StaticScheduler>(3, 0));
   sim::Simulator s(sys.nl, {.checkProtocol = true, .throwOnViolation = true});
+  test::logSinks(s);
   s.run(10);
-  EXPECT_EQ(receivedValues(*sys.sink), (std::vector<std::uint64_t>{10, 11, 12, 13}));
+  EXPECT_EQ(receivedValues(s, *sys.sink), (std::vector<std::uint64_t>{10, 11, 12, 13}));
   // 2 anti-tokens per firing.
-  EXPECT_EQ(sys.mux->antiTokensEmitted(), 8u);
+  EXPECT_EQ(sys.mux->antiTokensEmitted(s.ctx()), 8u);
 }
 
 TEST(ThreeWay, MispredictionCorrectsToDemandedChannel) {
   auto sys = buildKWay(3, {2, 2}, std::make_unique<sched::StaticScheduler>(3, 0));
   sim::Simulator s(sys.nl, {.checkProtocol = true, .throwOnViolation = true});
+  test::logSinks(s);
   s.run(8);
-  const auto vals = receivedValues(*sys.sink);
+  const auto vals = receivedValues(s, *sys.sink);
   ASSERT_EQ(vals.size(), 2u);
   EXPECT_EQ(vals[0], 110u);  // channel 2 after a one-cycle correction
   EXPECT_EQ(vals[1], 111u);
-  EXPECT_EQ(receivedCycles(*sys.sink)[0], 1u);  // cycle 0 was the mispredict
+  EXPECT_EQ(receivedCycles(s, *sys.sink)[0], 1u);  // cycle 0 was the mispredict
 }
 
 TEST(FourWay, SelectOutOfRangeStillChecked) {
   auto sys = buildKWay(4, {3, 0, 3}, std::make_unique<sched::LastServedScheduler>(4));
   sim::Simulator s(sys.nl, {.checkProtocol = true, .throwOnViolation = true});
+  test::logSinks(s);
   s.run(12);
-  const auto vals = receivedValues(*sys.sink);
+  const auto vals = receivedValues(s, *sys.sink);
   ASSERT_EQ(vals.size(), 3u);
   // Each firing consumes one generation from EVERY stream (the non-selected
   // ones via anti-token kills), so the streams advance in lockstep.

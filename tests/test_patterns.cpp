@@ -35,8 +35,9 @@ TEST(Fig1Build, AllVariantsValidateAndObserveTheSameStream) {
         Fig1Variant::kSpeculative}) {
     auto sys = buildFig1(variant);
     sim::Simulator s(sys.nl, {.checkProtocol = true, .throwOnViolation = true});
+    test::logSinks(s);
     s.run(150);
-    const auto vals = test::receivedValues(*sys.observer);
+    const auto vals = test::receivedValues(s, *sys.observer);
     ASSERT_GE(vals.size(), golden.size()) << "variant " << static_cast<int>(variant);
     for (std::size_t i = 0; i < golden.size(); ++i)
       ASSERT_EQ(vals[i], golden[i]) << "variant " << static_cast<int>(variant);
@@ -51,8 +52,9 @@ TEST(VluGolden, MatchesDirectEvaluation) {
   // Spot-check via the logic layer: golden = G(exact(op)) with G = x ^ (x>>1).
   auto sys = buildStallingVlu(cfg);
   sim::Simulator s(sys.nl);
+  test::logSinks(s);
   s.run(60);
-  const auto vals = test::receivedValues(*sys.sink);
+  const auto vals = test::receivedValues(s, *sys.sink);
   for (std::size_t i = 0; i < 30; ++i) EXPECT_EQ(vals.at(i), golden[i]);
 }
 
@@ -64,8 +66,8 @@ TEST(VluOperands, ErrorRateIsControlled) {
     auto sys = buildStallingVlu(cfg);
     sim::Simulator s(sys.nl);
     s.run(1000);
-    const double measured = static_cast<double>(sys.vlu->stalls()) /
-                            static_cast<double>(sys.vlu->completed());
+    const double measured = static_cast<double>(sys.vlu->stalls(s.ctx())) /
+                            static_cast<double>(sys.vlu->completed(s.ctx()));
     EXPECT_NEAR(measured, p / 1000.0, 0.05) << "permille " << p;
   }
 }
@@ -76,8 +78,9 @@ TEST(SecdedGolden, MatchesDecodedStreams) {
   const auto golden = secdedGolden(cfg, 25);
   auto sys = buildSecdedPipeline(cfg);
   sim::Simulator s(sys.nl);
+  test::logSinks(s);
   s.run(40);
-  const auto vals = test::receivedValues(*sys.sink);
+  const auto vals = test::receivedValues(s, *sys.sink);
   for (std::size_t i = 0; i < 25; ++i) EXPECT_EQ(vals.at(i), golden[i]);
 }
 
@@ -90,15 +93,16 @@ TEST(SecdedSpeculative, DoubleErrorsAreDetectedNotSilent) {
   auto sys = buildSecdedSpeculative(cfg);
   sim::Simulator s(sys.nl, {.checkProtocol = true, .throwOnViolation = true});
   s.run(400);
-  EXPECT_GT(sys.shared->demandCycles(), 50u);  // every double error replays
+  EXPECT_GT(sys.shared->demandCycles(s.ctx()), 50u);  // every double error replays
 }
 
 TEST(Table1Build, CustomSchedulerAndStreams) {
   auto sys = buildTable1({1, 1, 0}, 10, 20,
                          std::make_unique<sched::StaticScheduler>(2, 1));
   sim::Simulator s(sys.nl);
+  test::logSinks(s);
   s.run(8);
-  const auto vals = test::receivedValues(*sys.sink);
+  const auto vals = test::receivedValues(s, *sys.sink);
   // static1 predicts channel 1: sel=1 firings immediate, sel=0 pays a demand.
   ASSERT_EQ(vals.size(), 3u);
   EXPECT_EQ(vals[0], 20u);  // ch1 first token

@@ -9,22 +9,32 @@ namespace {
 
 const ChoiceReader kNoChoice = [](unsigned) { return false; };
 
-Observation obs(unsigned channels) {
-  Observation o;
-  o.valid.assign(channels, false);
-  o.demand.assign(channels, false);
-  o.served.assign(channels, false);
-  o.killed.assign(channels, false);
-  return o;
-}
+/// A scheduler and the state words a shared module's record would hold.
+struct Driven {
+  explicit Driven(const Scheduler& policy)
+      : s(policy), state(policy.stateWords()) {
+    s.reset(state.data());
+  }
+  unsigned predict(const ChoiceReader& choice = kNoChoice) const {
+    return s.predict(state.data(), choice);
+  }
+  void observe(const Observation& o) { s.observe(state.data(), o); }
+
+  const Scheduler& s;
+  std::vector<std::uint64_t> state;
+};
+
+/// The Observation mask with channel `i` set.
+constexpr std::uint64_t ch(unsigned i) { return std::uint64_t{1} << i; }
 
 TEST(StaticScheduler, AlwaysPredictsPick) {
-  StaticScheduler s(2, 1);
-  EXPECT_EQ(s.predict({}, kNoChoice), 1u);
-  auto o = obs(2);
-  o.served[1] = true;
+  const StaticScheduler policy(2, 1);
+  Driven s(policy);
+  EXPECT_EQ(s.predict(), 1u);
+  Observation o;
+  o.served = ch(1);
   s.observe(o);
-  EXPECT_EQ(s.predict({}, kNoChoice), 1u);
+  EXPECT_EQ(s.predict(), 1u);
 }
 
 TEST(StaticScheduler, PickOutOfRangeThrows) {
@@ -32,153 +42,165 @@ TEST(StaticScheduler, PickOutOfRangeThrows) {
 }
 
 TEST(StaticScheduler, DemandLocksUntilServed) {
-  StaticScheduler s(2, 0);
-  auto demand1 = obs(2);
-  demand1.demand[1] = true;
+  const StaticScheduler policy(2, 0);
+  Driven s(policy);
+  Observation demand1;
+  demand1.demand = ch(1);
   s.observe(demand1);
-  EXPECT_EQ(s.predict({}, kNoChoice), 1u);  // corrected
+  EXPECT_EQ(s.predict(), 1u);  // corrected
   // Not served yet: the lock holds even over idle cycles.
-  s.observe(obs(2));
-  EXPECT_EQ(s.predict({}, kNoChoice), 1u);
-  auto served1 = obs(2);
-  served1.served[1] = true;
+  s.observe({});
+  EXPECT_EQ(s.predict(), 1u);
+  Observation served1;
+  served1.served = ch(1);
   s.observe(served1);
-  EXPECT_EQ(s.predict({}, kNoChoice), 0u);  // back to the base pick
+  EXPECT_EQ(s.predict(), 0u);  // back to the base pick
 }
 
 TEST(StaticScheduler, KillReleasesTheLock) {
-  StaticScheduler s(2, 0);
-  auto demand1 = obs(2);
-  demand1.demand[1] = true;
+  const StaticScheduler policy(2, 0);
+  Driven s(policy);
+  Observation demand1;
+  demand1.demand = ch(1);
   s.observe(demand1);
-  auto killed1 = obs(2);
-  killed1.killed[1] = true;
+  Observation killed1;
+  killed1.killed = ch(1);
   s.observe(killed1);
-  EXPECT_EQ(s.predict({}, kNoChoice), 0u);
+  EXPECT_EQ(s.predict(), 0u);
 }
 
 TEST(StaticScheduler, FalseDemandAgesOut) {
   // A demand that is never served or killed (back-pressure from a full EB
   // masquerading as a demand) must not wedge the scheduler forever.
-  StaticScheduler s(2, 0);
-  auto demand1 = obs(2);
-  demand1.demand[1] = true;
+  const StaticScheduler policy(2, 0);
+  Driven s(policy);
+  Observation demand1;
+  demand1.demand = ch(1);
   s.observe(demand1);
-  EXPECT_EQ(s.predict({}, kNoChoice), 1u);
-  for (int i = 0; i < 10; ++i) s.observe(obs(2));
-  EXPECT_EQ(s.predict({}, kNoChoice), 0u);  // lock released
+  EXPECT_EQ(s.predict(), 1u);
+  for (int i = 0; i < 10; ++i) s.observe({});
+  EXPECT_EQ(s.predict(), 0u);  // lock released
 }
 
 TEST(RoundRobinScheduler, AlternatesEveryCycle) {
-  RoundRobinScheduler s(2);
-  EXPECT_EQ(s.predict({}, kNoChoice), 0u);
-  s.observe(obs(2));
-  EXPECT_EQ(s.predict({}, kNoChoice), 1u);
-  s.observe(obs(2));
-  EXPECT_EQ(s.predict({}, kNoChoice), 0u);
+  const RoundRobinScheduler policy(2);
+  Driven s(policy);
+  EXPECT_EQ(s.predict(), 0u);
+  s.observe({});
+  EXPECT_EQ(s.predict(), 1u);
+  s.observe({});
+  EXPECT_EQ(s.predict(), 0u);
 }
 
 TEST(RoundRobinScheduler, DemandReanchorsRotation) {
   // This is exactly the Sched row of Table 1.
-  RoundRobinScheduler s(2);
+  const RoundRobinScheduler policy(2);
+  Driven s(policy);
   const bool demandAt[] = {false, false, true, false, false, true, false};
   const unsigned expect[] = {0, 1, 0, 1, 0, 1, 0};
   const bool servedAt[] = {true, true, false, true, true, false, true};
   for (int c = 0; c < 7; ++c) {
-    EXPECT_EQ(s.predict({}, kNoChoice), expect[c]) << "cycle " << c;
-    auto o = obs(2);
-    if (demandAt[c]) o.demand[1 - expect[c]] = true;
-    if (servedAt[c]) o.served[expect[c]] = true;
+    EXPECT_EQ(s.predict(), expect[c]) << "cycle " << c;
+    Observation o;
+    if (demandAt[c]) o.demand = ch(1 - expect[c]);
+    if (servedAt[c]) o.served = ch(expect[c]);
     s.observe(o);
   }
 }
 
 TEST(LastServedScheduler, TracksLastService) {
-  LastServedScheduler s(2);
-  EXPECT_EQ(s.predict({}, kNoChoice), 0u);
-  auto o = obs(2);
-  o.served[1] = true;
+  const LastServedScheduler policy(2);
+  Driven s(policy);
+  EXPECT_EQ(s.predict(), 0u);
+  Observation o;
+  o.served = ch(1);
   s.observe(o);
-  EXPECT_EQ(s.predict({}, kNoChoice), 1u);
-  s.observe(obs(2));
-  EXPECT_EQ(s.predict({}, kNoChoice), 1u);  // sticky until contradicted
+  EXPECT_EQ(s.predict(), 1u);
+  s.observe({});
+  EXPECT_EQ(s.predict(), 1u);  // sticky until contradicted
 }
 
 TEST(TwoBitScheduler, SaturatesLikeABranchPredictor) {
-  TwoBitScheduler s;
-  EXPECT_EQ(s.predict({}, kNoChoice), 0u);  // weakly 0 initially
-  auto serve1 = obs(2);
-  serve1.served[1] = true;
+  const TwoBitScheduler policy;
+  Driven s(policy);
+  EXPECT_EQ(s.predict(), 0u);  // weakly 0 initially
+  Observation serve1;
+  serve1.served = ch(1);
   s.observe(serve1);  // counter 1 -> 2
-  EXPECT_EQ(s.predict({}, kNoChoice), 1u);
-  auto serve0 = obs(2);
-  serve0.served[0] = true;
+  EXPECT_EQ(s.predict(), 1u);
+  Observation serve0;
+  serve0.served = ch(0);
   s.observe(serve0);  // 2 -> 1
-  EXPECT_EQ(s.predict({}, kNoChoice), 0u);
+  EXPECT_EQ(s.predict(), 0u);
   // One stray service does not flip a saturated counter.
   s.observe(serve0);  // 1 -> 0
   s.observe(serve1);  // 0 -> 1
-  EXPECT_EQ(s.predict({}, kNoChoice), 0u);
+  EXPECT_EQ(s.predict(), 0u);
 }
 
 TEST(OracleScheduler, FollowsTruthPerFiring) {
-  OracleScheduler s(2, [](std::uint64_t k) { return unsigned(k % 2); });
-  EXPECT_EQ(s.predict({}, kNoChoice), 0u);
-  auto o = obs(2);
-  o.served[0] = true;
+  const OracleScheduler policy(2, [](std::uint64_t k) { return unsigned(k % 2); });
+  Driven s(policy);
+  EXPECT_EQ(s.predict(), 0u);
+  Observation o;
+  o.served = ch(0);
   s.observe(o);
-  EXPECT_EQ(s.predict({}, kNoChoice), 1u);
+  EXPECT_EQ(s.predict(), 1u);
   // No service -> prediction does not advance.
-  s.observe(obs(2));
-  EXPECT_EQ(s.predict({}, kNoChoice), 1u);
+  s.observe({});
+  EXPECT_EQ(s.predict(), 1u);
 }
 
 TEST(TimeoutScheduler, RotatesOnlyWhenWorkIsStuck) {
-  TimeoutScheduler s(2, 1);
-  EXPECT_EQ(s.predict({}, kNoChoice), 0u);
+  const TimeoutScheduler policy(2, 1);
+  Driven s(policy);
+  EXPECT_EQ(s.predict(), 0u);
   // Idle (no valid input): never rotates.
-  for (int i = 0; i < 5; ++i) s.observe(obs(2));
-  EXPECT_EQ(s.predict({}, kNoChoice), 0u);
+  for (int i = 0; i < 5; ++i) s.observe({});
+  EXPECT_EQ(s.predict(), 0u);
   // Valid work but nothing served: rotates after the timeout.
-  auto stuck = obs(2);
-  stuck.valid[1] = true;
+  Observation stuck;
+  stuck.valid = ch(1);
   s.observe(stuck);
-  EXPECT_EQ(s.predict({}, kNoChoice), 0u);  // within timeout
+  EXPECT_EQ(s.predict(), 0u);  // within timeout
   s.observe(stuck);
-  EXPECT_EQ(s.predict({}, kNoChoice), 1u);  // rotated
+  EXPECT_EQ(s.predict(), 1u);  // rotated
 }
 
 TEST(TimeoutScheduler, ServiceResetsTheTimer) {
-  TimeoutScheduler s(2, 1);
-  auto busy = obs(2);
-  busy.valid[0] = busy.valid[1] = true;
-  busy.served[0] = true;
+  const TimeoutScheduler policy(2, 1);
+  Driven s(policy);
+  Observation busy;
+  busy.valid = ch(0) | ch(1);
+  busy.served = ch(0);
   for (int i = 0; i < 6; ++i) s.observe(busy);
-  EXPECT_EQ(s.predict({}, kNoChoice), 0u);  // kept serving channel 0
+  EXPECT_EQ(s.predict(), 0u);  // kept serving channel 0
 }
 
 TEST(BoundedFairScheduler, ChoiceBitsDrivePrediction) {
-  BoundedFairScheduler s(2, 1);
-  EXPECT_EQ(s.choiceBits(), 1u);
-  EXPECT_EQ(s.predict({}, [](unsigned) { return false; }), 0u);
-  EXPECT_EQ(s.predict({}, [](unsigned) { return true; }), 1u);
+  const BoundedFairScheduler policy(2, 1);
+  Driven s(policy);
+  EXPECT_EQ(policy.choiceBits(), 1u);
+  EXPECT_EQ(s.predict([](unsigned) { return false; }), 0u);
+  EXPECT_EQ(s.predict([](unsigned) { return true; }), 1u);
 }
 
 TEST(Schedulers, StatePackUnpackRoundTrip) {
-  RoundRobinScheduler a(2);
-  auto o = obs(2);
-  o.demand[1] = true;
+  const RoundRobinScheduler policy(2);
+  Driven a(policy);
+  Observation o;
+  o.demand = ch(1);
   a.observe(o);
 
   StateWriter w;
-  a.packState(w);
+  policy.packState(a.state.data(), w);
   const auto bytes = w.take();
 
-  RoundRobinScheduler b(2);
+  Driven b(policy);
   StateReader r(bytes);
-  b.unpackState(r);
+  policy.unpackState(b.state.data(), r);
   EXPECT_TRUE(r.done());
-  EXPECT_EQ(a.predict({}, kNoChoice), b.predict({}, kNoChoice));
+  EXPECT_EQ(a.predict(), b.predict());
 }
 
 TEST(Schedulers, Names) {

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "base/error.h"
+#include "base/crc32.h"
 #include "frontend/esl_format.h"
 #include "netlist/patterns.h"
 #include "serve/client.h"
@@ -260,6 +261,37 @@ TEST(ServeSession, SpoolLoadRejectsForeignRecords) {
   record[0] ^= 0xff;  // break the magic
   EXPECT_THROW(SimSession::spoolLoad(record), EslError);
   EXPECT_THROW(SimSession::spoolLoad({1, 2, 3}), EslError);
+}
+
+/// `record` with the u32 at payload offset `at` replaced, its CRC kept valid:
+/// a record that passes every container check.
+std::vector<std::uint8_t> withU32(std::vector<std::uint8_t> record, std::size_t at,
+                                  std::uint32_t v) {
+  const auto put = [&record](std::size_t off, std::uint32_t x) {
+    for (int i = 0; i < 4; ++i) record[off + i] = static_cast<std::uint8_t>(x >> (8 * i));
+  };
+  put(kStateHeaderBytes + at, v);
+  put(20, crc32(record.data() + kStateHeaderBytes, record.size() - kStateHeaderBytes));
+  return record;
+}
+
+TEST(ServeSession, SpoolLoadRejectsOutOfRangeOptions) {
+  // The payload opens with the u32 backend, then the u32 shard count. Only
+  // values refused before any thread starts are loaded here.
+  const std::vector<std::uint8_t> record = makeSession("fig1a")->spoolSave();
+  ASSERT_NO_THROW(SimSession::spoolLoad(withU32(record, 4, 1)));  // the patch is sound
+  const auto expectRefused = [](const std::vector<std::uint8_t>& bad,
+                                const std::string& what) {
+    try {
+      SimSession::spoolLoad(bad);
+      ADD_FAILURE() << "accepted; expected: " << what;
+    } catch (const EslError& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    }
+  };
+  expectRefused(withU32(record, 4, SimContext::kMaxShards + 1), "above the limit");
+  expectRefused(withU32(record, 4, ~0u), "above the limit");
+  expectRefused(withU32(record, 0, 7), "unknown backend 7");
 }
 
 TEST(ServeSession, RestoreHasLoadStateSemantics) {
@@ -742,6 +774,50 @@ TEST(ServeWire, RejectedRestoreKeepsTheSessionInStep) {
   EXPECT_EQ(client.snapshot("s"), client.snapshot("twin"));
   client.close("s");
   client.close("twin");
+}
+
+TEST(ServeWire, OpenAboveTheShardLimitGetsAnErrorAndServingGoesOn) {
+  ServerFixture fx("shards");
+  const int fd = rawConnect(fx.server->socketPath());
+  FrameReader reader(fd);
+  Frame f;
+  ASSERT_TRUE(reader.read(f));  // greeting
+  json::Value hello = json::Value::object();
+  hello.set("id", json::Value::number(std::uint64_t{1}));
+  hello.set("op", json::Value::str("hello"));
+  hello.set("proto", json::Value::number(kProtocolVersion));
+  writeFrame(fd, hello);
+  ASSERT_TRUE(reader.read(f));
+  ASSERT_TRUE(f.head.find("ok")->asBool());
+  // Only counts the daemon refuses before it starts a thread; the middle one
+  // would wrap to 2 if narrowed unchecked, the last is JSON's largest exact
+  // integer.
+  std::uint64_t id = 2;
+  for (const std::uint64_t shards :
+       {std::uint64_t{SimContext::kMaxShards} + 1, (std::uint64_t{1} << 32) | 2,
+        (std::uint64_t{1} << 53) - 1}) {
+    json::Value open = json::Value::object();
+    open.set("id", json::Value::number(id++));
+    open.set("op", json::Value::str("open"));
+    open.set("session", json::Value::str("wide"));
+    open.set("design", json::Value::str("fig1a"));
+    open.set("shards", json::Value::number(shards));
+    writeFrame(fd, open);
+    ASSERT_TRUE(reader.read(f)) << shards;
+    EXPECT_FALSE(f.head.find("ok")->asBool()) << shards;
+    EXPECT_NE(f.head.find("error")->find("message")->asString().find("above the limit"),
+              std::string::npos)
+        << shards;
+  }
+  ::close(fd);
+  // The daemon keeps serving.
+  Client client(fx.server->socketPath());
+  client.openDesign("ok", "fig1a");
+  auto serial = makeSession("fig1a");
+  serial->step(100);
+  EXPECT_EQ(client.step("ok", 100), serial->report());
+  EXPECT_EQ(client.stats().find("sessions")->asU64(), 1u);
+  client.close("ok");
 }
 
 TEST(ServeWire, HandshakeRejectsVersionMismatch) {

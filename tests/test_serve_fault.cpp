@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/crc32.h"
 #include "base/error.h"
 #include "base/fault_inject.h"
 #include "elastic/state_io.h"
@@ -371,6 +372,57 @@ TEST(ServeFault, RestartQuarantinesDamageAndReattachesTheRest) {
   EXPECT_THROW(svc2.step("rot", 1), NotFoundError);
   // The survivor resumes byte-identically to a session that never left.
   auto ref = makeSession("fig1d", compiled());
+  ref->step(170);
+  EXPECT_EQ(svc2.step("keep", 50), ref->report());
+  svc2.close("keep");
+  removeTree(dir);
+}
+
+TEST(ServeFault, OutOfRangeSpoolOptionsFailTheFirstOpAndServingGoesOn) {
+  const std::string dir = makeTempDir();
+  Service::Config cfg = baseConfig(dir);
+  {
+    Service svc(cfg);
+    svc.open("wide", patterns::designSpec("fig1a"), "fig1a", interpreted());
+    svc.open("odd", patterns::designSpec("fig1a"), "fig1a", interpreted());
+    svc.open("keep", patterns::designSpec("fig1d"), "fig1d", interpreted());
+    svc.step("keep", 120);
+    EXPECT_EQ(svc.drainAndSpool(), 3u);
+  }
+  // CRC-valid records no daemon writes: 257 shards, backend 7 (the payload
+  // opens with the u32 backend, then the u32 shard count).
+  const auto patch = [&dir](const std::string& sid, std::size_t at, std::uint32_t v) {
+    SpoolDir spool;
+    spool.open(dir, true);
+    std::vector<std::uint8_t> record = spool.readRecord(sid);
+    for (int i = 0; i < 4; ++i)
+      record[kStateHeaderBytes + at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    const std::uint32_t crc =
+        crc32(record.data() + kStateHeaderBytes, record.size() - kStateHeaderBytes);
+    for (int i = 0; i < 4; ++i)
+      record[20 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    spool.writeRecord(sid, record);
+  };
+  patch("wide", 4, SimContext::kMaxShards + 1);
+  patch("odd", 0, 7);
+
+  Service svc2(cfg);
+  EXPECT_EQ(svc2.stats().recovered, 3u);
+  try {
+    svc2.step("wide", 1);
+    ADD_FAILURE() << "a 257-shard record was loaded";
+  } catch (const EslError& e) {
+    EXPECT_NE(std::string(e.what()).find("above the limit"), std::string::npos)
+        << e.what();
+  }
+  try {
+    svc2.step("odd", 1);
+    ADD_FAILURE() << "a backend-7 record was loaded";
+  } catch (const EslError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown backend 7"), std::string::npos)
+        << e.what();
+  }
+  auto ref = makeSession("fig1d");
   ref->step(170);
   EXPECT_EQ(svc2.step("keep", 50), ref->report());
   svc2.close("keep");

@@ -169,7 +169,7 @@ class ShardOscillator : public Node {
   explicit ShardOscillator(std::string name) : Node(std::move(name)) {
     declareOutput(1);
   }
-  void evalComb(SimContext& ctx) override {
+  void evalComb(SimContext& ctx) const override {
     Sig out = ctx.sig(output(0));
     const bool flipped = !out.vf();
     out.setVf(flipped);

@@ -157,7 +157,7 @@ TEST(Simulator, SeedChangesNondetBehaviourDeterministically) {
     nl.connect(src, 0, sink, 0, "ch");
     sim::Simulator s(nl, {.seed = seed});
     s.run(50);
-    return sink.received();
+    return sink.received(s.ctx());
   };
   EXPECT_EQ(run(1), run(1));  // reproducible
   // Different seeds almost surely give different offer patterns.

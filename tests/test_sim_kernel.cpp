@@ -223,7 +223,7 @@ class OscillatorNode : public Node {
   explicit OscillatorNode(std::string name) : Node(std::move(name)) {
     declareOutput(1);
   }
-  void evalComb(SimContext& ctx) override {
+  void evalComb(SimContext& ctx) const override {
     // Deliberate contract violation: oscillates on its own output.
     Sig out = ctx.sig(output(0));
     const bool flipped = !out.vf();
@@ -243,22 +243,24 @@ class LyingEdgeNode : public Node {
   explicit LyingEdgeNode(std::string name) : Node(std::move(name)) {
     declareOutput(1);
   }
-  void evalComb(SimContext& ctx) override {
+  void evalComb(SimContext& ctx) const override {
     Sig out = ctx.sig(output(0));
     out.setVf(false);  // never offers: its channel never carries an event
     out.setSb(false);
   }
   EvalPurity evalPurity() const override { return EvalPurity::kStateful; }
   EdgeActivity edgeActivity() const override { return EdgeActivity::kOnEvents; }
-  void clockEdge(SimContext&) override { ++cycles_; }
-  void packState(const std::uint64_t*, StateWriter& w) const override {
-    w.writeU64(cycles_);
+  /// Record: a cycle counter.
+  std::uint32_t recordWords() const override { return 1; }
+  void reset(std::uint64_t* record) const override { record[0] = 0; }
+  void clockEdge(SimContext& ctx) const override { ++ctx.record(id())[0]; }
+  void packState(const std::uint64_t* record, StateWriter& w) const override {
+    w.writeU64(record[0]);
   }
-  void unpackState(std::uint64_t*, StateReader& r) override { cycles_ = r.readU64(); }
+  void unpackState(std::uint64_t* record, StateReader& r) const override {
+    record[0] = r.readU64();
+  }
   std::string kindName() const override { return "lying-edge"; }
-
- private:
-  std::uint64_t cycles_ = 0;
 };
 
 TEST(SimKernel, CrossCheckAuditsEdgeActivityDeclarations) {
@@ -281,7 +283,7 @@ class UndeclaredCycleReaderNode : public Node {
   explicit UndeclaredCycleReaderNode(std::string name) : Node(std::move(name)) {
     declareOutput(1);
   }
-  void evalComb(SimContext& ctx) override {
+  void evalComb(SimContext& ctx) const override {
     Sig out = ctx.sig(output(0));
     const bool offer = (ctx.cycle() / 4) % 2 == 1;  // illegal: undeclared read
     out.setVf(offer);
@@ -327,8 +329,9 @@ TEST(SimKernel, SparseEdgeMatchesFullEdgeOnGatedSources) {
     auto& sink = nl.make<TokenSink>("sink", 8);
     nl.connect(*tail, 0, sink, 0);
     sim::Simulator s(nl, {.checkProtocol = false, .kernel = kernel});
+    test::logSinks(s);
     s.run(300);
-    return test::receivedValues(sink);
+    return test::receivedValues(s, sink);
   };
   const auto sweep = build(Kernel::kSweep);
   const auto event = build(Kernel::kEventDriven);
@@ -360,15 +363,16 @@ TEST(SimKernel, EventKernelSurvivesRewiring) {
   {
     sim::Simulator s(nl, {.kernel = Kernel::kEventDriven});
     s.run(5);
-    EXPECT_EQ(sink.received(), 4u);  // one cycle of EB latency
+    EXPECT_EQ(sink.received(s.ctx()), 4u);  // one cycle of EB latency
   }
   nl.bypassNode(eb.id());
   nl.removeNode(eb.id());
   nl.validate();
   {
     sim::Simulator s(nl, {.kernel = Kernel::kEventDriven});
+    test::logSinks(s);
     s.run(5);
-    EXPECT_EQ(test::receivedValues(sink), test::iota(5));  // latency gone
+    EXPECT_EQ(test::receivedValues(s, sink), test::iota(5));  // latency gone
   }
 }
 
@@ -393,7 +397,7 @@ TEST(SimKernel, ChannelAddedAfterConstructionGetsSignalSlots) {
     ASSERT_NO_THROW(ctx.settle());
     ctx.edge();
   }
-  EXPECT_GT(sink.received(), 0u);
+  EXPECT_GT(sink.received(ctx), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -409,10 +413,10 @@ SimFarm makeFig1Farm() {
         inst.nl = std::move(sys.nl);
         inst.watch.emplace_back("loop", sys.loopChannel);
         SharedModule* shared = sys.shared;
-        inst.harvest = [shared](Simulator&,
+        inst.harvest = [shared](Simulator& s,
                                 std::vector<std::pair<std::string, double>>& m) {
           m.emplace_back("demandCycles",
-                         static_cast<double>(shared->demandCycles()));
+                         static_cast<double>(shared->demandCycles(s.ctx())));
         };
       },
       SimOptions{.checkProtocol = true, .throwOnViolation = false});

@@ -629,6 +629,92 @@ TEST(StateIo, RejectedRestoreKeepsTheMonitorsPreviousCycle) {
 }
 
 // ---------------------------------------------------------------------------
+// A scheduler state the scheduler can never reach is refused on restore: it
+// would restore, then throw on every cycle.
+// ---------------------------------------------------------------------------
+
+Netlist table1() { return patterns::designSpec("table1").build(); }
+
+/// fig1d with its shared module's scheduler replaced by `sched`.
+std::function<Netlist()> fig1dWith(const std::string& sched) {
+  return [sched] {
+    NetlistSpec spec = patterns::designSpec("fig1d");
+    for (NodeSpec& n : spec.nodes)
+      if (n.kind == "shared") n.params.set("sched", sched);
+    return spec.build();
+  };
+}
+
+/// A snapshot of `build` after `cycles` whose shared module's scheduler word
+/// `word` (the lock's channel + 1, its age, then the policy's words) reads
+/// `value`: a valid container carrying an unreachable scheduler state.
+std::vector<std::uint8_t> patchedSchedulerSnapshot(const std::function<Netlist()>& build,
+                                                   std::uint64_t cycles, unsigned word,
+                                                   std::uint64_t value) {
+  Netlist nl = build();
+  sim::Simulator s(nl, restoreOpts(kRestoreModes[0]));
+  s.run(cycles);
+  const auto& shared = static_cast<const SharedModule&>(*nl.findNode("F"));
+  recordView(shared, s.ctx().record(shared.id())).sched()[word] = value;
+  return s.ctx().packState();
+}
+
+void expectSchedulerStateRejected(const std::function<Netlist()>& build,
+                                  unsigned word, std::uint64_t value,
+                                  const std::string& what) {
+  SCOPED_TRACE(what);
+  const std::vector<std::uint8_t> bad = patchedSchedulerSnapshot(build, 40, word, value);
+  Netlist nl = build();
+  SimContext probe(nl);
+  expectDecoderRejects(probe, bad, what);
+  expectRejectedRestoreChangesNothing(build, 137, bad);
+}
+
+TEST(StateIo, RejectedSchedulerLockRestoreChangesNothing) {
+  // Both designs arbitrate k = 2 channels: the lock names channel 0 or 1
+  // (words 1 and 2), or none (0), and ages up to kMaxLockAge.
+  const unsigned kAgeCap = sched::CorrectingScheduler::kMaxLockAge;
+  for (const auto& build : {std::function<Netlist()>(table1),
+                            std::function<Netlist()>(fig1d)}) {
+    expectSchedulerStateRejected(build, 0, 3, "scheduler lock channel out of range");
+    expectSchedulerStateRejected(build, 1, kAgeCap + 1,
+                                 "scheduler lock age out of range");
+  }
+}
+
+TEST(StateIo, RejectedSchedulerPolicyRestoreChangesNothing) {
+  expectSchedulerStateRejected(table1, 2, 7, "round-robin channel out of range");
+  expectSchedulerStateRejected(fig1dWith("2bit"), 2, 4,
+                               "two-bit counter out of range");
+  expectSchedulerStateRejected(fig1dWith("timeout"), 2, 2,
+                               "timeout channel out of range");
+  // timeout=1: the stall count rotates the prediction before it passes 1.
+  expectSchedulerStateRejected(fig1dWith("timeout"), 3, 2,
+                               "timeout stall count out of range");
+  expectSchedulerStateRejected(fig1dWith("last"), 2, 2,
+                               "last-served channel out of range");
+}
+
+TEST(StateIo, SchedulerStateAtTheTopOfItsRangeRestores) {
+  // The checks refuse only what the scheduler cannot reach.
+  const auto restores = [](const std::function<Netlist()>& build, unsigned word,
+                           std::uint64_t value) {
+    const std::vector<std::uint8_t> snap =
+        patchedSchedulerSnapshot(build, 40, word, value);
+    Netlist nl = build();
+    sim::Simulator s(nl, restoreOpts(kRestoreModes[0]));
+    s.ctx().unpackState(snap);
+    EXPECT_EQ(s.ctx().packState(), snap);
+    EXPECT_NO_THROW(s.run(20));
+  };
+  restores(table1, 0, 2);
+  restores(fig1d, 1, sched::CorrectingScheduler::kMaxLockAge);
+  restores(table1, 2, 1);
+  restores(fig1dWith("2bit"), 2, 3);
+  restores(fig1dWith("timeout"), 3, 1);
+}
+
+// ---------------------------------------------------------------------------
 // Every truncation and every single-bit flip of a snapshot is refused at the
 // container, and the refused restore changes nothing.
 // ---------------------------------------------------------------------------

@@ -186,7 +186,7 @@ TEST(Synth, CrossCheckPassesOnAllTopologies) {
       sim::Simulator s(sys.nl, {.checkProtocol = true, .throwOnViolation = true,
                                 .crossCheckKernels = true});
       ASSERT_NO_THROW(s.run(250));
-      EXPECT_GT(sys.mainSink->received(), 0u);
+      EXPECT_GT(sys.mainSink->received(s.ctx()), 0u);
     }
   }
 }
@@ -202,7 +202,7 @@ TEST(Synth, CrossCheckPassesOnVluPipeline) {
   sim::Simulator s(sys.nl, {.checkProtocol = true, .throwOnViolation = true,
                             .crossCheckKernels = true});
   ASSERT_NO_THROW(s.run(300));
-  EXPECT_GT(sys.mainSink->received(), 0u);
+  EXPECT_GT(sys.mainSink->received(s.ctx()), 0u);
 }
 
 TEST(Synth, KernelsProduceIdenticalTransferStreams) {
@@ -216,9 +216,10 @@ TEST(Synth, KernelsProduceIdenticalTransferStreams) {
     const auto runWith = [&](SimContext::SettleKernel kernel) {
       SynthSystem sys = synth::build(cfg);
       sim::Simulator s(sys.nl, {.checkProtocol = false, .kernel = kernel});
+      s.ctx().logTransfers(sys.mainSink->input(0));
       s.run(400);
       std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-      for (const auto& tr : sys.mainSink->transfers())
+      for (const auto& tr : s.ctx().transfers(sys.mainSink->input(0)))
         out.emplace_back(tr.cycle, tr.data.toUint64());
       return out;
     };
@@ -246,15 +247,17 @@ TEST(Synth, PipelineComputesExpectedValues) {
     if (sys.nl.node(id).kindName() == "func") ++stages;
 
   sim::Simulator s(sys.nl, {.checkProtocol = true, .throwOnViolation = true});
+  s.ctx().logTransfers(sys.mainSink->input(0));
   s.run(200);
-  ASSERT_GT(sys.mainSink->received(), 10u);
+  ASSERT_GT(sys.mainSink->received(s.ctx()), 10u);
 
   std::uint64_t sumConsts = 0;
   for (std::size_t i = 0; i < stages; ++i) sumConsts += mix64(cfg.seed + i) | 1;
   const std::uint64_t mask = (1ULL << cfg.width) - 1;
-  for (std::size_t j = 0; j < sys.mainSink->received(); ++j) {
+  for (std::size_t j = 0; j < sys.mainSink->received(s.ctx()); ++j) {
     const std::uint64_t expect = (mix64(j, cfg.seed) + sumConsts) & mask;
-    EXPECT_EQ(sys.mainSink->transfers()[j].data.toUint64(), expect) << "token " << j;
+    EXPECT_EQ(s.ctx().transfers(sys.mainSink->input(0))[j].data.toUint64(), expect)
+        << "token " << j;
   }
 }
 
@@ -268,7 +271,7 @@ TEST(Synth, RandomDagDeliversToEverySink) {
   s.run(400);
   ASSERT_FALSE(sys.sinks.empty());
   for (const TokenSink* sink : sys.sinks)
-    EXPECT_GT(sink->received(), 0u) << synth::describe(cfg);
+    EXPECT_GT(sink->received(s.ctx()), 0u) << synth::describe(cfg);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,17 +14,28 @@
 
 namespace esl::test {
 
-/// Data values received by a sink, as uint64.
-inline std::vector<std::uint64_t> receivedValues(const TokenSink& sink) {
+/// Logs every sink's transfer stream in `s` (what receivedValues and
+/// receivedCycles read); call it before running the simulator.
+inline void logSinks(sim::Simulator& s) {
+  const Netlist& nl = s.ctx().netlist();
+  for (const NodeId id : nl.nodeIds())
+    if (const auto* sink = dynamic_cast<const TokenSink*>(&nl.node(id)))
+      s.ctx().logTransfers(sink->input(0));
+}
+
+/// Data values received by a sink in `s`, as uint64.
+inline std::vector<std::uint64_t> receivedValues(sim::Simulator& s,
+                                                 const TokenSink& sink) {
   std::vector<std::uint64_t> v;
-  for (const auto& t : sink.transfers()) v.push_back(t.data.toUint64());
+  for (const auto& t : s.ctx().transfers(sink.input(0))) v.push_back(t.data.toUint64());
   return v;
 }
 
-/// Cycles at which the sink received transfers.
-inline std::vector<std::uint64_t> receivedCycles(const TokenSink& sink) {
+/// Cycles at which the sink received transfers in `s`.
+inline std::vector<std::uint64_t> receivedCycles(sim::Simulator& s,
+                                                 const TokenSink& sink) {
   std::vector<std::uint64_t> v;
-  for (const auto& t : sink.transfers()) v.push_back(t.cycle);
+  for (const auto& t : s.ctx().transfers(sink.input(0))) v.push_back(t.cycle);
   return v;
 }
 

@@ -18,12 +18,11 @@ namespace {
 
 using verify::CheckerOptions;
 using verify::ModelChecker;
-using verify::NetlistRecipe;
 using verify::ProtocolSuiteOptions;
 using verify::Violation;
 
 // ---------------------------------------------------------------------------
-// Harness recipes (deterministic builders => valid recipes)
+// Harnesses
 // ---------------------------------------------------------------------------
 
 Netlist bufferHarness(bool sinkEmitsAnti) {
@@ -66,40 +65,45 @@ class DroppingBuffer : public Node {
     declareOutput(width);
   }
 
-  void reset(std::uint64_t*) override {
-    full_ = false;
-    data_ = BitVec(width_);
+  /// Record: the full flag, then the held payload.
+  std::uint32_t recordWords() const override { return 1 + payloadWords(width_); }
+  void reset(std::uint64_t* record) const override {
+    std::fill(record, record + recordWords(), 0);
   }
 
-  void evalComb(SimContext& ctx) override {
+  void evalComb(SimContext& ctx) const override {
+    const std::uint64_t* record = ctx.record(id());
     Sig in = ctx.sig(input(0));
     Sig out = ctx.sig(output(0));
-    out.setVf(full_);
-    out.setData(data_);
+    out.setVf(record[0] != 0);
+    out.setData(BitVec::fromWords(width_, record + 1));
     out.setSb(false);
-    in.setSf(full_);  // can only hold one token
+    in.setSf(record[0] != 0);  // can only hold one token
     in.setVb(false);
   }
   EvalPurity evalPurity() const override { return EvalPurity::kStateDriven; }
 
-  void clockEdge(SimContext& ctx) override {
+  void clockEdge(SimContext& ctx) const override {
+    std::uint64_t* record = ctx.record(id());
     const ChannelSignals in = ctx.sig(input(0));
     const ChannelSignals out = ctx.sig(output(0));
-    if (full_ && out.vf && out.sf && !out.vb) full_ = false;  // the bug: drop
-    if (full_ && fwdTransfer(out)) full_ = false;
+    bool full = record[0] != 0;
+    if (full && out.vf && out.sf && !out.vb) full = false;  // the bug: drop
+    if (full && fwdTransfer(out)) full = false;
     if (fwdTransfer(in)) {
-      full_ = true;
-      data_ = in.data;
+      full = true;
+      in.data.toWords(record + 1);
     }
+    record[0] = full;
   }
 
-  void packState(const std::uint64_t*, StateWriter& w) const override {
-    w.writeBool(full_);
-    w.writeBitVec(data_);
+  void packState(const std::uint64_t* record, StateWriter& w) const override {
+    w.writeBool(record[0] != 0);
+    w.writeBitVec(BitVec::fromWords(width_, record + 1));
   }
-  void unpackState(std::uint64_t*, StateReader& r) override {
-    full_ = r.readBool();
-    data_ = r.readBitVec();
+  void unpackState(std::uint64_t* record, StateReader& r) const override {
+    record[0] = r.readBool();
+    r.readPayload(width_, name()).toWords(record + 1);
   }
 
   Persistence outputPersistence(unsigned) const override {
@@ -109,8 +113,6 @@ class DroppingBuffer : public Node {
 
  private:
   unsigned width_;
-  bool full_ = false;
-  BitVec data_;
 };
 
 Netlist droppingBufferHarness() {
@@ -140,18 +142,21 @@ void expectSameViolation(const Violation& a, const Violation& b,
 // ---------------------------------------------------------------------------
 
 TEST(VerifyParallel, ExploredGraphIsBitIdenticalAcrossWorkerCounts) {
-  const std::pair<const char*, NetlistRecipe> recipes[] = {
+  // Every lane is a context over the checker's one netlist.
+  const std::pair<const char*, Netlist (*)()> harnesses[] = {
       {"eb", [] { return bufferHarness(false); }},
       {"eb+anti", [] { return bufferHarness(true); }},
-      {"shared-mux", [] { return sharedMuxHarness(); }},
+      {"shared-mux", sharedMuxHarness},
+      {"dropping-buffer", droppingBufferHarness},
   };
-  for (const auto& [name, recipe] : recipes) {
+  for (const auto& [name, build] : harnesses) {
+    Netlist nl = build();
     std::uint64_t serialFingerprint = 0;
     verify::ExploreResult serialResult;
     for (const unsigned workers : kWorkerCounts) {
       CheckerOptions opts;
       opts.workers = workers;
-      ModelChecker mc(recipe, opts);
+      ModelChecker mc(nl, opts);
       const auto channels = mc.netlist().channelIds();
       const ChannelId watch = channels.front();
       mc.addLabel("vf", [watch](const SimContext& c) { return c.sig(watch).vf(); });
@@ -172,12 +177,12 @@ TEST(VerifyParallel, ExploredGraphIsBitIdenticalAcrossWorkerCounts) {
 }
 
 TEST(VerifyParallel, SelfSuiteVerdictsIdenticalAcrossWorkerCounts) {
-  const NetlistRecipe recipe = [] { return sharedMuxHarness(); };
+  Netlist nl = sharedMuxHarness();
   std::optional<verify::ProtocolReport> serial;
   for (const unsigned workers : kWorkerCounts) {
     ProtocolSuiteOptions opts;
     opts.workers = workers;
-    const auto report = verify::checkSelfProtocol(recipe, opts);
+    const auto report = verify::checkSelfProtocol(nl, opts);
     EXPECT_TRUE(report.ok()) << report.firstViolation();
     if (!serial) {
       serial = report;
@@ -194,14 +199,14 @@ TEST(VerifyParallel, SelfSuiteVerdictsIdenticalAcrossWorkerCounts) {
 // ---------------------------------------------------------------------------
 
 TEST(VerifyParallel, TruncationIsReportedIdenticallyToSerial) {
-  const NetlistRecipe recipe = [] { return bufferHarness(true); };
+  Netlist nl = bufferHarness(true);
   verify::ExploreResult serialResult;
   std::uint64_t serialFingerprint = 0;
   for (const unsigned workers : kWorkerCounts) {
     CheckerOptions opts;
     opts.workers = workers;
     opts.maxStates = 3;
-    ModelChecker mc(recipe, opts);
+    ModelChecker mc(nl, opts);
     const auto result = mc.explore();
     EXPECT_TRUE(result.truncated) << "w" << workers;
     EXPECT_TRUE(mc.truncated()) << "w" << workers;
@@ -217,13 +222,13 @@ TEST(VerifyParallel, TruncationIsReportedIdenticallyToSerial) {
 }
 
 TEST(VerifyParallel, TruncatedSuiteInconclusiveDiagnosticsMatchSerial) {
-  const NetlistRecipe recipe = [] { return bufferHarness(true); };
+  Netlist nl = bufferHarness(true);
   std::optional<verify::ProtocolReport> serial;
   for (const unsigned workers : kWorkerCounts) {
     ProtocolSuiteOptions opts;
     opts.workers = workers;
     opts.maxStates = 3;
-    const auto report = verify::checkSelfProtocol(recipe, opts);
+    const auto report = verify::checkSelfProtocol(nl, opts);
     EXPECT_TRUE(report.explore.truncated);
     EXPECT_FALSE(report.ok());
     if (!serial) {
@@ -238,12 +243,12 @@ TEST(VerifyParallel, TruncatedSuiteInconclusiveDiagnosticsMatchSerial) {
 }
 
 TEST(VerifyParallel, InjectedViolationYieldsSamePropertyAndTraceUnderAllWorkers) {
-  const NetlistRecipe recipe = [] { return droppingBufferHarness(); };
+  Netlist nl = droppingBufferHarness();
   std::optional<Violation> serial;
   for (const unsigned workers : kWorkerCounts) {
     ProtocolSuiteOptions opts;
     opts.workers = workers;
-    const auto report = verify::checkSelfProtocol(recipe, opts);
+    const auto report = verify::checkSelfProtocol(nl, opts);
     ASSERT_FALSE(report.ok()) << "w" << workers;
     const Violation& v = report.violations.front();
     // The dropped token is a Retry+ persistence violation on the buffer's
@@ -264,37 +269,14 @@ TEST(VerifyParallel, InjectedViolationYieldsSamePropertyAndTraceUnderAllWorkers)
   }
 }
 
-TEST(VerifyParallel, WorkersRequireRecipe) {
+TEST(VerifyParallel, BorrowedNetlistAcceptsWorkers) {
   Netlist nl = bufferHarness(false);
+  const std::uint64_t version = nl.topologyVersion();
   CheckerOptions opts;
   opts.workers = 2;
   ModelChecker mc(nl, opts);
-  EXPECT_THROW(mc.explore(), EslError);
-}
-
-TEST(VerifyParallel, NondeterministicRecipeIsRejected) {
-  // A recipe whose instances differ must be refused, not silently explored.
-  auto counter = std::make_shared<unsigned>(0);
-  const NetlistRecipe recipe = [counter] {
-    Netlist nl;
-    auto& src = nl.make<NondetSource>("src", 1);
-    Node* tail = &src;
-    // Second and later instances get an extra buffer stage: the replica's
-    // initial packed state has more bytes than the primary's.
-    const unsigned stages = (*counter)++ == 0 ? 1 : 2;
-    for (unsigned i = 0; i < stages; ++i) {
-      auto& eb = nl.make<ElasticBuffer>("eb" + std::to_string(i), 1);
-      nl.connect(*tail, 0, eb, 0);
-      tail = &eb;
-    }
-    auto& sink = nl.make<NondetSink>("sink", 1, 2);
-    nl.connect(*tail, 0, sink, 0);
-    return nl;
-  };
-  CheckerOptions opts;
-  opts.workers = 2;
-  ModelChecker mc(recipe, opts);
-  EXPECT_THROW(mc.explore(), EslError);
+  EXPECT_GT(mc.explore().states, 1u);
+  EXPECT_EQ(nl.topologyVersion(), version);  // the lanes only read it
 }
 
 // ---------------------------------------------------------------------------
@@ -322,7 +304,7 @@ TEST(VerifyParallel, SynthFamiliesModelCheckCleanAtTwelvePlusNodes) {
     cfg.nondetEnv = true;
     verify::SuiteJob job;
     job.name = synth::describe(cfg);
-    job.recipe = [cfg] { return synth::buildNetlist(cfg); };
+    job.spec = synth::spec(cfg);
     job.options.maxStates = 500000;
     job.options.maxChoiceBits = 16;
     job.options.workers = 2;  // frontier sharding inside each job
@@ -354,25 +336,23 @@ TEST(VerifyParallel, SuiteFarmReportsPerJobErrors) {
   std::vector<verify::SuiteJob> jobs;
   verify::SuiteJob good;
   good.name = "good";
-  good.recipe = [] { return bufferHarness(false); };
+  good.spec = NetlistSpec::fromNetlist(bufferHarness(false));
   jobs.push_back(good);
   verify::SuiteJob bad;
   bad.name = "bad";
-  bad.recipe = [] {
-    Netlist nl;
-    // 15 choice bits > default maxChoiceBits=14 => the job must error out
-    // without poisoning its neighbours.
-    for (int i = 0; i < 15; ++i) {
-      std::string srcName = "s";
-      srcName += std::to_string(i);
-      std::string sinkName = "k";
-      sinkName += std::to_string(i);
-      auto& src = nl.make<NondetSource>(srcName, 1);
-      auto& sink = nl.make<TokenSink>(sinkName, 1);
-      nl.connect(src, 0, sink, 0);
-    }
-    return nl;
-  };
+  // 15 choice bits > default maxChoiceBits=14 => the job must error out
+  // without poisoning its neighbours.
+  Netlist wide;
+  for (int i = 0; i < 15; ++i) {
+    std::string srcName = "s";
+    srcName += std::to_string(i);
+    std::string sinkName = "k";
+    sinkName += std::to_string(i);
+    auto& src = wide.make<NondetSource>(srcName, 1);
+    auto& sink = wide.make<TokenSink>(sinkName, 1);
+    wide.connect(src, 0, sink, 0);
+  }
+  bad.spec = NetlistSpec::fromNetlist(wide);
   jobs.push_back(bad);
   const auto results = verify::runSuiteFarm(jobs, 2);
   EXPECT_TRUE(results[0].ok()) << results[0].error;

@@ -48,14 +48,18 @@ int usage(const char* argv0) {
       << "                     --transform bubble:mux.out,speculate:mux:F:rr\n"
       << "  --sim N            simulate N cycles (sink transfers + violations)\n"
       << "  --shards N         with --sim: shard the netlist across N worker\n"
-      << "                     lanes (bit-identical to serial for every N)\n"
+      << "                     lanes (bit-identical to serial for every N;\n"
+      << "                     at most 256). Pays off on large, busy designs:\n"
+      << "                     a 10k-node pipeline runs 1.64x (2) and 2.83x\n"
+      << "                     (4) faster saturated, but 0.69x on sparse\n"
+      << "                     traffic, where the barriers dominate\n"
       << "  --backend B        with --sim: 'interpreted' (default) or\n"
       << "                     'compiled' (bytecode VM, bit-identical)\n"
       << "  --cross-check      with --sim: settle every cycle on both the\n"
       << "                     selected backend and the sweep oracle, and\n"
       << "                     audit every clock edge; throws on divergence\n"
       << "  --tput CHANNEL     with --sim N: measured throughput of CHANNEL\n"
-      << "  --check            model-check the SELF suite from the design's IR\n"
+      << "  --check            model-check the SELF suite on the design\n"
       << "  --workers N        checker worker lanes (default 1)\n"
       << "  --max-states N     checker state cap (default 100000)\n"
       << "  --emit FORMAT      dot | blif | smv | verilog\n"
@@ -154,6 +158,10 @@ int main(int argc, char** argv) {
       simCycles = parseNum(arg, value());
     } else if (arg == "--shards") {
       simShards = parseNum(arg, value());
+      if (simShards > SimContext::kMaxShards) {
+        std::cerr << "esl: --shards is at most " << SimContext::kMaxShards << "\n";
+        return 1;
+      }
     } else if (arg == "--backend") {
       simBackend = value();
       if (simBackend != "compiled" && simBackend != "interpreted") {
@@ -276,11 +284,8 @@ int main(int argc, char** argv) {
     }
 
     if (doCheck) {
-      // The check runs from the serializable IR of the (possibly transformed)
-      // design — the same spec a parallel checker lane would rebuild.
-      const NetlistSpec spec = NetlistSpec::fromNetlist(*session.netlist());
       const verify::ProtocolReport report =
-          verify::checkSelfProtocol(spec, checkOptions);
+          verify::checkSelfProtocol(*session.netlist(), checkOptions);
       std::cout << "check: " << report.explore.states << " states, "
                 << report.explore.transitions << " transitions"
                 << (report.explore.truncated ? " (truncated)" : "") << ", "
