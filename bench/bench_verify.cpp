@@ -119,7 +119,7 @@ void runControllerTable() {
   runSuite("eager fork (2-way)", forkHarness());
   runSuite("lazy join (2-way)", joinHarness());
   {
-    Netlist nl = sharedHarness(std::make_unique<sched::BoundedFairScheduler>(2, 1));
+    Netlist nl = sharedHarness(std::make_unique<sched::BoundedFairScheduler>(2));
     const NodeId id = nl.findNode("shared")->id();
     runSuite("shared+EEmux, fair nondet sched", std::move(nl), id);
   }

@@ -1,5 +1,6 @@
 #include "base/executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -15,9 +16,10 @@ namespace esl {
 namespace {
 
 unsigned resolveLanes(unsigned threads) {
+  Executor::checkLaneCount(threads, "executor lane count");
   if (threads != 0) return threads;
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  return hw == 0 ? 1 : std::min(hw, Executor::kMaxLanes);
 }
 
 constexpr std::size_t kNoIndex = ~std::size_t{0};
@@ -188,6 +190,11 @@ struct Executor::Impl {
   std::exception_ptr taskError;
   std::condition_variable idleCv;
 };
+
+void Executor::checkLaneCount(std::uint64_t n, const std::string& what) {
+  ESL_CHECK(n <= kMaxLanes, what + " " + std::to_string(n) +
+                                " is above the limit of " + std::to_string(kMaxLanes));
+}
 
 Executor::Executor(unsigned threads)
     : lanes_(resolveLanes(threads)), impl_(std::make_unique<Impl>(lanes_)) {}

@@ -15,15 +15,27 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 
 namespace esl {
 
 class Executor {
  public:
+  /// Most lanes an executor runs. Each lane past the first is an OS thread,
+  /// so every lane count from outside — a sharded context's shards, the
+  /// model checker's and the serve daemon's workers, from a flag, a frame or
+  /// a spool record — is held to this before any thread starts.
+  static constexpr unsigned kMaxLanes = 256;
+  /// Throws EslError if `n` is above kMaxLanes; `what` names the count in
+  /// the message. Callers that narrow a wider count check it first.
+  static void checkLaneCount(std::uint64_t n, const std::string& what);
+
   /// `threads` is the total number of lanes including the calling thread;
-  /// 0 means one lane per hardware thread.
+  /// 0 means one lane per hardware thread (at most kMaxLanes). Throws
+  /// EslError, starting nothing, if `threads` is above kMaxLanes.
   explicit Executor(unsigned threads = 0);
   ~Executor();
 

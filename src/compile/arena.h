@@ -1,17 +1,28 @@
 // Arena view: the compiled backend's instance of the node kinds' handshakes.
 //
 // Every specializable kind writes its comb/edge logic once, as templates over
-// a view (elastic/node_view.h). ArenaView<K> is the view the VM runs them
-// through. Its ports are RawSig proxies over pre-resolved SlotAddr records:
-// plain loads and stores into the board's planes and payload words, whose
-// writes mirror SignalBoard::setBitAt/setDataAt exactly, change tracking
-// included. Its state — sequential state, memos, statistics — is the node's
-// record in the SimContext's state arena, the same record the object view
-// reads, with stored payloads as words (Word): the compiler specializes only
-// nodes whose payloads are at most 64 bits wide. The record layout and its
-// accessors are the kind's own (K::View, shared with the object view); this
-// file adds only the ports, the word payload form, and the constants an op
-// carries for its kind.
+// a view (elastic/node_view.h). ArenaView<K> is the view the compiled backend
+// runs them through, from the op table SimContext builds with the board
+// (compile/compiler.h). Its ports are RawSig proxies over pre-resolved
+// SlotAddr records: plain loads and stores into the board's planes and
+// payload words, whose writes mirror SignalBoard::setBitAt/setDataAt exactly,
+// change tracking included. Its state — sequential state, memos, statistics —
+// is the node's record in the SimContext's state arena, the same record the
+// object view reads, with stored payloads as words (Word): the compiler
+// specializes only nodes whose payloads are at most 64 bits wide. The record
+// layout and its accessors are the kind's own (K::View, shared with the
+// object view); this file adds only the ports, the word payload form, and the
+// constants an op carries for its kind. One source, two views, so settled
+// fixpoints — and therefore packState() — are bit-identical to the
+// interpreted kernels by construction; cross-check mode still replays every
+// specialized edge against the interpreted clockEdge to check the view itself.
+//
+// Sharded composition (shards > 1): the compiler keeps every boundary-
+// adjacent node generic (staging-aware Sig accessors), interior specialized
+// ops write owner-exclusive planes, and each shard's record slice starts
+// cache-line-aligned — so the staged boundary exchange of the sharded
+// kernels carries over unchanged and packState stays bit-identical to the
+// serial compiled backend for every shard count.
 #pragma once
 
 #include "compile/compiler.h"
@@ -25,33 +36,47 @@
 
 namespace esl::compile {
 
-/// The board's raw arrays and the context's record arena, re-fetched by the
-/// VM before every phase.
-struct RawBoard {
-  SignalBoard* board = nullptr;  ///< BitVec-level payload access
-  std::uint64_t* ctrl = nullptr;
-  std::uint64_t* words = nullptr;
-  std::uint64_t* changed = nullptr;
-  std::uint64_t* records = nullptr;
-};
+/// A payload of at most 64 bits, as the arena keeps it: its bits, masked to
+/// its width. The operators applyFn (elastic/fn_op.h) uses mirror BitVec's.
+class Word {
+ public:
+  /// `bits` must already be masked to `width`.
+  Word(unsigned width, std::uint64_t bits) : bits_(bits), width_(width) {}
 
-/// A stored payload of at most 64 bits, as the arena keeps it.
-struct Word {
-  std::uint64_t bits = 0;
-  unsigned width = 0;
-
+  unsigned width() const { return width_; }
+  std::uint64_t toUint64() const { return bits_; }
   void setBit(unsigned b, bool v) {
     const std::uint64_t m = std::uint64_t{1} << b;
-    bits = v ? bits | m : bits & ~m;
+    bits_ = v ? bits_ | m : bits_ & ~m;
   }
+
+  /// Sum modulo 2^width.
+  Word operator+(Word o) const {
+    const std::uint64_t sum = bits_ + o.bits_;
+    return {width_, width_ >= 64 ? sum : sum & ((std::uint64_t{1} << width_) - 1)};
+  }
+  Word operator^(Word o) const { return {width_, bits_ ^ o.bits_}; }
+  Word operator>>(unsigned amount) const {  // amount < 64
+    return {width_, bits_ >> amount};
+  }
+  /// `high` above this word's bits. A 64-bit low half leaves no room for a
+  /// high half that fits the word (and a shift by 64 would be undefined).
+  Word concat(Word high) const {
+    return {width_ + high.width_, width_ >= 64 ? bits_ : bits_ | high.bits_ << width_};
+  }
+
   /// Datapath functions and node objects take BitVec payloads.
-  operator BitVec() const { return BitVec(width, bits); }  // NOLINT
+  operator BitVec() const { return BitVec(width_, bits_); }  // NOLINT
+
+ private:
+  std::uint64_t bits_;
+  unsigned width_;
 };
 
 /// A payload as a record word. A BitVec whose width disagrees with the
 /// channel it belongs to cannot be stored (and is unreachable through pushes
 /// from the bound channel or a width-checked unpackState).
-inline std::uint64_t toWord(Word w, unsigned) { return w.bits; }
+inline std::uint64_t toWord(Word w, unsigned) { return w.toUint64(); }
 inline std::uint64_t toWord(const BitVec& v, unsigned width) {
   ESL_CHECK(v.width() == width,
             "state arena: stored payload width disagrees with the channel");
@@ -97,12 +122,21 @@ class RawSig {
   void setData(Word w) {
     if (a_->dataOff == SignalBoard::kNoSlot) return;
     std::uint64_t& cur = b_->words[a_->dataOff];
-    const std::uint64_t diff = cur == w.bits ? 0 : a_->bitMask();  // cmov
-    cur = w.bits;
+    const std::uint64_t diff = cur == w.toUint64() ? 0 : a_->bitMask();  // cmov
+    cur = w.toUint64();
     b_->changed[a_->chWord()] |= diff;
   }
   /// Same-width payload routing (fork branches, mux selection).
-  void setDataFrom(const RawSig& src);
+  void setDataFrom(const RawSig& src) {
+    // Widths are equal by construction, audited when the channels were
+    // bound; a specialized op's payloads fit a word.
+    const std::uint32_t off = a_->dataOff;
+    if (off == SignalBoard::kNoSlot) return;
+    std::uint64_t& out = b_->words[off];
+    if (out == b_->words[src.a_->dataOff]) return;
+    out = b_->words[src.a_->dataOff];
+    b_->changed[a_->chWord()] |= a_->bitMask();
+  }
 
  private:
   bool bit(unsigned plane) const {
@@ -144,7 +178,7 @@ class ArenaPorts : public NodeRecord<K> {
   unsigned numOutputs() const { return op_->nOut; }
   unsigned inWidth(unsigned i) const { return ports_[i].width; }
   unsigned outWidth(unsigned i) const { return ports_[op_->nIn + i].width; }
-  Word payload(const RawSig& port) const { return {port.dataLow64(), port.width()}; }
+  Word payload(const RawSig& port) const { return {port.width(), port.dataLow64()}; }
 
   const K& node() const { return static_cast<const K&>(*op_->node); }
   bool stats() const { return stats_; }
@@ -152,13 +186,13 @@ class ArenaPorts : public NodeRecord<K> {
   std::uint64_t cycle() const { return ctx_->cycle(); }
 
   Word payloadAt(std::uint32_t off, unsigned width) const {
-    return {this->record_[off], width};
+    return {width, this->record_[off]};
   }
   template <typename P>
   void setPayloadAt(std::uint32_t off, unsigned width, const P& p) const {
     this->record_[off] = toWord(p, width);
   }
-  static Word zeroPayload(unsigned width) { return {0, width}; }
+  static Word zeroPayload(unsigned width) { return {width, 0}; }
 
  protected:
   SimContext* ctx_;
@@ -183,26 +217,16 @@ template <>
 class ArenaView<ElasticBuffer> : public ElasticBuffer::View<ArenaPorts<ElasticBuffer>> {
  public:
   using View::View;
-  unsigned capacity() const { return static_cast<unsigned>(op_->fnA); }
-  unsigned antiCapacity() const { return static_cast<unsigned>(op_->fnB); }
+  unsigned capacity() const { return static_cast<unsigned>(op_->a); }
+  unsigned antiCapacity() const { return static_cast<unsigned>(op_->b); }
 };
 
-/// Catalog functions whose operands all fit a word (Op::fnKind != kOpaque)
-/// skip the record's memo for word arithmetic — fn_ is pure, so bypassing
-/// its memo is unobservable.
+/// So does a function block's catalog op.
 template <>
 class ArenaView<FuncNode> : public FuncNode::View<ArenaPorts<FuncNode>> {
  public:
   using View::View;
-  void computeOutput(RawSig& out) const {
-    if (op_->fnKind == FuncKind::kOpaque)
-      computeMemoized(out);
-    else
-      out.setData(Word{wordResult(), out.width()});
-  }
-
- private:
-  std::uint64_t wordResult() const;
+  FnOp fnOp() const { return {op_->fnKind, op_->a, op_->b}; }
 };
 
 /// Calls `f.template operator()<K>()` with the node class K behind a

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "base/executor.h"
-#include "compile/vm.h"
+#include "compile/arena.h"
 
 namespace esl {
 
@@ -138,6 +138,7 @@ void SimContext::ensureTopologyCache() {
     adjOffset_[id + 1] = static_cast<std::uint32_t>(adjFlat_.size());
   }
   layoutRecords();
+  compileOps();
   topologySeen_ = netlist_.topologyVersion();
   shardsSeen_ = shards_;
   needFullSeed_ = true;
@@ -173,26 +174,66 @@ void SimContext::layoutRecords() {
   recordOff_ = std::move(off);
 }
 
-void SimContext::checkShardCount(std::uint64_t n) {
-  ESL_CHECK(n <= kMaxShards, "shard count " + std::to_string(n) +
-                                 " is above the limit of " +
-                                 std::to_string(kMaxShards));
-}
-
 void SimContext::setShards(unsigned n) {
-  checkShardCount(n);
+  Executor::checkLaneCount(n, "shard count");
   if (n == 0) n = 1;
   if (n == shards_) return;
-  // The re-layout below permutes board slots and records and bumps the
-  // layout generation, so a compiled program (keyed on it) recompiles at the
-  // next phase.
+  // The re-layout below permutes board slots and records, and builds the op
+  // table against the new layout.
   shards_ = n;
   exec_.reset();
   invalidateSignals();
   ensureTopologyCache();  // re-partition + re-layout, preserving signal values
 }
 
-void SimContext::setBackend(Backend backend) { backend_ = backend; }
+void SimContext::setBackend(Backend backend) {
+  if (backend == backend_) return;
+  backend_ = backend;
+  // Against the current layout: a stale one is re-laid, with the op table,
+  // at the next phase.
+  if (topologySeen_ == netlist_.topologyVersion() && shardsSeen_ == shards_)
+    compileOps();
+}
+
+void SimContext::compileOps() {
+  if (backend_ == Backend::kCompiled)
+    program_ = compile::compileProgram(netlist_, board_, recordOff_);
+  else
+    program_ = {};
+}
+
+void SimContext::bindOps() {
+  raw_ = {&board_, board_.ctrlData(), board_.payloadData(), board_.changedData(),
+          records_.data()};
+}
+
+// Each specialized op is its node kind's comb/edge template instantiated for
+// the arena view; kGeneric falls back to the node's virtual evalComb/clockEdge.
+// Flattening inlines every instantiation into the kind switch, so an op costs
+// no call — the templates are too large for the default inlining budget.
+// `stats == false` suppresses only the statistics that packState() excludes —
+// serialized state always advances, so replaying an edge from a rewound
+// snapshot lands on the same bytes.
+
+[[gnu::flatten]] void SimContext::evalOp(NodeId id) {
+  const compile::Op& op = program_.ops[id];
+  if (op.code == compile::OpCode::kGeneric) return op.node->evalComb(*this);
+  const compile::SlotAddr* ports = program_.ports.data() + op.portBase;
+  compile::visitKind(op.code, [&]<typename K>() {
+    K::comb(compile::ArenaView<K>(*this, raw_, op, ports,
+                                  raw_.records + op.stateOff, true));
+  });
+}
+
+[[gnu::flatten]] void SimContext::edgeOp(NodeId id, bool stats) {
+  const compile::Op& op = program_.ops[id];
+  if (op.code == compile::OpCode::kGeneric) return op.node->clockEdge(*this);
+  const compile::SlotAddr* ports = program_.ports.data() + op.portBase;
+  compile::visitKind(op.code, [&]<typename K>() {
+    K::edge(compile::ArenaView<K>(*this, raw_, op, ports,
+                                  raw_.records + op.stateOff, stats));
+  });
+}
 
 const std::vector<SimContext::Transfer>& SimContext::transfers(ChannelId ch) const {
   static const std::vector<Transfer> kNone;
@@ -203,11 +244,6 @@ const std::vector<SimContext::Transfer>& SimContext::transfers(ChannelId ch) con
 void SimContext::parallelShards(const std::function<void(unsigned)>& fn) {
   exec().parallelFor(shards_,
                      [&](std::size_t s, unsigned) { fn(static_cast<unsigned>(s)); });
-}
-
-compile::Vm& SimContext::vm() {
-  if (!vm_) vm_ = std::make_unique<compile::Vm>(*this);
-  return *vm_;
 }
 
 Executor& SimContext::exec() {
@@ -302,7 +338,7 @@ void SimContext::settle() {
   } else if (kernel_ == SettleKernel::kSweep) {
     settleSweep();
   } else if (backend_ == Backend::kCompiled) {
-    vm().settle();
+    settleCompiled();
   } else if (shards_ > 1) {
     settleSharded();
   } else {
@@ -332,6 +368,15 @@ void SimContext::settleEventDriven() {
   settleEventDrivenWith([this](NodeId id) { nodePtr_[id]->evalComb(*this); });
 }
 
+void SimContext::settleCompiled() {
+  ensureTopologyCache();  // the op table is current before addressing it
+  bindOps();
+  if (shards_ > 1)
+    settleShardedWith([this](NodeId id) { evalOp(id); });
+  else
+    settleEventDrivenWith([this](NodeId id) { evalOp(id); });
+}
+
 void SimContext::seedShards(std::uint64_t gen) {
   const auto pushOwned = [&](NodeId id) {
     pushInto(shardState_[plan_.nodeShard[id]], gen, id);
@@ -355,7 +400,7 @@ void SimContext::settleCrossChecked() {
   ensureTopologyCache();  // refresh layout (and the scratch boards) FIRST
   ccPre_.copyValuesFrom(board_);
   if (backend_ == Backend::kCompiled)
-    vm().settle();
+    settleCompiled();
   else if (shards_ > 1)
     settleSharded();
   else
@@ -460,7 +505,7 @@ void SimContext::edge() {
   else if (!edgeTrackValid_)
     edgeFull();
   else if (backend_ == Backend::kCompiled)
-    vm().edge();
+    edgeCompiled();
   else if (shards_ > 1)
     edgeSharded();
   else
@@ -471,6 +516,14 @@ void SimContext::edge() {
 void SimContext::edgeFull() {
   for (const NodeId id : liveNodes_) nodePtr_[id]->clockEdge(*this);
   sparseSeedValid_ = false;  // anything may have changed state
+}
+
+void SimContext::edgeCompiled() {
+  bindOps();
+  if (shards_ > 1)
+    edgeShardedWith([this](NodeId id) { edgeOp(id, true); });
+  else
+    edgeSparseWith([this](NodeId id) { edgeOp(id, true); });
 }
 
 void SimContext::edgeSparse() {
@@ -496,7 +549,7 @@ void SimContext::edgeAudited() {
   // once), rewind the node's record, replay the compiled op over it with
   // statistics suppressed, and require byte-identical packState().
   const bool auditCompiled = backend_ == Backend::kCompiled;
-  if (auditCompiled) vm().prepare();
+  if (auditCompiled) bindOps();
   prevClocked_.clear();
   for (const NodeId id : liveNodes_) {
     const Node& node = *nodePtr_[id];
@@ -504,7 +557,7 @@ void SimContext::edgeAudited() {
     const bool wouldSkip = nodeEdgeOnEvents_[id] && !nodeHasEvent[id];
     if (!wouldSkip) {
       if (nodeStateful_[id]) prevClocked_.push_back(id);
-      if (auditCompiled && vm().hasSpecializedOpFor(id)) {
+      if (auditCompiled && program_.ops[id].code != compile::OpCode::kGeneric) {
         StateWriter w0;
         node.packState(rec, w0);
         const std::vector<std::uint8_t> s0 = w0.take();
@@ -514,7 +567,7 @@ void SimContext::edgeAudited() {
         const std::vector<std::uint8_t> s1 = w1.take();
         StateReader rewind(s0);
         node.unpackState(rec, rewind);
-        vm().edgeNodeForAudit(id);
+        edgeOp(id, false);
         StateWriter w2;
         node.packState(rec, w2);
         if (s1 != w2.take())

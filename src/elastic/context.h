@@ -61,7 +61,7 @@
 // with the board, whenever the topology or the shard count moves: surviving
 // nodes keep their records, a node that joins the context gets its reset
 // record. Every execution path — the sweep, event and sharded kernels, the
-// compiled VM, packState and unpackState — reads and writes the same
+// compiled backend, packState and unpackState — reads and writes the same
 // records, so there is one copy of the state and nothing to keep in step.
 // The netlist and its node objects are only read, so any number of contexts
 // can simulate one netlist at once, on any threads, as long as nobody edits
@@ -84,6 +84,7 @@
 #include <string>
 #include <vector>
 
+#include "compile/compiler.h"
 #include "elastic/netlist.h"
 #include "elastic/signal_board.h"
 
@@ -91,9 +92,6 @@ namespace esl {
 
 class Executor;
 class StateWriter;
-namespace compile {
-class Vm;
-}
 
 class SimContext {
  public:
@@ -105,7 +103,7 @@ class SimContext {
   /// Execution backend for the event-driven cycle phases.
   enum class Backend {
     kInterpreted,  ///< virtual evalComb/clockEdge dispatch (default)
-    kCompiled,     ///< bytecode program over raw board offsets (compile/vm.h)
+    kCompiled,     ///< op table over raw board offsets (compile/compiler.h)
   };
 
   /// The netlist must outlive the context, and must not change while the
@@ -138,24 +136,18 @@ class SimContext {
   void setCrossCheck(bool enabled) { crossCheck_ = enabled; }
   bool crossCheck() const { return crossCheck_; }
 
-  /// Most worker lanes a context shards across: setShards refuses more
-  /// before allocating anything, so a count from outside (a flag, a frame,
-  /// a spool record) cannot ask for thousands of threads.
-  static constexpr unsigned kMaxShards = 256;
-  /// Throws EslError if `n` is above kMaxShards. Callers that narrow a wider
-  /// count check it first.
-  static void checkShardCount(std::uint64_t n);
-
-  /// Shard the netlist across `n` worker lanes (1 = serial, the default).
+  /// Shard the netlist across `n` worker lanes (1 = serial, the default; at
+  /// most Executor::kMaxLanes, checked before anything is allocated).
   /// Settled signals and packState() are bit-identical for every value.
   void setShards(unsigned n);
   unsigned shards() const { return shards_; }
 
   /// Selects the execution backend for the event-driven kernel. The compiled
-  /// backend lowers the netlist once into bytecode (recompiled whenever the
-  /// topology or the board layout moves) and runs settle/edge over raw board
-  /// offsets and the same node records; settled signals and packState() are
-  /// bit-identical to the interpreted kernels.
+  /// backend runs settle/edge from an op table over raw board offsets and the
+  /// same node records; the table is built with the board whenever the
+  /// board is laid out, and setBackend builds (or drops) it against the
+  /// current layout. Settled signals and packState() are bit-identical to
+  /// the interpreted kernels.
   /// Applies when kernel() == kEventDriven (the sweep kernel stays
   /// interpreted — it is the reference oracle) and composes with setShards:
   /// boundary-adjacent nodes fall back to the staging-aware interpreted path,
@@ -228,8 +220,11 @@ class SimContext {
   /// the kernels (serial and sharded) resolve slots in evaluation order.
   void setChoiceProvider(std::function<bool(NodeId, unsigned)> fn);
 
-  /// Read by nodes inside evalComb/clockEdge; stable within a cycle.
-  bool choice(const Node& node, unsigned idx);
+  /// Read by nodes inside evalComb/clockEdge; stable within a cycle. Out of
+  /// line: the compiled dispatch (evalOp/edgeOp, same file) is flattened, and
+  /// inlining this, error paths and all, into every op that reads a choice
+  /// bloats the dispatch and slows every op.
+  [[gnu::noinline]] bool choice(const Node& node, unsigned idx);
 
   // --- Protocol monitoring ---------------------------------------------------
 
@@ -299,6 +294,9 @@ class SimContext {
   };
 
   void ensureChoiceMap();
+  /// Refreshes the per-topology caches when the topology or the shard count
+  /// moved: the one place the board is laid out and record offsets move, so
+  /// the op table (compiled backend) is built here too.
   void ensureTopologyCache();
   /// Re-lays the record arena for liveNodes_ (part of ensureTopologyCache).
   void layoutRecords();
@@ -322,6 +320,7 @@ class SimContext {
   void settleSweep();
   void settleEventDriven();
   void settleSharded();
+  void settleCompiled();
   void settleCrossChecked();
   void pushInto(Shard& sh, std::uint64_t gen, NodeId id) {
     const std::size_t w = id >> 6;
@@ -341,11 +340,22 @@ class SimContext {
   // --- backend-generic kernel loops ------------------------------------------
   // The serial event-driven settle and the dirty-tracked edge are templates
   // over the per-node dispatch: the interpreted kernel passes virtual
-  // evalComb/clockEdge calls, the compiled VM (compile/vm.h, a friend) passes
-  // its specialized-op dispatch. Sharing the loops makes seeding, worklist
-  // order, change consumption and hot-group maintenance — and therefore the
-  // settled fixpoint and the set of clocked nodes — identical by construction
-  // across backends.
+  // evalComb/clockEdge calls, the compiled backend passes evalOp/edgeOp.
+  // Sharing the loops makes seeding, worklist order, change consumption and
+  // hot-group maintenance — and therefore the settled fixpoint and the set of
+  // clocked nodes — identical by construction across backends.
+
+  /// The compiled backend's per-node dispatch: node `id`'s op from the op
+  /// table, its kind's comb/edge template through the arena view
+  /// (compile/arena.h), or the virtual evalComb/clockEdge for a kGeneric op.
+  /// `stats == false` (the edge audit's replay) holds the statistics still.
+  void evalOp(NodeId id);
+  void edgeOp(NodeId id, bool stats);
+  /// Builds the op table against the current layout (compiled backend), or
+  /// drops it.
+  void compileOps();
+  /// Fetches the raw board and record addresses the ops run over.
+  void bindOps();
 
   /// One shard's worklist drain (the body of drainShard). `eval(id)` must
   /// evaluate node `id`'s combinational function against the board.
@@ -595,6 +605,7 @@ class SimContext {
   /// in a cycle whose scan found a violation.
   void reportProtocolViolations();
 
+  void edgeCompiled();
   void edgeSparse();
   void edgeSharded();
   void edgeFull();
@@ -617,10 +628,6 @@ class SimContext {
     }
   }
   Executor& exec();
-  /// Lazily constructed bytecode VM (compiled backend).
-  compile::Vm& vm();
-
-  friend class compile::Vm;
 
   const Netlist& netlist_;
   SignalBoard board_;       ///< current signals (SoA)
@@ -677,9 +684,11 @@ class SimContext {
   std::vector<Shard> shardState_;
   std::unique_ptr<Executor> exec_;
 
-  // Compiled backend: bytecode VM over the board arena (compile/vm.h).
+  // Compiled backend: the op table, laid out with the board and the records
+  // (empty under the interpreted backend), and the addresses it runs over.
   Backend backend_ = Backend::kInterpreted;
-  std::unique_ptr<compile::Vm> vm_;
+  compile::Program program_;
+  compile::RawBoard raw_;
 
   // Per-topology caches (live ids, seed set, channel persistence), refreshed
   // whenever the netlist's topologyVersion moves (or the shard count does).

@@ -4,16 +4,28 @@
 
 namespace esl {
 
+CombFn Datapath::closure() const {
+  if (op.kind == FnOp::Kind::kOpaque) return fn;
+  return [op = op](const std::vector<BitVec>& in) {
+    return applyFn<BitVec>(op, static_cast<unsigned>(in.size()),
+                           [&in](unsigned i) { return in[i]; });
+  };
+}
+
 FuncNode::FuncNode(std::string name, std::vector<unsigned> inputWidths,
-                   unsigned outputWidth, CombFn fn, logic::Cost datapathCost)
-    : Node(std::move(name)), fn_(std::move(fn)), datapathCost_(datapathCost) {
+                   unsigned outputWidth, Datapath datapath, logic::Cost datapathCost)
+    : Node(std::move(name)),
+      datapath_(std::move(datapath)),
+      datapathCost_(datapathCost) {
   ESL_CHECK(!inputWidths.empty(), "FuncNode: needs at least one input");
-  ESL_CHECK(static_cast<bool>(fn_), "FuncNode: function required");
+  ESL_CHECK(datapath_.op.kind != FnOp::Kind::kOpaque || datapath_.fn,
+            "FuncNode: function required");
   for (unsigned w : inputWidths) declareInput(w);
   declareOutput(outputWidth);
 }
 
 std::uint32_t FuncNode::recordWords() const {
+  if (datapath_.op.kind != FnOp::Kind::kOpaque) return 0;
   std::uint32_t words = 1 + payloadWords(outputWidth(0));
   for (unsigned i = 0; i < numInputs(); ++i) words += payloadWords(inputWidth(i));
   return words;
@@ -35,9 +47,8 @@ void FuncNode::timing(TimingModel& m) const {
 }
 
 FuncNode& makeWire(Netlist& nl, std::string name, unsigned width, logic::Cost cost) {
-  return nl.make<FuncNode>(
-      std::move(name), std::vector<unsigned>{width}, width,
-      [](const std::vector<BitVec>& in) { return in[0]; }, cost);
+  return nl.make<FuncNode>(std::move(name), std::vector<unsigned>{width}, width,
+                           FnOp{FnOp::Kind::kId}, cost);
 }
 
 FuncNode& makeUnary(Netlist& nl, std::string name, unsigned inWidth, unsigned outWidth,
@@ -62,14 +73,9 @@ FuncNode& makeJoinMux(Netlist& nl, std::string name, unsigned dataInputs,
   ESL_CHECK(dataInputs >= 2, "makeJoinMux: need at least two data inputs");
   std::vector<unsigned> widths{selWidth};
   for (unsigned i = 0; i < dataInputs; ++i) widths.push_back(width);
-  auto& mux = nl.make<FuncNode>(
-      std::move(name), std::move(widths), width,
-      [dataInputs](const std::vector<BitVec>& in) {
-        const std::uint64_t sel = in[0].toUint64();
-        ESL_CHECK(sel < dataInputs, "join mux: select out of range");
-        return in[1 + sel];
-      },
-      logic::muxCost(dataInputs, width));
+  auto& mux = nl.make<FuncNode>(std::move(name), std::move(widths), width,
+                                FnOp{FnOp::Kind::kJoinMux},
+                                logic::muxCost(dataInputs, width));
   mux.setRole("mux");
   return mux;
 }

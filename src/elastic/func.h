@@ -7,12 +7,17 @@
 // [Cortadella & Kishinevsky, DAC'07] — cancelling one whole would-be firing.
 //
 // FuncNode is stateless (forward latency 0); pipelining comes from explicit
-// elastic buffers around it. Its record holds only the memo of its datapath.
+// elastic buffers around it. Its datapath is either a catalog op (FnOp: the
+// join mux, next-PC adders, xor/gray/concat/permille), evaluated in place by
+// applyFn in both views, or an opaque C++ closure, evaluated through a size-1
+// memo in the node's record. A catalog block's record is empty.
 #pragma once
 
 #include <functional>
+#include <type_traits>
 #include <vector>
 
+#include "elastic/fn_op.h"
 #include "elastic/node.h"
 #include "elastic/node_view.h"
 
@@ -21,13 +26,29 @@ namespace esl {
 /// Pure combinational function over the settled input payloads.
 using CombFn = std::function<BitVec(const std::vector<BitVec>&)>;
 
+/// A function block's datapath: a catalog op, or (op.kind == kOpaque) a
+/// closure. Converts from either, so catalog factories and C++ builders hand
+/// over whichever they have.
+struct Datapath {
+  FnOp op;
+  CombFn fn;  ///< set iff op.kind == kOpaque
+
+  Datapath(FnOp catalogOp) : op(catalogOp) {}  // NOLINT
+  template <typename F>
+    requires std::is_invocable_r_v<BitVec, F, const std::vector<BitVec>&>
+  Datapath(F closure) : fn(std::move(closure)) {}  // NOLINT
+
+  /// The datapath as a closure, for the callers that take one (shared
+  /// modules, stalling VLUs, retiming): the op through applyFn over BitVec.
+  CombFn closure() const;
+};
+
 class FuncNode : public Node {
  public:
   FuncNode(std::string name, std::vector<unsigned> inputWidths, unsigned outputWidth,
-           CombFn fn, logic::Cost datapathCost = {1.0, 1.0});
+           Datapath datapath, logic::Cost datapathCost = {1.0, 1.0});
 
   std::uint32_t recordWords() const override;
-  void reset(std::uint64_t* record) const override { record[0] = 0; }
   void evalComb(SimContext& ctx) const override;
   /// Stateless join, so fully signal-determined.
   EvalPurity evalPurity() const override { return EvalPurity::kCombPure; }
@@ -37,7 +58,7 @@ class FuncNode : public Node {
   void timing(TimingModel& m) const override;
   std::string kindName() const override { return "func"; }
 
-  const CombFn& fn() const { return fn_; }
+  const Datapath& datapath() const { return datapath_; }
   logic::Cost datapathCost() const { return datapathCost_; }
 
   /// Structural role tag used by the transformation kit: makeJoinMux tags its
@@ -46,32 +67,30 @@ class FuncNode : public Node {
   const std::string& role() const { return role_; }
   void setRole(std::string role) { role_ = std::move(role); }
 
-  /// Record: a size-1 memo of the datapath — a valid word, each operand,
-  /// then the result. fn_ is pure, so replaying it on identical operands is
-  /// pure waste — and both settle kernels replay a lot (the sweep on every
-  /// iteration, retried tokens on every cycle).
+  /// Record (opaque closures only): a size-1 memo of the closure — a valid
+  /// word, each operand, then the result. The closure is pure, so replaying
+  /// it on identical operands is pure waste — and both settle kernels replay
+  /// a lot (the sweep on every iteration, retried tokens on every cycle). A
+  /// catalog op is evaluated in place, so its record is empty.
   template <typename Base>
   class View : public Base {
    public:
     using Base::Base;
-    /// The object view's datapath; the arena view lowers catalog functions
-    /// to word arithmetic instead (compile/arena.h).
-    template <typename Port>
-    void computeOutput(Port& out) const { computeMemoized(out); }
-    /// Drives fn_ over the input payloads onto `out` through the memo.
+    /// The datapath's op (the arena view reads the op's copy instead).
+    FnOp fnOp() const { return this->node().datapath_.op; }
+    /// Drives the closure over the input payloads onto `out` through the memo.
     template <typename Port>
     void computeMemoized(Port& out) const;
   };
 
-  /// The join handshake, once for both views (see elastic/node_view.h). Only
-  /// the payload computation, `v.computeOutput(out)`, is per view.
+  /// The join handshake, once for both views (see elastic/node_view.h).
   template <typename V>
   static void comb(const V& v);
   template <typename V>
   static void edge(const V&) {}
 
  private:
-  CombFn fn_;
+  Datapath datapath_;
   logic::Cost datapathCost_;
   std::string role_;
 };
@@ -84,7 +103,16 @@ void FuncNode::comb(const V& v) {
   for (unsigned i = 0; i < n; ++i) allIn = allIn && v.in(i).vf();
 
   out.setVf(allIn);
-  if (allIn) v.computeOutput(out);
+  if (allIn) {
+    const FnOp op = v.fnOp();
+    if (op.kind == FnOp::Kind::kOpaque) {
+      v.computeMemoized(out);
+    } else {
+      using Payload = decltype(v.payload(v.in(0)));
+      out.setData(
+          applyFn<Payload>(op, n, [&v](unsigned i) { return v.payload(v.in(i)); }));
+    }
+  }
 
   // Output consumed this cycle: normal transfer or annihilated by an
   // anti-token at the output channel.
@@ -130,7 +158,7 @@ void FuncNode::View<Base>::computeMemoized(Port& out) const {
       at += payloadWords(this->inWidth(i));
     }
     const FuncNode& f = this->node();
-    const BitVec result = f.fn_(args);
+    const BitVec result = f.datapath_.fn(args);
     ESL_CHECK(result.width() == this->outWidth(0),
               "FuncNode '" + f.name() + "': function returned wrong width");
     result.toWords(memo + at);

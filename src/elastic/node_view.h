@@ -11,7 +11,8 @@
 //     BitVec of any width. The node's evalComb/clockEdge run it — every
 //     interpreted kernel, and every kGeneric op of the compiled backend.
 //   * compile::ArenaView<K> (compile/arena.h): raw board addresses and the
-//     op's pre-resolved record, payloads as words. The VM runs it.
+//     op's pre-resolved record, payloads as words. The compiled backend runs
+//     it, from the context's op table.
 //
 // A record is the kind's scalar State struct, then its payload slots at
 // payloadWords(width) words each. A kind whose record holds more than its

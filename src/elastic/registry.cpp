@@ -54,69 +54,59 @@ void requireUnary(const FnSig& sig, const std::string& what, bool sameWidth = tr
     throw NetlistError(what + ": input/output width mismatch");
 }
 
+/// The core entries validate the width signature and return a catalog op;
+/// what each op computes is applyFn's (elastic/fn_op.h).
 void registerCoreFns(Registry& r) {
-  r.addFn("id", [](const FnSig& sig, const Params&, const std::string&) -> CombFn {
+  using Kind = FnOp::Kind;
+  r.addFn("id", [](const FnSig& sig, const Params&, const std::string&) -> Datapath {
     requireUnary(sig, "fn id");
-    return [](const std::vector<BitVec>& in) { return in[0]; };
+    return FnOp{Kind::kId};
   });
   r.addFn("addk", [](const FnSig& sig, const Params& p,
-                     const std::string& pfx) -> CombFn {
+                     const std::string& pfx) -> Datapath {
     requireUnary(sig, "fn addk");
     // k is a plain integer truncated to the datapath width (synth stages
     // store full 64-bit salted constants), unlike `init=` payloads which
     // must fit their channel exactly.
-    const BitVec k(sig.outWidth, p.u64(pfx + "k"));
-    return [k](const std::vector<BitVec>& in) { return in[0] + k; };
+    return FnOp{Kind::kAddK, BitVec(sig.outWidth, p.u64(pfx + "k")).toUint64()};
   });
-  r.addFn("gray", [](const FnSig& sig, const Params&, const std::string&) -> CombFn {
+  r.addFn("gray", [](const FnSig& sig, const Params&, const std::string&) -> Datapath {
     requireUnary(sig, "fn gray");
-    return [](const std::vector<BitVec>& in) { return in[0] ^ (in[0] >> 1); };
+    return FnOp{Kind::kGray};
   });
   r.addFn("permille", [](const FnSig& sig, const Params& p,
-                         const std::string& pfx) -> CombFn {
+                         const std::string& pfx) -> Datapath {
     requireUnary(sig, "fn permille", /*sameWidth=*/false);
     if (sig.outWidth != 1) throw NetlistError("fn permille: output must be 1 bit");
-    const unsigned permille = static_cast<unsigned>(p.u64(pfx + "permille"));
-    const std::uint64_t salt = p.u64(pfx + "salt", 0);
-    return [permille, salt](const std::vector<BitVec>& in) {
-      return BitVec(1, hashChancePermille(in[0].toUint64(), permille, salt) ? 1 : 0);
-    };
+    return FnOp{Kind::kPermille, static_cast<unsigned>(p.u64(pfx + "permille")),
+                p.u64(pfx + "salt", 0)};
   });
-  r.addFn("xor", [](const FnSig& sig, const Params&, const std::string&) -> CombFn {
+  r.addFn("xor", [](const FnSig& sig, const Params&, const std::string&) -> Datapath {
     if (sig.inWidths.empty()) throw NetlistError("fn xor: needs inputs");
     for (const unsigned w : sig.inWidths)
       if (w != sig.outWidth) throw NetlistError("fn xor: width mismatch");
-    return [](const std::vector<BitVec>& in) {
-      BitVec acc = in[0];
-      for (std::size_t i = 1; i < in.size(); ++i) acc = acc ^ in[i];
-      return acc;
-    };
+    return FnOp{Kind::kXor};
   });
-  r.addFn("add", [](const FnSig& sig, const Params&, const std::string&) -> CombFn {
+  r.addFn("add", [](const FnSig& sig, const Params&, const std::string&) -> Datapath {
     if (sig.inWidths.size() != 2 || sig.inWidths[0] != sig.outWidth ||
         sig.inWidths[1] != sig.outWidth)
       throw NetlistError("fn add: expects two inputs of the output width");
-    return [](const std::vector<BitVec>& in) { return in[0] + in[1]; };
+    return FnOp{Kind::kAdd};
   });
-  r.addFn("concat", [](const FnSig& sig, const Params&, const std::string&) -> CombFn {
+  r.addFn("concat", [](const FnSig& sig, const Params&, const std::string&) -> Datapath {
     if (sig.inWidths.size() != 2 ||
         sig.inWidths[0] + sig.inWidths[1] != sig.outWidth)
       throw NetlistError("fn concat: output width must be the sum of the inputs");
-    return [](const std::vector<BitVec>& in) { return in[0].concat(in[1]); };
+    return FnOp{Kind::kConcat};
   });
   // Conventional join multiplexer: input 0 selects among inputs 1..n.
-  r.addFn("joinmux", [](const FnSig& sig, const Params&, const std::string&) -> CombFn {
+  r.addFn("joinmux", [](const FnSig& sig, const Params&, const std::string&) -> Datapath {
     if (sig.inWidths.size() < 3)
       throw NetlistError("fn joinmux: needs a select and >=2 data inputs");
-    const std::uint64_t dataInputs = sig.inWidths.size() - 1;
     for (std::size_t i = 1; i < sig.inWidths.size(); ++i)
       if (sig.inWidths[i] != sig.outWidth)
         throw NetlistError("fn joinmux: data width mismatch");
-    return [dataInputs](const std::vector<BitVec>& in) {
-      const std::uint64_t sel = in[0].toUint64();
-      ESL_CHECK(sel < dataInputs, "join mux: select out of range");
-      return in[1 + sel];
-    };
+    return FnOp{Kind::kJoinMux};
   });
 }
 
@@ -167,9 +157,8 @@ void registerCoreScheds(Registry& r) {
     return std::make_unique<sched::TimeoutScheduler>(
         k, static_cast<unsigned>(p.u64(pfx + "timeout", 1)));
   });
-  r.addSched("bounded-fair", [](unsigned k, const Params& p, const std::string& pfx) {
-    return std::make_unique<sched::BoundedFairScheduler>(
-        k, static_cast<unsigned>(p.u64(pfx + "defer", 1)));
+  r.addSched("bounded-fair", [](unsigned k, const Params&, const std::string&) {
+    return std::make_unique<sched::BoundedFairScheduler>(k);
   });
   r.addSched("starving", [](unsigned k, const Params&, const std::string&) {
     return std::make_unique<sched::StarvingScheduler>(k);
@@ -263,9 +252,8 @@ void registerCoreKinds(Registry& r) {
         sig.outWidth = static_cast<unsigned>(p.u64("out"));
         if (sig.inWidths.empty())
           throw NetlistError("func '" + name + "': needs at least one input");
-        CombFn fn = r.makeFn(sig, p, "fn");
         auto& f = nl.make<FuncNode>(
-            name, sig.inWidths, sig.outWidth, std::move(fn),
+            name, sig.inWidths, sig.outWidth, r.makeFn(sig, p, "fn"),
             logic::Cost{p.real("delay", 1.0), p.real("area", 1.0)});
         const std::string role = p.str("role", "");
         if (!role.empty()) f.setRole(role);
@@ -383,8 +371,10 @@ void registerCoreKinds(Registry& r) {
 
 }  // namespace
 
-std::function<BitVec(const BitVec&)> unaryAdapter(CombFn fn) {
-  return [fn = std::move(fn)](const BitVec& x) { return fn(std::vector<BitVec>{x}); };
+std::function<BitVec(const BitVec&)> unaryAdapter(const Datapath& datapath) {
+  return [fn = datapath.closure()](const BitVec& x) {
+    return fn(std::vector<BitVec>{x});
+  };
 }
 
 Registry::Registry() {
@@ -467,8 +457,8 @@ NodeSpec Registry::describeNode(const Node& node) const {
   return spec;
 }
 
-CombFn Registry::makeFn(const FnSig& sig, const Params& p,
-                        const std::string& key) const {
+Datapath Registry::makeFn(const FnSig& sig, const Params& p,
+                          const std::string& key) const {
   const std::string name = p.str(key);
   const auto it = fns_.find(name);
   if (it == fns_.end()) throw NetlistError("unknown fn '" + name + "'");
@@ -524,9 +514,8 @@ bool Registry::describeScheduler(const sched::Scheduler& s, Params& out,
     if (t->timeout() != 1) out.setU64(key + ".timeout", t->timeout());
     return true;
   }
-  if (const auto* b = dynamic_cast<const sched::BoundedFairScheduler*>(&s)) {
+  if (dynamic_cast<const sched::BoundedFairScheduler*>(&s) != nullptr) {
     out.set(key, "bounded-fair");
-    if (b->maxDefer() != 1) out.setU64(key + ".defer", b->maxDefer());
     return true;
   }
   if (dynamic_cast<const sched::StarvingScheduler*>(&s) != nullptr) {

@@ -5,11 +5,13 @@
 // node kind constructible from data instead of only from typed C++ ctors:
 //
 //  * Registry maps kind names ("eb", "fork", "func", "shared", ...) to
-//    factories taking a Params attribute list, and — for behaviour carried by
-//    C++ closures (function blocks, token generators, gates, schedulers) —
+//    factories taking a Params attribute list, and — for behaviour a node
+//    parameterizes (function blocks, token generators, gates, schedulers) —
 //    maps *names* to parameterized implementations, so a FuncNode built from
 //    `fn=addk fn.k=7` is bit-identical to one built in C++ through the same
-//    catalog entry.
+//    catalog entry. A function entry resolves to a Datapath: the core
+//    entries to a catalog op (elastic/fn_op.h) that both simulation
+//    backends evaluate in place, the rest to an opaque closure.
 //  * NetlistSpec is the serializable value form of a whole netlist: node
 //    specs plus channel specs. It is the thing model-checker suite jobs,
 //    SimFarm sweeps and the shell's save/load/undo consume — a spec can be
@@ -90,9 +92,10 @@ class Registry {
   using NodeDescriber = std::function<Params(const Node&)>;
 
   /// `prefix` scopes the factory's attribute namespace (e.g. "fn."): a
-  /// factory for `fn=addk` reads its constant from key "fn.k".
-  using FnFactory = std::function<CombFn(const FnSig&, const Params&,
-                                         const std::string& prefix)>;
+  /// factory for `fn=addk` reads its constant from key "fn.k". It validates
+  /// the width signature and returns a catalog op or a closure.
+  using FnFactory = std::function<Datapath(const FnSig&, const Params&,
+                                           const std::string& prefix)>;
   using GenFactory = std::function<TokenSource::Generator(
       unsigned width, const Params&, const std::string& prefix)>;
   using GateFactory =
@@ -125,7 +128,7 @@ class Registry {
 
   /// Resolves the named component under `key` (e.g. key="fn" reads `fn=` for
   /// the name and `fn.*` for its parameters).
-  CombFn makeFn(const FnSig& sig, const Params& p, const std::string& key) const;
+  Datapath makeFn(const FnSig& sig, const Params& p, const std::string& key) const;
   TokenSource::Generator makeGen(unsigned width, const Params& p,
                                  const std::string& key) const;
   /// Null gate when `key` is absent.
@@ -152,10 +155,10 @@ class Registry {
   std::map<std::string, SchedFactory> scheds_;
 };
 
-/// Adapts an n-ary catalog CombFn to the unary shape SharedModule/StallingVLU
+/// Adapts a unary datapath to the closure shape SharedModule/StallingVLU
 /// consume. The adapter is pure (it captures nothing it writes), as every
 /// node closure must be: contexts on several threads call it at once.
-std::function<BitVec(const BitVec&)> unaryAdapter(CombFn fn);
+std::function<BitVec(const BitVec&)> unaryAdapter(const Datapath& datapath);
 
 /// Throws NetlistError unless `name` is a representable IR token: nonempty
 /// and `[A-Za-z0-9._@-]` only (channel names, attribute values).

@@ -62,8 +62,7 @@ class SharedModule : public Node {
   std::uint64_t demandCycles(const SimContext& ctx) const;
 
   struct State {
-    unsigned lastPrediction = 0;  ///< prediction of the latest evaluation
-    bool memoValid = false;       ///< the memo below holds fn_(memo operand)
+    bool memoValid = false;          ///< the memo below holds fn_(memo operand)
     std::uint64_t demandCycles = 0;  ///< statistic, not packed
   };
   /// Record: State, a size-1 memo of fn_ (operand, then result: fn_ is pure,
@@ -120,11 +119,11 @@ template <typename V>
 void SharedModule::comb(const V& v) {
   const SharedModule& m = v.node();
   State s = v.state();
-  s.lastPrediction = predict(v);
+  const unsigned prediction = predict(v);
   for (unsigned i = 0; i < m.channels_; ++i) {
     auto in = v.in(i);
     auto out = v.out(i);
-    const bool routed = i == s.lastPrediction;
+    const bool routed = i == prediction;
 
     const bool inVf = in.vf();
     const bool outVf = routed && inVf;
@@ -159,10 +158,7 @@ template <typename V>
 void SharedModule::edge(const V& v) {
   const SharedModule& m = v.node();
   State s = v.state();
-  // comb ran (at least once) on the settled signals, so lastPrediction is
-  // the settled prediction; predict() is pure, no need to recompute it.
   sched::Observation obs;
-  obs.predicted = s.lastPrediction;
   for (unsigned i = 0; i < m.channels_; ++i) {
     const ChannelEvents in = v.in(i).events();
     const ChannelEvents out = v.out(i).events();

@@ -26,12 +26,6 @@ void SignalBoard::atomicSetBit(std::uint64_t* w, std::uint64_t m, bool v) {
 }
 
 void SignalBoard::layout(const Netlist& nl, const ShardPlan* plan) {
-  // Process-wide generation stamp: every (re)layout gets a unique identity so
-  // address caches (the compiled Program) can detect slot permutations that
-  // happen without a topologyVersion bump (shard-count changes).
-  static std::atomic<std::uint64_t> nextLayoutGeneration{1};
-  layoutGeneration_ = nextLayoutGeneration.fetch_add(1, std::memory_order_relaxed);
-
   const unsigned shards = (plan != nullptr && plan->shards > 1) ? plan->shards : 1;
 
   slotOf_.assign(nl.channelCapacity(), kNoSlot);

@@ -63,16 +63,9 @@ class SignalBoard {
   /// (Re)computes the slot layout for the netlist's live channels and
   /// zero-initializes all signals. Audits every channel width against the
   /// endpoint ports (arena sizing depends on them; see Netlist::validate).
-  /// Every call stamps a fresh layoutGeneration() — see below.
+  /// Slot addresses resolved against an earlier layout are stale: the
+  /// context builds its op table in the same step that calls this.
   void layout(const Netlist& nl, const ShardPlan* plan = nullptr);
-
-  /// Monotonic identity of this board's slot layout, bumped by every layout()
-  /// call (process-wide counter, so two boards never alias generations).
-  /// Anything that caches resolved slot addresses — the compiled backend's
-  /// Program above all — must key its cache on this: a shard-count change
-  /// re-lays the board and permutes slots WITHOUT moving the netlist's
-  /// topologyVersion, so topology alone is not a sufficient cache key.
-  std::uint64_t layoutGeneration() const { return layoutGeneration_; }
 
   /// Copies per-channel values from another board (typically the pre-relayout
   /// board) for every live channel both boards know with matching width.
@@ -300,7 +293,6 @@ class SignalBoard {
   bool syncBoundarySlot(std::uint32_t slot);
 
   std::size_t slotCount_ = 0;             ///< multiple of 64 (padded)
-  std::uint64_t layoutGeneration_ = 0;    ///< stamped by layout(); 0 = no layout
   std::vector<std::uint32_t> slotOf_;     ///< ChannelId -> slot (kNoSlot = dead)
   std::vector<ChannelId> chOfSlot_;       ///< slot -> ChannelId (kNoChannel = pad)
   std::vector<std::uint32_t> slotWidth_;  ///< slot -> payload width

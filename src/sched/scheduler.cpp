@@ -160,10 +160,8 @@ void TimeoutScheduler::unpackBase(std::uint64_t* base, StateReader& r) const {
 
 // --- BoundedFairScheduler ---------------------------------------------------
 
-BoundedFairScheduler::BoundedFairScheduler(unsigned channels, unsigned maxDefer)
-    : channels_(channels), maxDefer_(maxDefer) {
+BoundedFairScheduler::BoundedFairScheduler(unsigned channels) : channels_(channels) {
   ESL_CHECK(channels >= 1, "BoundedFairScheduler: need at least one channel");
-  (void)maxDefer_;
 }
 
 unsigned BoundedFairScheduler::basePredict(const std::uint64_t*,

@@ -33,7 +33,6 @@ struct Observation {
   std::uint64_t demand = 0;  ///< output channel was selected-but-empty (mispredict)
   std::uint64_t served = 0;  ///< output channel completed a forward transfer
   std::uint64_t killed = 0;  ///< input token was cancelled by an anti-token
-  unsigned predicted = 0;    ///< the prediction that was in force this cycle
 };
 
 /// Whether channel `i`'s bit is set in an Observation mask.
@@ -261,14 +260,14 @@ class TimeoutScheduler : public CurrentChannelScheduler {
 };
 
 /// Nondeterministic scheduler with bounded-fairness demand correction: free
-/// choice each cycle, but a demand outstanding for `maxDefer` cycles forces
-/// the prediction to that channel. Used by the verifier as an executable
-/// over-approximation of "any scheduler satisfying the leads-to property".
+/// choice each cycle, except that a demand locks the prediction onto the
+/// demanded channel at once (CorrectingScheduler). Used by the verifier as an
+/// executable over-approximation of "any scheduler satisfying the leads-to
+/// property".
 class BoundedFairScheduler : public CorrectingScheduler {
  public:
-  explicit BoundedFairScheduler(unsigned channels, unsigned maxDefer = 1);
+  explicit BoundedFairScheduler(unsigned channels);
   unsigned channels() const override { return channels_; }
-  unsigned maxDefer() const { return maxDefer_; }
   unsigned choiceBits() const override;
   std::string name() const override { return "bounded-fair"; }
 
@@ -277,7 +276,6 @@ class BoundedFairScheduler : public CorrectingScheduler {
 
  private:
   unsigned channels_;
-  unsigned maxDefer_;  // retained for interface compatibility (lock is immediate)
 };
 
 /// Deliberately unfair: ignores demands and always predicts channel 0.

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "base/error.h"
+#include "base/executor.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "sim/state_file.h"
@@ -70,6 +71,14 @@ std::uint64_t parseNum(const std::string& what, const std::string& value) {
   throw EslError(what + " expects a number, got '" + value + "'");
 }
 
+/// A lane count (shards, workers), checked against the executor's limit
+/// before it is narrowed.
+unsigned parseLanes(const std::string& what, const std::string& value) {
+  const std::uint64_t n = parseNum(what, value);
+  Executor::checkLaneCount(n, what);
+  return static_cast<unsigned>(n);
+}
+
 std::vector<std::string> tokenize(const std::string& line) {
   std::istringstream is(line);
   std::vector<std::string> tokens;
@@ -92,9 +101,7 @@ SimSession::Options parseOptionWords(const std::vector<std::string>& t,
     } else if (t[i] == "cross-check") {
       opts.crossCheck = true;
     } else if (t[i] == "shards" && i + 1 < t.size()) {
-      const std::uint64_t shards = parseNum("shards", t[++i]);
-      SimContext::checkShardCount(shards);
-      opts.shards = static_cast<unsigned>(shards);
+      opts.shards = parseLanes("shards", t[++i]);
     } else if (t[i] == "seed" && i + 1 < t.size()) {
       opts.seed = parseNum("seed", t[++i]);
     } else {
@@ -202,7 +209,7 @@ int serveMain(int argc, char** argv) {
       if (arg == "--socket")
         config.socketPath = value();
       else if (arg == "--workers")
-        config.service.workers = static_cast<unsigned>(parseNum(arg, value()));
+        config.service.workers = parseLanes(arg, value());
       else if (arg == "--max-resident")
         config.service.maxResident =
             static_cast<std::size_t>(parseNum(arg, value()));

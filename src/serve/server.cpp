@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "base/executor.h"
 #include "frontend/esl_format.h"
 #include "netlist/patterns.h"
 #include "serve/protocol.h"
@@ -38,7 +39,7 @@ SimSession::Options sessionOptions(const json::Value& head) {
       ESL_CHECK(b == "interpreted", "unknown backend '" + b + "'");
   }
   if (const json::Value* v = head.find("shards")) {
-    SimContext::checkShardCount(v->asU64());
+    Executor::checkLaneCount(v->asU64(), "shard count");
     opts.shards = static_cast<unsigned>(v->asU64());
   }
   if (const json::Value* v = head.find("seed")) opts.seed = v->asU64();

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "base/error.h"
+#include "base/executor.h"
 #include "elastic/endpoints.h"
 #include "elastic/state_io.h"
 #include "frontend/esl_format.h"
@@ -167,7 +168,7 @@ std::unique_ptr<SimSession> SimSession::spoolLoad(
             "spool record: unknown backend " + std::to_string(backend));
   opts.backend = static_cast<SimContext::Backend>(backend);
   opts.shards = r.readU32();
-  SimContext::checkShardCount(opts.shards);
+  Executor::checkLaneCount(opts.shards, "shard count");
   opts.seed = r.readU64();
   opts.checkProtocol = r.readBool();
   opts.crossCheck = r.readBool();

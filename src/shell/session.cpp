@@ -7,6 +7,8 @@
 #include "backend/blif.h"
 #include "backend/smv.h"
 #include "backend/verilog.h"
+#include "base/executor.h"
+#include "elastic/params.h"
 #include "frontend/esl_format.h"
 #include "netlist/dot.h"
 #include "netlist/patterns.h"
@@ -276,32 +278,35 @@ std::string Session::dispatch(const std::string& line, bool replaying) {
       else if (t[i] == "cross-check")
         opts.crossCheckKernels = true;
       else {
-        const std::uint64_t shards = std::stoull(t[i]);
-        SimContext::checkShardCount(shards);
+        const std::uint64_t shards = parseU64(t[i], "sim: shard count");
+        Executor::checkLaneCount(shards, "shard count");
         opts.shards = static_cast<unsigned>(shards);
       }
     }
+    const std::uint64_t cycles = parseU64(t[1], "sim: cycle count");
     sim::Simulator s(nl, opts);
-    s.run(std::stoull(t[1]));
+    s.run(cycles);
     return sim::runReport(nl, s.ctx());
   }
   if (verb == "tput") {
     ESL_CHECK(t.size() == 3, "usage: tput <cycles> <channel>");
+    const std::uint64_t cycles = parseU64(t[1], "tput: cycle count");
     sim::Simulator s(nl, {.checkProtocol = false});
     const ChannelId ch = findChannelOrThrow(nl, t[2]);
-    s.run(std::stoull(t[1]));
+    s.run(cycles);
     os << "throughput(" << t[2] << ") = " << std::fixed << std::setprecision(4)
        << s.throughput(ch) << "\n";
     return os.str();
   }
   if (verb == "trace") {
     ESL_CHECK(t.size() >= 3, "usage: trace <cycles> <channel...>");
+    const std::uint64_t cycles = parseU64(t[1], "trace: cycle count");
     sim::TraceRecorder trace;
     for (std::size_t i = 2; i < t.size(); ++i)
       trace.addChannel(findChannelOrThrow(nl, t[i]), t[i]);
     sim::Simulator s(nl, {.checkProtocol = false});
     s.attachTrace(&trace);
-    s.run(std::stoull(t[1]));
+    s.run(cycles);
     return trace.render();
   }
   if (verb == "timing") {

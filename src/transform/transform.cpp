@@ -94,11 +94,12 @@ NodeId retimeForward(Netlist& nl, NodeId funcId) {
       throw TransformError("retimeForward: input EBs hold different token counts");
 
   // Recompute the retimed tokens through the function.
+  const CombFn fn = func->datapath().closure();
   std::vector<BitVec> outTokens;
   for (std::size_t k = 0; k < tokenCount; ++k) {
     std::vector<BitVec> args;
     for (ElasticBuffer* eb : inEbs) args.push_back(eb->initTokens()[k]);
-    outTokens.push_back(func->fn()(args));
+    outTokens.push_back(fn(args));
   }
 
   // Remove the input EBs, insert the output EB.
@@ -131,11 +132,13 @@ ShannonResult shannonDecompose(Netlist& nl, NodeId muxId, NodeId funcId) {
   ShannonResult result;
   for (unsigned i = 0; i < dataInputs; ++i) {
     const ChannelId dataCh = mux.input(1 + i);
+    // The copy carries the source's datapath — its catalog op, so a copy
+    // evaluates in place on both backends, or its closure — and, when it has
+    // them, its attributes, so duplicated registry-built functions stay
+    // serializable.
     auto& copy = nl.make<FuncNode>(func.name() + std::to_string(i),
                                    std::vector<unsigned>{func.inputWidth(0)}, outWidth,
-                                   func.fn(), func.datapathCost());
-    // A copy is reconstructible from the same attributes, so duplicated
-    // registry-built functions stay serializable.
+                                   func.datapath(), func.datapathCost());
     if (func.hasBuildParams()) copy.setBuildParams(func.buildParams());
     nl.rebindConsumer(dataCh, copy, 0);
     nl.connect(copy, 0, newMux, 1 + i);
@@ -215,7 +218,7 @@ NodeId shareFunctions(Netlist& nl, const std::vector<NodeId>& funcs, NodeId eeMu
 
   auto& shared = nl.make<SharedModule>(
       blocks.front()->name() + ".shared", static_cast<unsigned>(funcs.size()), inWidth,
-      outWidth, unaryAdapter(blocks.front()->fn()), std::move(scheduler),
+      outWidth, unaryAdapter(blocks.front()->datapath()), std::move(scheduler),
       blocks.front()->datapathCost());
   if (!sharedParams.empty()) shared.setBuildParams(std::move(sharedParams));
 

@@ -1,24 +1,33 @@
 // Compiled bytecode backend: bit-identity against the interpreted kernels.
 //
-// The compiled backend (src/compile) lowers the netlist into specialized ops
-// over raw SignalBoard addresses and runs them through the shared worklist /
-// dirty-edge loops. Its contract mirrors the sharded kernel's: settled
-// signals, packed state and sink streams are bit-identical to the interpreted
-// event-driven kernel, cycle by cycle — enforced here over every golden .esl
-// design, all four synthetic topology families (with shrink-on-failure),
+// The compiled backend (src/compile) lowers the netlist into an op table over
+// raw SignalBoard addresses, built with the board, and runs it through the
+// shared worklist / dirty-edge loops. Its contract mirrors the sharded
+// kernel's: settled signals, packed state and sink streams are bit-identical
+// to the interpreted event-driven kernel, cycle by cycle — enforced here over
+// every golden .esl design and the C++-built and Shannon-decomposed Fig. 1
+// designs, all four synthetic topology families (with shrink-on-failure),
 // payload width boundaries around the word/spill split, nondeterministic
-// environments, snapshot round-trips through the VM, recompilation after
-// netlist surgery, and the specialized FuncKind word kernels against their
-// opaque closures.
+// environments, snapshot round-trips through the compiled backend,
+// recompilation after netlist surgery, and every core catalog op, on both
+// backends and both sides of the word/object split, against an independent
+// closure — once both views evaluate the op through one template, those
+// closures and the snapshot pins are the only independent reference for
+// what the catalog computes.
 //
 // This suite carries the `compiled-kernel` CTest label so the sanitizer CI
 // legs can select it: raw arena addressing is exactly the code that must be
 // clean under ASan/UBSan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "base/rng.h"
+#include "compile/arena.h"
 #include "diff_kernels_util.h"
 #include "elastic/registry.h"
 #include "frontend/esl_format.h"
@@ -91,11 +100,29 @@ synth::SynthConfig famConfig(synth::Topology topo, std::size_t nodes,
 
 TEST(CompiledKernel, GoldenDesignsBitIdentical) {
   // Every committed .esl design: the full node catalog (speculation, shared
-  // modules, stalling VLUs, anti-token environments) through the VM.
+  // modules, stalling VLUs, anti-token environments) through the compiled
+  // backend.
   for (const std::string& name : patterns::designNames()) {
     SCOPED_TRACE(name);
     Netlist interp = frontend::buildEslFile(goldenPath(name));
     Netlist comp = frontend::buildEslFile(goldenPath(name));
+    const auto diff = lockstepCompiledDiff(interp, comp, 300);
+    EXPECT_FALSE(diff.has_value()) << *diff;
+  }
+  // Every mux above carries `fn=joinmux`. A design built in C++ carries its
+  // join mux as a catalog op without attributes (makeJoinMux), and a Shannon
+  // decomposition copies the function block's datapath, not its attributes.
+  const auto build = [](const std::string& name, bool shannon) {
+    Netlist nl = patterns::buildDesign(name);
+    if (shannon)
+      transform::shannonDecompose(nl, nl.findNode("mux")->id(), nl.findNode("F")->id());
+    return nl;
+  };
+  for (const auto& [name, shannon] : std::vector<std::pair<std::string, bool>>{
+           {"fig1a", false}, {"fig1c", false}, {"fig1a", true}}) {
+    SCOPED_TRACE("built-in " + name + (shannon ? ", Shannon-decomposed" : ""));
+    Netlist interp = build(name, shannon);
+    Netlist comp = build(name, shannon);
     const auto diff = lockstepCompiledDiff(interp, comp, 300);
     EXPECT_FALSE(diff.has_value()) << *diff;
   }
@@ -144,7 +171,7 @@ TEST(CompiledKernel, WidthBoundariesAroundTheSpillSplit) {
 
 TEST(CompiledKernel, NondetEnvironmentsDrawIdenticalChoices) {
   // The stateless (seed, cycle, node, index) choice stream must be read at
-  // the same points by the VM's specialized Nondet*/Shared ops.
+  // the same points by the compiled backend's specialized Nondet*/Shared ops.
   auto run = [](bool compiled, std::uint64_t seed) {
     synth::SynthConfig cfg = famConfig(synth::Topology::kSpecLadder, 80, 1, seed);
     cfg.nondetEnv = true;
@@ -204,10 +231,10 @@ TEST(CompiledKernel, SnapshotCrossesBackends) {
 }
 
 TEST(CompiledKernel, RecompilesAfterNetlistSurgery) {
-  // transform::insertBubble / removeBubble bump the topologyVersion; the VM
-  // must recompile its program (stale SlotAddrs would read the wrong arena
-  // offsets after the board re-layout) and stay identical to an interpreted
-  // instance undergoing the same surgery at the same cycles.
+  // transform::insertBubble / removeBubble bump the topologyVersion; the
+  // context must rebuild its op table (stale SlotAddrs would read the wrong
+  // arena offsets after the board re-layout) and stay identical to an
+  // interpreted instance undergoing the same surgery at the same cycles.
   auto surgery = [](Netlist& nl, std::uint64_t step) -> void {
     // Pick a stable interior channel by name each time (ids shift as nodes
     // are inserted); the synth pipeline names channels after its stages.
@@ -235,7 +262,7 @@ TEST(CompiledKernel, RecompilesAfterNetlistSurgery) {
 }
 
 /// Ill-formed node oscillating on its own output; compiles to a kGeneric op,
-/// so the oscillation runs through the VM's worklist budget.
+/// so the oscillation runs through the compiled backend's worklist budget.
 class CompiledOscillator : public Node {
  public:
   explicit CompiledOscillator(std::string name) : Node(std::move(name)) {
@@ -269,9 +296,9 @@ TEST(CompiledKernel, CombinationalCycleErrorParity) {
 
 TEST(CompiledKernel, CrossCheckModeRunsCleanOnPaperDesigns) {
   // Cross-check keeps the interpreted kernels as a runtime oracle against the
-  // VM (reference settle + per-node edge state replay); running is the
-  // assertion. Speculative loop + stalling VLU cover the statefully hairiest
-  // designs.
+  // compiled backend (reference settle + per-node edge state replay); running
+  // is the assertion. Speculative loop + stalling VLU cover the statefully
+  // hairiest designs.
   for (const std::string name : {"fig1d", "secded-spec", "vlu-stall"}) {
     SCOPED_TRACE(name);
     Netlist nl = frontend::buildEslFile(goldenPath(name));
@@ -282,66 +309,146 @@ TEST(CompiledKernel, CrossCheckModeRunsCleanOnPaperDesigns) {
   }
 }
 
+/// 64 `width`-bit tokens with every word random, so a wide payload's high
+/// words vary too.
+TokenSource::Generator randomTokens(unsigned width, std::uint64_t salt) {
+  return [width, salt](std::uint64_t i) -> std::optional<BitVec> {
+    if (i >= 64) return std::nullopt;
+    BitVec v(width);
+    for (unsigned lo = 0; lo < width; lo += 64)
+      v.depositBits(lo, mix64(i, salt + lo), std::min(64u, width - lo));
+    return v;
+  };
+}
+
+/// One core catalog function and an independent BitVec closure computing the
+/// same thing.
+struct CatalogCase {
+  std::string fn;
+  Params params;  ///< its fn.* attributes, unprefixed
+  std::vector<unsigned> in;
+  unsigned out;
+  CombFn reference;
+};
+
+std::vector<CatalogCase> catalogCases(unsigned w) {
+  using In = const std::vector<BitVec>&;
+  const std::uint64_t k = 0xdeadbeefcafef00dULL;  // truncated to the width
+  return {
+      {"id", {}, {w}, w, [](In in) { return in[0]; }},
+      {"addk", Params{}.setU64("k", k), {w}, w,
+       [w, k](In in) { return in[0] + BitVec(w, k); }},
+      {"gray", {}, {w}, w, [](In in) { return in[0] ^ (in[0] >> 1); }},
+      {"xor", {}, {w, w, w}, w, [](In in) { return in[0] ^ in[1] ^ in[2]; }},
+      {"add", {}, {w, w}, w, [](In in) { return in[0] + in[1]; }},
+      {"concat", {}, {w, 1}, w + 1, [](In in) { return in[0].concat(in[1]); }},
+      {"joinmux", {}, {2, w, w, w}, w,
+       [](In in) { return in[1 + in[0].toUint64()]; }},
+      {"permille", Params{}.setU64("permille", 500).setU64("salt", 7), {w}, 1,
+       [](In in) {
+         return BitVec(1, hashChancePermille(in[0].toUint64(), 500, 7) ? 1 : 0);
+       }},
+  };
+}
+
+/// Sources -> one function block -> a gray stage -> sink. The block is the
+/// catalog entry (a catalog op, evaluated in place) or the reference closure
+/// (opaque, memoized), and the gray stage likewise: it shifts a result bit
+/// above the width, which a read of the sink's channel would mask, down into
+/// view. A join mux's select stream is `selects`.
+Netlist buildCatalogCase(const CatalogCase& c, bool catalog,
+                         const std::vector<std::uint64_t>& selects) {
+  Netlist nl;
+  FuncNode& f = catalog ? makeFuncNode(nl, "f", c.in, c.out, c.fn, c.params)
+                        : nl.make<FuncNode>("f", c.in, c.out, c.reference);
+  FuncNode& g =
+      catalog ? makeFuncNode(nl, "g", {c.out}, c.out, "gray")
+              : nl.make<FuncNode>("g", std::vector<unsigned>{c.out}, c.out,
+                                  [](const std::vector<BitVec>& in) {
+                                    return in[0] ^ (in[0] >> 1);
+                                  });
+  EXPECT_EQ(f.datapath().op.kind == FnOp::Kind::kOpaque, !catalog) << c.fn;
+  for (unsigned i = 0; i < c.in.size(); ++i) {
+    auto gen = c.fn == "joinmux" && i == 0 ? TokenSource::listOf(selects, c.in[0])
+                                           : randomTokens(c.in[i], 101 * i + 1);
+    auto& src = nl.make<TokenSource>("src" + std::to_string(i), c.in[i], gen);
+    nl.connect(src, 0, f, i);
+  }
+  auto& sink = nl.make<TokenSink>("sink", c.out);
+  nl.connect(f, 0, g, 0);
+  nl.connect(g, 0, sink, 0);
+  return nl;
+}
+
+/// The sink's (cycle, payload) stream over 100 cycles on `backend`.
+std::vector<std::pair<std::uint64_t, BitVec>> sinkStream(Netlist& nl,
+                                                        SimContext::Backend backend) {
+  sim::SimOptions o = interpOpts();
+  o.backend = backend;
+  sim::Simulator s(nl, o);
+  const ChannelId in = nl.findNode("sink")->input(0);
+  s.ctx().logTransfers(in);
+  s.run(100);
+  std::vector<std::pair<std::uint64_t, BitVec>> stream;
+  for (const auto& t : s.ctx().transfers(in)) stream.emplace_back(t.cycle, t.data);
+  return stream;
+}
+
 TEST(CompiledKernel, SpecializedFuncKernelsMatchOpaqueClosures) {
-  // The same dataflow built twice: once through the registry (fn=gray /
-  // fn=addk / fn=xor attributes -> FuncKind word kernels), once with plain
-  // C++ lambdas (no build attributes -> kOpaque memo path). Both run on the
-  // compiled backend; identical sink streams prove the word kernels agree
-  // with the closures they replace.
-  const unsigned w = 16;
-  auto buildRegistry = [&](Netlist& nl) {
-    auto& src = nl.make<TokenSource>(
-        "src", w, TokenSource::listOf(test::iota(64, 1), w));
-    auto& fork = nl.make<ForkNode>("fork", w, 2);
-    auto& gray = makeFuncNode(nl, "gray", {w}, w, "gray");
-    auto& addk = makeFuncNode(nl, "addk", {w}, w, "addk",
-                              Params{}.setU64("k", 5));
-    auto& mix = makeFuncNode(nl, "mix", {w, w}, w, "xor");
-    auto& sink = nl.make<TokenSink>("sink", w);
-    nl.connect(src, 0, fork, 0);
-    nl.connect(fork, 0, gray, 0);
-    nl.connect(fork, 1, addk, 0);
-    nl.connect(gray, 0, mix, 0);
-    nl.connect(addk, 0, mix, 1);
-    nl.connect(mix, 0, sink, 0);
-    return &sink;
-  };
-  auto buildOpaque = [&](Netlist& nl) {
-    auto& src = nl.make<TokenSource>(
-        "src", w, TokenSource::listOf(test::iota(64, 1), w));
-    auto& fork = nl.make<ForkNode>("fork", w, 2);
-    auto& gray = nl.make<FuncNode>(
-        "gray", std::vector<unsigned>{w}, w, [](const std::vector<BitVec>& in) {
-          return in[0] ^ (in[0] >> 1);
-        });
-    auto& addk = nl.make<FuncNode>(
-        "addk", std::vector<unsigned>{w}, w, [w](const std::vector<BitVec>& in) {
-          return in[0] + BitVec(w, 5);
-        });
-    auto& mix = nl.make<FuncNode>(
-        "mix", std::vector<unsigned>{w, w}, w,
-        [](const std::vector<BitVec>& in) { return in[0] ^ in[1]; });
-    auto& sink = nl.make<TokenSink>("sink", w);
-    nl.connect(src, 0, fork, 0);
-    nl.connect(fork, 0, gray, 0);
-    nl.connect(fork, 1, addk, 0);
-    nl.connect(gray, 0, mix, 0);
-    nl.connect(addk, 0, mix, 1);
-    nl.connect(mix, 0, sink, 0);
-    return &sink;
-  };
-  Netlist a, b;
-  TokenSink* sa = buildRegistry(a);
-  TokenSink* sb = buildOpaque(b);
-  sim::Simulator simA(a, compiledOpts());
-  sim::Simulator simB(b, compiledOpts());
-  test::logSinks(simA);
-  test::logSinks(simB);
-  simA.run(200);
-  simB.run(200);
-  EXPECT_EQ(test::receivedValues(simA, *sa), test::receivedValues(simB, *sb));
-  EXPECT_EQ(test::receivedCycles(simA, *sa), test::receivedCycles(simB, *sb));
-  EXPECT_EQ(test::receivedValues(simA, *sa).size(), 64u);
+  // Both views evaluate a catalog op through one template (applyFn), so an
+  // independent closure is the reference for what each core catalog function
+  // computes. Every one runs through the registry and as its reference
+  // closure, on both backends, at widths on both sides of the word/object
+  // split: 1, 63 and 64 bits run as words on the compiled backend, 65, 72
+  // and 144 bits through the object view; the concat case reaches 64 and 65
+  // bits. All four runs must deliver the same sink stream.
+  const std::vector<std::uint64_t> selects = [] {
+    std::vector<std::uint64_t> v;
+    for (std::uint64_t i = 0; i < 64; ++i) v.push_back(i % 3);
+    return v;
+  }();
+  for (const unsigned w : {1u, 63u, 64u, 65u, 72u, 144u}) {
+    for (const CatalogCase& c : catalogCases(w)) {
+      SCOPED_TRACE(c.fn + " at " + std::to_string(w) + " bits");
+      Netlist reference = buildCatalogCase(c, false, selects);
+      const auto expected = sinkStream(reference, SimContext::Backend::kInterpreted);
+      ASSERT_EQ(expected.size(), 64u);
+      for (const auto backend :
+           {SimContext::Backend::kInterpreted, SimContext::Backend::kCompiled}) {
+        Netlist catalog = buildCatalogCase(c, true, selects);
+        EXPECT_EQ(sinkStream(catalog, backend), expected);
+        Netlist opaque = buildCatalogCase(c, false, selects);
+        EXPECT_EQ(sinkStream(opaque, backend), expected);
+      }
+    }
+  }
+  // A 64-bit low half leaves the word no room for a high half: concat must
+  // not shift by 64.
+  EXPECT_EQ(compile::Word(64, ~std::uint64_t{0}).concat(compile::Word(0, 0)).toUint64(),
+            ~std::uint64_t{0});
+}
+
+TEST(CompiledKernel, JoinMuxSelectOutOfRangeThrowsTheSameOnBothBackends) {
+  // The select-range check exists once, in applyFn: a word-wide and a wide
+  // join mux report the same error on both backends.
+  for (const unsigned w : {8u, 72u}) {
+    SCOPED_TRACE(std::to_string(w) + " bits");
+    const CatalogCase mux = catalogCases(w)[6];
+    ASSERT_EQ(mux.fn, "joinmux");
+    const auto errorOn = [&](SimContext::Backend backend) -> std::string {
+      Netlist nl = buildCatalogCase(mux, true, {1, 3});
+      try {
+        sinkStream(nl, backend);
+      } catch (const EslError& e) {
+        return e.what();
+      }
+      return "no error";
+    };
+    const std::string interpreted = errorOn(SimContext::Backend::kInterpreted);
+    EXPECT_NE(interpreted.find("join mux: select out of range"), std::string::npos)
+        << interpreted;
+    EXPECT_EQ(errorOn(SimContext::Backend::kCompiled), interpreted);
+  }
 }
 
 TEST(CompiledKernel, BackendSwitchMidRunPreservesSignals) {

@@ -114,6 +114,16 @@ TEST(Executor, AutoLaneCountIsPositive) {
   EXPECT_EQ(count.load(), 10u);
 }
 
+TEST(Executor, RefusesMoreLanesThanTheLimitBeforeStartingAny) {
+  // Each lane past the first is an OS thread, so a count from outside above
+  // the limit throws before a single thread starts — and a check on the wide
+  // value catches what a narrowing to unsigned would wrap (2^32 + 2 -> 2).
+  EXPECT_THROW(Executor(Executor::kMaxLanes + 1), EslError);
+  EXPECT_THROW(Executor::checkLaneCount((std::uint64_t{1} << 32) | 2, "workers"),
+               EslError);
+  EXPECT_NO_THROW(Executor::checkLaneCount(Executor::kMaxLanes, "workers"));
+}
+
 // --- External task submission (the serve scheduler's entry point) ----------
 
 TEST(Executor, SubmitFromManyForeignThreadsRunsEveryTask) {

@@ -102,7 +102,7 @@ TEST(FourWay, LeadsToHoldsWithBoundedFairScheduler) {
   auto& fork = nl.make<ForkNode>("fork", 2, 5);
   auto& shared = nl.make<SharedModule>(
       "shared", 4, 2, 2, [](const BitVec& x) { return x; },
-      std::make_unique<sched::BoundedFairScheduler>(4, 1));
+      std::make_unique<sched::BoundedFairScheduler>(4));
   auto& mux = nl.make<EarlyEvalMux>("mux", 4, 2, 2);
   auto& sink = nl.make<NondetSink>("env.sink", 2, 2);
   nl.connect(src, 0, fork, 0, "stem");

@@ -178,7 +178,7 @@ TEST(TimeoutScheduler, ServiceResetsTheTimer) {
 }
 
 TEST(BoundedFairScheduler, ChoiceBitsDrivePrediction) {
-  const BoundedFairScheduler policy(2, 1);
+  const BoundedFairScheduler policy(2);
   Driven s(policy);
   EXPECT_EQ(policy.choiceBits(), 1u);
   EXPECT_EQ(s.predict([](unsigned) { return false; }), 0u);

@@ -289,7 +289,7 @@ TEST(ServeSession, SpoolLoadRejectsOutOfRangeOptions) {
       EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
     }
   };
-  expectRefused(withU32(record, 4, SimContext::kMaxShards + 1), "above the limit");
+  expectRefused(withU32(record, 4, Executor::kMaxLanes + 1), "above the limit");
   expectRefused(withU32(record, 4, ~0u), "above the limit");
   expectRefused(withU32(record, 0, 7), "unknown backend 7");
 }
@@ -563,6 +563,13 @@ TEST(ServeService, EvictionKeepsAViolationThatSpansIt) {
   svc.close("other");
 }
 
+TEST(ServeService, RefusesMoreWorkersThanTheLaneLimit) {
+  // The executor checks its lane count before it starts a thread.
+  Service::Config cfg;
+  cfg.workers = Executor::kMaxLanes + 1;
+  EXPECT_THROW(Service svc(cfg), EslError);
+}
+
 TEST(ServeService, AdmissionControlRefusesRatherThanGrows) {
   Service::Config cfg;
   cfg.workers = 1;
@@ -794,7 +801,7 @@ TEST(ServeWire, OpenAboveTheShardLimitGetsAnErrorAndServingGoesOn) {
   // integer.
   std::uint64_t id = 2;
   for (const std::uint64_t shards :
-       {std::uint64_t{SimContext::kMaxShards} + 1, (std::uint64_t{1} << 32) | 2,
+       {std::uint64_t{Executor::kMaxLanes} + 1, (std::uint64_t{1} << 32) | 2,
         (std::uint64_t{1} << 53) - 1}) {
     json::Value open = json::Value::object();
     open.set("id", json::Value::number(id++));

@@ -403,7 +403,7 @@ TEST(ServeFault, OutOfRangeSpoolOptionsFailTheFirstOpAndServingGoesOn) {
       record[20 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
     spool.writeRecord(sid, record);
   };
-  patch("wide", 4, SimContext::kMaxShards + 1);
+  patch("wide", 4, Executor::kMaxLanes + 1);
   patch("odd", 0, 7);
 
   Service svc2(cfg);

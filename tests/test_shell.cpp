@@ -76,6 +76,18 @@ TEST(Shell, ErrorsAreReportedNotThrown) {
   EXPECT_NE(s.execute("build nosuch").find("error: unknown design"), std::string::npos);
 }
 
+TEST(Shell, CountsParseStrictly) {
+  // Cycle and shard counts parse strictly: garbage and negative numbers come
+  // back as errors (a sign-wrapped "-1" would run 2^64-1 cycles), and the
+  // session keeps working afterwards.
+  Session s;
+  s.execute("build fig1a");
+  for (const std::string cmd :
+       {"sim abc", "sim -1", "sim 10 abc", "tput -1 pc.out", "trace x pc.out"})
+    EXPECT_EQ(s.execute(cmd).rfind("error:", 0), 0u) << cmd;
+  EXPECT_NE(s.execute("tput 200 pc.out").find("1.0000"), std::string::npos);
+}
+
 TEST(Shell, CandidatesAndSpeculationRecipe) {
   Session s;
   s.execute("build fig1a");

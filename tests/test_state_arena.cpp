@@ -192,10 +192,11 @@ TEST(StateArena, ThreeWayLockstepUnderArena) {
 
 TEST(StateArena, RecompilesOnBoardRelayoutWithoutTopologyBump) {
   // setShards() re-lays the SignalBoard (boundary slots migrate to the top)
-  // WITHOUT bumping the netlist's topologyVersion. The program cache keys on
-  // the (topologyVersion, layoutGeneration) pair; a cache keyed on topology
-  // alone would replay stale SlotAddrs into the permuted layout. Flip the
-  // layout mid-run, twice, against an interpreted reference.
+  // WITHOUT bumping the netlist's topologyVersion. The op table is built in
+  // the same step that lays out the board, so it never outlives its layout;
+  // one kept across the relayout would replay stale SlotAddrs into the
+  // permuted slots. Flip the layout mid-run, twice, against an interpreted
+  // reference.
   synth::SynthConfig cfg;
   cfg.topology = synth::Topology::kRandomDag;
   cfg.targetNodes = 160;

@@ -97,7 +97,7 @@ Netlist sharedMuxHarness(std::unique_ptr<sched::Scheduler> sched) {
 TEST(Verify, SharedModuleWithEeMuxSatisfiesSelfProtocol) {
   // §4.2: "all controllers comply with the SELF protocol"; shared-module
   // outputs are exempt from Retry+ persistence (non-persistent by design).
-  Netlist nl = sharedMuxHarness(std::make_unique<sched::BoundedFairScheduler>(2, 1));
+  Netlist nl = sharedMuxHarness(std::make_unique<sched::BoundedFairScheduler>(2));
   const auto report = verify::checkSelfProtocol(nl);
   EXPECT_FALSE(report.explore.truncated);
   EXPECT_TRUE(report.ok()) << report.firstViolation();
@@ -106,7 +106,7 @@ TEST(Verify, SharedModuleWithEeMuxSatisfiesSelfProtocol) {
 TEST(Verify, LeadsToHoldsForBoundedFairScheduler) {
   // §4.2: a shared module with any leads-to scheduler serves or kills every
   // arriving token (the refinement argument, checked explicitly here).
-  Netlist nl = sharedMuxHarness(std::make_unique<sched::BoundedFairScheduler>(2, 1));
+  Netlist nl = sharedMuxHarness(std::make_unique<sched::BoundedFairScheduler>(2));
   Node* shared = nl.findNode("shared");
   ASSERT_NE(shared, nullptr);
   const auto report = verify::checkSchedulerLeadsTo(nl, shared->id());

@@ -41,7 +41,7 @@ Netlist sharedMuxHarness() {
   auto& fork = nl.make<ForkNode>("fork", 1, 3);
   auto& shared = nl.make<SharedModule>(
       "shared", 2, 1, 1, [](const BitVec& x) { return x; },
-      std::make_unique<sched::BoundedFairScheduler>(2, 1));
+      std::make_unique<sched::BoundedFairScheduler>(2));
   auto& mux = nl.make<EarlyEvalMux>("mux", 2, 1, 1);
   auto& sink = nl.make<NondetSink>("env.sink", 1, 2);
   nl.connect(src, 0, fork, 0, "stem");

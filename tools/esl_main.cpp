@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "base/executor.h"
 #include "frontend/esl_format.h"
 #include "netlist/patterns.h"
 #include "serve/cli.h"
@@ -116,6 +117,17 @@ std::uint64_t parseNum(const std::string& flag, const std::string& value) {
   std::exit(1);
 }
 
+/// A lane count (shards, checker workers): a number no larger than
+/// Executor::kMaxLanes, checked before it is narrowed; usage error otherwise.
+unsigned parseLanes(const std::string& flag, const std::string& value) {
+  const std::uint64_t n = parseNum(flag, value);
+  if (n > esl::Executor::kMaxLanes) {
+    std::cerr << "esl: " << flag << " is at most " << esl::Executor::kMaxLanes << "\n";
+    std::exit(1);
+  }
+  return static_cast<unsigned>(n);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -157,11 +169,7 @@ int main(int argc, char** argv) {
       doSim = true;
       simCycles = parseNum(arg, value());
     } else if (arg == "--shards") {
-      simShards = parseNum(arg, value());
-      if (simShards > SimContext::kMaxShards) {
-        std::cerr << "esl: --shards is at most " << SimContext::kMaxShards << "\n";
-        return 1;
-      }
+      simShards = parseLanes(arg, value());
     } else if (arg == "--backend") {
       simBackend = value();
       if (simBackend != "compiled" && simBackend != "interpreted") {
@@ -176,7 +184,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--check") {
       doCheck = true;
     } else if (arg == "--workers") {
-      checkOptions.workers = static_cast<unsigned>(parseNum(arg, value()));
+      checkOptions.workers = parseLanes(arg, value());
     } else if (arg == "--max-states") {
       checkOptions.maxStates = parseNum(arg, value());
     } else if (arg == "--emit") {
