@@ -7,8 +7,6 @@ void throwInternal(const char* cond, const char* file, int line) {
                       file + ":" + std::to_string(line));
 }
 
-void throwCheck(const std::string& msg, const char* file, int line) {
-  throw EslError(msg + " (" + file + ":" + std::to_string(line) + ")");
-}
+void throwCheck(const std::string& msg) { throw EslError(msg); }
 
 }  // namespace esl::detail

@@ -54,7 +54,7 @@ class ParseError : public EslError {
 
 namespace detail {
 [[noreturn]] void throwInternal(const char* cond, const char* file, int line);
-[[noreturn]] void throwCheck(const std::string& msg, const char* file, int line);
+[[noreturn]] void throwCheck(const std::string& msg);
 }  // namespace detail
 
 }  // namespace esl
@@ -65,8 +65,9 @@ namespace detail {
     if (!(cond)) ::esl::detail::throwInternal(#cond, __FILE__, __LINE__); \
   } while (false)
 
-/// User-facing precondition with message.
-#define ESL_CHECK(cond, msg)                                      \
-  do {                                                            \
-    if (!(cond)) ::esl::detail::throwCheck((msg), __FILE__, __LINE__); \
+/// User-facing precondition: throws EslError carrying `msg` alone (a user
+/// reads it, so it names no source location).
+#define ESL_CHECK(cond, msg)                       \
+  do {                                             \
+    if (!(cond)) ::esl::detail::throwCheck((msg)); \
   } while (false)

@@ -191,9 +191,10 @@ struct Executor::Impl {
   std::condition_variable idleCv;
 };
 
-void Executor::checkLaneCount(std::uint64_t n, const std::string& what) {
+unsigned Executor::checkLaneCount(std::uint64_t n, const std::string& what) {
   ESL_CHECK(n <= kMaxLanes, what + " " + std::to_string(n) +
                                 " is above the limit of " + std::to_string(kMaxLanes));
+  return static_cast<unsigned>(n);
 }
 
 Executor::Executor(unsigned threads)

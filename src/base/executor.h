@@ -29,9 +29,10 @@ class Executor {
   /// model checker's and the serve daemon's workers, from a flag, a frame or
   /// a spool record — is held to this before any thread starts.
   static constexpr unsigned kMaxLanes = 256;
-  /// Throws EslError if `n` is above kMaxLanes; `what` names the count in
-  /// the message. Callers that narrow a wider count check it first.
-  static void checkLaneCount(std::uint64_t n, const std::string& what);
+  /// Returns `n` narrowed to a lane count, or throws EslError ("<what> <n> is
+  /// above the limit of 256") if it is above kMaxLanes. Every front end
+  /// narrows a lane count through this.
+  static unsigned checkLaneCount(std::uint64_t n, const std::string& what);
 
   /// `threads` is the total number of lanes including the calling thread;
   /// 0 means one lane per hardware thread (at most kMaxLanes). Throws

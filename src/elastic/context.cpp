@@ -40,7 +40,6 @@ void SimContext::ensureTopologyCache() {
   seedNodes_.clear();
   cycleSeedNodes_.clear();
   choiceNodes_.clear();
-  alwaysEdgeNodes_.clear();
   nodeUnaudited_.assign(netlist_.nodeCapacity(), 0);
   nodeStateDriven_.assign(netlist_.nodeCapacity(), 0);
   nodeEdgeOnEvents_.assign(netlist_.nodeCapacity(), 0);
@@ -63,8 +62,6 @@ void SimContext::ensureTopologyCache() {
     if (node.choiceCount() > 0) choiceNodes_.push_back(id);
     if (node.edgeActivity() == Node::EdgeActivity::kOnEvents)
       nodeEdgeOnEvents_[id] = 1;
-    else
-      alwaysEdgeNodes_.push_back(id);
   }
   liveChannels_ = netlist_.channelIds();
 
@@ -87,7 +84,6 @@ void SimContext::ensureTopologyCache() {
     shardState_[s].owned.push_back(liveNodes_[i]);
   }
   for (Shard& sh : shardState_) {
-    sh.loId = sh.owned.empty() ? 0 : sh.owned.front();
     sh.hiId = sh.owned.empty() ? 0 : sh.owned.back();
     sh.alwaysEdge.clear();
     for (const NodeId id : sh.owned)
@@ -321,9 +317,10 @@ void SimContext::rebuildHotGroups() {
 }
 
 void SimContext::resolveAllChoices() {
-  // Sharded settles pre-resolve every slot single-threaded so the cache is
-  // read-only under workers. Identical to lazy resolution because the
-  // provider is order-independent (a pure per-cycle function of node/index).
+  // Settles over more than one shard pre-resolve every slot single-threaded
+  // so the cache is read-only under workers. Identical to lazy resolution
+  // because the provider is order-independent (a pure per-cycle function of
+  // node/index).
   if (totalChoices_ == 0) return;
   for (const NodeId id : choiceNodes_) {
     const Node& node = *nodePtr_[id];
@@ -337,12 +334,8 @@ void SimContext::settle() {
     settleCrossChecked();
   } else if (kernel_ == SettleKernel::kSweep) {
     settleSweep();
-  } else if (backend_ == Backend::kCompiled) {
-    settleCompiled();
-  } else if (shards_ > 1) {
-    settleSharded();
   } else {
-    settleEventDriven();
+    settleEvent();
   }
 }
 
@@ -364,20 +357,21 @@ void SimContext::settleSweep() {
       " sweeps (combinational cycle in data or control)");
 }
 
-void SimContext::settleEventDriven() {
-  settleEventDrivenWith([this](NodeId id) { nodePtr_[id]->evalComb(*this); });
-}
-
-void SimContext::settleCompiled() {
+void SimContext::settleEvent() {
   ensureTopologyCache();  // the op table is current before addressing it
-  bindOps();
-  if (shards_ > 1)
-    settleShardedWith([this](NodeId id) { evalOp(id); });
-  else
-    settleEventDrivenWith([this](NodeId id) { evalOp(id); });
+  if (backend_ == Backend::kCompiled) {
+    bindOps();
+    settleWith([this](NodeId id) { evalOp(id); });
+  } else {
+    settleWith([this](NodeId id) { nodePtr_[id]->evalComb(*this); });
+  }
 }
 
 void SimContext::seedShards(std::uint64_t gen) {
+  // Seeding tiers: after reset/rewiring every node; after a full (untracked)
+  // edge or an unpackState every stateful node; in dirty-tracked steady state
+  // only the per-cycle readers plus the nodes each shard clocked at the
+  // preceding edge.
   const auto pushOwned = [&](NodeId id) {
     pushInto(shardState_[plan_.nodeShard[id]], gen, id);
   };
@@ -387,24 +381,16 @@ void SimContext::seedShards(std::uint64_t gen) {
     for (const NodeId id : seedNodes_) pushOwned(id);
   } else {
     for (const NodeId id : cycleSeedNodes_) pushOwned(id);
-    for (const NodeId id : prevClocked_) pushOwned(id);
+    for (Shard& sh : shardState_)
+      for (const NodeId id : sh.clocked) pushInto(sh, gen, id);
   }
   needFullSeed_ = false;
-}
-
-void SimContext::settleSharded() {
-  settleShardedWith([this](NodeId id) { nodePtr_[id]->evalComb(*this); });
 }
 
 void SimContext::settleCrossChecked() {
   ensureTopologyCache();  // refresh layout (and the scratch boards) FIRST
   ccPre_.copyValuesFrom(board_);
-  if (backend_ == Backend::kCompiled)
-    settleCompiled();
-  else if (shards_ > 1)
-    settleSharded();
-  else
-    settleEventDriven();
+  settleEvent();
   ccEvent_.copyValuesFrom(board_);
   board_.copyValuesFrom(ccPre_);
   settleSweep();
@@ -504,12 +490,8 @@ void SimContext::edge() {
     edgeAudited();
   else if (!edgeTrackValid_)
     edgeFull();
-  else if (backend_ == Backend::kCompiled)
-    edgeCompiled();
-  else if (shards_ > 1)
-    edgeSharded();
   else
-    edgeSparse();
+    edgeEvent();
   edgeEpilogue();
 }
 
@@ -518,20 +500,13 @@ void SimContext::edgeFull() {
   sparseSeedValid_ = false;  // anything may have changed state
 }
 
-void SimContext::edgeCompiled() {
-  bindOps();
-  if (shards_ > 1)
-    edgeShardedWith([this](NodeId id) { edgeOp(id, true); });
-  else
-    edgeSparseWith([this](NodeId id) { edgeOp(id, true); });
-}
-
-void SimContext::edgeSparse() {
-  edgeSparseWith([this](NodeId id) { nodePtr_[id]->clockEdge(*this); });
-}
-
-void SimContext::edgeSharded() {
-  edgeShardedWith([this](NodeId id) { nodePtr_[id]->clockEdge(*this); });
+void SimContext::edgeEvent() {
+  if (backend_ == Backend::kCompiled) {
+    bindOps();
+    edgeWith([this](NodeId id) { edgeOp(id, true); });
+  } else {
+    edgeWith([this](NodeId id) { nodePtr_[id]->clockEdge(*this); });
+  }
 }
 
 void SimContext::edgeAudited() {
@@ -550,13 +525,13 @@ void SimContext::edgeAudited() {
   // statistics suppressed, and require byte-identical packState().
   const bool auditCompiled = backend_ == Backend::kCompiled;
   if (auditCompiled) bindOps();
-  prevClocked_.clear();
+  for (Shard& sh : shardState_) sh.clocked.clear();
   for (const NodeId id : liveNodes_) {
     const Node& node = *nodePtr_[id];
     std::uint64_t* rec = record(id);
     const bool wouldSkip = nodeEdgeOnEvents_[id] && !nodeHasEvent[id];
     if (!wouldSkip) {
-      if (nodeStateful_[id]) prevClocked_.push_back(id);
+      if (nodeStateful_[id]) shardState_[plan_.nodeShard[id]].clocked.push_back(id);
       if (auditCompiled && program_.ops[id].code != compile::OpCode::kGeneric) {
         StateWriter w0;
         node.packState(rec, w0);

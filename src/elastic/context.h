@@ -32,25 +32,30 @@
 //
 // --- Sharded cycles ---------------------------------------------------------
 //
-// setShards(N > 1) partitions ONE netlist into N contiguous node blocks and
-// runs each cycle shard-parallel on a work-stealing Executor:
+// One event kernel runs every shard count: setShards(N) partitions ONE netlist
+// into N contiguous node blocks, and a serial context is the case N = 1, one
+// block that owns every node. Each cycle runs shard-parallel on a
+// work-stealing Executor:
 //   * settle: level-synchronous rounds. Within a round every shard drains its
-//     own worklist exactly like the serial event kernel (interior channels —
-//     both endpoints owned — live in shard-exclusive bitplane ranges), while
-//     writes to boundary channels are staged in the SignalBoard's back copy.
-//     Between rounds a serial barrier step publishes changed boundary values
-//     and seeds their cross-shard readers; the settle ends when a round stages
-//     no boundary change and every worklist is empty. The result is the same
-//     unique fixed point the serial kernels reach, so settled signals — and
-//     therefore packState() — are bit-identical for every shard count.
+//     own worklist (interior channels — both endpoints owned — live in
+//     shard-exclusive bitplane ranges), while writes to boundary channels are
+//     staged in the SignalBoard's back copy. Between rounds a serial barrier
+//     step publishes changed boundary values and seeds their cross-shard
+//     readers; the settle ends when a round stages no boundary change and
+//     every worklist is empty. The result is the same unique fixed point the
+//     sweep kernel reaches, so settled signals — and therefore packState() —
+//     are bit-identical for every shard count.
 //   * edge: each shard sweeps its interior plane range (plus the boundary
 //     region, filtered by ownership) for event bits and clocks only its own
 //     nodes. clockEdge writes only its node's record (in the shard's own
 //     slice), so no synchronization is needed beyond the join barrier.
-// Per-cycle choice bits are pre-resolved serially before the parallel phases
-// (the provider must be a pure function of (node, index) per cycle — see
-// sim::Simulator, whose provider hashes (seed, cycle, node, index)), keeping
-// resolution order-independent and the cache read-only under workers.
+// With more than one shard, per-cycle choice bits are pre-resolved serially
+// before the parallel phases (the provider must be a pure function of
+// (node, index) per cycle — see sim::Simulator, whose provider hashes (seed,
+// cycle, node, index)), keeping resolution order-independent and the cache
+// read-only under workers. One shard has no boundary region, so its cycle is
+// one drain and one edge scan on the calling thread: no staging, no barrier
+// rounds, no executor, and choice bits resolve lazily as nodes read them.
 //
 // --- Node state --------------------------------------------------------------
 //
@@ -281,7 +286,7 @@ class SimContext {
   struct Shard {
     std::vector<NodeId> owned;       ///< live nodes, ascending id
     std::vector<NodeId> alwaysEdge;  ///< owned nodes with kEveryCycle
-    NodeId loId = 0, hiId = 0;       ///< id range [loId, hiId]
+    NodeId hiId = 0;                 ///< highest owned id
     std::size_t pending = 0;         ///< worklist size (gen-stamped membership)
     std::size_t cursorW = 0;         ///< lowest bitmap word that may be pending
     std::vector<NodeId> edgeList;    ///< per-edge scratch: nodes to clock
@@ -318,9 +323,10 @@ class SimContext {
     }
   }
   void settleSweep();
-  void settleEventDriven();
-  void settleSharded();
-  void settleCompiled();
+  /// The event-driven settle and dirty-tracked edge, through the backend's
+  /// per-node dispatch.
+  void settleEvent();
+  void edgeEvent();
   void settleCrossChecked();
   void pushInto(Shard& sh, std::uint64_t gen, NodeId id) {
     const std::size_t w = id >> 6;
@@ -337,13 +343,15 @@ class SimContext {
   }
   void seedShards(std::uint64_t gen);
 
-  // --- backend-generic kernel loops ------------------------------------------
-  // The serial event-driven settle and the dirty-tracked edge are templates
-  // over the per-node dispatch: the interpreted kernel passes virtual
-  // evalComb/clockEdge calls, the compiled backend passes evalOp/edgeOp.
-  // Sharing the loops makes seeding, worklist order, change consumption and
-  // hot-group maintenance — and therefore the settled fixpoint and the set of
-  // clocked nodes — identical by construction across backends.
+  // --- the event kernel loops ------------------------------------------------
+  // One settle and one edge loop serve every backend and shard count. They are
+  // templates over the per-node dispatch: the interpreted backend passes the
+  // virtual evalComb/clockEdge, the compiled backend evalOp/edgeOp. Sharing the
+  // loops makes seeding, worklist order, change consumption and hot-group
+  // maintenance — and therefore the settled fixpoint and the set of clocked
+  // nodes — identical by construction across backends. A serial context is
+  // one shard that owns every node: its board has no boundary region, so the
+  // loops run that shard's body once on the calling thread.
 
   /// The compiled backend's per-node dispatch: node `id`'s op from the op
   /// table, its kind's comb/edge template through the arena view
@@ -357,8 +365,8 @@ class SimContext {
   /// Fetches the raw board and record addresses the ops run over.
   void bindOps();
 
-  /// One shard's worklist drain (the body of drainShard). `eval(id)` must
-  /// evaluate node `id`'s combinational function against the board.
+  /// One shard's worklist drain. `eval(id)` must evaluate node `id`'s
+  /// combinational function against the board.
   template <typename Eval>
   void drainShardWith(unsigned s, std::uint64_t gen, std::uint32_t maxEvals,
                       const Eval& eval) {
@@ -402,11 +410,13 @@ class SimContext {
     }
   }
 
-  /// The serial event-driven settle (the body of settleEventDriven).
+  /// The event-driven settle: seed every shard, then drain to the fixed
+  /// point. With one shard that is a single drain. With more, the drains run
+  /// in level-synchronous rounds under boundary staging, and a serial barrier
+  /// step between rounds publishes staged boundary changes and seeds their
+  /// cross-shard readers.
   template <typename Eval>
-  void settleEventDrivenWith(const Eval& eval) {
-    ensureTopologyCache();
-
+  void settleWith(const Eval& eval) {
     // The board's changed bits mirror every un-consumed write, so change
     // tracking stays valid across cycles: this refresh runs once after
     // reset/rewiring/sweep interludes, not every settle.
@@ -415,82 +425,6 @@ class SimContext {
       changeTrackValid_ = true;
       rebuildHotGroups();
     }
-
-    // The serial kernel IS the sharded drain restricted to one all-owning
-    // shard (no boundary region exists, so no staging or barrier rounds):
-    // seed, then drain to the fixed point. Seeding tiers: after
-    // reset/rewiring every node; after a full (untracked) edge or an
-    // unpackState every stateful node; in dirty-tracked steady state only the
-    // per-cycle readers plus the nodes clocked at the preceding edge.
-    const std::uint64_t gen = ++settleGen_;
-    Shard& sh = shardState_.front();
-    sh.pending = 0;
-    sh.cursorW = (static_cast<std::size_t>(sh.hiId) >> 6) + 1;
-    seedShards(gen);
-    drainShardWith(0, gen, evalBudget(), eval);
-    edgeTrackValid_ = true;
-  }
-
-  /// The serial dirty-tracked clock edge (the body of edgeSparse). `clock(id)`
-  /// must run node `id`'s sequential update from the settled board.
-  template <typename Clock>
-  void edgeSparseWith(const Clock& clock) {
-    // Clock only (a) nodes whose hint demands every cycle and (b) nodes
-    // adjacent to a channel with an actual transfer/kill event. The scan walks
-    // the incrementally maintained hot-group list — 64 channels per entry,
-    // event masks word-parallel — and compacts groups that went quiet in
-    // passing, so a once-hot group costs one check, not a permanent entry.
-    const std::uint64_t gen = ++edgeGen_;
-    const auto mark = [&](NodeId id) {
-      if (id == kNoNode) return;  // padding slots carry no endpoints
-      const std::size_t w = id >> 6;
-      if (edgeWordGen_[w] != gen) {
-        edgeWordGen_[w] = gen;
-        edgeBits_[w] = 0;
-      }
-      const std::uint64_t m = std::uint64_t{1} << (id & 63);
-      if (!(edgeBits_[w] & m)) {
-        edgeBits_[w] |= m;
-        edgeDirty_.push_back(id);
-      }
-    };
-    for (const NodeId id : alwaysEdgeNodes_) mark(id);
-    std::vector<std::uint32_t>& hot = shardState_.front().hotGroups;
-    std::size_t keep = 0;
-    for (const std::uint32_t g : hot) {
-      if (board_.activityAtGroup(g) == 0) {
-        groupHot_[g] = 0;
-        continue;
-      }
-      hot[keep++] = g;
-      scanEventGroups(g, g + 1, mark);
-    }
-    hot.resize(keep);
-    for (const NodeId id : edgeDirty_) clock(id);
-    // Record the clocked stateful nodes: they are the only ones whose state
-    // can differ at the next settle, so they (plus the per-cycle readers)
-    // become the next seed set.
-    prevClocked_.clear();
-    for (const NodeId id : edgeDirty_)
-      if (nodeStateful_[id]) prevClocked_.push_back(id);
-    sparseSeedValid_ = true;
-    edgeDirty_.clear();
-  }
-
-  /// The sharded level-synchronous settle (the body of settleSharded): every
-  /// shard drains its worklist with `eval` under boundary staging; a serial
-  /// barrier step between rounds publishes staged boundary changes and seeds
-  /// their cross-shard readers.
-  template <typename Eval>
-  void settleShardedWith(const Eval& eval) {
-    ensureTopologyCache();
-    if (!changeTrackValid_) {
-      board_.clearChanged();
-      changeTrackValid_ = true;
-      rebuildHotGroups();
-    }
-    resolveAllChoices();
-
     const std::uint64_t gen = ++settleGen_;
     const std::uint32_t maxEvals = evalBudget();
     for (Shard& sh : shardState_) {
@@ -498,7 +432,13 @@ class SimContext {
       sh.cursorW = (static_cast<std::size_t>(sh.hiId) >> 6) + 1;
     }
     seedShards(gen);
+    if (shards_ == 1) {
+      drainShardWith(0, gen, maxEvals, eval);
+      edgeTrackValid_ = true;
+      return;
+    }
 
+    resolveAllChoices();
     board_.setStagingActive(true);
     try {
       bool any = false;
@@ -535,56 +475,67 @@ class SimContext {
     edgeTrackValid_ = true;
   }
 
-  /// The sharded dirty-tracked clock edge (the body of edgeSharded): each
-  /// shard scans its interior plane range unfiltered (interior endpoints are
-  /// owned by construction) plus the shared boundary region filtered by
-  /// ownership, then runs `clock` on only its own nodes. clock(id) must write
+  /// The dirty-tracked clock edge: every shard clocks its own nodes — one
+  /// shard directly, more on the executor.
+  template <typename Clock>
+  void edgeWith(const Clock& clock) {
+    const std::uint64_t gen = ++edgeGen_;
+    if (shards_ == 1)
+      edgeShardWith(0, gen, clock);
+    else
+      parallelShards([&](unsigned s) { edgeShardWith(s, gen, clock); });
+    sparseSeedValid_ = true;
+  }
+
+  /// Shard `s`'s edge. It clocks (a) its nodes whose hint demands every cycle
+  /// and (b) its nodes adjacent to a channel with an actual transfer/kill
+  /// event. The interior scan walks the incrementally maintained hot-group
+  /// list — 64 channels per entry, event masks word-parallel — and compacts
+  /// groups that went quiet in passing, so a once-hot group costs one check,
+  /// not a permanent entry; interior endpoints are owned by construction. The
+  /// boundary region is shared and small (empty with one shard): it is
+  /// scanned unconditionally, filtered by ownership. clock(id) must write
   /// only node `id`'s record, so the only shared writes are the
   /// ownership-filtered (word-exclusive) edge-mark bitmap.
   template <typename Clock>
-  void edgeShardedWith(const Clock& clock) {
-    const std::uint64_t gen = ++edgeGen_;
-    const auto [blo, bhi] = board_.boundaryGroupRange();
-    parallelShards([&](unsigned s) {
-      Shard& sh = shardState_[s];
-      sh.edgeList.clear();
-      const auto mark = [&](NodeId id) {
-        if (id == kNoNode || plan_.nodeShard[id] != s) return;
-        const std::size_t w = id >> 6;  // bitmap words are owner-exclusive
-        if (edgeWordGen_[w] != gen) {
-          edgeWordGen_[w] = gen;
-          edgeBits_[w] = 0;
-        }
-        const std::uint64_t m = std::uint64_t{1} << (id & 63);
-        if (!(edgeBits_[w] & m)) {
-          edgeBits_[w] |= m;
-          sh.edgeList.push_back(id);
-        }
-      };
-      for (const NodeId id : sh.alwaysEdge) mark(id);
-      std::size_t keep = 0;
-      for (const std::uint32_t g : sh.hotGroups) {
-        if (board_.activityAtGroup(g) == 0) {
-          groupHot_[g] = 0;
-          continue;
-        }
-        sh.hotGroups[keep++] = g;
-        scanEventGroups(g, g + 1, mark);
+  void edgeShardWith(unsigned s, std::uint64_t gen, const Clock& clock) {
+    Shard& sh = shardState_[s];
+    sh.edgeList.clear();
+    const auto mark = [&](NodeId id) {
+      const std::size_t w = id >> 6;  // bitmap words are owner-exclusive
+      if (edgeWordGen_[w] != gen) {
+        edgeWordGen_[w] = gen;
+        edgeBits_[w] = 0;
       }
-      sh.hotGroups.resize(keep);
-      // The boundary region is shared and small: scan it unconditionally,
-      // ownership-filtered by mark().
-      scanEventGroups(blo, bhi, mark);
-      for (const NodeId id : sh.edgeList) clock(id);
-      sh.clocked.clear();
-      for (const NodeId id : sh.edgeList)
-        if (nodeStateful_[id]) sh.clocked.push_back(id);
+      const std::uint64_t m = std::uint64_t{1} << (id & 63);
+      if (!(edgeBits_[w] & m)) {
+        edgeBits_[w] |= m;
+        sh.edgeList.push_back(id);
+      }
+    };
+    for (const NodeId id : sh.alwaysEdge) mark(id);
+    std::size_t keep = 0;
+    for (const std::uint32_t g : sh.hotGroups) {
+      if (board_.activityAtGroup(g) == 0) {
+        groupHot_[g] = 0;
+        continue;
+      }
+      sh.hotGroups[keep++] = g;
+      scanEventGroups(g, g + 1, [&](NodeId id) {
+        if (id != kNoNode) mark(id);  // padding slots carry no endpoints
+      });
+    }
+    sh.hotGroups.resize(keep);
+    const auto [blo, bhi] = board_.boundaryGroupRange();
+    scanEventGroups(blo, bhi, [&](NodeId id) {
+      if (id != kNoNode && plan_.nodeShard[id] == s) mark(id);
     });
-    prevClocked_.clear();
-    for (const Shard& sh : shardState_)
-      prevClocked_.insert(prevClocked_.end(), sh.clocked.begin(),
-                          sh.clocked.end());
-    sparseSeedValid_ = true;
+    for (const NodeId id : sh.edgeList) clock(id);
+    // The clocked stateful nodes are the only ones whose state can differ at
+    // the next settle, so they (plus the per-cycle readers) become its seeds.
+    sh.clocked.clear();
+    for (const NodeId id : sh.edgeList)
+      if (nodeStateful_[id]) sh.clocked.push_back(id);
   }
 
   /// Runs fn(shard) on the executor, one worker lane per shard (type-erased
@@ -605,9 +556,6 @@ class SimContext {
   /// in a cycle whose scan found a violation.
   void reportProtocolViolations();
 
-  void edgeCompiled();
-  void edgeSparse();
-  void edgeSharded();
   void edgeFull();
   void edgeAudited();
   void edgeEpilogue();
@@ -669,14 +617,13 @@ class SimContext {
   std::uint64_t edgeGen_ = 0;                 ///< dedup stamp for edge marks
   std::vector<std::uint64_t> edgeBits_;       ///< bitmap: already queued
   std::vector<std::uint64_t> edgeWordGen_;    ///< == edgeGen_ → word valid
-  std::vector<NodeId> edgeDirty_;             ///< per-edge scratch (serial path)
   std::vector<std::uint8_t> groupHot_;        ///< membership flag per plane group
 
   // Sparse settle seeding: after a dirty-tracked edge, only the nodes that
-  // were actually clocked can have changed state, so the next settle seeds
-  // those plus the per-cycle readers instead of every stateful node.
+  // were actually clocked (each shard's `clocked`) can have changed state, so
+  // the next settle seeds those plus the per-cycle readers instead of every
+  // stateful node.
   bool sparseSeedValid_ = false;
-  std::vector<NodeId> prevClocked_;  ///< stateful nodes clocked at last edge
 
   // Sharding: node partition + per-shard scratch + lazily built executor.
   unsigned shards_ = 1;
@@ -707,7 +654,6 @@ class SimContext {
   std::vector<NodeId> seedNodes_;            ///< live nodes not kCombPure
   std::vector<NodeId> cycleSeedNodes_;       ///< per-cycle readers + unaudited
   std::vector<NodeId> choiceNodes_;          ///< live nodes with choiceCount>0
-  std::vector<NodeId> alwaysEdgeNodes_;      ///< live nodes with kEveryCycle
   std::vector<std::uint8_t> nodeUnaudited_;  ///< kUnaudited flag per node
   std::vector<std::uint8_t> nodeStateDriven_;  ///< kStateDriven flag per node
   std::vector<std::uint8_t> nodeEdgeOnEvents_;  ///< kOnEvents flag per node

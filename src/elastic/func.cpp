@@ -73,11 +73,8 @@ FuncNode& makeJoinMux(Netlist& nl, std::string name, unsigned dataInputs,
   ESL_CHECK(dataInputs >= 2, "makeJoinMux: need at least two data inputs");
   std::vector<unsigned> widths{selWidth};
   for (unsigned i = 0; i < dataInputs; ++i) widths.push_back(width);
-  auto& mux = nl.make<FuncNode>(std::move(name), std::move(widths), width,
-                                FnOp{FnOp::Kind::kJoinMux},
-                                logic::muxCost(dataInputs, width));
-  mux.setRole("mux");
-  return mux;
+  return nl.make<FuncNode>(std::move(name), std::move(widths), width,
+                           FnOp{FnOp::Kind::kJoinMux}, logic::muxCost(dataInputs, width));
 }
 
 }  // namespace esl

@@ -61,12 +61,6 @@ class FuncNode : public Node {
   const Datapath& datapath() const { return datapath_; }
   logic::Cost datapathCost() const { return datapathCost_; }
 
-  /// Structural role tag used by the transformation kit: makeJoinMux tags its
-  /// nodes "mux" so Shannon decomposition / early-eval conversion can check
-  /// preconditions without introspecting the lambda.
-  const std::string& role() const { return role_; }
-  void setRole(std::string role) { role_ = std::move(role); }
-
   /// Record (opaque closures only): a size-1 memo of the closure — a valid
   /// word, each operand, then the result. The closure is pure, so replaying
   /// it on identical operands is pure waste — and both settle kernels replay
@@ -92,7 +86,6 @@ class FuncNode : public Node {
  private:
   Datapath datapath_;
   logic::Cost datapathCost_;
-  std::string role_;
 };
 
 template <typename V>

@@ -252,19 +252,16 @@ void registerCoreKinds(Registry& r) {
         sig.outWidth = static_cast<unsigned>(p.u64("out"));
         if (sig.inWidths.empty())
           throw NetlistError("func '" + name + "': needs at least one input");
-        auto& f = nl.make<FuncNode>(
+        return nl.make<FuncNode>(
             name, sig.inWidths, sig.outWidth, r.makeFn(sig, p, "fn"),
             logic::Cost{p.real("delay", 1.0), p.real("area", 1.0)});
-        const std::string role = p.str("role", "");
-        if (!role.empty()) f.setRole(role);
-        return f;
       },
       [](const Node& n) {
         // Raw lambda FuncNodes are opaque — except the join mux, whose
-        // behaviour is fully determined by its role tag and port widths
+        // behaviour is fully determined by its catalog op and port widths
         // (transforms create them via makeJoinMux without attributes).
         const auto& f = static_cast<const FuncNode&>(n);
-        if (f.role() != "mux")
+        if (f.datapath().op.kind != FnOp::Kind::kJoinMux)
           throw NetlistError("func '" + n.name() +
                              "': built from a raw C++ lambda; construct via "
                              "makeFuncNode/the registry to serialize it");
@@ -276,7 +273,6 @@ void registerCoreKinds(Registry& r) {
         p.set("fn", "joinmux");
         p.setReal("delay", f.datapathCost().delay);
         p.setReal("area", f.datapathCost().area);
-        p.set("role", "mux");
         return p;
       });
 
@@ -612,7 +608,7 @@ NetlistSpec NetlistSpec::fromNetlist(const Netlist& nl) {
 FuncNode& makeFuncNode(Netlist& nl, const std::string& name,
                        const std::vector<unsigned>& inWidths, unsigned outWidth,
                        const std::string& fnName, const Params& fnParams,
-                       logic::Cost cost, const std::string& role) {
+                       logic::Cost cost) {
   NodeSpec spec;
   spec.kind = "func";
   spec.name = name;
@@ -623,7 +619,6 @@ FuncNode& makeFuncNode(Netlist& nl, const std::string& name,
   addPrefixed(spec.params, "fn", fnParams);
   spec.params.setReal("delay", cost.delay);
   spec.params.setReal("area", cost.area);
-  if (!role.empty()) spec.params.set("role", role);
   return static_cast<FuncNode&>(Registry::instance().makeNode(nl, spec));
 }
 

@@ -180,7 +180,7 @@ void validateIrName(const std::string& name, const std::string& what);
 FuncNode& makeFuncNode(Netlist& nl, const std::string& name,
                        const std::vector<unsigned>& inWidths, unsigned outWidth,
                        const std::string& fnName, const Params& fnParams = {},
-                       logic::Cost cost = {1.0, 1.0}, const std::string& role = {});
+                       logic::Cost cost = {1.0, 1.0});
 
 TokenSource& makeSourceNode(Netlist& nl, const std::string& name, unsigned width,
                             const std::string& genName, const Params& genParams = {},

@@ -13,6 +13,7 @@
 
 #include "base/error.h"
 #include "base/executor.h"
+#include "elastic/params.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "sim/state_file.h"
@@ -59,26 +60,6 @@ int clientUsage() {
   return 1;
 }
 
-std::uint64_t parseNum(const std::string& what, const std::string& value) {
-  try {
-    if (!value.empty() && value[0] >= '0' && value[0] <= '9') {
-      std::size_t used = 0;
-      const std::uint64_t v = std::stoull(value, &used);
-      if (used == value.size()) return v;
-    }
-  } catch (const std::exception&) {
-  }
-  throw EslError(what + " expects a number, got '" + value + "'");
-}
-
-/// A lane count (shards, workers), checked against the executor's limit
-/// before it is narrowed.
-unsigned parseLanes(const std::string& what, const std::string& value) {
-  const std::uint64_t n = parseNum(what, value);
-  Executor::checkLaneCount(n, what);
-  return static_cast<unsigned>(n);
-}
-
 std::vector<std::string> tokenize(const std::string& line) {
   std::istringstream is(line);
   std::vector<std::string> tokens;
@@ -101,9 +82,9 @@ SimSession::Options parseOptionWords(const std::vector<std::string>& t,
     } else if (t[i] == "cross-check") {
       opts.crossCheck = true;
     } else if (t[i] == "shards" && i + 1 < t.size()) {
-      opts.shards = parseLanes("shards", t[++i]);
+      opts.shards = Executor::checkLaneCount(parseU64(t[++i], "shards"), "shards");
     } else if (t[i] == "seed" && i + 1 < t.size()) {
-      opts.seed = parseNum("seed", t[++i]);
+      opts.seed = parseU64(t[++i], "seed");
     } else {
       throw EslError("unknown open option '" + t[i] + "'");
     }
@@ -142,7 +123,7 @@ bool clientLine(Client& client, const std::string& line) {
     ESL_CHECK(at != std::string::npos, "cmd needs a command");
     std::cout << client.cmd(t[1], line.substr(at));
   } else if (verb == "step") {
-    std::cout << client.step(arg(1), parseNum("step", arg(2)));
+    std::cout << client.step(arg(1), parseU64(arg(2), "step"));
   } else if (verb == "sinks") {
     std::cout << client.sinks(arg(1));
   } else if (verb == "tput") {
@@ -209,21 +190,19 @@ int serveMain(int argc, char** argv) {
       if (arg == "--socket")
         config.socketPath = value();
       else if (arg == "--workers")
-        config.service.workers = parseLanes(arg, value());
+        config.service.workers = Executor::checkLaneCount(parseU64(value(), arg), arg);
       else if (arg == "--max-resident")
-        config.service.maxResident =
-            static_cast<std::size_t>(parseNum(arg, value()));
+        config.service.maxResident = static_cast<std::size_t>(parseU64(value(), arg));
       else if (arg == "--quantum")
-        config.service.quantumCycles = parseNum(arg, value());
+        config.service.quantumCycles = parseU64(value(), arg);
       else if (arg == "--high-water")
-        config.service.streamHighWater =
-            static_cast<std::size_t>(parseNum(arg, value()));
+        config.service.streamHighWater = static_cast<std::size_t>(parseU64(value(), arg));
       else if (arg == "--spool-dir")
         config.service.spoolDir = value();
       else if (arg == "--durable")
         config.service.durable = true;
       else if (arg == "--max-payload")
-        config.maxPayloadBytes = parseNum(arg, value());
+        config.maxPayloadBytes = parseU64(value(), arg);
       else if (arg == "--help" || arg == "-h")
         return serveUsage(), 0;
       else
@@ -298,11 +277,11 @@ int clientMain(int argc, char** argv) {
       if (arg == "--socket") {
         socketPath = value();
       } else if (arg == "--timeout") {
-        options.timeoutMs = parseNum(arg, value());
+        options.timeoutMs = parseU64(value(), arg);
       } else if (arg == "--retries") {
-        options.retries = static_cast<unsigned>(parseNum(arg, value()));
+        options.retries = static_cast<unsigned>(parseU64(value(), arg));
       } else if (arg == "--backoff") {
-        options.backoffMs = parseNum(arg, value());
+        options.backoffMs = parseU64(value(), arg);
       } else if (arg == "--help" || arg == "-h") {
         return clientUsage(), 0;
       } else if (!arg.empty() && arg[0] == '-') {

@@ -277,11 +277,9 @@ std::string Session::dispatch(const std::string& line, bool replaying) {
         opts.backend = SimContext::Backend::kInterpreted;
       else if (t[i] == "cross-check")
         opts.crossCheckKernels = true;
-      else {
-        const std::uint64_t shards = parseU64(t[i], "sim: shard count");
-        Executor::checkLaneCount(shards, "shard count");
-        opts.shards = static_cast<unsigned>(shards);
-      }
+      else
+        opts.shards =
+            Executor::checkLaneCount(parseU64(t[i], "sim: shard count"), "shard count");
     }
     const std::uint64_t cycles = parseU64(t[1], "sim: cycle count");
     sim::Simulator s(nl, opts);

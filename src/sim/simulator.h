@@ -6,9 +6,9 @@
 //
 // The choice provider is a stateless hash of (seed, cycle, node, index) — a
 // pure per-cycle function, so resolution order can never leak into the drawn
-// values. That is what lets the serial kernels resolve lazily while the
-// sharded kernel pre-resolves every slot, with bit-identical outcomes (and it
-// makes the sweep/event/sharded kernels agree choice for choice by
+// values. That is what lets the sweep and a one-shard context resolve lazily
+// while more shards pre-resolve every slot, with bit-identical outcomes (and
+// it makes the sweep/event/sharded kernels agree choice for choice by
 // construction).
 #pragma once
 

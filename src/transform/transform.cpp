@@ -12,9 +12,13 @@ FuncNode* asFunc(Netlist& nl, NodeId id) {
   return nl.hasNode(id) ? dynamic_cast<FuncNode*>(&nl.node(id)) : nullptr;
 }
 
+bool isJoinMux(const FuncNode* f) {
+  return f != nullptr && f->datapath().op.kind == FnOp::Kind::kJoinMux;
+}
+
 FuncNode& requireMux(Netlist& nl, NodeId id) {
   FuncNode* mux = asFunc(nl, id);
-  if (mux == nullptr || mux->role() != "mux")
+  if (!isJoinMux(mux))
     throw TransformError("node is not a join multiplexer");
   return *mux;
 }
@@ -272,7 +276,7 @@ std::vector<SpeculationCandidate> findSpeculationCandidates(const Netlist& nl) {
   // const_cast-free: scan via ids, dynamic_cast on const nodes.
   for (const NodeId id : nl.nodeIds()) {
     const auto* mux = dynamic_cast<const FuncNode*>(&nl.node(id));
-    if (mux == nullptr || mux->role() != "mux" || !mux->outputBound(0)) continue;
+    if (!isJoinMux(mux) || !mux->outputBound(0)) continue;
     const NodeId next = nl.channel(mux->output(0)).consumer;
     const auto* func = dynamic_cast<const FuncNode*>(&nl.node(next));
     if (func == nullptr || func->numInputs() != 1 || func->numOutputs() != 1) continue;

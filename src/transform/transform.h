@@ -55,8 +55,9 @@ struct ShannonResult {
 };
 ShannonResult shannonDecompose(Netlist& nl, NodeId muxId, NodeId funcId);
 
-/// Replaces a join-mux (FuncNode role "mux") with an EarlyEvalMux on the same
-/// channels. Only the controller changes; the datapath stays the same.
+/// Replaces a join mux (a FuncNode whose op is FnOp::Kind::kJoinMux) with an
+/// EarlyEvalMux on the same channels. Only the controller changes; the
+/// datapath stays the same.
 NodeId convertToEarlyEval(Netlist& nl, NodeId muxId);
 
 /// Merges identical FuncNodes feeding the data inputs of an EarlyEvalMux into

@@ -122,6 +122,14 @@ TEST(Executor, RefusesMoreLanesThanTheLimitBeforeStartingAny) {
   EXPECT_THROW(Executor::checkLaneCount((std::uint64_t{1} << 32) | 2, "workers"),
                EslError);
   EXPECT_NO_THROW(Executor::checkLaneCount(Executor::kMaxLanes, "workers"));
+  // The message is what a user reads: the count and the limit, and no
+  // source location.
+  try {
+    Executor::checkLaneCount(Executor::kMaxLanes + 1, "--workers");
+    ADD_FAILURE() << "a count above the limit was accepted";
+  } catch (const EslError& e) {
+    EXPECT_EQ(std::string(e.what()), "--workers 257 is above the limit of 256");
+  }
 }
 
 // --- External task submission (the serve scheduler's entry point) ----------

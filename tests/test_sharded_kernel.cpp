@@ -138,14 +138,15 @@ TEST(ShardedKernel, SecdedPipelineAcrossShardCounts) {
 TEST(ShardedKernel, ShardCountChangeMidRunPreservesSignals) {
   // setShards re-partitions and re-lays the SignalBoard mid-simulation; the
   // per-channel values must survive the slot permutation so the stream
-  // continues exactly where it left off.
+  // continues exactly where it left off — also back at one shard, whose
+  // settle seeds from the one shard's clocked list again.
   auto reference = [] {
     synth::SynthSystem sys =
         synth::build(famConfig(synth::Topology::kPipeline, 80, 2, 5));
     sim::SimOptions opts;
     opts.checkProtocol = false;
     sim::Simulator s(sys.nl, opts);
-    s.run(240);
+    s.run(320);
     return s.ctx().packState();
   }();
 
@@ -158,6 +159,8 @@ TEST(ShardedKernel, ShardCountChangeMidRunPreservesSignals) {
   s.ctx().setShards(4);
   s.run(80);
   s.ctx().setShards(2);
+  s.run(80);
+  s.ctx().setShards(1);
   s.run(80);
   EXPECT_EQ(s.ctx().packState(), reference);
 }
@@ -182,20 +185,23 @@ class ShardOscillator : public Node {
 TEST(ShardedKernel, CombinationalCycleDetectedUnderShards) {
   // The per-node eval budget is shard-local too: an oscillator must raise
   // CombinationalCycleError (after finitely many rounds), not hang the
-  // round loop.
-  Netlist nl;
-  auto& osc = nl.make<ShardOscillator>("osc");
-  auto& sink = nl.make<TokenSink>("sink", 1);
-  nl.connect(osc, 0, sink, 0);
-  SimContext ctx(nl);
-  ctx.setShards(2);
-  EXPECT_THROW(ctx.settle(), CombinationalCycleError);
-  // The aborted settle must not leave boundary staging active: a fallback to
-  // the reference sweep kernel (or any external write) must hit the front
-  // planes, so the sweep detects the same oscillation instead of silently
-  // converging on stale signals.
-  ctx.setKernel(SimContext::SettleKernel::kSweep);
-  EXPECT_THROW(ctx.settle(), CombinationalCycleError);
+  // round loop — or, at one shard, the single drain.
+  for (const unsigned shards : {1u, 2u}) {
+    SCOPED_TRACE(shards);
+    Netlist nl;
+    auto& osc = nl.make<ShardOscillator>("osc");
+    auto& sink = nl.make<TokenSink>("sink", 1);
+    nl.connect(osc, 0, sink, 0);
+    SimContext ctx(nl);
+    ctx.setShards(shards);
+    EXPECT_THROW(ctx.settle(), CombinationalCycleError);
+    // The aborted settle must not leave boundary staging active: a fallback
+    // to the reference sweep kernel (or any external write) must hit the
+    // front planes, so the sweep detects the same oscillation instead of
+    // silently converging on stale signals.
+    ctx.setKernel(SimContext::SettleKernel::kSweep);
+    EXPECT_THROW(ctx.settle(), CombinationalCycleError);
+  }
 }
 
 TEST(ShardedKernel, ShardedStatsMatchSerial) {

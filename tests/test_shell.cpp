@@ -85,6 +85,11 @@ TEST(Shell, CountsParseStrictly) {
   for (const std::string cmd :
        {"sim abc", "sim -1", "sim 10 abc", "tput -1 pc.out", "trace x pc.out"})
     EXPECT_EQ(s.execute(cmd).rfind("error:", 0), 0u) << cmd;
+  // Every front end parses counts with parseU64 (decimal or 0x hex) and
+  // words a lane count above the limit the same way, naming no source file.
+  EXPECT_EQ(s.execute("sim 10 257"),
+            "error: shard count 257 is above the limit of 256\n");
+  EXPECT_EQ(s.execute("sim 0x10 0x2"), s.execute("sim 16 2"));
   EXPECT_NE(s.execute("tput 200 pc.out").find("1.0000"), std::string::npos);
 }
 

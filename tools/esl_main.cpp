@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "base/executor.h"
+#include "elastic/params.h"
 #include "frontend/esl_format.h"
 #include "netlist/patterns.h"
 #include "serve/cli.h"
@@ -102,32 +103,6 @@ bool fileExists(const std::string& path) {
   return static_cast<bool>(std::ifstream(path));
 }
 
-/// Strict non-negative numeric option value; usage error (exit 1) on garbage
-/// (std::stoull would otherwise throw — or sign-wrap "-5" to 2^64-5).
-std::uint64_t parseNum(const std::string& flag, const std::string& value) {
-  try {
-    if (!value.empty() && value[0] >= '0' && value[0] <= '9') {
-      std::size_t used = 0;
-      const std::uint64_t v = std::stoull(value, &used);
-      if (used == value.size()) return v;
-    }
-  } catch (const std::exception&) {
-  }
-  std::cerr << "esl: " << flag << " expects a number, got '" << value << "'\n";
-  std::exit(1);
-}
-
-/// A lane count (shards, checker workers): a number no larger than
-/// Executor::kMaxLanes, checked before it is narrowed; usage error otherwise.
-unsigned parseLanes(const std::string& flag, const std::string& value) {
-  const std::uint64_t n = parseNum(flag, value);
-  if (n > esl::Executor::kMaxLanes) {
-    std::cerr << "esl: " << flag << " is at most " << esl::Executor::kMaxLanes << "\n";
-    std::exit(1);
-  }
-  return static_cast<unsigned>(n);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -142,7 +117,7 @@ int main(int argc, char** argv) {
   std::string saveState, loadState;
   std::string simBackend;
   std::uint64_t simCycles = 0;
-  std::uint64_t simShards = 1;
+  unsigned simShards = 1;
   bool doSim = false, doCheck = false, doRoundtrip = false, doCrossCheck = false;
   verify::ProtocolSuiteOptions checkOptions;
 
@@ -155,58 +130,63 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;  // explicitly requested help is not an error
-    }
-    if (arg == "--designs") {
-      for (const auto& name : patterns::designNames()) std::cout << name << "\n";
-      return 0;
-    }
-    if (arg == "--transform") {
-      transforms = value();
-    } else if (arg == "--sim") {
-      doSim = true;
-      simCycles = parseNum(arg, value());
-    } else if (arg == "--shards") {
-      simShards = parseLanes(arg, value());
-    } else if (arg == "--backend") {
-      simBackend = value();
-      if (simBackend != "compiled" && simBackend != "interpreted") {
-        std::cerr << "esl: --backend expects compiled|interpreted, got '"
-                  << simBackend << "'\n";
-        return 1;
+    try {
+      if (arg == "--help" || arg == "-h") {
+        usage(argv[0]);
+        return 0;  // explicitly requested help is not an error
       }
-    } else if (arg == "--cross-check") {
-      doCrossCheck = true;
-    } else if (arg == "--tput") {
-      tputChannel = value();
-    } else if (arg == "--check") {
-      doCheck = true;
-    } else if (arg == "--workers") {
-      checkOptions.workers = parseLanes(arg, value());
-    } else if (arg == "--max-states") {
-      checkOptions.maxStates = parseNum(arg, value());
-    } else if (arg == "--emit") {
-      emit = value();
-    } else if (arg == "--out") {
-      outFile = value();
-    } else if (arg == "--save") {
-      saveFile = value();
-    } else if (arg == "--save-state") {
-      saveState = value();
-    } else if (arg == "--load-state") {
-      loadState = value();
-    } else if (arg == "--roundtrip") {
-      doRoundtrip = true;
-    } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-      std::cerr << "esl: unknown option " << arg << "\n";
-      return usage(argv[0]);
-    } else if (input.empty()) {
-      input = arg;
-    } else {
-      std::cerr << "esl: more than one input design\n";
-      return usage(argv[0]);
+      if (arg == "--designs") {
+        for (const auto& name : patterns::designNames()) std::cout << name << "\n";
+        return 0;
+      }
+      if (arg == "--transform") {
+        transforms = value();
+      } else if (arg == "--sim") {
+        doSim = true;
+        simCycles = parseU64(value(), arg);
+      } else if (arg == "--shards") {
+        simShards = Executor::checkLaneCount(parseU64(value(), arg), arg);
+      } else if (arg == "--backend") {
+        simBackend = value();
+        if (simBackend != "compiled" && simBackend != "interpreted") {
+          std::cerr << "esl: --backend expects compiled|interpreted, got '"
+                    << simBackend << "'\n";
+          return 1;
+        }
+      } else if (arg == "--cross-check") {
+        doCrossCheck = true;
+      } else if (arg == "--tput") {
+        tputChannel = value();
+      } else if (arg == "--check") {
+        doCheck = true;
+      } else if (arg == "--workers") {
+        checkOptions.workers = Executor::checkLaneCount(parseU64(value(), arg), arg);
+      } else if (arg == "--max-states") {
+        checkOptions.maxStates = parseU64(value(), arg);
+      } else if (arg == "--emit") {
+        emit = value();
+      } else if (arg == "--out") {
+        outFile = value();
+      } else if (arg == "--save") {
+        saveFile = value();
+      } else if (arg == "--save-state") {
+        saveState = value();
+      } else if (arg == "--load-state") {
+        loadState = value();
+      } else if (arg == "--roundtrip") {
+        doRoundtrip = true;
+      } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
+        std::cerr << "esl: unknown option " << arg << "\n";
+        return usage(argv[0]);
+      } else if (input.empty()) {
+        input = arg;
+      } else {
+        std::cerr << "esl: more than one input design\n";
+        return usage(argv[0]);
+      }
+    } catch (const EslError& e) {
+      std::cerr << "esl: " << e.what() << "\n";  // a bad count is a usage error
+      return 1;
     }
   }
   if (input.empty()) return usage(argv[0]);
@@ -267,7 +247,7 @@ int main(int argc, char** argv) {
     if (doSim) {
       Netlist& nl = *session.netlist();
       sim::SimOptions opts{.checkProtocol = true, .throwOnViolation = false};
-      opts.shards = static_cast<unsigned>(simShards);
+      opts.shards = simShards;
       if (simBackend == "compiled") opts.backend = SimContext::Backend::kCompiled;
       opts.crossCheckKernels = doCrossCheck;
       sim::Simulator s(nl, opts);
