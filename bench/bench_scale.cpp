@@ -135,7 +135,7 @@ double farmGrid(unsigned threads, std::uint64_t seeds, std::size_t nodes,
           m.emplace_back("received", static_cast<double>(sink->received(s.ctx())));
         };
       },
-      {.checkProtocol = false, .trackChannelStats = false});
+      {.checkProtocol = false});
   for (std::uint64_t config = 0; config < 2; ++config)
     farm.addSeedSweep(seeds, /*seed0=*/1, cycles, config);
   const double t0 = now();

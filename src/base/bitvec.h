@@ -53,14 +53,6 @@ class BitVec {
   std::uint64_t word0() const {
     return onHeap() ? heapWords_[0] : inlineWords_[0];
   }
-  /// In-place overwrite with the `w`-bit value `v` (w in [1, 64], v already
-  /// masked to w bits): `*this = BitVec(w, v)` without the temporary, reusing
-  /// the inline storage.
-  void assignNarrow(unsigned w, std::uint64_t v) {
-    release();
-    width_ = w;
-    inlineWords_[0] = v;
-  }
 
   /// The value held as ⌈width/64⌉ little-endian words, already masked to the
   /// width (a node-state record's payload slot), and the way back.

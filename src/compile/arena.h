@@ -14,8 +14,9 @@
 // object view); this file adds only the ports, the word payload form, and the
 // constants an op carries for its kind. One source, two views, so settled
 // fixpoints — and therefore packState() — are bit-identical to the
-// interpreted kernels by construction; cross-check mode still replays every
-// specialized edge against the interpreted clockEdge to check the view itself.
+// interpreted kernels by construction; cross-check mode still audits every
+// specialized edge against the interpreted clockEdge, both run from the same
+// record words, to check the view itself.
 //
 // Sharded composition (shards > 1): the compiler keeps every boundary-
 // adjacent node generic (staging-aware Sig accessors), interior specialized
@@ -164,13 +165,8 @@ template <typename K>
 class ArenaPorts : public NodeRecord<K> {
  public:
   ArenaPorts(SimContext& ctx, const RawBoard& board, const Op& op,
-             const SlotAddr* ports, std::uint64_t* record, bool stats)
-      : NodeRecord<K>(record),
-        ctx_(&ctx),
-        board_(&board),
-        op_(&op),
-        ports_(ports),
-        stats_(stats) {}
+             const SlotAddr* ports, std::uint64_t* record)
+      : NodeRecord<K>(record), ctx_(&ctx), board_(&board), op_(&op), ports_(ports) {}
 
   RawSig in(unsigned i) const { return {*board_, ports_[i]}; }
   RawSig out(unsigned i) const { return {*board_, ports_[op_->nIn + i]}; }
@@ -181,7 +177,6 @@ class ArenaPorts : public NodeRecord<K> {
   Word payload(const RawSig& port) const { return {port.width(), port.dataLow64()}; }
 
   const K& node() const { return static_cast<const K&>(*op_->node); }
-  bool stats() const { return stats_; }
   bool choice(unsigned i) const { return ctx_->choice(*op_->node, i); }
   std::uint64_t cycle() const { return ctx_->cycle(); }
 
@@ -199,7 +194,6 @@ class ArenaPorts : public NodeRecord<K> {
   const RawBoard* board_;
   const Op* op_;
   const SlotAddr* ports_;
-  bool stats_;
 };
 
 /// The arena view: ports plus the kind's record layout.

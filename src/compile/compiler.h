@@ -17,11 +17,12 @@
 // lines instead of touching 5–8 scattered heap objects per active node.
 //
 // Nodes whose exact type is not in the catalog (user subclasses), nodes with
-// unbound ports, nodes with a payload wider than 64 bits (the arena view
-// keeps payloads as words), and — under sharding — nodes touching a boundary
-// slot compile to OpCode::kGeneric, which falls back to the virtual
-// evalComb/clockEdge through the staging-aware Sig accessors, over the same
-// record: the program is always total over the netlist.
+// unbound ports, nodes with a payload wider than 64 bits (the board keeps
+// such a payload as several words, the arena view's Word holds one), and —
+// under sharding — nodes touching a boundary slot compile to
+// OpCode::kGeneric, which falls back to the virtual evalComb/clockEdge
+// through the staging-aware Sig accessors, over the same record: the program
+// is always total over the netlist.
 //
 // A program holds raw board offsets and record offsets, so it is valid for
 // exactly one layout. SimContext builds it in ensureTopologyCache, in the
@@ -65,7 +66,7 @@ enum class OpCode : std::uint8_t {
 /// table now fits one cache line.
 struct SlotAddr {
   std::uint32_t slot = SignalBoard::kNoSlot;
-  std::uint32_t dataOff = SignalBoard::kNoSlot;  ///< words_ | spill_+kWideFlag
+  std::uint32_t dataOff = SignalBoard::kNoSlot;  ///< first payload word
   std::uint32_t width = 0;                       ///< payload width
 
   bool bound() const { return slot != SignalBoard::kNoSlot; }

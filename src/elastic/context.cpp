@@ -207,9 +207,6 @@ void SimContext::bindOps() {
 // the arena view; kGeneric falls back to the node's virtual evalComb/clockEdge.
 // Flattening inlines every instantiation into the kind switch, so an op costs
 // no call — the templates are too large for the default inlining budget.
-// `stats == false` suppresses only the statistics that packState() excludes —
-// serialized state always advances, so replaying an edge from a rewound
-// snapshot lands on the same bytes.
 
 [[gnu::flatten]] void SimContext::evalOp(NodeId id) {
   const compile::Op& op = program_.ops[id];
@@ -217,17 +214,17 @@ void SimContext::bindOps() {
   const compile::SlotAddr* ports = program_.ports.data() + op.portBase;
   compile::visitKind(op.code, [&]<typename K>() {
     K::comb(compile::ArenaView<K>(*this, raw_, op, ports,
-                                  raw_.records + op.stateOff, true));
+                                  raw_.records + op.stateOff));
   });
 }
 
-[[gnu::flatten]] void SimContext::edgeOp(NodeId id, bool stats) {
+[[gnu::flatten]] void SimContext::edgeOp(NodeId id) {
   const compile::Op& op = program_.ops[id];
   if (op.code == compile::OpCode::kGeneric) return op.node->clockEdge(*this);
   const compile::SlotAddr* ports = program_.ports.data() + op.portBase;
   compile::visitKind(op.code, [&]<typename K>() {
     K::edge(compile::ArenaView<K>(*this, raw_, op, ports,
-                                  raw_.records + op.stateOff, stats));
+                                  raw_.records + op.stateOff));
   });
 }
 
@@ -503,7 +500,7 @@ void SimContext::edgeFull() {
 void SimContext::edgeEvent() {
   if (backend_ == Backend::kCompiled) {
     bindOps();
-    edgeWith([this](NodeId id) { edgeOp(id, true); });
+    edgeWith([this](NodeId id) { edgeOp(id); });
   } else {
     edgeWith([this](NodeId id) { nodePtr_[id]->clockEdge(*this); });
   }
@@ -520,9 +517,9 @@ void SimContext::edgeAudited() {
     if (id != kNoNode) nodeHasEvent[id] = 1;
   });
   // Compiled backend: additionally audit every specialized clock-edge op
-  // against the interpreted clockEdge — run interpreted (statistics count
-  // once), rewind the node's record, replay the compiled op over it with
-  // statistics suppressed, and require byte-identical packState().
+  // against the interpreted clockEdge — run the op, rewind the node's record
+  // words, run clockEdge over them (the record it leaves is the one kept, so
+  // statistics count once), and require byte-identical packState().
   const bool auditCompiled = backend_ == Backend::kCompiled;
   if (auditCompiled) bindOps();
   for (Shard& sh : shardState_) sh.clocked.clear();
@@ -533,19 +530,15 @@ void SimContext::edgeAudited() {
     if (!wouldSkip) {
       if (nodeStateful_[id]) shardState_[plan_.nodeShard[id]].clocked.push_back(id);
       if (auditCompiled && program_.ops[id].code != compile::OpCode::kGeneric) {
-        StateWriter w0;
-        node.packState(rec, w0);
-        const std::vector<std::uint8_t> s0 = w0.take();
+        auditRecord_.assign(rec, rec + node.recordWords());
+        edgeOp(id);
+        StateWriter op;
+        node.packState(rec, op);
+        std::copy(auditRecord_.begin(), auditRecord_.end(), rec);
         node.clockEdge(*this);
-        StateWriter w1;
-        node.packState(rec, w1);
-        const std::vector<std::uint8_t> s1 = w1.take();
-        StateReader rewind(s0);
-        node.unpackState(rec, rewind);
-        edgeOp(id, false);
-        StateWriter w2;
-        node.packState(rec, w2);
-        if (s1 != w2.take())
+        StateWriter ref;
+        node.packState(rec, ref);
+        if (op.take() != ref.take())
           throw InternalError(
               "edge cross-check: compiled clockEdge op for node '" +
               node.name() + "' (" + node.kindName() +

@@ -28,7 +28,10 @@
 // InternalError on any disagreement (the equivalence harness in
 // tests/test_sim_kernel.cpp); its edge runs the full sweep while auditing the
 // EdgeActivity declarations — a node the dirty-tracker would have skipped must
-// leave its packState() bytes unchanged.
+// leave its packState() bytes unchanged. Under the compiled backend it also
+// audits each specialized edge op: the op runs, the node's record words are
+// rewound by a copy, the interpreted clockEdge runs over them (its record is
+// the one kept, so statistics count once), and the two packings must match.
 //
 // --- Sharded cycles ---------------------------------------------------------
 //
@@ -241,7 +244,6 @@ class SimContext {
   void setProtocolChecking(bool enabled) { protocolChecking_ = enabled; }
   void setThrowOnViolation(bool enabled) { throwOnViolation_ = enabled; }
   const std::vector<std::string>& protocolViolations() const { return violations_; }
-  void clearProtocolViolations() { violations_.clear(); }
 
   // --- State snapshots -------------------------------------------------------
 
@@ -356,9 +358,8 @@ class SimContext {
   /// The compiled backend's per-node dispatch: node `id`'s op from the op
   /// table, its kind's comb/edge template through the arena view
   /// (compile/arena.h), or the virtual evalComb/clockEdge for a kGeneric op.
-  /// `stats == false` (the edge audit's replay) holds the statistics still.
   void evalOp(NodeId id);
-  void edgeOp(NodeId id, bool stats);
+  void edgeOp(NodeId id);
   /// Builds the op table against the current layout (compiled backend), or
   /// drops it.
   void compileOps();
@@ -669,6 +670,8 @@ class SimContext {
   std::vector<std::uint32_t> recordOff_;  ///< per NodeId; kNoRecord = none
   /// unpackState scratch, reused: the records it decodes into.
   std::vector<std::uint64_t> unpackRecords_;
+  /// The edge audit's scratch, reused: a record's words before its op ran.
+  std::vector<std::uint64_t> auditRecord_;
 
   // Choice bookkeeping: per-node offset into the per-cycle assignment. The
   // cache is two packed bitplanes (known/value) so the per-cycle clear — and

@@ -145,7 +145,7 @@ void EarlyEvalMux::edge(const V& v) {
       ESL_ASSERT(avail > 0);
       --avail;  // delivered: killed a token or moved upstream
     }
-    if (d.fire && i != d.selIdx && v.stats()) ++v.antiEmitted();
+    if (d.fire && i != d.selIdx) ++v.antiEmitted();
     v.setPending(i, avail);
   }
 }

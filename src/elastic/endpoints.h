@@ -293,7 +293,7 @@ void TokenSource::edge(const V& v) {
   State s = v.state();
   if (out.kill) {
     ++s.index;
-    if (v.stats()) ++s.killed;
+    ++s.killed;
     s.offering = false;
   } else if (out.fwd) {
     ++s.index;
@@ -306,7 +306,7 @@ void TokenSource::edge(const V& v) {
   if (s.killCredit > 0 && v.hasToken(s.index) && !out.vf) {
     ++s.index;
     --s.killCredit;
-    if (v.stats()) ++s.killed;
+    ++s.killed;
     s.offering = false;
   }
 
@@ -334,7 +334,7 @@ void TokenSink::edge(const V& v) {
   const ChannelEvents in = v.in(0).events();
   if (!in.fwd && !in.vb) return;
   State s = v.state();
-  if (in.fwd && v.stats()) ++s.received;
+  if (in.fwd) ++s.received;
   if (in.vb) {
     if (in.vf || !in.sb) {  // delivered: killed a token or moved upstream
       ESL_ASSERT(s.antiRemaining > 0);

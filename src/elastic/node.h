@@ -192,7 +192,9 @@ class Node {
 
   /// Sequential state serialization (snapshots, the model checker).
   /// Statistics and memos are excluded: unpackState must leave those words
-  /// of the record as they are.
+  /// of the record as they are, so a restore keeps a run's statistics. (The
+  /// compiled backend's edge audit rewinds a record by copying its words,
+  /// not through these.)
   virtual void packState(const std::uint64_t* record, StateWriter& w) const {
     (void)record;
     (void)w;

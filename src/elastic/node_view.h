@@ -23,7 +23,9 @@
 // serve both views, and the kind's reset/packState/unpackState read the
 // record through recordView(). Statistics are State fields that packState
 // skips; memos and statistics are never packed, so unpackState leaves them
-// as they are.
+// as they are. Both views advance statistics on every edge: a record is
+// plain words, so the compiled backend's edge audit rewinds one by copying
+// them back before the interpreted edge, and the statistics count once.
 //
 // A view exposes
 //   in(i), out(i)    port proxies: vf/sf/vb/sb and their setters, data(),
@@ -37,8 +39,6 @@
 //                    functions, gates and scheduler policy. Every byte that
 //                    changes during a run — sequential state, memos,
 //                    statistics — is in the record;
-//   stats()          whether statistics advance (false only in the compiled
-//                    backend's edge-audit replay);
 //   choice(i), cycle();
 //   state()/setState()  the kind's State struct at the head of its record.
 #pragma once
@@ -145,7 +145,6 @@ class ObjectPorts : public ObjectRecord<K> {
   Sig out(unsigned i) const { return ctx_->sig(this->node_->output(i)); }
   BitVec payload(const ConstSig& port) const { return port.data(); }
 
-  static constexpr bool stats() { return true; }
   bool choice(unsigned i) const { return ctx_->choice(*this->node_, i); }
   std::uint64_t cycle() const { return ctx_->cycle(); }
 

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <limits>
 
 #include "base/error.h"
 
@@ -34,10 +35,25 @@ std::uint64_t parseU64(const std::string& text, const std::string& what) {
   return v;
 }
 
+std::uint32_t parseU32(const std::string& text, const std::string& what) {
+  constexpr std::uint32_t kMax = ~std::uint32_t{0};
+  const std::uint64_t v = parseU64(text, what);
+  if (v > kMax)
+    throw NetlistError(what + ": value " + text + " is above the limit of " +
+                       std::to_string(kMax));
+  return static_cast<std::uint32_t>(v);
+}
+
 std::int64_t parseI64(const std::string& text, const std::string& what) {
-  if (!text.empty() && text[0] == '-')
-    return -static_cast<std::int64_t>(parseU64(text.substr(1), what));
-  return static_cast<std::int64_t>(parseU64(text, what));
+  const bool negative = !text.empty() && text[0] == '-';
+  const std::uint64_t magnitude = parseU64(negative ? text.substr(1) : text, what);
+  // INT64_MIN's magnitude is one more than INT64_MAX's.
+  const std::uint64_t limit =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) + negative;
+  if (magnitude > limit)
+    throw NetlistError(what + ": value " + text + " is outside the 64-bit signed range");
+  return negative ? static_cast<std::int64_t>(0 - magnitude)
+                  : static_cast<std::int64_t>(magnitude);
 }
 
 double parseReal(const std::string& text, const std::string& what) {
@@ -160,6 +176,15 @@ std::uint64_t Params::u64(const std::string& key, std::uint64_t fallback) const 
   return v == nullptr ? fallback : parseU64(*v, "attribute '" + key + "'");
 }
 
+unsigned Params::u32(const std::string& key) const {
+  return parseU32(str(key), "attribute '" + key + "'");
+}
+
+unsigned Params::u32(const std::string& key, unsigned fallback) const {
+  const std::string* v = find(key);
+  return v == nullptr ? fallback : parseU32(*v, "attribute '" + key + "'");
+}
+
 std::int64_t Params::i64(const std::string& key, std::int64_t fallback) const {
   const std::string* v = find(key);
   return v == nullptr ? fallback : parseI64(*v, "attribute '" + key + "'");
@@ -190,6 +215,13 @@ std::vector<std::uint64_t> Params::u64List(const std::string& key) const {
   std::vector<std::uint64_t> out;
   for (const std::string& item : splitList(str(key, "")))
     out.push_back(parseU64(item, "attribute '" + key + "'"));
+  return out;
+}
+
+std::vector<unsigned> Params::u32List(const std::string& key) const {
+  std::vector<unsigned> out;
+  for (const std::string& item : splitList(str(key, "")))
+    out.push_back(parseU32(item, "attribute '" + key + "'"));
   return out;
 }
 

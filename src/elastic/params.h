@@ -49,11 +49,15 @@ class Params {
   std::string str(const std::string& key, const std::string& fallback) const;
   std::uint64_t u64(const std::string& key) const;
   std::uint64_t u64(const std::string& key, std::uint64_t fallback) const;
+  /// u64() checked against 32 bits: widths, counts and capacities.
+  unsigned u32(const std::string& key) const;
+  unsigned u32(const std::string& key, unsigned fallback) const;
   std::int64_t i64(const std::string& key, std::int64_t fallback) const;
   double real(const std::string& key, double fallback) const;
   /// 0x-hex or decimal, zero-extended/checked against `width` bits.
   BitVec bits(const std::string& key, unsigned width) const;
   std::vector<std::uint64_t> u64List(const std::string& key) const;
+  std::vector<unsigned> u32List(const std::string& key) const;
   std::vector<BitVec> bitsList(const std::string& key, unsigned width) const;
 
   /// Raw comma-split of a value ("" -> empty list).
@@ -77,8 +81,10 @@ class Params {
   mutable std::vector<bool> read_;  ///< parallel to kv_
 };
 
-/// Parses decimal or 0x-hex; throws NetlistError naming `what` on garbage.
+/// Parses decimal or 0x-hex; throws NetlistError naming `what` on garbage
+/// or on a value outside the result type (parseU32 names the limit).
 std::uint64_t parseU64(const std::string& text, const std::string& what);
+std::uint32_t parseU32(const std::string& text, const std::string& what);
 std::int64_t parseI64(const std::string& text, const std::string& what);
 double parseReal(const std::string& text, const std::string& what);
 BitVec parseBits(const std::string& text, unsigned width, const std::string& what);

@@ -1,5 +1,6 @@
 #include "elastic/registry.h"
 
+#include <limits>
 #include <unordered_map>
 
 #include "base/rng.h"
@@ -11,13 +12,6 @@
 namespace esl {
 
 namespace {
-
-std::vector<unsigned> toWidths(const std::vector<std::uint64_t>& v) {
-  std::vector<unsigned> w;
-  w.reserve(v.size());
-  for (const std::uint64_t x : v) w.push_back(static_cast<unsigned>(x));
-  return w;
-}
 
 /// "delay,area" cost pair attribute.
 logic::Cost costPair(const Params& p, const std::string& key, logic::Cost fallback) {
@@ -78,8 +72,7 @@ void registerCoreFns(Registry& r) {
                          const std::string& pfx) -> Datapath {
     requireUnary(sig, "fn permille", /*sameWidth=*/false);
     if (sig.outWidth != 1) throw NetlistError("fn permille: output must be 1 bit");
-    return FnOp{Kind::kPermille, static_cast<unsigned>(p.u64(pfx + "permille")),
-                p.u64(pfx + "salt", 0)};
+    return FnOp{Kind::kPermille, p.u32(pfx + "permille"), p.u64(pfx + "salt", 0)};
   });
   r.addFn("xor", [](const FnSig& sig, const Params&, const std::string&) -> Datapath {
     if (sig.inWidths.empty()) throw NetlistError("fn xor: needs inputs");
@@ -139,8 +132,7 @@ void registerCoreGensGates(Registry& r) {
 
 void registerCoreScheds(Registry& r) {
   r.addSched("static", [](unsigned k, const Params& p, const std::string& pfx) {
-    return std::make_unique<sched::StaticScheduler>(
-        k, static_cast<unsigned>(p.u64(pfx + "pick", 0)));
+    return std::make_unique<sched::StaticScheduler>(k, p.u32(pfx + "pick", 0));
   });
   r.addSched("rr", [](unsigned k, const Params&, const std::string&) {
     return std::make_unique<sched::RoundRobinScheduler>(k);
@@ -154,8 +146,7 @@ void registerCoreScheds(Registry& r) {
     return std::make_unique<sched::TwoBitScheduler>();
   });
   r.addSched("timeout", [](unsigned k, const Params& p, const std::string& pfx) {
-    return std::make_unique<sched::TimeoutScheduler>(
-        k, static_cast<unsigned>(p.u64(pfx + "timeout", 1)));
+    return std::make_unique<sched::TimeoutScheduler>(k, p.u32(pfx + "timeout", 1));
   });
   r.addSched("bounded-fair", [](unsigned k, const Params&, const std::string&) {
     return std::make_unique<sched::BoundedFairScheduler>(k);
@@ -171,11 +162,15 @@ void registerCoreKinds(Registry& r) {
   r.addKind(
       "eb",
       [](Netlist& nl, const std::string& name, const Params& p) -> Node& {
-        const unsigned width = static_cast<unsigned>(p.u64("width"));
-        return nl.make<ElasticBuffer>(
-            name, width, static_cast<unsigned>(p.u64("cap", 2)),
-            p.bitsList("init", width), static_cast<unsigned>(p.u64("acap", 2)),
-            static_cast<int>(p.i64("ainit", 0)));
+        const unsigned width = p.u32("width");
+        const std::int64_t ainit = p.i64("ainit", 0);
+        if (ainit < std::numeric_limits<int>::min() ||
+            ainit > std::numeric_limits<int>::max())
+          throw NetlistError("attribute 'ainit': value " + std::to_string(ainit) +
+                             " is outside the range of int");
+        return nl.make<ElasticBuffer>(name, width, p.u32("cap", 2),
+                                      p.bitsList("init", width), p.u32("acap", 2),
+                                      static_cast<int>(ainit));
       },
       [](const Node& n) {
         const auto& eb = static_cast<const ElasticBuffer&>(n);
@@ -191,7 +186,7 @@ void registerCoreKinds(Registry& r) {
   r.addKind(
       "eb0",
       [](Netlist& nl, const std::string& name, const Params& p) -> Node& {
-        const unsigned width = static_cast<unsigned>(p.u64("width"));
+        const unsigned width = p.u32("width");
         std::optional<BitVec> init;
         if (p.has("init")) init = p.bits("init", width);
         return nl.make<ElasticBuffer0>(name, width, init);
@@ -207,7 +202,7 @@ void registerCoreKinds(Registry& r) {
   r.addKind(
       "broken-eb",
       [](Netlist& nl, const std::string& name, const Params& p) -> Node& {
-        return nl.make<BrokenBuffer>(name, static_cast<unsigned>(p.u64("width")));
+        return nl.make<BrokenBuffer>(name, p.u32("width"));
       },
       [](const Node& n) {
         Params p;
@@ -218,8 +213,7 @@ void registerCoreKinds(Registry& r) {
   r.addKind(
       "fork",
       [](Netlist& nl, const std::string& name, const Params& p) -> Node& {
-        return nl.make<ForkNode>(name, static_cast<unsigned>(p.u64("width")),
-                                 static_cast<unsigned>(p.u64("branches")));
+        return nl.make<ForkNode>(name, p.u32("width"), p.u32("branches"));
       },
       [](const Node& n) {
         Params p;
@@ -231,9 +225,8 @@ void registerCoreKinds(Registry& r) {
   r.addKind(
       "ee-mux",
       [](Netlist& nl, const std::string& name, const Params& p) -> Node& {
-        return nl.make<EarlyEvalMux>(name, static_cast<unsigned>(p.u64("n")),
-                                     static_cast<unsigned>(p.u64("selw", 1)),
-                                     static_cast<unsigned>(p.u64("width")));
+        return nl.make<EarlyEvalMux>(name, p.u32("n"), p.u32("selw", 1),
+                                     p.u32("width"));
       },
       [](const Node& n) {
         const auto& mux = static_cast<const EarlyEvalMux&>(n);
@@ -248,8 +241,8 @@ void registerCoreKinds(Registry& r) {
       "func",
       [&r](Netlist& nl, const std::string& name, const Params& p) -> Node& {
         FnSig sig;
-        sig.inWidths = toWidths(p.u64List("in"));
-        sig.outWidth = static_cast<unsigned>(p.u64("out"));
+        sig.inWidths = p.u32List("in");
+        sig.outWidth = p.u32("out");
         if (sig.inWidths.empty())
           throw NetlistError("func '" + name + "': needs at least one input");
         return nl.make<FuncNode>(
@@ -279,7 +272,7 @@ void registerCoreKinds(Registry& r) {
   r.addKind(
       "source",
       [&r](Netlist& nl, const std::string& name, const Params& p) -> Node& {
-        const unsigned width = static_cast<unsigned>(p.u64("width"));
+        const unsigned width = p.u32("width");
         return nl.make<TokenSource>(name, width, r.makeGen(width, p, "gen"),
                                     r.makeGate(p, "gate"));
       });
@@ -287,10 +280,8 @@ void registerCoreKinds(Registry& r) {
   r.addKind(
       "sink",
       [&r](Netlist& nl, const std::string& name, const Params& p) -> Node& {
-        return nl.make<TokenSink>(name, static_cast<unsigned>(p.u64("width")),
-                                  r.makeGate(p, "ready"),
-                                  static_cast<unsigned>(p.u64("anti", 0)),
-                                  r.makeGate(p, "antigate"));
+        return nl.make<TokenSink>(name, p.u32("width"), r.makeGate(p, "ready"),
+                                  p.u32("anti", 0), r.makeGate(p, "antigate"));
       },
       [](const Node& n) {
         const auto& sink = static_cast<const TokenSink&>(n);
@@ -307,10 +298,8 @@ void registerCoreKinds(Registry& r) {
   r.addKind(
       "nondet-source",
       [](Netlist& nl, const std::string& name, const Params& p) -> Node& {
-        return nl.make<NondetSource>(name, static_cast<unsigned>(p.u64("width")),
-                                     static_cast<unsigned>(p.u64("killcap", 2)),
-                                     static_cast<unsigned>(p.u64("databits", 0)),
-                                     static_cast<unsigned>(p.u64("maxidle", 2)));
+        return nl.make<NondetSource>(name, p.u32("width"), p.u32("killcap", 2),
+                                     p.u32("databits", 0), p.u32("maxidle", 2));
       },
       [](const Node& n) {
         const auto& src = static_cast<const NondetSource&>(n);
@@ -325,8 +314,7 @@ void registerCoreKinds(Registry& r) {
   r.addKind(
       "nondet-sink",
       [](Netlist& nl, const std::string& name, const Params& p) -> Node& {
-        return nl.make<NondetSink>(name, static_cast<unsigned>(p.u64("width")),
-                                   static_cast<unsigned>(p.u64("maxstops", 2)),
+        return nl.make<NondetSink>(name, p.u32("width"), p.u32("maxstops", 2),
                                    p.u64("anti", 0) != 0);
       },
       [](const Node& n) {
@@ -342,9 +330,9 @@ void registerCoreKinds(Registry& r) {
   r.addKind(
       "shared",
       [&r](Netlist& nl, const std::string& name, const Params& p) -> Node& {
-        const unsigned k = static_cast<unsigned>(p.u64("k"));
-        const unsigned inW = static_cast<unsigned>(p.u64("in"));
-        const unsigned outW = static_cast<unsigned>(p.u64("out"));
+        const unsigned k = p.u32("k");
+        const unsigned inW = p.u32("in");
+        const unsigned outW = p.u32("out");
         return nl.make<SharedModule>(
             name, k, inW, outW, unaryAdapter(r.makeFn({{inW}, outW}, p, "fn")),
             r.makeSched(k, p, "sched"),
@@ -354,8 +342,8 @@ void registerCoreKinds(Registry& r) {
   r.addKind(
       "stalling-vlu",
       [&r](Netlist& nl, const std::string& name, const Params& p) -> Node& {
-        const unsigned inW = static_cast<unsigned>(p.u64("in"));
-        const unsigned outW = static_cast<unsigned>(p.u64("out"));
+        const unsigned inW = p.u32("in");
+        const unsigned outW = p.u32("out");
         return nl.make<StallingVLU>(
             name, inW, outW, unaryAdapter(r.makeFn({{inW}, outW}, p, "exact")),
             [err = unaryAdapter(r.makeFn({{inW}, 1}, p, "err"))](

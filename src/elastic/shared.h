@@ -168,7 +168,7 @@ void SharedModule::edge(const V& v) {
     if (out.fwd) obs.served |= bit;
     if (in.kill) obs.killed |= bit;
   }
-  if (obs.demand != 0 && v.stats()) {
+  if (obs.demand != 0) {
     ++s.demandCycles;
     v.setState(s);
   }

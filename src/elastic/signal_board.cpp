@@ -9,6 +9,9 @@ namespace esl {
 namespace {
 constexpr std::size_t kGroupSlots = 64;
 
+/// Arena words of a payload of `width` bits.
+std::size_t wordsFor(unsigned width) { return (width + 63) / 64; }
+
 std::uint32_t alignUp(std::uint32_t n) {
   return static_cast<std::uint32_t>((n + kGroupSlots - 1) & ~(kGroupSlots - 1));
 }
@@ -56,7 +59,6 @@ void SignalBoard::layout(const Netlist& nl, const ShardPlan* plan) {
   slotProducer_.clear();
   slotConsumer_.clear();
   words_.clear();
-  spill_.clear();
   dataOff_.clear();
 
   const auto assignSlot = [&](ChannelId ch) {
@@ -66,15 +68,9 @@ void SignalBoard::layout(const Netlist& nl, const ShardPlan* plan) {
     slotWidth_.push_back(c.width);
     slotProducer_.push_back(c.producer);
     slotConsumer_.push_back(c.consumer);
-    if (c.width == 0) {
-      dataOff_.push_back(kNoSlot);
-    } else if (c.width <= 64) {
-      dataOff_.push_back(static_cast<std::uint32_t>(words_.size()));
-      words_.push_back(0);
-    } else {
-      dataOff_.push_back(static_cast<std::uint32_t>(spill_.size()) | kWideFlag);
-      spill_.emplace_back(c.width);
-    }
+    dataOff_.push_back(c.width == 0 ? kNoSlot
+                                    : static_cast<std::uint32_t>(words_.size()));
+    words_.resize(words_.size() + wordsFor(c.width));
     ++cur;
   };
   const auto padToGroup = [&] {
@@ -96,7 +92,6 @@ void SignalBoard::layout(const Netlist& nl, const ShardPlan* plan) {
   }
   boundaryBase_ = cur;
   backWordBase_ = words_.size();
-  backSpillBase_ = spill_.size();
   for (const ChannelId ch : buckets[shards]) assignSlot(ch);
   padToGroup();
   slotCount_ = cur;
@@ -107,8 +102,6 @@ void SignalBoard::layout(const Netlist& nl, const ShardPlan* plan) {
   ctrlBack_.assign(ctrl_.size() - backGroupBase_, 0);
   wordsBack_.assign(words_.begin() + static_cast<std::ptrdiff_t>(backWordBase_),
                     words_.end());
-  spillBack_.assign(spill_.begin() + static_cast<std::ptrdiff_t>(backSpillBase_),
-                    spill_.end());
   stagingActive_ = false;
 }
 
@@ -130,11 +123,10 @@ void SignalBoard::setDataAt(std::uint32_t slot, const BitVec& v) {
   const std::uint32_t off = dataOff_[slot];
   if (off == kNoSlot) return;  // zero-width control token
   const bool staged = stagingActive_ && slot >= boundaryBase_;
-  if (off & kWideFlag) {
-    BitVec& dst = staged ? spillBack_[(off & ~kWideFlag) - backSpillBase_]
-                         : spill_[off & ~kWideFlag];
-    if (dst == v) return;
-    dst = v;
+  if (v.width() > 64) {
+    std::uint64_t* dst = staged ? &wordsBack_[off - backWordBase_] : &words_[off];
+    if (v.equalsWords(dst)) return;
+    v.toWords(dst);
   } else {
     std::uint64_t& w = staged ? wordsBack_[off - backWordBase_] : words_[off];
     const std::uint64_t nv = v.toUint64();
@@ -146,7 +138,7 @@ void SignalBoard::setDataAt(std::uint32_t slot, const BitVec& v) {
 
 void Sig::setDataFrom(const ConstSig& src) {
   // Same-width payload routing (fork branches, mux selection) without
-  // materializing a BitVec: word/spill copy through the arenas. Staging only
+  // materializing a BitVec: a word copy within the arena. Staging only
   // redirects *boundary* writes, so the fast path stays valid for the
   // interior copies that dominate under a 64-aligned shard layout.
   const SignalBoard& sb = src.board();
@@ -167,11 +159,9 @@ void SignalBoard::copyDataFromSlotAt(std::uint32_t dst, std::uint32_t src) {
   const std::uint32_t doff = dataOff_[dst];
   const std::uint32_t soff = dataOff_[src];
   if (doff == kNoSlot) return;
-  if (doff & kWideFlag) {
-    BitVec& out = spill_[doff & ~kWideFlag];
-    const BitVec& in = spill_[soff & ~kWideFlag];
-    if (out == in) return;
-    out = in;
+  if (slotWidth_[dst] > 64) {
+    if (sameWords(&words_[doff], &words_[soff], slotWidth_[dst])) return;
+    copyWords(&words_[doff], &words_[soff], slotWidth_[dst]);
   } else {
     std::uint64_t& out = words_[doff];
     if (out == words_[soff]) return;
@@ -183,20 +173,16 @@ void SignalBoard::copyDataFromSlotAt(std::uint32_t dst, std::uint32_t src) {
 void SignalBoard::clearValues() {
   std::fill(ctrl_.begin(), ctrl_.end(), 0);
   std::fill(words_.begin(), words_.end(), 0);
-  for (std::size_t i = 0; i < spill_.size(); ++i)
-    spill_[i] = BitVec(spill_[i].width());
   std::fill(changed_.begin(), changed_.end(), 0);
 }
 
 void SignalBoard::copyValuesFrom(const SignalBoard& other) {
   ctrl_ = other.ctrl_;
   words_ = other.words_;
-  spill_.resize(other.spill_.size());
-  for (std::size_t i = 0; i < spill_.size(); ++i) spill_[i] = other.spill_[i];
 }
 
 bool SignalBoard::sameValuesAs(const SignalBoard& other) const {
-  return ctrl_ == other.ctrl_ && words_ == other.words_ && spill_ == other.spill_;
+  return ctrl_ == other.ctrl_ && words_ == other.words_;
 }
 
 void SignalBoard::setStagingActive(bool active) {
@@ -208,8 +194,6 @@ void SignalBoard::setStagingActive(bool active) {
               ctrl_.end(), ctrlBack_.begin());
     std::copy(words_.begin() + static_cast<std::ptrdiff_t>(backWordBase_),
               words_.end(), wordsBack_.begin());
-    for (std::size_t i = 0; i < spillBack_.size(); ++i)
-      spillBack_[i] = spill_[backSpillBase_ + i];
   }
   stagingActive_ = active;
 }
@@ -227,23 +211,28 @@ bool SignalBoard::syncBoundarySlot(std::uint32_t slot) {
   }
   const std::uint32_t off = dataOff_[slot];
   if (off != kNoSlot) {
-    if (off & kWideFlag) {
-      BitVec& front = spill_[off & ~kWideFlag];
-      const BitVec& back = spillBack_[(off & ~kWideFlag) - backSpillBase_];
-      if (!(front == back)) {
-        front = back;
-        changed = true;
-      }
-    } else {
-      std::uint64_t& front = words_[off];
-      const std::uint64_t back = wordsBack_[off - backWordBase_];
-      if (front != back) {
-        front = back;
-        changed = true;
-      }
+    std::uint64_t* front = &words_[off];
+    const std::uint64_t* back = &wordsBack_[off - backWordBase_];
+    if (!sameWords(front, back, slotWidth_[slot])) {
+      copyWords(front, back, slotWidth_[slot]);
+      changed = true;
     }
   }
   return changed;
+}
+
+BitVec SignalBoard::wideDataAt(std::uint32_t slot) const {
+  return BitVec::fromWords(slotWidth_[slot], &words_[dataOff_[slot]]);
+}
+
+bool SignalBoard::sameWords(const std::uint64_t* a, const std::uint64_t* b,
+                            unsigned width) {
+  return std::equal(a, a + wordsFor(width), b);
+}
+
+void SignalBoard::copyWords(std::uint64_t* dst, const std::uint64_t* src,
+                            unsigned width) {
+  std::copy_n(src, wordsFor(width), dst);
 }
 
 }  // namespace esl

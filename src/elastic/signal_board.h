@@ -2,8 +2,9 @@
 //
 // The four SELF control bits (vf/sf/vb/sb) of all channels live in packed
 // 64-channel bitplane groups (one cache line covers all four planes of a
-// 64-channel slot group), and payloads ≤64 bits live in a contiguous word
-// arena (wider payloads spill to a BitVec table). Replacing the old
+// 64-channel slot group), and every payload lives in one contiguous word
+// arena as ⌈width/64⌉ consecutive little-endian words, the form node records
+// store payloads in (BitVec::toWords). Replacing the old
 // AoS `std::vector<ChannelSignals>` makes the simulation hot paths
 // cache-linear and word-parallel:
 //   * the event kernel's change detection compares one plane group + one
@@ -14,7 +15,7 @@
 //     group, against a previous-cycle board that keeps the control planes
 //     and only the stopped tokens' payloads;
 //   * snapshot/compare of the whole board (sweep kernel, cross-check) is a
-//     straight word copy.
+//     straight copy of two word vectors.
 //
 // Channels are assigned *slots* by layout(). With a ShardPlan the slots are
 // permuted so that each shard's interior channels (both endpoints owned by
@@ -57,8 +58,6 @@ struct ShardPlan {
 class SignalBoard {
  public:
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
-  /// dataOffAt() flag bit: offset indexes the spill table, not the word arena.
-  static constexpr std::uint32_t kWideFlag = 0x80000000u;
 
   /// (Re)computes the slot layout for the netlist's live channels and
   /// zero-initializes all signals. Audits every channel width against the
@@ -71,7 +70,6 @@ class SignalBoard {
   /// board) for every live channel both boards know with matching width.
   void adoptValuesFrom(const SignalBoard& old);
 
-  std::size_t slotCount() const { return slotCount_; }
   /// Number of 64-slot plane groups (each group spans 4 ctrl_ words).
   std::size_t groupCount() const { return slotCount_ / kWordBits; }
 
@@ -123,18 +121,20 @@ class SignalBoard {
 
   // --- payload access (per slot) -------------------------------------------
 
+  // A payload of at most 64 bits is one word, read and written inline; a
+  // wider one takes the out-of-line multi-word paths. The compiled dispatch
+  // inlines these accessors at every port, so its narrow code must not grow.
+
   BitVec dataAt(std::uint32_t slot) const {
     const std::uint32_t off = dataOff_[slot];
     if (off == kNoSlot) return BitVec(slotWidth_[slot]);
-    if (off & kWideFlag) return spill_[off & ~kWideFlag];
+    if (slotWidth_[slot] > 64) return wideDataAt(slot);
     return BitVec(slotWidth_[slot], words_[off]);
   }
   /// Low 64 payload bits without materializing a BitVec (narrow channels).
   std::uint64_t dataLow64At(std::uint32_t slot) const {
     const std::uint32_t off = dataOff_[slot];
-    if (off == kNoSlot) return 0;
-    if (off & kWideFlag) return spill_[off & ~kWideFlag].toUint64();
-    return words_[off];
+    return off == kNoSlot ? 0 : words_[off];
   }
   void setDataAt(std::uint32_t slot, const BitVec& v);
   /// Word-copy between two slots of THIS board (staging-off fast path).
@@ -155,14 +155,14 @@ class SignalBoard {
   bool dataEqualsWordsAt(std::uint32_t slot, const std::uint64_t* w) const {
     const std::uint32_t off = dataOff_[slot];
     if (off == kNoSlot) return true;
-    if (off & kWideFlag) return spill_[off & ~kWideFlag].equalsWords(w);
+    if (slotWidth_[slot] > 64) return sameWords(&words_[off], w, slotWidth_[slot]);
     return words_[off] == w[0];
   }
   bool dataEqualsAt(std::uint32_t slot, const SignalBoard& other) const {
     const std::uint32_t off = dataOff_[slot];
     if (off == kNoSlot) return true;
-    if (off & kWideFlag)
-      return spill_[off & ~kWideFlag] == other.spill_[off & ~kWideFlag];
+    if (slotWidth_[slot] > 64)
+      return sameWords(&words_[off], &other.words_[off], slotWidth_[slot]);
     return words_[off] == other.words_[off];
   }
   /// Zeroes every signal and payload, keeping the layout (context reset).
@@ -179,10 +179,11 @@ class SignalBoard {
       const std::uint64_t* src = &other.ctrl_[g * 4];
       std::copy(src, src + 4, &ctrl_[g * 4]);
       for (std::uint64_t m = src[kVf] & src[kSf] & ~src[kVb]; m != 0; m &= m - 1) {
-        const std::uint32_t off = dataOff_[g * 64 + __builtin_ctzll(m)];
+        const std::uint32_t slot = g * 64 + __builtin_ctzll(m);
+        const std::uint32_t off = dataOff_[slot];
         if (off == kNoSlot) continue;
-        if (off & kWideFlag)
-          spill_[off & ~kWideFlag] = other.spill_[off & ~kWideFlag];
+        if (slotWidth_[slot] > 64)
+          copyWords(&words_[off], &other.words_[off], slotWidth_[slot]);
         else
           words_[off] = other.words_[off];
       }
@@ -195,7 +196,6 @@ class SignalBoard {
 
   std::uint32_t boundaryBase() const { return boundaryBase_; }
   bool inBoundary(std::uint32_t slot) const { return slot >= boundaryBase_; }
-  std::size_t boundarySlotCount() const { return slotCount_ - boundaryBase_; }
 
   /// Enters/leaves staged-write mode. Entering re-synchronizes the back copy
   /// with the front so stale staging can never leak into a round.
@@ -273,8 +273,8 @@ class SignalBoard {
   std::uint64_t* ctrlData() { return ctrl_.data(); }
   std::uint64_t* payloadData() { return words_.data(); }
   std::uint64_t* changedData() { return changed_.data(); }
-  /// Payload arena offset of a slot: word index, or spill index | kWideFlag,
-  /// or kNoSlot for zero-width channels.
+  /// Payload arena offset of a slot: its first word, or kNoSlot for
+  /// zero-width channels.
   std::uint32_t dataOffAt(std::uint32_t slot) const { return dataOff_[slot]; }
 
  private:
@@ -291,6 +291,13 @@ class SignalBoard {
   }
   static void atomicSetBit(std::uint64_t* w, std::uint64_t m, bool v);
   bool syncBoundarySlot(std::uint32_t slot);
+  // The multi-word payload paths (width > 64), out of line: ⌈width/64⌉
+  // words at each pointer.
+  BitVec wideDataAt(std::uint32_t slot) const;
+  static bool sameWords(const std::uint64_t* a, const std::uint64_t* b,
+                        unsigned width);
+  static void copyWords(std::uint64_t* dst, const std::uint64_t* src,
+                        unsigned width);
 
   std::size_t slotCount_ = 0;             ///< multiple of 64 (padded)
   std::vector<std::uint32_t> slotOf_;     ///< ChannelId -> slot (kNoSlot = dead)
@@ -301,19 +308,16 @@ class SignalBoard {
 
   // Front planes: 4 words per 64-slot group, [vf sf vb sb] interleaved.
   std::vector<std::uint64_t> ctrl_;
-  std::vector<std::uint64_t> words_;      ///< narrow payload arena (1 word/ch)
-  std::vector<BitVec> spill_;             ///< wide payloads (>64 bits)
-  std::vector<std::uint32_t> dataOff_;    ///< slot -> arena word | spill+flag
+  std::vector<std::uint64_t> words_;      ///< payload arena (⌈width/64⌉ words/ch)
+  std::vector<std::uint32_t> dataOff_;    ///< slot -> first payload word
   std::vector<std::uint64_t> changed_;    ///< write-tracked change bits/slot
 
   // Boundary double buffer (back copy of the boundary tail of each store).
   std::uint32_t boundaryBase_ = 0;        ///< first boundary slot (64-aligned)
   std::size_t backGroupBase_ = 0;         ///< ctrl_ index of the first back group
   std::size_t backWordBase_ = 0;          ///< words_ offset of the boundary tail
-  std::size_t backSpillBase_ = 0;         ///< spill_ offset of the boundary tail
   std::vector<std::uint64_t> ctrlBack_;
   std::vector<std::uint64_t> wordsBack_;
-  std::vector<BitVec> spillBack_;
   bool stagingActive_ = false;
 
   // Interior group ranges per shard (group = 64 slots).

@@ -109,7 +109,7 @@ void StallingVLU::edge(const V& v) {
   const StallingVLU& unit = v.node();
   State s = v.state();
   if (out.kill || out.fwd) {
-    if (out.fwd && v.stats()) ++s.completed;
+    if (out.fwd) ++s.completed;
     s.hasResult = false;
   }
 
@@ -124,7 +124,7 @@ void StallingVLU::edge(const V& v) {
     if (unit.err_(x)) {
       v.setPending(x);  // bubble next cycle, sender stalled
       s.hasPending = true;
-      if (v.stats()) ++s.stalls;
+      ++s.stalls;
     } else {
       v.setResult(unit.exact_(x));  // approx == exact when no error is flagged
       s.hasResult = true;

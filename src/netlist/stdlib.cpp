@@ -45,14 +45,14 @@ void registerAll() {
   // The packed operand word is 2*width+2 bits (packAluOperands).
   r.addFn("alu.exact", [](const FnSig& sig, const Params& p,
                           const std::string& pfx) -> CombFn {
-    const unsigned w = static_cast<unsigned>(p.u64(pfx + "width"));
+    const unsigned w = p.u32(pfx + "width");
     requireSig(sig, 2 * w + 2, w, "fn alu.exact");
     return [w](const std::vector<BitVec>& in) { return logic::aluExact(in[0], w); };
   });
   r.addFn("alu.approx", [](const FnSig& sig, const Params& p,
                            const std::string& pfx) -> CombFn {
-    const unsigned w = static_cast<unsigned>(p.u64(pfx + "width"));
-    const unsigned seg = static_cast<unsigned>(p.u64(pfx + "segment"));
+    const unsigned w = p.u32(pfx + "width");
+    const unsigned seg = p.u32(pfx + "segment");
     requireSig(sig, 2 * w + 2, w, "fn alu.approx");
     return [w, seg](const std::vector<BitVec>& in) {
       return logic::aluApprox(in[0], w, seg);
@@ -60,8 +60,8 @@ void registerAll() {
   });
   r.addFn("alu.err", [](const FnSig& sig, const Params& p,
                         const std::string& pfx) -> CombFn {
-    const unsigned w = static_cast<unsigned>(p.u64(pfx + "width"));
-    const unsigned seg = static_cast<unsigned>(p.u64(pfx + "segment"));
+    const unsigned w = p.u32(pfx + "width");
+    const unsigned seg = p.u32(pfx + "segment");
     requireSig(sig, 2 * w + 2, 1, "fn alu.err");
     return [w, seg](const std::vector<BitVec>& in) {
       return BitVec(1, logic::aluApproxError(in[0], w, seg) ? 1 : 0);
@@ -107,19 +107,17 @@ void registerAll() {
 
   // --- operand generators ---------------------------------------------------
   r.addGen("vlu.ops", [](unsigned width, const Params& p, const std::string& pfx) {
-    const unsigned w = static_cast<unsigned>(p.u64(pfx + "width"));
+    const unsigned w = p.u32(pfx + "width");
     if (width != 2 * w + 2)
       throw NetlistError("gen vlu.ops: source width must be 2*width+2");
-    return vluOperandGen(w, static_cast<unsigned>(p.u64(pfx + "segment")),
-                         static_cast<unsigned>(p.u64(pfx + "permille")),
+    return vluOperandGen(w, p.u32(pfx + "segment"), p.u32(pfx + "permille"),
                          p.u64(pfx + "seed"));
   });
   r.addGen("secded.code", [](unsigned width, const Params& p,
                              const std::string& pfx) {
     if (width != logic::kSecdedCodeBits)
       throw NetlistError("gen secded.code: source width must be 72");
-    return secdedCodeGen(static_cast<unsigned>(p.u64(pfx + "flip")),
-                         static_cast<unsigned>(p.u64(pfx + "double", 0)),
+    return secdedCodeGen(p.u32(pfx + "flip"), p.u32(pfx + "double", 0),
                          p.u64(pfx + "seed"), p.u64(pfx + "stream"));
   });
 }

@@ -279,7 +279,7 @@ int clientMain(int argc, char** argv) {
       } else if (arg == "--timeout") {
         options.timeoutMs = parseU64(value(), arg);
       } else if (arg == "--retries") {
-        options.retries = static_cast<unsigned>(parseU64(value(), arg));
+        options.retries = parseU32(value(), arg);
       } else if (arg == "--backoff") {
         options.backoffMs = parseU64(value(), arg);
       } else if (arg == "--help" || arg == "-h") {

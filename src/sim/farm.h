@@ -94,7 +94,6 @@ class SimFarm {
   /// n tasks identical except for consecutive seeds seed0, seed0+1, …
   void addSeedSweep(std::uint64_t n, std::uint64_t seed0, std::uint64_t cycles,
                     std::uint64_t config = 0);
-  std::size_t taskCount() const { return tasks_.size(); }
 
   /// Runs every queued task on `threads` work-stealing executor lanes
   /// (0 = hardware concurrency; the calling thread is one of the lanes) and

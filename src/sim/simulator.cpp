@@ -29,28 +29,26 @@ void Simulator::step() {
   ctx_.settle();
   if (options_.checkProtocol) ctx_.checkProtocol();
 
-  if (options_.trackChannelStats) {
-    // Word-parallel event sweep over the settled bitplanes: quiet 64-channel
-    // groups cost two loads and an OR; only channels with an actual event
-    // touch their counters.
-    const SignalBoard& board = ctx_.board();
-    const std::size_t groups = board.groupCount();
-    for (std::size_t g = 0; g < groups; ++g) {
-      if (board.activityAtGroup(g) == 0) continue;
-      const SignalBoard::EventWord ev = board.eventsAtGroup(g);
-      std::uint64_t any = ev.any();
-      while (any != 0) {
-        const unsigned bit = static_cast<unsigned>(__builtin_ctzll(any));
-        any &= any - 1;
-        const std::uint32_t slot = static_cast<std::uint32_t>(g * 64 + bit);
-        const std::uint64_t mask = std::uint64_t{1} << bit;
-        const ChannelId ch = board.channelAtSlot(slot);
-        if (ch >= stats_.size()) stats_.resize(ch + 1);  // post-surgery channel
-        ChannelStats& st = stats_[ch];
-        if (ev.fwd & mask) ++st.fwdTransfers;
-        if (ev.kill & mask) ++st.kills;
-        if (ev.bwd & mask) ++st.bwdTransfers;
-      }
+  // Per-channel statistics: a word-parallel event sweep over the settled
+  // bitplanes. Quiet 64-channel groups cost two loads and an OR; only
+  // channels with an actual event touch their counters.
+  const SignalBoard& board = ctx_.board();
+  const std::size_t groups = board.groupCount();
+  for (std::size_t g = 0; g < groups; ++g) {
+    if (board.activityAtGroup(g) == 0) continue;
+    const SignalBoard::EventWord ev = board.eventsAtGroup(g);
+    std::uint64_t any = ev.any();
+    while (any != 0) {
+      const unsigned bit = static_cast<unsigned>(__builtin_ctzll(any));
+      any &= any - 1;
+      const std::uint32_t slot = static_cast<std::uint32_t>(g * 64 + bit);
+      const std::uint64_t mask = std::uint64_t{1} << bit;
+      const ChannelId ch = board.channelAtSlot(slot);
+      if (ch >= stats_.size()) stats_.resize(ch + 1);  // post-surgery channel
+      ChannelStats& st = stats_[ch];
+      if (ev.fwd & mask) ++st.fwdTransfers;
+      if (ev.kill & mask) ++st.kills;
+      if (ev.bwd & mask) ++st.bwdTransfers;
     }
   }
   if (trace_ != nullptr) trace_->capture(ctx_);

@@ -31,11 +31,6 @@ struct SimOptions {
   SimContext::SettleKernel kernel = SimContext::SettleKernel::kEventDriven;
   /// Run both kernels every cycle and throw InternalError on disagreement.
   bool crossCheckKernels = false;
-  /// Collect per-channel transfer/kill statistics each cycle. With the
-  /// SignalBoard this is a bitplane sweep — two loads and an OR per 64 quiet
-  /// channels, popcount-cheap on busy ones — so it is cheap enough to stay on
-  /// by default even at the 100k-node benchmark tiers.
-  bool trackChannelStats = true;
   /// Shard the netlist across N worker lanes per cycle (1 = serial). Settled
   /// signals and packed state are bit-identical for every value.
   unsigned shards = 1;

@@ -131,7 +131,6 @@ class ModelChecker {
   /// From every reachable state some p-edge must remain reachable.
   std::optional<Violation> checkAlwaysReachable(const std::string& p) const;
 
-  std::size_t stateCount() const { return states_.size(); }
   bool truncated() const { return truncated_; }
 
   /// Order-sensitive hash of the entire explored graph — state bytes, edges,

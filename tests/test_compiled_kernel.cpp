@@ -7,7 +7,7 @@
 // to the interpreted event-driven kernel, cycle by cycle — enforced here over
 // every golden .esl design and the C++-built and Shannon-decomposed Fig. 1
 // designs, all four synthetic topology families (with shrink-on-failure),
-// payload width boundaries around the word/spill split, nondeterministic
+// payload width boundaries around one- and multi-word payloads, nondeterministic
 // environments, snapshot round-trips through the compiled backend,
 // recompilation after netlist surgery, and every core catalog op, on both
 // backends and both sides of the word/object split, against an independent
@@ -152,8 +152,8 @@ TEST(CompiledKernel, AllSynthFamiliesBitIdentical) {
 }
 
 TEST(CompiledKernel, WidthBoundariesAroundTheSpillSplit) {
-  // 1 and 63/64 stay in the narrow word arena (and in the specialized word
-  // kernels); 65/128/200 spill to BitVec storage — both sides of every
+  // 1 and 63/64 take one board word (and run the specialized word kernels);
+  // 65/128/200 take several and stay generic — both sides of every
   // boundary, plus the widest inline/heap BitVec split at 200 (> 3 words).
   // Every family, so buffers, forks, early-evaluation muxes and join
   // functions all run both payload representations of the arena view.
@@ -306,6 +306,58 @@ TEST(CompiledKernel, CrossCheckModeRunsCleanOnPaperDesigns) {
     opts.crossCheckKernels = true;
     sim::Simulator s(nl, opts);
     ASSERT_NO_THROW(s.run(300));
+  }
+}
+
+/// Every statistic a run keeps, labeled: the node counters in node order,
+/// then each channel's transfer/kill counts in channel order.
+std::vector<std::string> statistics(sim::Simulator& s) {
+  const SimContext& ctx = s.ctx();
+  const Netlist& nl = ctx.netlist();
+  std::vector<std::string> out;
+  const auto add = [&out](const std::string& what, std::uint64_t n) {
+    out.push_back(what + "=" + std::to_string(n));
+  };
+  for (const NodeId id : nl.nodeIds()) {
+    const Node& n = nl.node(id);
+    const std::string tag = n.kindName() + " '" + n.name() + "' ";
+    if (const auto* sink = dynamic_cast<const TokenSink*>(&n))
+      add(tag + "received", sink->received(ctx));
+    if (const auto* src = dynamic_cast<const TokenSource*>(&n))
+      add(tag + "killed", src->killed(ctx));
+    if (const auto* mux = dynamic_cast<const EarlyEvalMux*>(&n))
+      add(tag + "antiTokensEmitted", mux->antiTokensEmitted(ctx));
+    if (const auto* shared = dynamic_cast<const SharedModule*>(&n))
+      add(tag + "demandCycles", shared->demandCycles(ctx));
+    if (const auto* vlu = dynamic_cast<const StallingVLU*>(&n)) {
+      add(tag + "completed", vlu->completed(ctx));
+      add(tag + "stalls", vlu->stalls(ctx));
+    }
+  }
+  for (const ChannelId ch : nl.channelIds()) {
+    const sim::ChannelStats& st = s.channelStats(ch);
+    const std::string tag = "channel '" + nl.channel(ch).name + "' ";
+    add(tag + "fwd", st.fwdTransfers);
+    add(tag + "kills", st.kills);
+    add(tag + "bwd", st.bwdTransfers);
+  }
+  return out;
+}
+
+TEST(CompiledKernel, CrossCheckCountsEveryStatisticOnce) {
+  // The edge audit runs each specialized op and the interpreted clockEdge
+  // from the same record; a statistic must still advance once per event, as
+  // in a plain interpreted run.
+  for (const std::string& name : patterns::designNames()) {
+    SCOPED_TRACE(name);
+    const Netlist nl = frontend::buildEslFile(goldenPath(name));
+    sim::Simulator interp(nl, interpOpts());
+    sim::SimOptions audited = compiledOpts();
+    audited.crossCheckKernels = true;
+    sim::Simulator comp(nl, audited);
+    interp.run(2000);
+    comp.run(2000);
+    EXPECT_EQ(statistics(interp), statistics(comp));
   }
 }
 

@@ -311,6 +311,48 @@ TEST(EslFormat, BuildRejectsUnknownKindsAttributesAndWiring) {
   EXPECT_THROW(build("esl 1;\nnode eb x width=8;\n"), EslError);
 }
 
+TEST(EslFormat, BuildRefusesCountsAndWidthsThatWouldNarrow) {
+  // Each design is complete and well-formed but for one value that does not
+  // fit the field it sets: a 32-bit width or capacity, or ainit's int.
+  stdlib::ensureRegistered();
+  const auto refusal = [](const std::string& text) -> std::string {
+    try {
+      parseEsl("esl 1;\n" + text, "<t>").build();
+    } catch (const NetlistError& e) {
+      return e.what();
+    }
+    return "built";
+  };
+  const auto ebWith = [](const std::string& attrs) {
+    return "node source src width=8 gen=counting;\n"
+           "node eb b width=8 " + attrs + ";\n"
+           "node sink k width=8;\n"
+           "channel src.out0 -> b.in0;\n"
+           "channel b.out0 -> k.in0;\n";
+  };
+  struct Case {
+    std::string text, attribute, limit;
+  };
+  const std::vector<Case> cases = {
+      {"node source src width=4294967304 gen=counting;\n"
+       "node sink k width=8;\n"
+       "channel src.out0 -> k.in0;\n",
+       "attribute 'width'", "4294967295"},
+      {ebWith("cap=4294967298"), "attribute 'cap'", "4294967295"},
+      {ebWith("ainit=4294967297"), "attribute 'ainit'", "range of int"},
+      {ebWith("ainit=-18446744073709551615"), "attribute 'ainit'",
+       "64-bit signed range"},
+      {ebWith("ainit=-9223372036854775808"), "attribute 'ainit'", "range of int"},
+  };
+  for (const Case& c : cases) {
+    const std::string msg = refusal(c.text);
+    EXPECT_NE(msg.find(c.attribute), std::string::npos) << c.text << msg;
+    EXPECT_NE(msg.find(c.limit), std::string::npos) << c.text << msg;
+  }
+  // The largest ainit an int holds still builds.
+  EXPECT_EQ(refusal(ebWith("acap=2147483647 ainit=2147483647")), "built");
+}
+
 TEST(EslFormat, AttributesSurviveVerbatimIncludingHex) {
   // The fixpoint holds for non-canonical spellings too: attributes are
   // preserved verbatim, not re-serialized.

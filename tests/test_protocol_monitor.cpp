@@ -290,7 +290,7 @@ TEST(ProtocolMonitor, StoppedTokenVanished) {
 }
 
 TEST(ProtocolMonitor, StoppedTokenDataChanged) {
-  // 72 bits: the payload lives in the board's wide spill table.
+  // 72 bits: the payload takes two words of the board's arena.
   for (const unsigned width : {8u, 72u}) {
     SCOPED_TRACE(width);
     expectPokeReports(

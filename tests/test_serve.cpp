@@ -25,6 +25,7 @@
 #include "base/crc32.h"
 #include "frontend/esl_format.h"
 #include "netlist/patterns.h"
+#include "serve/cli.h"
 #include "serve/client.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
@@ -934,6 +935,23 @@ TEST(ServeWire, ClientDistinguishesConnectFailureFromServerDeath) {
   fx.server->requestStop();
   fx.thread.join();  // sessions closed, connection fds shut down
   EXPECT_THROW(client.step("s", 10), ConnectionLostError);
+}
+
+TEST(ServeWire, ClientRefusesARetryCountAboveItsTypeBeforeConnecting) {
+  // 4294967297 would narrow to 1 retry: the client must refuse it as a usage
+  // error (exit 1) naming the flag and the limit, not try a missing socket
+  // (exit 3).
+  const std::string socket = testSocketPath("no-daemon");
+  std::vector<std::string> args = {"--socket", socket, "--retries", "4294967297",
+                                   "--backoff", "1"};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  testing::internal::CaptureStderr();
+  const int code = clientMain(static_cast<int>(argv.size()), argv.data());
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(code, 1) << err;
+  EXPECT_NE(err.find("--retries"), std::string::npos) << err;
+  EXPECT_NE(err.find("4294967295"), std::string::npos) << err;
 }
 
 TEST(ServeWire, ReplyDeadlineSurfacesAsTimeout) {

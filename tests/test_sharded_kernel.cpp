@@ -6,7 +6,7 @@
 // settled signals and packed state are bit-identical to the serial
 // event-driven kernel for EVERY shard count — enforced here over all four
 // synthetic topology families (with the diff_kernels_util shrink-on-failure
-// harness), the paper patterns, wide (spilled) payloads, and cross-check
+// harness), the paper patterns, wide (multi-word) payloads, and cross-check
 // mode, which under shards compares the sharded settle against the reference
 // sweep every cycle.
 //
@@ -65,8 +65,8 @@ TEST(ShardedKernel, AllSynthFamiliesBitIdentical) {
 }
 
 TEST(ShardedKernel, WidePayloadsSpillCleanly) {
-  // >64-bit payloads exercise the SignalBoard's BitVec spill table, including
-  // the boundary back-buffer when the channel crosses a shard cut.
+  // >64-bit payloads exercise the SignalBoard's multi-word arena paths,
+  // including the boundary back-buffer when the channel crosses a shard cut.
   for (const unsigned shards : kShardCounts) {
     const synth::SynthConfig cfg =
         famConfig(synth::Topology::kPipeline, 120, 2, 3, /*width=*/80);

@@ -1,6 +1,6 @@
-// SignalBoard unit tests: slot layout, payload width boundaries, the wide
-// spill table, snapshot/accessor equivalence with the legacy AoS layout, and
-// the build-time channel-width audit.
+// SignalBoard unit tests: slot layout, payload width boundaries, multi-word
+// payloads in the word arena, snapshot/accessor equivalence with the legacy
+// AoS layout, and the build-time channel-width audit.
 #include <gtest/gtest.h>
 
 #include "elastic/signal_board.h"
@@ -36,8 +36,8 @@ Chain buildChain(unsigned width) {
 }
 
 TEST(SignalBoard, PayloadWidthBoundaries) {
-  // 1/63/64 live in the word arena; 65+ spill to the BitVec table. The full
-  // value must round-trip through the accessors either way.
+  // 1/63/64 take one arena word; 65+ take ⌈w/64⌉ consecutive words. The
+  // full value must round-trip through the accessors either way.
   for (const unsigned width : {1u, 63u, 64u, 65u, 80u, 144u, 200u}) {
     SCOPED_TRACE("width " + std::to_string(width));
     Chain c = buildChain(width);
