@@ -141,14 +141,15 @@ TierResult runTier(std::size_t sessions, std::size_t maxResident,
 }
 
 // Restart-recovery tier: spool N stepped sessions to a persistent directory,
-// then measure (a) a fresh Service's startup scan — journal replay plus full
-// CRC validation of every record — and (b) the first-touch restores that
-// re-materialize each session. Reported as sessions/s re-attached; the crash
-// smoke gates correctness of the same path, this row tracks its cost.
+// then measure (a) a fresh Service's startup scan — the directory listing
+// plus full CRC validation of every record — and (b) the first-touch
+// restores that re-materialize each session. Reported as sessions/s
+// re-attached; the crash smoke gates correctness of the same path, this row
+// tracks its cost.
 struct RecoveryResult {
   std::string name;
   std::size_t sessions = 0;
-  double attachPerSec = 0.0;   ///< startup scan (journal replay + CRC)
+  double attachPerSec = 0.0;   ///< startup scan (listing + CRC)
   double restorePerSec = 0.0;  ///< first-touch spool restores
   std::uint64_t recovered = 0;
 };

@@ -12,9 +12,11 @@ cumulative report must be byte-identical to a one-shot
 `esl <design> --sim <total>` CLI run.
 
 Phase 2 (SIGTERM drain): a long step is aborted at a quantum boundary with
-a structured "draining" error, the daemon spools every session and exits 0;
-a restarted daemon resumes the partial progress (cut at an exact quantum
-multiple) byte-identically.
+a structured "draining" error, the daemon spools every session and exits 0,
+leaving exactly one record per session in the spool directory (it is its
+own index: no journal beside the records); a restarted daemon resumes the
+partial progress (cut at an exact quantum multiple) byte-identically, and
+closing the session leaves the directory empty.
 
 Phase 3 (client exit codes): no daemon -> exit 3 (cannot connect, after
 retries); a reply deadline on a huge step -> exit 4 (timeout).
@@ -125,6 +127,12 @@ def expect_recovered(esl, sock, want, failures, tag):
                         f"({stats.stdout.decode().strip()})")
 
 
+def expect_listing(spool, want, failures, tag):
+    got = sorted(os.listdir(spool))
+    if got != want:
+        failures.append(f"{tag}: spool directory lists {got}, want {want}")
+
+
 def sigkill_phase(esl, tmp, failures):
     sock = os.path.join(tmp, "crash.sock")
     spool = os.path.join(tmp, "crash-spool")
@@ -217,6 +225,8 @@ def sigterm_phase(esl, tmp, failures):
         if code != 0:
             failures.append(f"drain phase: daemon exited {code} on SIGTERM, "
                             f"want 0 after draining")
+        expect_listing(spool, ["a.spool"], failures,
+                       "drain phase: after the SIGTERM drain")
 
         daemon = start_daemon(esl, sock, spool)
         expect_recovered(esl, sock, 1, failures, "drain phase restart")
@@ -236,6 +246,7 @@ def sigterm_phase(esl, tmp, failures):
                     f"--- serve ---\n{got.stdout.decode()}"
                     f"--- cli ---\n{want.stdout.decode()}")
         run_client(esl, sock, "close a\n")
+        expect_listing(spool, [], failures, "drain phase: after close a")
         down = run_client(esl, sock, "shutdown\n")
         if down.returncode != 0:
             failures.append(f"drain phase shutdown: exit {down.returncode}")

@@ -1,9 +1,9 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over byte runs.
 //
 // The integrity check on every durable artifact the tree writes: snapshot
-// files (--save-state), serve spool records and their journal lines all
-// carry a CRC so truncation and bit-rot are detected at read time instead of
-// being deserialized blind. Table-driven, no dependencies; ~1 GB/s is far
+// files (--save-state) and serve spool records are the one state container
+// (elastic/state_io.h), whose CRC detects truncation and bit-rot at read time
+// instead of letting them be deserialized blind. Table-driven, no dependencies; ~1 GB/s is far
 // faster than the disk writes it guards.
 #pragma once
 

@@ -1,10 +1,23 @@
 #include "elastic/buffer.h"
 
+#include <limits>
+
 namespace esl {
 
 // ---------------------------------------------------------------------------
 // ElasticBuffer (Lf=1, Lb=1, C=capacity)
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// State, then the ring of `capacity` token slots; in 64 bits, so a ring the
+/// 32-bit record offsets cannot hold is refused instead of wrapping.
+std::uint64_t ebRecordWords(unsigned capacity, unsigned width) {
+  return stateWords<ElasticBuffer::State>() +
+         std::uint64_t{capacity} * payloadWords(width);
+}
+
+}  // namespace
 
 ElasticBuffer::ElasticBuffer(std::string name, unsigned width, unsigned capacity,
                              std::vector<BitVec> initTokens, unsigned antiCapacity,
@@ -24,12 +37,18 @@ ElasticBuffer::ElasticBuffer(std::string name, unsigned width, unsigned capacity
             "ElasticBuffer: cannot initialize both tokens and anti-tokens");
   for (const BitVec& v : init_)
     ESL_CHECK(v.width() == width_, "ElasticBuffer: init token width mismatch");
+  const std::uint64_t words = ebRecordWords(capacity_, width_);
+  ESL_CHECK(words <= std::numeric_limits<std::uint32_t>::max(),
+            "ElasticBuffer '" + Node::name() + "': capacity " +
+                std::to_string(capacity_) + " at width " + std::to_string(width_) +
+                " needs a record of " + std::to_string(words) +
+                " words, above the limit of 4294967295");
   declareInput(width_);
   declareOutput(width_);
 }
 
 std::uint32_t ElasticBuffer::recordWords() const {
-  return stateWords<State>() + capacity_ * payloadWords(width_);
+  return static_cast<std::uint32_t>(ebRecordWords(capacity_, width_));
 }
 
 void ElasticBuffer::reset(std::uint64_t* record) const {

@@ -1,6 +1,7 @@
 #include "elastic/context.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "base/executor.h"
 #include "compile/arena.h"
@@ -121,17 +122,28 @@ void SimContext::ensureTopologyCache() {
   edgeWordGen_.assign((netlist_.nodeCapacity() + 63) / 64, 0);
   groupHot_.assign(board_.groupCount(), 0);
   // Hot-dispatch caches: raw node pointers and the channel→reader adjacency
-  // flattened to CSR with board slots pre-resolved. Built here (serially), so
-  // shard workers never touch the netlist's lazy mutable caches.
+  // as CSR with board slots pre-resolved, built from the channel list by a
+  // counting pass. A node's entries are its channels in id order, each with
+  // the node at the other endpoint (a self-loop lists its producer end
+  // first). Built here (serially), so shard workers never touch the
+  // netlist's lazy mutable caches.
   nodePtr_.assign(netlist_.nodeCapacity(), nullptr);
+  for (const NodeId id : liveNodes_) nodePtr_[id] = &netlist_.node(id);
   adjOffset_.assign(netlist_.nodeCapacity() + 1, 0);
-  adjFlat_.clear();
-  for (const NodeId id : liveNodes_) {
-    nodePtr_[id] = &netlist_.node(id);
-    adjOffset_[id] = static_cast<std::uint32_t>(adjFlat_.size());
-    for (const auto& [ch, other] : netlist_.adjacency(id))
-      adjFlat_.push_back({board_.slotOf(ch), other});
-    adjOffset_[id + 1] = static_cast<std::uint32_t>(adjFlat_.size());
+  for (const ChannelId ch : liveChannels_) {
+    const Channel& c = netlist_.channel(ch);
+    ++adjOffset_[c.producer + 1];
+    ++adjOffset_[c.consumer + 1];
+  }
+  for (std::size_t i = 1; i < adjOffset_.size(); ++i)
+    adjOffset_[i] += adjOffset_[i - 1];
+  adjFlat_.resize(adjOffset_.back());
+  std::vector<std::uint32_t> next(adjOffset_.begin(), adjOffset_.end() - 1);
+  for (const ChannelId ch : liveChannels_) {
+    const Channel& c = netlist_.channel(ch);
+    const std::uint32_t slot = board_.slotOf(ch);
+    adjFlat_[next[c.producer]++] = {slot, c.consumer};
+    adjFlat_[next[c.consumer]++] = {slot, c.producer};
   }
   layoutRecords();
   compileOps();
@@ -145,17 +157,20 @@ void SimContext::ensureTopologyCache() {
 
 void SimContext::layoutRecords() {
   std::vector<std::uint32_t> off(netlist_.nodeCapacity(), kNoRecord);
-  std::uint32_t words = 0;
+  std::uint64_t words = 0;  // checked against the 32-bit offsets below
   unsigned prevShard = ~0u;
   for (const NodeId id : liveNodes_) {
     if (shards_ > 1 && plan_.nodeShard[id] != prevShard) {
       // Cache-line-align each shard's first record so concurrent shard
       // workers never false-share one across the slice border.
-      words = (words + 7) & ~7u;
+      words = (words + 7) & ~std::uint64_t{7};
       prevShard = plan_.nodeShard[id];
     }
-    off[id] = words;
+    off[id] = static_cast<std::uint32_t>(words);
     words += nodePtr_[id]->recordWords();
+    ESL_CHECK(words <= std::numeric_limits<std::uint32_t>::max(),
+              "node '" + nodePtr_[id]->name() + "': the design's records need " +
+                  std::to_string(words) + " words, above the limit of 4294967295");
   }
   std::vector<std::uint64_t> fresh(words, 0);
   for (const NodeId id : liveNodes_) {
@@ -256,13 +271,6 @@ void SimContext::ensureChoiceMap() {
   }
   choiceKnown_.assign((totalChoices_ + 63) / 64, 0);
   choiceValue_.assign((totalChoices_ + 63) / 64, 0);
-}
-
-void SimContext::setChoices(std::vector<bool> bits) {
-  ESL_CHECK(bits.size() == totalChoices_, "setChoices: wrong bit count");
-  fixedChoices_ = std::move(bits);
-  hasFixedChoices_ = true;
-  std::fill(choiceKnown_.begin(), choiceKnown_.end(), 0);
 }
 
 void SimContext::setChoicesFrom(const std::vector<bool>& bits) {

@@ -15,8 +15,9 @@
 //     evaluation can differ from the previous settled cycle (everything with
 //     sequential state or choice bits; all nodes after reset), then
 //     re-evaluates only nodes whose adjacent channel signals actually changed,
-//     using the netlist's channel→reader adjacency index. Signals are retained
-//     across cycles, so untouched combinational regions are never re-visited.
+//     through a channel→reader adjacency (CSR) the context builds from the
+//     netlist's channel list. Signals are retained across cycles, so untouched
+//     combinational regions are never re-visited.
 //
 // The edge phase is dirty-tracked to match: with the settled signals in
 // bitplanes, the transfer/kill event masks of 64 channels at a time come from
@@ -215,11 +216,9 @@ class SimContext {
   /// Total choice bits consumed per cycle by all nodes.
   unsigned totalChoices() const { return totalChoices_; }
 
-  /// Fixes this cycle's choice assignment (verification). Cleared after edge().
-  void setChoices(std::vector<bool> bits);
-  /// Copying variant for callers that replay one precomputed assignment many
-  /// times (the model checker's combo enumeration): reuses the internal
-  /// buffer's capacity instead of consuming the argument.
+  /// Fixes this cycle's choice assignment (verification). Cleared after
+  /// edge(). Copies `bits`, reusing the internal buffer's capacity, since
+  /// the model checker replays one precomputed assignment many times.
   void setChoicesFrom(const std::vector<bool>& bits);
 
   /// Fallback provider used when no explicit assignment is set (simulation).
@@ -644,8 +643,9 @@ class SimContext {
   unsigned shardsSeen_ = 0;
   std::vector<NodeId> liveNodes_;
   std::vector<const Node*> nodePtr_;  ///< cached per-id pointers (hot dispatch)
-  /// Flattened channel→reader adjacency (CSR) with the board slot resolved at
-  /// cache-build time: the drain loops walk one contiguous range per node.
+  /// Channel→reader adjacency (CSR), counted out of liveChannels_ with the
+  /// board slot resolved at cache-build time: the drain loops walk one
+  /// contiguous range per node.
   struct AdjEntry {
     std::uint32_t slot;
     NodeId other;

@@ -10,7 +10,6 @@ NodeId Netlist::addNode(std::unique_ptr<Node> node) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
   node->setId(id);
   nodes_.push_back(std::move(node));
-  adjacency_.emplace_back();
   ++topoVersion_;
   return id;
 }
@@ -25,7 +24,7 @@ void Netlist::removeNode(NodeId id) {
     ESL_CHECK(!n.outputBound(p),
               "Netlist::removeNode: output still connected on " + n.name());
   nodes_[id].reset();
-  rewired();
+  ++topoVersion_;
 }
 
 ChannelId Netlist::connect(Node& producer, unsigned producerPort, Node& consumer,
@@ -55,9 +54,6 @@ ChannelId Netlist::connect(Node& producer, unsigned producerPort, Node& consumer
 
   producer.bindOutput(producerPort, ch.id);
   consumer.bindInput(consumerPort, ch.id);
-
-  adjacency_[producer.id()].push_back({ch.id, consumer.id()});
-  adjacency_[consumer.id()].push_back({ch.id, producer.id()});
   ++topoVersion_;
   return ch.id;
 }
@@ -68,7 +64,7 @@ void Netlist::disconnect(ChannelId chId) {
   node(ch.producer).bindOutput(ch.producerPort, kNoChannel);
   node(ch.consumer).bindInput(ch.consumerPort, kNoChannel);
   channelLive_[chId] = false;
-  rewired();
+  ++topoVersion_;
 }
 
 void Netlist::rebindConsumer(ChannelId chId, Node& consumer, unsigned consumerPort) {
@@ -82,7 +78,7 @@ void Netlist::rebindConsumer(ChannelId chId, Node& consumer, unsigned consumerPo
   ch.consumer = consumer.id();
   ch.consumerPort = consumerPort;
   consumer.bindInput(consumerPort, chId);
-  rewired();
+  ++topoVersion_;
 }
 
 void Netlist::rebindProducer(ChannelId chId, Node& producer, unsigned producerPort) {
@@ -96,7 +92,7 @@ void Netlist::rebindProducer(ChannelId chId, Node& producer, unsigned producerPo
   ch.producer = producer.id();
   ch.producerPort = producerPort;
   producer.bindOutput(producerPort, chId);
-  rewired();
+  ++topoVersion_;
 }
 
 ChannelId Netlist::insertOnChannel(ChannelId chId, Node& mid) {
@@ -106,15 +102,13 @@ ChannelId Netlist::insertOnChannel(ChannelId chId, Node& mid) {
   Channel& ch = channels_[chId];
   Node& consumer = node(ch.consumer);
   const unsigned consumerPort = ch.consumerPort;
-  // Detach the old consumer, attach the new node, then connect downstream.
-  // The direct rebind bypasses connect(), so the index is rebuilt after.
+  // Detach the old consumer, attach the new node, then connect downstream
+  // (which bumps the version).
   consumer.bindInput(consumerPort, kNoChannel);
   ch.consumer = mid.id();
   ch.consumerPort = 0;
   mid.bindInput(0, chId);
-  const ChannelId down = connect(mid, 0, consumer, consumerPort);
-  rewired();
-  return down;
+  return connect(mid, 0, consumer, consumerPort);
 }
 
 ChannelId Netlist::bypassNode(NodeId id) {
@@ -134,7 +128,7 @@ ChannelId Netlist::bypassNode(NodeId id) {
   upCh.consumer = consumer.id();
   upCh.consumerPort = consumerPort;
   consumer.bindInput(consumerPort, up);
-  rewired();
+  ++topoVersion_;
   return up;
 }
 
@@ -178,7 +172,7 @@ void Netlist::renameNode(NodeId id, std::string name) {
   nodes_[id]->rename(std::move(name));
   // The rename invalidates the name index only, but versions are unified;
   // renames are rare and never happen mid-simulation.
-  rewired();
+  ++topoVersion_;
 }
 
 bool Netlist::hasChannel(ChannelId ch) const {
@@ -197,7 +191,7 @@ Channel& Netlist::channelMutable(ChannelId ch) {
   // widths). Bump the version so caches re-derive — and the width audit in
   // validate()/SignalBoard::layout() rejects a width that no longer matches
   // the endpoint ports instead of silently corrupting payload storage.
-  rewired();
+  ++topoVersion_;
   return channels_[ch];
 }
 
@@ -250,22 +244,6 @@ void Netlist::validate() const {
   }
 }
 
-
-const std::vector<Netlist::AdjacentChannel>& Netlist::adjacency(NodeId id) const {
-  ESL_CHECK(hasNode(id), "Netlist::adjacency: unknown node id " + std::to_string(id));
-  return adjacency_[id];
-}
-
-void Netlist::rewired() {
-  ++topoVersion_;
-  adjacency_.assign(nodes_.size(), {});
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    if (!channelLive_[i]) continue;
-    const Channel& ch = channels_[i];
-    adjacency_[ch.producer].push_back({ch.id, ch.consumer});
-    adjacency_[ch.consumer].push_back({ch.id, ch.producer});
-  }
-}
 
 std::vector<bool> Netlist::channelPersistence() const {
   // Non-persistence starts at the outputs of non-persistent blocks and flows

@@ -85,27 +85,12 @@ class Netlist {
   std::size_t channelCapacity() const { return channels_.size(); }
   std::size_t nodeCapacity() const { return nodes_.size(); }
 
-  // --- Event-kernel adjacency index ----------------------------------------
-
-  /// One record of the channel→reader index: a channel touching a node,
-  /// paired with the node at the channel's *other* endpoint — i.e. the reader
-  /// of whatever signal fields the indexed node drives on `ch`.
-  struct AdjacentChannel {
-    ChannelId ch = kNoChannel;
-    NodeId other = kNoNode;
-  };
-
   /// Bumped by every structural mutation (add/remove node, connect,
-  /// disconnect, rebind, splice). Lets cached per-topology structures
-  /// (the name index, a SimContext's seeding state) detect staleness.
+  /// disconnect, rebind, splice, rename). What is derived from the topology
+  /// — the lazy name index here; a SimContext's board, records and channel
+  /// adjacency — compares it to detect staleness and is rebuilt from the
+  /// node and channel lists.
   std::uint64_t topologyVersion() const { return topoVersion_; }
-
-  /// Fan-in + fan-out channels of `id` with their opposite endpoints. The
-  /// index is always current: connect() extends it on the common build-up
-  /// path, and every other mutation rebuilds it before returning — so
-  /// reading it never writes, and contexts on several threads may read it
-  /// while no one mutates the netlist.
-  const std::vector<AdjacentChannel>& adjacency(NodeId id) const;
 
   /// Throws NetlistError unless every port of every node is bound and every
   /// channel has both endpoints with matching widths.
@@ -123,9 +108,6 @@ class Netlist {
 
  private:
   std::string freshChannelName(const Node& producer, unsigned port) const;
-  /// Structural mutation that connect()'s incremental update cannot follow:
-  /// bump the version and rebuild the adjacency index.
-  void rewired();
   void rebuildNameIndex() const;
 
   std::vector<std::unique_ptr<Node>> nodes_;  // nullptr = removed slot
@@ -133,7 +115,6 @@ class Netlist {
   std::vector<bool> channelLive_;
 
   std::uint64_t topoVersion_ = 0;
-  std::vector<std::vector<AdjacentChannel>> adjacency_;  ///< per NodeId
 
   // Name -> id index behind findNode/findChannel, rebuilt lazily whenever
   // the topology version moves (renameNode bumps it too). Duplicated names

@@ -163,14 +163,21 @@ void registerCoreKinds(Registry& r) {
       "eb",
       [](Netlist& nl, const std::string& name, const Params& p) -> Node& {
         const unsigned width = p.u32("width");
+        // The buffer compares its counts as int: every one must fit.
+        const auto checkInt = [](const char* key, std::int64_t v) {
+          if (v < std::numeric_limits<int>::min() ||
+              v > std::numeric_limits<int>::max())
+            throw NetlistError(std::string("attribute '") + key + "': value " +
+                               std::to_string(v) + " is outside the range of int");
+        };
+        const unsigned cap = p.u32("cap", 2);
+        const unsigned acap = p.u32("acap", 2);
         const std::int64_t ainit = p.i64("ainit", 0);
-        if (ainit < std::numeric_limits<int>::min() ||
-            ainit > std::numeric_limits<int>::max())
-          throw NetlistError("attribute 'ainit': value " + std::to_string(ainit) +
-                             " is outside the range of int");
-        return nl.make<ElasticBuffer>(name, width, p.u32("cap", 2),
-                                      p.bitsList("init", width), p.u32("acap", 2),
-                                      static_cast<int>(ainit));
+        checkInt("cap", cap);
+        checkInt("acap", acap);
+        checkInt("ainit", ainit);
+        return nl.make<ElasticBuffer>(name, width, cap, p.bitsList("init", width),
+                                      acap, static_cast<int>(ainit));
       },
       [](const Node& n) {
         const auto& eb = static_cast<const ElasticBuffer&>(n);
@@ -397,16 +404,6 @@ void Registry::addGate(const std::string& name, GateFactory factory) {
 void Registry::addSched(const std::string& name, SchedFactory factory) {
   ESL_CHECK(scheds_.emplace(name, std::move(factory)).second,
             "Registry: duplicate sched '" + name + "'");
-}
-
-bool Registry::hasKind(const std::string& kind) const {
-  return kinds_.count(kind) != 0;
-}
-
-std::vector<std::string> Registry::kindNames() const {
-  std::vector<std::string> names;
-  for (const auto& [k, v] : kinds_) names.push_back(k);
-  return names;
 }
 
 Node& Registry::makeNode(Netlist& nl, const NodeSpec& spec) const {

@@ -114,9 +114,6 @@ class Registry {
   void addGate(const std::string& name, GateFactory factory);
   void addSched(const std::string& name, SchedFactory factory);
 
-  bool hasKind(const std::string& kind) const;
-  std::vector<std::string> kindNames() const;
-
   /// Constructs the node, stores the attribute list on it (verbatim — the
   /// print->parse->print fixpoint needs no canonical form) and rejects any
   /// attribute the factory never consumed.

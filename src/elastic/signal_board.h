@@ -194,7 +194,6 @@ class SignalBoard {
 
   // --- sharded staging -------------------------------------------------------
 
-  std::uint32_t boundaryBase() const { return boundaryBase_; }
   bool inBoundary(std::uint32_t slot) const { return slot >= boundaryBase_; }
 
   /// Enters/leaves staged-write mode. Entering re-synchronizes the back copy

@@ -28,7 +28,6 @@ class Value {
   static Value object();
 
   Kind kind() const { return kind_; }
-  bool isNull() const { return kind_ == Kind::kNull; }
   bool isBool() const { return kind_ == Kind::kBool; }
   bool isNumber() const { return kind_ == Kind::kNumber; }
   bool isString() const { return kind_ == Kind::kString; }

@@ -228,8 +228,10 @@ Frame Server::dispatch(const Frame& request, bool& helloDone,
     }
     if (op == "step") {
       const std::uint64_t cycles = requiredU64(request.head, "cycles");
-      reply.head.set("text", json::Value::str(service_.step(sid, cycles)));
-      reply.head.set("cycle", json::Value::number(service_.cycle(sid)));
+      std::uint64_t cycle = 0;
+      reply.head.set("text",
+                     json::Value::str(service_.step(sid, cycles, &cycle)));
+      reply.head.set("cycle", json::Value::number(cycle));
       return reply;
     }
     if (op == "query") {
@@ -248,17 +250,21 @@ Frame Server::dispatch(const Frame& request, bool& helloDone,
       return reply;
     }
     if (op == "snapshot") {
-      const std::vector<std::uint8_t> bytes = service_.snapshot(sid);
-      reply.head.set("cycle", json::Value::number(service_.cycle(sid)));
+      std::uint64_t cycle = 0;
+      const std::vector<std::uint8_t> bytes = service_.snapshot(sid, &cycle);
+      reply.head.set("cycle", json::Value::number(cycle));
       reply.payload.assign(bytes.begin(), bytes.end());
       return reply;
     }
     if (op == "restore") {
       ESL_CHECK(request.head.find("bytes") != nullptr,
                 "restore needs a snapshot payload");
-      service_.restore(sid, std::vector<std::uint8_t>(request.payload.begin(),
-                                                      request.payload.end()));
-      reply.head.set("cycle", json::Value::number(service_.cycle(sid)));
+      std::uint64_t cycle = 0;
+      service_.restore(sid,
+                       std::vector<std::uint8_t>(request.payload.begin(),
+                                                 request.payload.end()),
+                       &cycle);
+      reply.head.set("cycle", json::Value::number(cycle));
       return reply;
     }
     if (op == "watch") {

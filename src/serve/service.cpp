@@ -44,21 +44,20 @@ Service::Service(Config config)
     // touch, so a spool of thousands costs startup only a scan.
     std::vector<std::string> warnings;
     std::uint64_t quarantined = 0;
-    const std::vector<SpoolDir::Recovered> found =
-        spool_.recover(warnings, &quarantined);
+    const std::vector<std::string> found = spool_.recover(warnings, &quarantined);
     for (const std::string& w : warnings) emitWarning("recovery: " + w);
     stats_.quarantined = quarantined;
-    for (const SpoolDir::Recovered& r : found) {
-      if (!validSessionId(r.sid)) {
+    for (const std::string& sid : found) {
+      if (!validSessionId(sid)) {
         emitWarning("recovery: ignoring record with invalid session id '" +
-                    r.sid + "'");
+                    sid + "'");
         continue;
       }
       auto e = std::make_unique<Entry>();
-      e->id = r.sid;
-      e->spoolPath = r.path;
+      e->id = sid;
+      e->spoolPath = spool_.recordPath(sid);
       e->lastUse = ++tick_;
-      table_.emplace(r.sid, std::move(e));
+      table_.emplace(sid, std::move(e));
       ++stats_.recovered;
     }
   }
@@ -76,7 +75,7 @@ Service::~Service() {
   }
   if (ownsSpoolDir_) {
     // Private temp dir dies with the service. A persistent dir keeps its
-    // records and journal: that is the restart story.
+    // records: that is the restart story.
     for (const auto& [id, e] : table_)
       if (!e->spoolPath.empty()) std::remove(e->spoolPath.c_str());
     ::rmdir(config_.spoolDir.c_str());
@@ -181,7 +180,7 @@ std::string Service::open(const std::string& sid, NetlistSpec spec,
 
 std::string Service::enqueue(const std::string& sid,
                              std::function<std::string(SimSession&)> fn,
-                             std::uint64_t stepCycles) {
+                             std::uint64_t stepCycles, std::uint64_t* cycle) {
   auto done = std::make_shared<std::promise<std::string>>();
   std::future<std::string> fut = done->get_future();
   bool kickIt = false;
@@ -190,7 +189,7 @@ std::string Service::enqueue(const std::string& sid,
     if (draining_)
       throw DrainingError("service is draining for shutdown; retry after restart");
     Entry* e = findLocked(sid);
-    e->queue.push_back(Op{std::move(fn), stepCycles, done});
+    e->queue.push_back(Op{std::move(fn), stepCycles, cycle, done});
     e->lastUse = ++tick_;
     if (!e->running && !e->parked) {
       e->running = true;
@@ -206,9 +205,11 @@ std::string Service::command(const std::string& sid, const std::string& line) {
   return enqueue(sid, [line](SimSession& s) { return s.command(line); });
 }
 
-std::string Service::step(const std::string& sid, std::uint64_t cycles) {
-  if (cycles == 0) return sinks(sid);
-  return enqueue(sid, nullptr, cycles);
+std::string Service::step(const std::string& sid, std::uint64_t cycles,
+                          std::uint64_t* cycle) {
+  if (cycles == 0)
+    return enqueue(sid, [](SimSession& s) { return s.report(); }, 0, cycle);
+  return enqueue(sid, nullptr, cycles, cycle);
 }
 
 std::string Service::sinks(const std::string& sid) {
@@ -224,19 +225,28 @@ std::uint64_t Service::cycle(const std::string& sid) {
       enqueue(sid, [](SimSession& s) { return std::to_string(s.cycle()); }));
 }
 
-std::vector<std::uint8_t> Service::snapshot(const std::string& sid) {
-  const std::string bytes = enqueue(sid, [](SimSession& s) {
-    const std::vector<std::uint8_t> snap = s.snapshot();
-    return std::string(snap.begin(), snap.end());
-  });
+std::vector<std::uint8_t> Service::snapshot(const std::string& sid,
+                                            std::uint64_t* cycle) {
+  const std::string bytes = enqueue(
+      sid,
+      [](SimSession& s) {
+        const std::vector<std::uint8_t> snap = s.snapshot();
+        return std::string(snap.begin(), snap.end());
+      },
+      0, cycle);
   return std::vector<std::uint8_t>(bytes.begin(), bytes.end());
 }
 
-void Service::restore(const std::string& sid, std::vector<std::uint8_t> bytes) {
-  enqueue(sid, [bytes = std::move(bytes)](SimSession& s) {
-    s.restore(bytes);
-    return std::string("restored at cycle ") + std::to_string(s.cycle()) + "\n";
-  });
+void Service::restore(const std::string& sid, std::vector<std::uint8_t> bytes,
+                      std::uint64_t* cycle) {
+  enqueue(
+      sid,
+      [bytes = std::move(bytes)](SimSession& s) {
+        s.restore(bytes);
+        return std::string("restored at cycle ") + std::to_string(s.cycle()) +
+               "\n";
+      },
+      0, cycle);
 }
 
 void Service::watch(const std::string& sid, std::vector<std::string> channels) {
@@ -533,6 +543,7 @@ void Service::runTurn(const std::string& sid) {
         ++stats_.ops;
       }
       checkpoint(*e);
+      if (op.cycle != nullptr) *op.cycle = e->session->cycle();
       op.done->set_value(std::move(out));
     } else {
       std::uint64_t remaining = 0;
@@ -563,6 +574,7 @@ void Service::runTurn(const std::string& sid) {
       }
       if (opDone) {
         checkpoint(*e);
+        if (op.cycle != nullptr) *op.cycle = e->session->cycle();
         op.done->set_value(e->session->report());
       }
     }

@@ -23,7 +23,7 @@
 // AdmissionError, never OOM and never a crash.
 //
 // Durability: with a persistent Config::spoolDir the service recovers on
-// construction — replaying the spool journal, re-attaching every session
+// construction — scanning the spool directory, re-attaching every session
 // whose record verifies, quarantining damaged records (renamed `.corrupt`,
 // warning emitted, startup continues). Re-attachment is lazy: recovered
 // sessions sit evicted until first touched. Config::durable additionally
@@ -129,15 +129,21 @@ class Service {
                    const std::string& origin, SimSession::Options options);
   /// Runs one shell command (SimSession::command) and returns its output.
   std::string command(const std::string& sid, const std::string& line);
+  // step, snapshot and restore: a non-null `cycle` receives the session's
+  // cycle as the operation completes, read by that queued operation itself.
+
   /// Advances `cycles` cycles (quantum-chunked) and returns the run report —
   /// the same bytes the CLI prints after `--sim cycles`.
-  std::string step(const std::string& sid, std::uint64_t cycles);
+  std::string step(const std::string& sid, std::uint64_t cycles,
+                   std::uint64_t* cycle = nullptr);
   /// The run report without stepping.
   std::string sinks(const std::string& sid);
   std::string tput(const std::string& sid, const std::string& channel);
   std::uint64_t cycle(const std::string& sid);
-  std::vector<std::uint8_t> snapshot(const std::string& sid);
-  void restore(const std::string& sid, std::vector<std::uint8_t> bytes);
+  std::vector<std::uint8_t> snapshot(const std::string& sid,
+                                     std::uint64_t* cycle = nullptr);
+  void restore(const std::string& sid, std::vector<std::uint8_t> bytes,
+               std::uint64_t* cycle = nullptr);
   /// Watch channels for trace streaming (empty list stops watching).
   /// Watching pins the session resident (the letter table is stream state).
   void watch(const std::string& sid, std::vector<std::string> channels);
@@ -163,6 +169,7 @@ class Service {
   struct Op {
     std::function<std::string(SimSession&)> fn;  ///< null for step ops
     std::uint64_t stepCycles = 0;                ///< remaining (step ops)
+    std::uint64_t* cycle = nullptr;  ///< receives the cycle at completion
     std::shared_ptr<std::promise<std::string>> done;
   };
 
@@ -183,7 +190,8 @@ class Service {
   /// Enqueues `fn` (or a step of `stepCycles`) and waits for the result.
   std::string enqueue(const std::string& sid,
                       std::function<std::string(SimSession&)> fn,
-                      std::uint64_t stepCycles = 0);
+                      std::uint64_t stepCycles = 0,
+                      std::uint64_t* cycle = nullptr);
   /// One scheduler turn for `sid`; runs on an executor lane.
   void runTurn(const std::string& sid);
   /// Claims a residency slot, evicting the LRU idle session if needed.

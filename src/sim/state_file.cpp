@@ -13,6 +13,10 @@
 
 namespace esl::sim {
 
+namespace {
+
+/// Writes all `n` bytes at `data` to `fd` (retrying short writes and EINTR),
+/// fsyncs and closes it; throws EslError naming `path`, with `fd` closed.
 void writeSyncedAndClose(int fd, const void* data, std::size_t n,
                          const std::string& path) {
   const auto* p = static_cast<const std::uint8_t*>(data);
@@ -38,6 +42,8 @@ void writeSyncedAndClose(int fd, const void* data, std::size_t n,
   }
 }
 
+}  // namespace
+
 void writeFileAtomic(const std::string& path, std::vector<std::uint8_t> bytes,
                      const std::string& faultPoint) {
   // Injected faults mutate (truncate/bit-flip) or veto (fail/exit) the bytes
@@ -58,10 +64,12 @@ void writeFileAtomic(const std::string& path, std::vector<std::uint8_t> bytes,
     std::remove(tmp.c_str());
     throw EslError("cannot rename '" + tmp + "' to '" + path + "': " + why);
   }
-  // Make the rename durable: fsync the containing directory. Best effort on
-  // filesystems that refuse O_DIRECTORY fsync.
+  // Make the rename durable.
   const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
+  syncDirectory(slash == std::string::npos ? "." : path.substr(0, slash));
+}
+
+void syncDirectory(const std::string& dir) {
   const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (dfd >= 0) {
     ::fsync(dfd);

@@ -15,17 +15,16 @@
 
 namespace esl::sim {
 
-/// Writes all `n` bytes at `data` to `fd` (retrying short writes and EINTR),
-/// fsyncs and closes it; throws EslError naming `path`, with `fd` closed.
-void writeSyncedAndClose(int fd, const void* data, std::size_t n,
-                         const std::string& path);
-
 /// Writes `bytes` to `path` atomically and durably, as above (POSIX fds:
 /// fstream cannot fsync). A non-empty `faultPoint` names the fault-injection
 /// point the bytes pass on their way to disk (base/fault_inject.h). Throws
 /// EslError when the file cannot be written.
 void writeFileAtomic(const std::string& path, std::vector<std::uint8_t> bytes,
                      const std::string& faultPoint = {});
+
+/// fsyncs directory `dir`, making the renames and unlinks in it durable. Best
+/// effort on filesystems that refuse O_DIRECTORY fsync.
+void syncDirectory(const std::string& dir);
 
 /// Reads `path` whole; throws EslError when it cannot be read.
 std::vector<std::uint8_t> readFileBytes(const std::string& path);

@@ -557,8 +557,9 @@ ProtocolReport runSelfSuite(ModelChecker& mc, const Netlist& netlist,
       note(report, mc, mc.checkStep(base + ".retryB", base + ".vb"));    // Retry-
     }
   }
-  if (options.checkLiveness) note(report, mc, mc.checkRecurrence("progress"));
-  if (options.checkDeadlock) note(report, mc, mc.checkAlwaysReachable("progress"));
+  // Liveness (G F progress; needs fair environments) and deadlock freedom.
+  note(report, mc, mc.checkRecurrence("progress"));
+  note(report, mc, mc.checkAlwaysReachable("progress"));
   return report;
 }
 

@@ -229,13 +229,12 @@ struct ProtocolReport {
   }
 };
 
-/// Exploration limits plus the property toggles: the suite options ARE
-/// checker options, so limits are set once instead of plumbed through a
-/// nested copy (the old `options.checker.maxStates` spelling).
+/// Exploration limits plus the Retry± toggle: the suite options ARE checker
+/// options, so limits are set once instead of plumbed through a nested copy
+/// (the old `options.checker.maxStates` spelling). Liveness and deadlock
+/// freedom are always checked.
 struct ProtocolSuiteOptions : CheckerOptions {
-  bool checkLiveness = true;      ///< G F progress (needs fair environments)
-  bool checkDeadlock = true;      ///< progress always reachable
-  bool checkPersistence = true;   ///< Retry+/Retry- per channel
+  bool checkPersistence = true;  ///< Retry+/Retry- per channel
 };
 
 /// Runs the full §3.1 property set on every channel of the netlist:

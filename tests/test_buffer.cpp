@@ -109,6 +109,18 @@ TEST(ElasticBuffer, InitTokensAndAntiTokensExclusive) {
                EslError);
 }
 
+TEST(ElasticBuffer, RecordTooLargeForItsOffsetsRejected) {
+  // 2 + 2147483647 x 2 words is 2^32: it would wrap to an empty record.
+  try {
+    ElasticBuffer("wide", 65, 2147483647);
+    FAIL() << "a record of 2^32 words was accepted";
+  } catch (const EslError& e) {
+    EXPECT_NE(std::string(e.what()).find("'wide'"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("4294967296 words"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ElasticBuffer, AntiTokenKillsStoredToken) {
   // Sink emits one anti-token at cycle 0; it reaches the EB and cancels the
   // head token, so the sink's stream starts at the next value.

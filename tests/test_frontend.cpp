@@ -313,7 +313,8 @@ TEST(EslFormat, BuildRejectsUnknownKindsAttributesAndWiring) {
 
 TEST(EslFormat, BuildRefusesCountsAndWidthsThatWouldNarrow) {
   // Each design is complete and well-formed but for one value that does not
-  // fit the field it sets: a 32-bit width or capacity, or ainit's int.
+  // fit the field it sets: a 32-bit width or capacity, or the int that holds
+  // an eb's cap, acap or ainit.
   stdlib::ensureRegistered();
   const auto refusal = [](const std::string& text) -> std::string {
     try {
@@ -339,6 +340,8 @@ TEST(EslFormat, BuildRefusesCountsAndWidthsThatWouldNarrow) {
        "channel src.out0 -> k.in0;\n",
        "attribute 'width'", "4294967295"},
       {ebWith("cap=4294967298"), "attribute 'cap'", "4294967295"},
+      {ebWith("cap=4294967295"), "attribute 'cap'", "range of int"},
+      {ebWith("acap=2147483648"), "attribute 'acap'", "range of int"},
       {ebWith("ainit=4294967297"), "attribute 'ainit'", "range of int"},
       {ebWith("ainit=-18446744073709551615"), "attribute 'ainit'",
        "64-bit signed range"},

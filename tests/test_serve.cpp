@@ -738,6 +738,38 @@ TEST(ServeWire, EndToEndMatchesDirectSessions) {
   client.shutdownServer();  // acknowledged before the server tears down
 }
 
+TEST(ServeWire, StepSnapshotAndRestoreReplyWithTheCycleOfTheirOwnOp) {
+  ServerFixture fx("cycle");
+  Client client(fx.server->socketPath());
+  client.openDesign("s", "fig1a");
+  const auto ops = [&] { return client.stats().find("ops")->asU64(); };
+  const auto head = [](const std::string& op) {
+    json::Value h = json::Value::object();
+    h.set("op", json::Value::str(op));
+    h.set("session", json::Value::str("s"));
+    return h;
+  };
+  // Each reply's cycle is read by the queued op that did the work, so every
+  // frame costs the session exactly one op.
+  std::uint64_t before = ops();
+  json::Value step = head("step");
+  step.set("cycles", json::Value::number(std::uint64_t{10}));
+  EXPECT_EQ(client.request(step).find("cycle")->asU64(), 10u);
+  EXPECT_EQ(ops(), before + 1);
+
+  before = ops();
+  std::string snap;
+  EXPECT_EQ(client.request(head("snapshot"), {}, &snap).find("cycle")->asU64(),
+            10u);
+  EXPECT_EQ(ops(), before + 1);
+
+  client.step("s", 5);
+  before = ops();
+  EXPECT_EQ(client.request(head("restore"), snap).find("cycle")->asU64(), 10u);
+  EXPECT_EQ(ops(), before + 1);
+  client.close("s");
+}
+
 TEST(ServeWire, ServerErrorsCarryStructuredKinds) {
   ServerFixture fx("kinds");
   Client client(fx.server->socketPath());

@@ -352,7 +352,7 @@ TEST(SimKernel, BothKernelsDetectCombinationalCycles) {
 }
 
 TEST(SimKernel, EventKernelSurvivesRewiring) {
-  // Regression: the adjacency index and the retained-signal seeding must
+  // Regression: the context's adjacency and the retained-signal seeding must
   // notice netlist surgery between simulations (topologyVersion bump).
   Netlist nl;
   auto& src = nl.make<TokenSource>("src", 8, TokenSource::counting(8));
