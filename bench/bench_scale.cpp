@@ -15,7 +15,10 @@
 //                                        kernel is >=5x the sweep kernel on a
 //                                        >=10k-node sparse netlist, or if the
 //                                        protocol monitor costs more than 2x
-//                                        on the 10k sparse pipeline
+//                                        on the 10k sparse pipeline, or if
+//                                        loading a 100k-node design costs
+//                                        more than 3x per node what a 10k
+//                                        one does
 //   bench_scale --farm-smoke             SimFarm determinism + wall-clock
 //                                        sanity across 1..N worker threads
 #include <algorithm>
@@ -27,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "frontend/esl_format.h"
 #include "netlist/synth.h"
 #include "sim/farm.h"
 #include "sim/simulator.h"
@@ -96,8 +100,43 @@ struct Speedup {
   double ratio;
 };
 
+/// What loading a design costs, as `esl <design>.esl` pays it: parse its
+/// text, build the netlist, construct a SimContext over it. Each phase is
+/// its fastest of `reps` runs, in ns per node.
+struct LoadRow {
+  std::string name;
+  std::size_t nodes = 0;
+  double parse = 0.0, build = 0.0, context = 0.0;
+  double total() const { return parse + build + context; }
+};
+
+LoadRow measureLoad(const synth::SynthConfig& cfg, unsigned reps = 3) {
+  const std::string text = frontend::printEsl(synth::spec(cfg));
+  LoadRow r;
+  r.name = "load/" + synth::describe(cfg);
+  for (unsigned rep = 0; rep < reps; ++rep) {
+    const double t0 = now();
+    const NetlistSpec spec = frontend::parseEsl(text, "<bench_scale>");
+    const double t1 = now();
+    const Netlist nl = spec.build();
+    const double t2 = now();
+    const SimContext ctx(nl);
+    const double t3 = now();
+    r.nodes = nl.nodeIds().size();
+    const double perNode = 1e9 / static_cast<double>(r.nodes);
+    const auto keepMin = [rep](double& best, double dt) {
+      if (rep == 0 || dt < best) best = dt;
+    };
+    keepMin(r.parse, (t1 - t0) * perNode);
+    keepMin(r.build, (t2 - t1) * perNode);
+    keepMin(r.context, (t3 - t2) * perNode);
+  }
+  return r;
+}
+
 void writeJson(const std::string& path, const std::vector<Row>& rows,
-               const std::vector<Speedup>& speedups) {
+               const std::vector<Speedup>& speedups,
+               const std::vector<LoadRow>& loads) {
   std::ofstream os(path);
   os << "{\n  \"benchmarks\": [\n";
   bool first = true;
@@ -112,6 +151,15 @@ void writeJson(const std::string& path, const std::vector<Row>& rows,
     if (!first) os << ",\n";
     first = false;
     os << "    {\"name\": \"" << name << "\", \"" << key << "\": " << ratio << "}";
+  }
+  for (const LoadRow& l : loads) {
+    if (!first) os << ",\n";
+    first = false;
+    os << "    {\"name\": \"" << l.name << "\", \"ns_per_node\": " << l.total()
+       << ", \"parse_ns_per_node\": " << l.parse
+       << ", \"build_ns_per_node\": " << l.build
+       << ", \"context_ns_per_node\": " << l.context << ", \"nodes\": " << l.nodes
+       << "}";
   }
   os << "\n  ]\n}\n";
 }
@@ -363,6 +411,33 @@ int main(int argc, char** argv) {
 
   const synth::Topology topologies[] = {synth::Topology::kPipeline,
                                         synth::Topology::kRandomDag};
+  // Load path first, on the fresh heap an `esl <design>` process loads on:
+  // parse, build and context set-up per node at 10k and 100k nodes. A step
+  // that grows faster than linearly shows as a 100k/10k ratio well above 1
+  // (gated by --check).
+  std::vector<LoadRow> loads;
+  double checkLoadRatio = 0.0;
+  std::printf("%-44s %8s %12s %12s %12s\n", "load", "nodes", "parse ns/nd",
+              "build ns/nd", "ctx ns/nd");
+  for (const synth::Topology topo : topologies) {
+    synth::SynthConfig cfg;
+    cfg.topology = topo;
+    cfg.seed = 1;
+    cfg.injectPeriod = 64;
+    double perNode10k = 0.0;
+    for (const std::size_t nodes : {std::size_t{10000}, std::size_t{100000}}) {
+      cfg.targetNodes = nodes;
+      const LoadRow l = measureLoad(cfg);
+      std::printf("%-44s %8zu %12.0f %12.0f %12.0f\n", synth::describe(cfg).c_str(),
+                  l.nodes, l.parse, l.build, l.context);
+      if (nodes == 10000)
+        perNode10k = l.total();
+      else
+        checkLoadRatio = std::max(checkLoadRatio, l.total() / perNode10k);
+      loads.push_back(l);
+    }
+  }
+
   std::vector<Row> rows;
   std::vector<Speedup> speedups;
   double check10kSparse = 0.0;
@@ -474,7 +549,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(merged.totalCycles), farmWall,
               merged.metricTotals.at("received"));
 
-  writeJson(outPath, rows, speedups);
+  writeJson(outPath, rows, speedups, loads);
   std::printf("wrote %s\n", outPath.c_str());
 
   if (check) {
@@ -520,6 +595,18 @@ int main(int argc, char** argv) {
     std::printf("CHECK OK: protocol monitor costs %.2fx the unmonitored cycle "
                 "on the 10k sparse pipeline (ceiling 2x)\n",
                 checkMonitorCost);
+    // Loading is linear in the design, but its cost per node still grows
+    // from 10k to 100k nodes as the design outgrows the caches: 1.2-2.3x on
+    // a 4-vCPU shared VM. A quadratic step would read about 10x.
+    if (checkLoadRatio > 3.0) {
+      std::printf("CHECK FAILED: loading a 100k-node design costs %.2fx per node "
+                  "what a 10k-node one does (ceiling 3x)\n",
+                  checkLoadRatio);
+      return 1;
+    }
+    std::printf("CHECK OK: loading a 100k-node design costs %.2fx per node what "
+                "a 10k-node one does (ceiling 3x)\n",
+                checkLoadRatio);
     if (!shardedIdentityCheck()) return 1;
     if (!compiledIdentityCheck()) return 1;
     if (!compiledShardedIdentityCheck()) return 1;

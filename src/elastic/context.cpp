@@ -94,20 +94,21 @@ void SimContext::ensureTopologyCache() {
   // Re-layout the boards for the new topology/partition, preserving the
   // per-channel values of surviving channels (channels created since the last
   // reset — insertOnChannel, connect during interactive surgery — get zeroed
-  // slots before any kernel touches them).
+  // slots before any kernel touches them). One layout serves every board:
+  // the others start as copies of it, all signals zero.
   SignalBoard fresh;
   fresh.layout(netlist_, &plan_);
-  fresh.adoptValuesFrom(board_);
-  board_ = std::move(fresh);
+  sweepScratch_ = fresh;
+  ccPre_ = fresh;
+  ccEvent_ = fresh;
   // The monitor's previous cycle survives the relayout too (new channels read
   // as all-zero): it must still see a Retry+ token that was stopped on the
   // cycle before a mid-run surgery.
-  fresh.layout(netlist_, &plan_);
-  fresh.adoptValuesFrom(prevBoard_);
-  prevBoard_ = std::move(fresh);
-  sweepScratch_.layout(netlist_, &plan_);
-  ccPre_.layout(netlist_, &plan_);
-  ccEvent_.layout(netlist_, &plan_);
+  SignalBoard prev = fresh;
+  prev.adoptValuesFrom(prevBoard_);
+  prevBoard_ = std::move(prev);
+  fresh.adoptValuesFrom(board_);
+  board_ = std::move(fresh);
   const std::vector<bool> persistent = netlist_.channelPersistence();
   persistentMask_.assign(board_.groupCount(), 0);
   for (const ChannelId ch : liveChannels_) {

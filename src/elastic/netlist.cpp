@@ -14,6 +14,12 @@ NodeId Netlist::addNode(std::unique_ptr<Node> node) {
   return id;
 }
 
+void Netlist::reserve(std::size_t nodes, std::size_t channels) {
+  nodes_.reserve(nodes_.size() + nodes);
+  channels_.reserve(channels_.size() + channels);
+  channelLive_.reserve(channelLive_.size() + channels);
+}
+
 void Netlist::removeNode(NodeId id) {
   ESL_CHECK(hasNode(id), "Netlist::removeNode: unknown node");
   Node& n = *nodes_[id];
@@ -41,21 +47,22 @@ ChannelId Netlist::connect(Node& producer, unsigned producerPort, Node& consumer
   ESL_CHECK(width == consumer.inputWidth(consumerPort),
             "connect: width mismatch " + producer.name() + " -> " + consumer.name());
 
+  const auto id = static_cast<ChannelId>(channels_.size());
   Channel ch;
-  ch.id = static_cast<ChannelId>(channels_.size());
+  ch.id = id;
   ch.name = name.empty() ? freshChannelName(producer, producerPort) : std::move(name);
   ch.width = width;
   ch.producer = producer.id();
   ch.producerPort = producerPort;
   ch.consumer = consumer.id();
   ch.consumerPort = consumerPort;
-  channels_.push_back(ch);
+  channels_.push_back(std::move(ch));
   channelLive_.push_back(true);
 
-  producer.bindOutput(producerPort, ch.id);
-  consumer.bindInput(consumerPort, ch.id);
+  producer.bindOutput(producerPort, id);
+  consumer.bindInput(consumerPort, id);
   ++topoVersion_;
-  return ch.id;
+  return id;
 }
 
 void Netlist::disconnect(ChannelId chId) {

@@ -34,6 +34,9 @@ class Netlist {
 
   NodeId addNode(std::unique_ptr<Node> node);
 
+  /// Reserves room for `nodes` more nodes and `channels` more channels.
+  void reserve(std::size_t nodes, std::size_t channels);
+
   /// Removes a node; all its channels must be unbound/removed first.
   void removeNode(NodeId id);
 

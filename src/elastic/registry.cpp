@@ -1,7 +1,9 @@
 #include "elastic/registry.h"
 
 #include <limits>
+#include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "base/rng.h"
 #include "elastic/buffer.h"
@@ -17,10 +19,12 @@ namespace {
 logic::Cost costPair(const Params& p, const std::string& key, logic::Cost fallback) {
   const std::string v = p.str(key, "");
   if (v.empty()) return fallback;
-  const auto items = Params::splitList(v);
-  if (items.size() != 2)
+  const std::size_t comma = v.find(',');
+  if (comma == std::string::npos || v.find(',', comma + 1) != std::string::npos)
     throw NetlistError("attribute '" + key + "': expected delay,area");
-  return {parseReal(items[0], key), parseReal(items[1], key)};
+  const std::string_view items = v;
+  return {parseReal(items.substr(0, comma), key),
+          parseReal(items.substr(comma + 1), key)};
 }
 
 std::string costToken(logic::Cost c) {
@@ -412,13 +416,16 @@ Node& Registry::makeNode(Netlist& nl, const NodeSpec& spec) const {
   if (it == kinds_.end())
     throw NetlistError("unknown node kind '" + spec.kind + "' for node '" +
                        spec.name + "'");
-  // The factory runs against a private copy: Params tracks reads through
-  // mutable state for checkConsumed(), and one spec may be built from many
-  // threads at once (SimFarm::specRecipe, runSuiteFarm jobs).
-  const Params params = spec.params;
+  // The factory runs against a private copy, which the node then keeps:
+  // Params tracks reads through mutable state for unconsumed(), and one spec
+  // may be built from many threads at once (SimFarm::specRecipe,
+  // runSuiteFarm jobs).
+  Params params = spec.params;
   Node& n = it->second.factory(nl, spec.name, params);
-  params.checkConsumed("node '" + spec.name + "' (" + spec.kind + ")");
-  n.setBuildParams(spec.params);
+  if (const std::string unknown = params.unconsumed(); !unknown.empty())
+    throw NetlistError("node '" + spec.name + "' (" + spec.kind +
+                       "): unknown attribute(s): " + unknown);
+  n.setBuildParams(std::move(params));
   return n;
 }
 
@@ -440,7 +447,7 @@ NodeSpec Registry::describeNode(const Node& node) const {
 
 Datapath Registry::makeFn(const FnSig& sig, const Params& p,
                           const std::string& key) const {
-  const std::string name = p.str(key);
+  const std::string& name = p.str(key);
   const auto it = fns_.find(name);
   if (it == fns_.end()) throw NetlistError("unknown fn '" + name + "'");
   return it->second(sig, p, key + ".");
@@ -448,7 +455,7 @@ Datapath Registry::makeFn(const FnSig& sig, const Params& p,
 
 TokenSource::Generator Registry::makeGen(unsigned width, const Params& p,
                                          const std::string& key) const {
-  const std::string name = p.str(key);
+  const std::string& name = p.str(key);
   const auto it = gens_.find(name);
   if (it == gens_.end()) throw NetlistError("unknown gen '" + name + "'");
   return it->second(width, p, key + ".");
@@ -456,7 +463,7 @@ TokenSource::Generator Registry::makeGen(unsigned width, const Params& p,
 
 TokenSource::Gate Registry::makeGate(const Params& p, const std::string& key) const {
   if (!p.has(key)) return {};
-  const std::string name = p.str(key);
+  const std::string& name = p.str(key);
   const auto it = gates_.find(name);
   if (it == gates_.end()) throw NetlistError("unknown gate '" + name + "'");
   return it->second(p, key + ".");
@@ -465,7 +472,7 @@ TokenSource::Gate Registry::makeGate(const Params& p, const std::string& key) co
 std::unique_ptr<sched::Scheduler> Registry::makeSched(unsigned channels,
                                                       const Params& p,
                                                       const std::string& key) const {
-  const std::string name = p.str(key);
+  const std::string& name = p.str(key);
   const auto it = scheds_.find(name);
   if (it == scheds_.end()) throw NetlistError("unknown sched '" + name + "'");
   return it->second(channels, p, key + ".");
@@ -532,8 +539,11 @@ void validateIrName(const std::string& name, const std::string& what) {
 
 Netlist NetlistSpec::build() const {
   Netlist nl;
+  nl.reserve(nodes.size(), channels.size());
   const Registry& reg = Registry::instance();
-  std::unordered_map<std::string, NodeId> byName;
+  // Keyed by the names this spec holds; it is const while the table lives.
+  std::unordered_map<std::string_view, NodeId> byName;
+  byName.reserve(nodes.size());
   for (const NodeSpec& spec : nodes) {
     Node& n = reg.makeNode(nl, spec);
     if (!byName.emplace(spec.name, n.id()).second)
@@ -565,16 +575,21 @@ Netlist NetlistSpec::build() const {
 NetlistSpec NetlistSpec::fromNetlist(const Netlist& nl) {
   NetlistSpec spec;
   const Registry& reg = Registry::instance();
-  std::unordered_map<std::string, NodeId> byName;
-  for (const NodeId id : nl.nodeIds()) {
+  const std::vector<NodeId> nodeIds = nl.nodeIds();
+  const std::vector<ChannelId> channelIds = nl.channelIds();
+  spec.nodes.reserve(nodeIds.size());
+  spec.channels.reserve(channelIds.size());
+  std::unordered_set<std::string_view> names;  // views of the netlist's names
+  names.reserve(nodeIds.size());
+  for (const NodeId id : nodeIds) {
     const Node& n = nl.node(id);
     validateIrName(n.name(), "node name");
-    if (!byName.emplace(n.name(), id).second)
+    if (!names.insert(n.name()).second)
       throw NetlistError("netlist not serializable: duplicate node name '" +
                          n.name() + "'");
     spec.nodes.push_back(reg.describeNode(n));
   }
-  for (const ChannelId id : nl.channelIds()) {
+  for (const ChannelId id : channelIds) {
     const Channel& ch = nl.channel(id);
     // A name the format cannot represent must fail here (at save time), not
     // when the printed file is reloaded.

@@ -145,11 +145,11 @@ class Registry {
     NodeFactory factory;
     NodeDescriber describer;
   };
-  std::map<std::string, Kind> kinds_;
-  std::map<std::string, FnFactory> fns_;
-  std::map<std::string, GenFactory> gens_;
-  std::map<std::string, GateFactory> gates_;
-  std::map<std::string, SchedFactory> scheds_;
+  std::map<std::string, Kind, std::less<>> kinds_;
+  std::map<std::string, FnFactory, std::less<>> fns_;
+  std::map<std::string, GenFactory, std::less<>> gens_;
+  std::map<std::string, GateFactory, std::less<>> gates_;
+  std::map<std::string, SchedFactory, std::less<>> scheds_;
 };
 
 /// Adapts a unary datapath to the closure shape SharedModule/StallingVLU

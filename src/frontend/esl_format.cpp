@@ -1,8 +1,11 @@
 #include "frontend/esl_format.h"
 
+#include <algorithm>
+#include <charconv>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
-#include <tuple>
 
 #include "netlist/stdlib.h"
 
@@ -15,157 +18,226 @@ namespace {
   throw ParseError(origin + ":" + std::to_string(line) + ": " + msg);
 }
 
-std::vector<std::string> tokenizeStatement(const std::string& stmt) {
-  std::vector<std::string> tokens;
-  std::istringstream is(stmt);
-  std::string t;
-  while (is >> t) {
-    // "a.out0->b.in1" splits into three tokens.
-    std::size_t start = 0;
-    for (std::size_t arrow = t.find("->", start); arrow != std::string::npos;
-         arrow = t.find("->", start)) {
-      if (arrow > start) tokens.push_back(t.substr(start, arrow - start));
-      tokens.push_back("->");
-      start = arrow + 2;
-    }
-    if (start < t.size()) tokens.push_back(t.substr(start));
-  }
-  return tokens;
+bool isSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
 }
 
-/// Splits "name.out3" / "name.in0" into (name, port).
-std::pair<std::string, unsigned> parseEndpoint(const std::string& token,
-                                               const std::string& tag,
-                                               const std::string& origin,
-                                               std::size_t line) {
-  const std::size_t at = token.rfind(tag);
-  if (at != std::string::npos && at > 0 && at + tag.size() < token.size()) {
-    unsigned port = 0;
-    bool digits = true;
-    for (std::size_t i = at + tag.size(); i < token.size(); ++i) {
-      if (token[i] < '0' || token[i] > '9') {
-        digits = false;
-        break;
+constexpr std::string_view kArrow = "->";
+
+/// Splits one statement into whitespace-separated tokens, and each token at
+/// every "->" ("a.out0->b.in1" is three tokens). The views point into `stmt`.
+void splitTokens(std::string_view stmt, std::vector<std::string_view>& out) {
+  out.clear();
+  std::size_t i = 0;
+  while (true) {
+    while (i < stmt.size() && isSpace(stmt[i])) ++i;
+    if (i == stmt.size()) return;
+    std::size_t end = i;
+    while (end < stmt.size() && !isSpace(stmt[end])) ++end;
+    std::string_view word = stmt.substr(i, end - i);
+    for (std::size_t arrow = word.find(kArrow); arrow != std::string_view::npos;
+         arrow = word.find(kArrow)) {
+      if (arrow > 0) out.push_back(word.substr(0, arrow));
+      out.push_back(kArrow);
+      word.remove_prefix(arrow + kArrow.size());
+    }
+    if (!word.empty()) out.push_back(word);
+    i = end;
+  }
+}
+
+/// A statement's tokens with the line they came from, for error messages.
+struct Statement {
+  const std::string& origin;
+  std::size_t line;
+  std::vector<std::string_view> tokens;
+
+  [[noreturn]] void fail(const std::string& msg) const {
+    frontend::fail(origin, line, msg);
+  }
+
+  /// Splits "name.out3" / "name.in0" (`tag` ".out" / ".in") into the node
+  /// name and a port index that must fit 32 bits.
+  void endpoint(std::string_view token, std::string_view tag, std::string& node,
+                unsigned& port) const {
+    const std::size_t at = token.rfind(tag);
+    if (at != std::string_view::npos && at > 0 && at + tag.size() < token.size()) {
+      const std::string_view digits = token.substr(at + tag.size());
+      if (std::all_of(digits.begin(), digits.end(),
+                      [](char c) { return c >= '0' && c <= '9'; })) {
+        const auto [ptr, ec] =
+            std::from_chars(digits.data(), digits.data() + digits.size(), port);
+        if (ec != std::errc{})
+          fail("endpoint '" + std::string(token) +
+               "': port index is above the limit of " +
+               std::to_string(std::numeric_limits<unsigned>::max()));
+        node = token.substr(0, at);
+        return;
       }
-      port = port * 10 + static_cast<unsigned>(token[i] - '0');
     }
-    if (digits) return {token.substr(0, at), port};
+    fail("expected endpoint '<node>" + std::string(tag) + "<port>', got '" +
+         std::string(token) + "'");
   }
-  fail(origin, line,
-       "expected endpoint '<node>" + tag + "<port>', got '" + token + "'");
-}
 
-void parseAttrs(const std::vector<std::string>& tokens, std::size_t first,
-                Params& out, const std::string& origin, std::size_t line) {
-  for (std::size_t i = first; i < tokens.size(); ++i) {
-    const std::size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos || eq == 0)
-      fail(origin, line, "expected key=value attribute, got '" + tokens[i] + "'");
-    out.set(tokens[i].substr(0, eq), tokens[i].substr(eq + 1));
+  /// Calls `add(key, value)` for each `key=value` token from `first` on,
+  /// refusing a malformed token and a key given twice.
+  template <typename Add>
+  void attributes(std::size_t first, Add&& add) const {
+    for (std::size_t i = first; i < tokens.size(); ++i) {
+      const std::string_view tok = tokens[i];
+      const std::size_t eq = tok.find('=');
+      if (eq == std::string_view::npos || eq == 0)
+        fail("expected key=value attribute, got '" + std::string(tok) + "'");
+      const std::string_view key = tok.substr(0, eq);
+      for (std::size_t j = first; j < i; ++j)
+        if (tokens[j].substr(0, tokens[j].find('=')) == key)
+          fail("attribute '" + std::string(key) + "' is given twice");
+      add(key, tok.substr(eq + 1));
+    }
   }
-}
+};
 
 }  // namespace
 
-NetlistSpec parseEsl(const std::string& text, const std::string& origin) {
+NetlistSpec parseEsl(std::string_view text, const std::string& origin) {
   stdlib::ensureRegistered();
   NetlistSpec spec;
-  std::istringstream is(text);
-  std::string rawLine;
-  std::size_t lineNo = 0;
+  Statement st{origin, 0, {}};
+  std::vector<std::string_view>& t = st.tokens;
   bool sawHeader = false;
 
-  while (std::getline(is, rawLine)) {
-    ++lineNo;
-    std::string stmt = rawLine;
-    const std::size_t hash = stmt.find('#');
-    if (hash != std::string::npos) stmt.resize(hash);
-    const auto tokens = tokenizeStatement(stmt);
-    if (tokens.empty()) continue;
+  for (std::size_t pos = 0; pos < text.size();) {
+    ++st.line;
+    const std::size_t eol = std::min(text.find('\n', pos), text.size());
+    std::string_view stmt = text.substr(pos, eol - pos);
+    pos = eol + 1;
+    stmt = stmt.substr(0, stmt.find('#'));
+    splitTokens(stmt, t);
+    if (t.empty()) continue;
 
-    std::string last = tokens.back();
-    std::vector<std::string> t = tokens;
-    if (last == ";") {
+    if (t.back() == ";")
       t.pop_back();
-    } else if (!last.empty() && last.back() == ';') {
-      t.back().pop_back();
-    } else {
-      fail(origin, lineNo, "statement does not end with ';'");
-    }
-    if (t.empty()) fail(origin, lineNo, "empty statement");
+    else if (t.back().back() == ';')
+      t.back().remove_suffix(1);
+    else
+      st.fail("statement does not end with ';'");
+    if (t.empty()) st.fail("empty statement");
 
     if (!sawHeader) {
-      if (t.size() != 2 || t[0] != "esl")
-        fail(origin, lineNo, "expected 'esl 1;' header first");
+      if (t.size() != 2 || t[0] != "esl") st.fail("expected 'esl 1;' header first");
       if (t[1] != "1")
-        fail(origin, lineNo, "unsupported format version '" + t[1] + "'");
+        st.fail("unsupported format version '" + std::string(t[1]) + "'");
       sawHeader = true;
       continue;
     }
 
     if (t[0] == "node") {
-      if (t.size() < 3) fail(origin, lineNo, "usage: node <kind> <name> [k=v...]");
-      NodeSpec node;
+      if (t.size() < 3) st.fail("usage: node <kind> <name> [k=v...]");
+      NodeSpec& node = spec.nodes.emplace_back();
       node.kind = t[1];
       node.name = t[2];
       try {
         validateIrName(node.name, "node name");
       } catch (const NetlistError& e) {
-        fail(origin, lineNo, e.what());
+        st.fail(e.what());
       }
-      parseAttrs(t, 3, node.params, origin, lineNo);
-      spec.nodes.push_back(std::move(node));
+      std::vector<Params::Entry> attrs;
+      attrs.reserve(t.size() - 3);
+      st.attributes(3, [&](std::string_view key, std::string_view value) {
+        attrs.emplace_back(key, value);
+      });
+      node.params = Params(std::move(attrs));
       continue;
     }
 
     if (t[0] == "channel") {
-      if (t.size() < 4 || t[2] != "->")
-        fail(origin, lineNo,
-             "usage: channel <prod>.out<P> -> <cons>.in<Q> [name=...]");
-      ChannelSpec ch;
-      std::tie(ch.producer, ch.producerPort) =
-          parseEndpoint(t[1], ".out", origin, lineNo);
-      std::tie(ch.consumer, ch.consumerPort) =
-          parseEndpoint(t[3], ".in", origin, lineNo);
-      Params attrs;
-      parseAttrs(t, 4, attrs, origin, lineNo);
-      ch.name = attrs.str("name", "");
-      attrs.checkConsumed("channel statement");
-      spec.channels.push_back(std::move(ch));
+      if (t.size() < 4 || t[2] != kArrow)
+        st.fail("usage: channel <prod>.out<P> -> <cons>.in<Q> [name=...]");
+      ChannelSpec& ch = spec.channels.emplace_back();
+      st.endpoint(t[1], ".out", ch.producer, ch.producerPort);
+      st.endpoint(t[3], ".in", ch.consumer, ch.consumerPort);
+      std::string unknown;
+      st.attributes(4, [&](std::string_view key, std::string_view value) {
+        if (key == "name") {
+          ch.name = value;
+          return;
+        }
+        if (!unknown.empty()) unknown += ", ";
+        unknown += key;
+      });
+      if (!unknown.empty())
+        st.fail("channel statement: unknown attribute(s): " + unknown);
       continue;
     }
 
-    fail(origin, lineNo, "unknown statement '" + t[0] + "'");
+    st.fail("unknown statement '" + std::string(t[0]) + "'");
   }
 
-  if (!sawHeader) fail(origin, lineNo, "missing 'esl 1;' header");
+  if (!sawHeader) st.fail("missing 'esl 1;' header");
   return spec;
 }
 
 std::string printEsl(const NetlistSpec& spec) {
-  std::ostringstream os;
-  os << "esl 1;\n";
+  // One pass sizes the text (ports at their widest), one writes it.
+  constexpr std::size_t kPortDigits = std::numeric_limits<unsigned>::digits10 + 1;
+  std::size_t size = 7;
   for (const NodeSpec& n : spec.nodes) {
-    os << "node " << n.kind << " " << n.name;
+    size += 8 + n.kind.size() + n.name.size();
     for (const auto& [key, value] : n.params.entries())
-      os << " " << key << "=" << value;
-    os << ";\n";
+      size += 2 + key.size() + value.size();
+  }
+  for (const ChannelSpec& ch : spec.channels)
+    size += 28 + 2 * kPortDigits + ch.producer.size() + ch.consumer.size() +
+            ch.name.size();
+  std::string out;
+  out.reserve(size);
+  const auto port = [&out](unsigned p) {
+    char buf[kPortDigits];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), p).ptr);
+  };
+  out += "esl 1;\n";
+  for (const NodeSpec& n : spec.nodes) {
+    out += "node ";
+    out += n.kind;
+    out += ' ';
+    out += n.name;
+    for (const auto& [key, value] : n.params.entries()) {
+      out += ' ';
+      out += key;
+      out += '=';
+      out += value;
+    }
+    out += ";\n";
   }
   for (const ChannelSpec& ch : spec.channels) {
-    os << "channel " << ch.producer << ".out" << ch.producerPort << " -> "
-       << ch.consumer << ".in" << ch.consumerPort;
-    if (!ch.name.empty()) os << " name=" << ch.name;
-    os << ";\n";
+    out += "channel ";
+    out += ch.producer;
+    out += ".out";
+    port(ch.producerPort);
+    out += " -> ";
+    out += ch.consumer;
+    out += ".in";
+    port(ch.consumerPort);
+    if (!ch.name.empty()) {
+      out += " name=";
+      out += ch.name;
+    }
+    out += ";\n";
   }
-  return os.str();
+  return out;
 }
 
 NetlistSpec parseEslFile(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw EslError("cannot read '" + path + "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parseEsl(text.str(), path);
+  std::string text;
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (!ec) text.reserve(static_cast<std::size_t>(size));  // a pipe has no size
+  char buf[1 << 16];
+  while (in.read(buf, sizeof(buf)) || in.gcount() > 0)
+    text.append(buf, static_cast<std::size_t>(in.gcount()));
+  return parseEsl(text, path);
 }
 
 Netlist buildEslFile(const std::string& path) {

@@ -22,15 +22,17 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "elastic/registry.h"
 
 namespace esl::frontend {
 
-/// Parses `.esl` text; throws ParseError with `origin`:line on bad syntax.
-/// (Attribute/kind errors surface later, from NetlistSpec::build.)
-NetlistSpec parseEsl(const std::string& text,
-                     const std::string& origin = "<string>");
+/// Parses `.esl` text in one pass; throws ParseError with `origin`:line on
+/// bad syntax, a port index above 32 bits, an attribute key given twice in
+/// one statement, or a channel attribute other than `name`. (Node kind and
+/// attribute errors surface later, from NetlistSpec::build.)
+NetlistSpec parseEsl(std::string_view text, const std::string& origin = "<string>");
 
 /// Canonical text form; parseEsl(printEsl(spec)) == spec.
 std::string printEsl(const NetlistSpec& spec);

@@ -128,6 +128,20 @@ std::string errorKind(const std::exception& e) {
   return "internal";
 }
 
+void throwKind(const std::string& kind, const std::string& message) {
+  if (kind == "not-found") throw NotFoundError(message);
+  if (kind == "admission") throw AdmissionError(message);
+  if (kind == "draining") throw DrainingError(message);
+  if (kind == "timeout") throw TimeoutError(message);
+  if (kind == "parse") throw ParseError(message);
+  if (kind == "protocol") throw ProtocolError(message);
+  if (kind == "transform") throw TransformError(message);
+  if (kind == "comb-cycle") throw CombinationalCycleError(message);
+  if (kind == "netlist") throw NetlistError(message);
+  if (kind == "internal") throw InternalError(message);
+  throw EslError(message);
+}
+
 json::Value errorHead(bool hasId, std::uint64_t id, const std::string& kind,
                       const std::string& message) {
   json::Value err = json::Value::object();

@@ -75,6 +75,10 @@ json::Value greetingHead();
 /// hierarchy; anything unknown is "internal").
 std::string errorKind(const std::exception& e);
 
+/// Throws a new exception of the class errorKind() maps to `kind`, carrying
+/// `message` (EslError for "error" and for a kind it does not name).
+[[noreturn]] void throwKind(const std::string& kind, const std::string& message);
+
 /// Builds {"id":id,"ok":false,"error":{...}} (id omitted when `hasId` false).
 json::Value errorHead(bool hasId, std::uint64_t id, const std::string& kind,
                       const std::string& message);

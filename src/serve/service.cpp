@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "base/fault_inject.h"
+#include "serve/protocol.h"
 #include "sim/state_file.h"
 
 namespace esl::serve {
@@ -178,11 +179,15 @@ std::string Service::open(const std::string& sid, NetlistSpec spec,
   return status;
 }
 
+Service::Outcome Service::failure(const std::exception& e) {
+  return {{}, errorKind(e), e.what()};
+}
+
 std::string Service::enqueue(const std::string& sid,
                              std::function<std::string(SimSession&)> fn,
                              std::uint64_t stepCycles, std::uint64_t* cycle) {
-  auto done = std::make_shared<std::promise<std::string>>();
-  std::future<std::string> fut = done->get_future();
+  auto done = std::make_shared<std::promise<Outcome>>();
+  std::future<Outcome> fut = done->get_future();
   bool kickIt = false;
   {
     std::unique_lock<std::mutex> lk(m_);
@@ -198,7 +203,9 @@ std::string Service::enqueue(const std::string& sid,
   }
   if (kickIt)
     executor_.submit([this, sid] { runTurn(sid); });
-  return fut.get();
+  Outcome outcome = fut.get();
+  if (!outcome.errorKind.empty()) throwKind(outcome.errorKind, outcome.error);
+  return std::move(outcome.out);
 }
 
 std::string Service::command(const std::string& sid, const std::string& line) {
@@ -336,7 +343,7 @@ std::size_t Service::drainAndSpool() {
     }
   }
   for (const Op& op : failed)
-    op.done->set_exception(std::make_exception_ptr(DrainingError(
+    op.done->set_value(failure(DrainingError(
         "step aborted at quantum boundary: service is draining for shutdown")));
   for (Entry* e : toSpool) {
     if (e->session->watching())
@@ -396,8 +403,7 @@ void Service::finishClose(std::unique_lock<std::mutex>& lk, Entry& e) {
   // restart. Covers both evicted records and durable-mode checkpoints.
   spool_.removeRecord(sid);
   for (const Op& op : dropped)
-    op.done->set_exception(
-        std::make_exception_ptr(NotFoundError("session '" + sid + "' closed")));
+    op.done->set_value(failure(NotFoundError("session '" + sid + "' closed")));
   for (const auto& w : waiters) w->set_value();
 }
 
@@ -516,7 +522,7 @@ void Service::runTurn(const std::string& sid) {
       e->running = false;
       lk.unlock();
       for (const Op& f : failed)
-        f.done->set_exception(std::make_exception_ptr(DrainingError(
+        f.done->set_value(failure(DrainingError(
             "step aborted at quantum boundary: service is draining for "
             "shutdown")));
       return;
@@ -544,7 +550,7 @@ void Service::runTurn(const std::string& sid) {
       }
       checkpoint(*e);
       if (op.cycle != nullptr) *op.cycle = e->session->cycle();
-      op.done->set_value(std::move(out));
+      op.done->set_value({std::move(out), {}, {}});
     } else {
       std::uint64_t remaining = 0;
       {
@@ -575,7 +581,7 @@ void Service::runTurn(const std::string& sid) {
       if (opDone) {
         checkpoint(*e);
         if (op.cycle != nullptr) *op.cycle = e->session->cycle();
-        op.done->set_value(e->session->report());
+        op.done->set_value({e->session->report(), {}, {}});
       }
     }
   } catch (...) {
@@ -585,7 +591,15 @@ void Service::runTurn(const std::string& sid) {
       if (isStep && !e->queue.empty() && e->queue.front().done == op.done)
         e->queue.pop_front();
     }
-    op.done->set_exception(std::current_exception());
+    Outcome failed;
+    try {
+      throw;
+    } catch (const std::exception& ex) {
+      failed = failure(ex);
+    } catch (...) {
+      failed = {{}, "internal", "unknown exception"};
+    }
+    op.done->set_value(std::move(failed));
   }
   bool resubmit = false;
   {

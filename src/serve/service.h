@@ -166,11 +166,23 @@ class Service {
   Stats stats();
 
  private:
+  /// What an op hands its waiter: its output, or the kind and message of
+  /// the error it failed with. A failure crosses threads as these values;
+  /// the waiter throws an exception of its own (no exception object is
+  /// shared between the lane and the waiting thread).
+  struct Outcome {
+    std::string out;
+    std::string errorKind;  ///< errorKind() of the failure; empty on success
+    std::string error;      ///< the failure's message
+  };
+  /// The outcome of an op that failed with `e`.
+  static Outcome failure(const std::exception& e);
+
   struct Op {
     std::function<std::string(SimSession&)> fn;  ///< null for step ops
     std::uint64_t stepCycles = 0;                ///< remaining (step ops)
     std::uint64_t* cycle = nullptr;  ///< receives the cycle at completion
-    std::shared_ptr<std::promise<std::string>> done;
+    std::shared_ptr<std::promise<Outcome>> done;
   };
 
   struct Entry {

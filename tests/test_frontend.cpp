@@ -284,6 +284,105 @@ TEST(EslFormat, ParserReportsLineNumbers) {
   EXPECT_THROW(parseEsl("esl 2;\n", "f.esl"), ParseError);           // bad version
   EXPECT_THROW(parseEsl("esl 1;\nfrobnicate;\n", "f.esl"), ParseError);
   EXPECT_THROW(parseEsl("esl 1;\nchannel a.b -> c.in0;\n", "f.esl"), ParseError);
+  // A port index above 32 bits is refused, not wrapped to another port.
+  try {
+    parseEsl("esl 1;\n\nchannel src.out4294967296 -> k.in0;\n", "f.esl");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("f.esl:3"), std::string::npos) << e.what();
+  }
+}
+
+TEST(EslFormat, ParserErrorsArePinned) {
+  // Every parser error path with its exact message.
+  struct Case {
+    const char* text;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"", "f.esl:0: missing 'esl 1;' header"},
+      {"# only a comment\n", "f.esl:1: missing 'esl 1;' header"},
+      {"node eb x width=8;\n", "f.esl:1: expected 'esl 1;' header first"},
+      {"# c\nnode eb x width=8;\nesl 1;\n", "f.esl:2: expected 'esl 1;' header first"},
+      {"esl 1;\nesl 1;\n", "f.esl:2: unknown statement 'esl'"},
+      {"esl;\n", "f.esl:1: expected 'esl 1;' header first"},
+      {"esl 1 2;\n", "f.esl:1: expected 'esl 1;' header first"},
+      {"esl 2;\n", "f.esl:1: unsupported format version '2'"},
+      {"esl 1;\nnode eb pc width=8\n", "f.esl:2: statement does not end with ';'"},
+      {"esl 1;\n;\n", "f.esl:2: empty statement"},
+      {"esl 1;\nfrobnicate;\n", "f.esl:2: unknown statement 'frobnicate'"},
+      {"esl 1;\nnode eb;\n", "f.esl:2: usage: node <kind> <name> [k=v...]"},
+      {"esl 1;\nnode;\n", "f.esl:2: usage: node <kind> <name> [k=v...]"},
+      {"esl 1;\nchannel a.out0 b.in0;\n",
+       "f.esl:2: usage: channel <prod>.out<P> -> <cons>.in<Q> [name=...]"},
+      {"esl 1;\nchannel a.out0 ->;\n",
+       "f.esl:2: usage: channel <prod>.out<P> -> <cons>.in<Q> [name=...]"},
+      {"esl 1;\nchannel a.b -> c.in0;\n",
+       "f.esl:2: expected endpoint '<node>.out<port>', got 'a.b'"},
+      {"esl 1;\nchannel .out0 -> c.in0;\n",
+       "f.esl:2: expected endpoint '<node>.out<port>', got '.out0'"},
+      {"esl 1;\nchannel a.out -> c.in0;\n",
+       "f.esl:2: expected endpoint '<node>.out<port>', got 'a.out'"},
+      {"esl 1;\nchannel a.out1x -> c.in0;\n",
+       "f.esl:2: expected endpoint '<node>.out<port>', got 'a.out1x'"},
+      {"esl 1;\nchannel a.out0 -> c.out0;\n",
+       "f.esl:2: expected endpoint '<node>.in<port>', got 'c.out0'"},
+      {"esl 1;\nchannel a.out0 -> c.in-1;\n",
+       "f.esl:2: expected endpoint '<node>.in<port>', got 'c.in-1'"},
+      {"esl 1;\nnode eb x width;\n", "f.esl:2: expected key=value attribute, got 'width'"},
+      {"esl 1;\nnode eb x =8;\n", "f.esl:2: expected key=value attribute, got '=8'"},
+      {"esl 1;\nchannel a.out0 -> b.in0 foo;\n",
+       "f.esl:2: expected key=value attribute, got 'foo'"},
+      {"esl 1;\nnode eb x.out0 width=8;\n",
+       "f.esl:2: node name 'x.out0': must not end in .out<N>/.in<N> (reserved for "
+       "channel endpoint references)"},
+      {"esl 1;\nnode eb x$ width=8;\n", "f.esl:2: node name 'x$': illegal character '$'"},
+      // A port index above 32 bits, an unknown channel attribute and a key
+      // given twice are refused at their line too.
+      {"esl 1;\nchannel src.out4294967296 -> k.in0;\n",
+       "f.esl:2: endpoint 'src.out4294967296': port index is above the limit of "
+       "4294967295"},
+      {"esl 1;\nchannel src.out0 -> k.in99999999999999999999;\n",
+       "f.esl:2: endpoint 'k.in99999999999999999999': port index is above the limit "
+       "of 4294967295"},
+      {"esl 1;\nchannel a.out0 -> b.in0 nmae=x;\n",
+       "f.esl:2: channel statement: unknown attribute(s): nmae"},
+      {"esl 1;\nnode sink k width=8 width=16;\n",
+       "f.esl:2: attribute 'width' is given twice"},
+      {"esl 1;\nchannel a.out0 -> b.in0 name=x name=y;\n",
+       "f.esl:2: attribute 'name' is given twice"},
+  };
+  for (const Case& c : cases) {
+    try {
+      parseEsl(c.text, "f.esl");
+      ADD_FAILURE() << "parsed: " << c.text;
+    } catch (const ParseError& e) {
+      EXPECT_STREQ(e.what(), c.message) << c.text;
+    }
+  }
+
+  // Spellings that parse, each with the text it prints as.
+  const Case accepted[] = {
+      {"esl 1;\r\nnode eb a width=8;\r\n", "esl 1;\nnode eb a width=8;\n"},
+      {"esl\t1;\nnode\teb\ta\twidth=8\t;\n", "esl 1;\nnode eb a width=8;\n"},
+      {"esl 1;\nchannel s.out0->k.in0;\n", "esl 1;\nchannel s.out0 -> k.in0;\n"},
+      {"esl 1;\nnode sink k width=8 ;\n", "esl 1;\nnode sink k width=8;\n"},
+      {"esl 1;\nnode sink k width=8;", "esl 1;\nnode sink k width=8;\n"},
+      {"esl 1; # header\nnode sink k width=8; # trailing ; comment\n",
+       "esl 1;\nnode sink k width=8;\n"},
+      {"esl 1;\nchannel a.out0->b.in0 name=x ;\n",
+       "esl 1;\nchannel a.out0 -> b.in0 name=x;\n"},
+      {"esl 1;\nchannel a.out007 -> b.in00;\n", "esl 1;\nchannel a.out7 -> b.in0;\n"},
+      {"esl 1;\nnode func f in=8,8 out=8 fn.k==x=;\n",
+       "esl 1;\nnode func f in=8,8 out=8 fn.k==x=;\n"},
+      {"esl 1;\nchannel a.out0 -> b.in0 name=;\n", "esl 1;\nchannel a.out0 -> b.in0;\n"},
+      {"esl 1;\nchannel x.out.out3 -> y.in.in4;\n",
+       "esl 1;\nchannel x.out.out3 -> y.in.in4;\n"},
+      {"esl 1;\nchannel src.out4294967295 -> k.in0;\n",
+       "esl 1;\nchannel src.out4294967295 -> k.in0;\n"},
+      {"\n\n  esl 1 ;\n\f\v\n", "esl 1;\n"},
+  };
+  for (const Case& c : accepted) EXPECT_EQ(printEsl(parseEsl(c.text, "f.esl")), c.message);
 }
 
 TEST(EslFormat, BuildRejectsUnknownKindsAttributesAndWiring) {

@@ -207,6 +207,18 @@ TEST(ServeProtocol, ErrorKindsFollowTheExceptionHierarchy) {
   EXPECT_EQ(errorKind(ProtocolError("x")), "protocol");
   EXPECT_EQ(errorKind(EslError("x")), "error");
   EXPECT_EQ(errorKind(std::runtime_error("x")), "internal");
+  // throwKind inverts the map: a failed op crosses threads as (kind,
+  // message) and its waiter throws an exception of the same kind.
+  for (const char* kind :
+       {"not-found", "admission", "draining", "timeout", "parse", "protocol",
+        "transform", "comb-cycle", "netlist", "internal", "error"}) {
+    try {
+      throwKind(kind, "m");
+    } catch (const EslError& e) {
+      EXPECT_EQ(errorKind(e), kind);
+      EXPECT_STREQ(e.what(), "m");
+    }
+  }
 }
 
 // --- SimSession ------------------------------------------------------------
