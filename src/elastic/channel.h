@@ -7,7 +7,7 @@
 //                            travelling upstream;
 //   sb (S-) backward stop  — driven by the producer, back-pressures anti-tokens.
 //
-// Settled-cycle events (DESIGN.md §3): a token and an anti-token meeting on a
+// Settled-cycle events (paper §3): a token and an anti-token meeting on a
 // channel cancel (kill); otherwise each side transfers when valid and not
 // stopped. The SELF Invariant makes kill and stop mutually exclusive, so the
 // three events below are disjoint.

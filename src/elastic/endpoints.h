@@ -8,7 +8,9 @@
 //
 // Nondet* variants consume per-cycle choice bits so the model checker can
 // quantify over all environments; their "fair" parameters bound consecutive
-// refusals to keep liveness checkable (bounded fairness, DESIGN.md §5).
+// refusals to keep liveness checkable: an environment that may refuse forever
+// refutes every liveness property, and the model checker takes no fairness
+// constraints, so a refusal counter in the node's state stands in for one.
 #pragma once
 
 #include <functional>
@@ -163,7 +165,7 @@ class TokenSink : public Node {
 /// (one extra choice bit each; the value persists while the token retries).
 /// Bounded anti-token absorption (killCredit capped, back-pressured via S-).
 /// Bounded-fair: after `maxIdle` consecutive refusals an offer is forced, so
-/// liveness properties are checkable (DESIGN.md §5).
+/// liveness properties are checkable (see the file comment).
 class NondetSource : public Node {
  public:
   NondetSource(std::string name, unsigned width, unsigned killCreditCap = 2,

@@ -120,8 +120,8 @@ class Netlist {
   std::uint64_t topoVersion_ = 0;
 
   // Name -> id index behind findNode/findChannel, rebuilt lazily whenever
-  // the topology version moves (renameNode bumps it too). Duplicated names
-  // keep first-insertion-wins semantics, matching the old linear scan.
+  // the topology version moves (renameNode bumps it too). A duplicated name
+  // resolves to its first insertion.
   mutable std::unordered_map<std::string, NodeId> nodeByName_;
   mutable std::unordered_map<std::string, ChannelId> channelByName_;
   mutable std::uint64_t nameIndexVersion_ = ~std::uint64_t{0};

@@ -1,11 +1,14 @@
 // Node: base class for every elastic block (buffers, functions, forks,
 // early-evaluation multiplexers, shared speculative modules, environments).
 //
-// Execution model (DESIGN.md §3): each clock cycle the simulator repeatedly
-// calls evalComb() on every node until all channel signals stabilize, then
-// calls clockEdge() once with the settled signals. evalComb must be a pure
-// function of (sequential state, input signals, per-cycle choice bits) and may
-// only write the signals the node drives:
+// Execution model (README, "Simulation kernels"): each clock cycle the
+// simulator settles the channel signals, then calls clockEdge() once with the
+// settled signals. The sweep kernel re-evaluates every node until no signal
+// changes; the event kernel evaluates a node only when it is seeded for the
+// cycle or one of its inputs changed, so a node may see no, one or several
+// evalComb() calls per cycle, in any order.
+// evalComb must be a pure function of (sequential state, input signals,
+// per-cycle choice bits) and may only write the signals the node drives:
 //   producer side of an output channel: vf, data, sb
 //   consumer side of an input channel:  sf, vb
 //

@@ -417,9 +417,8 @@ Node& Registry::makeNode(Netlist& nl, const NodeSpec& spec) const {
     throw NetlistError("unknown node kind '" + spec.kind + "' for node '" +
                        spec.name + "'");
   // The factory runs against a private copy, which the node then keeps:
-  // Params tracks reads through mutable state for unconsumed(), and one spec
-  // may be built from many threads at once (SimFarm::specRecipe,
-  // runSuiteFarm jobs).
+  // Params tracks reads through mutable state for unconsumed(), and the spec
+  // is const — it may be built again, or from several threads at once.
   Params params = spec.params;
   Node& n = it->second.factory(nl, spec.name, params);
   if (const std::string unknown = params.unconsumed(); !unknown.empty())

@@ -13,10 +13,10 @@
 //    entries to a catalog op (elastic/fn_op.h) that both simulation
 //    backends evaluate in place, the rest to an opaque closure.
 //  * NetlistSpec is the serializable value form of a whole netlist: node
-//    specs plus channel specs. It is the thing model-checker suite jobs,
-//    SimFarm sweeps and the shell's save/load/undo consume — a spec can be
-//    named, printed (src/frontend), diffed and handed to a tool; a closure
-//    cannot.
+//    specs plus channel specs. It is what the `.esl` parser produces and
+//    the shell's save/load/undo and the serve daemon's spool consume — a
+//    spec can be named, printed (src/frontend), diffed and handed to a tool;
+//    a closure cannot.
 //
 // C++ builders that want their netlists serializable construct through the
 // make*Node helpers below (the construction *is* a registry call, so parsing
@@ -59,13 +59,10 @@ struct ChannelSpec {
 };
 
 /// Serializable whole-netlist value. Building is deterministic: equal specs
-/// produce bit-identical netlists (same ids, same initial state), which is
-/// exactly the contract parallel model-checker lanes need.
+/// produce bit-identical netlists (same ids, same initial state).
 struct NetlistSpec {
   std::vector<NodeSpec> nodes;
   std::vector<ChannelSpec> channels;
-
-  bool empty() const { return nodes.empty(); }
 
   /// Constructs and validates the netlist (throws NetlistError on unknown
   /// kinds/attributes, duplicate names, bad wiring).

@@ -1,10 +1,11 @@
 // Unit-gate cost model.
 //
 // The paper reports cycle time and area from a commercial 65nm synthesis flow;
-// this repo substitutes a technology-independent unit-gate model (DESIGN.md §6):
-// a 2-input NAND-equivalent has delay 1 and area 1. Every datapath block and
-// every elastic controller reports its cost through these formulas, and the
-// timing analyzer (src/perf) sums delays along combinational paths.
+// with no such library to synthesize against, this repo substitutes a
+// technology-independent unit-gate model: a 2-input NAND-equivalent has delay
+// 1 and area 1. Every datapath block and every elastic controller reports its
+// cost through these formulas, and the timing analyzer (src/perf) sums delays
+// along combinational paths.
 #pragma once
 
 namespace esl::logic {

@@ -75,8 +75,7 @@ Netlist buildNetlist(const SynthConfig& config);
 
 /// Serializable IR of the generated system. The generator constructs every
 /// node through the NodeRegistry, so spec(cfg).build() is bit-identical to
-/// buildNetlist(cfg) — this is the data form handed to ModelChecker lanes,
-/// SimFarm sweeps and the `.esl` printer.
+/// buildNetlist(cfg) — this is the data form the `.esl` printer writes.
 NetlistSpec spec(const SynthConfig& config);
 
 /// Stable one-line tag for benchmark rows and task labels, e.g.

@@ -186,15 +186,20 @@ int serveMain(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto atLeastOne = [&]() -> std::uint64_t {
+      const std::uint64_t n = parseU64(value(), arg);
+      if (n == 0) throw EslError(arg + " must be at least 1");
+      return n;
+    };
     try {
       if (arg == "--socket")
         config.socketPath = value();
       else if (arg == "--workers")
         config.service.workers = Executor::checkLaneCount(parseU64(value(), arg), arg);
       else if (arg == "--max-resident")
-        config.service.maxResident = static_cast<std::size_t>(parseU64(value(), arg));
+        config.service.maxResident = static_cast<std::size_t>(atLeastOne());
       else if (arg == "--quantum")
-        config.service.quantumCycles = parseU64(value(), arg);
+        config.service.quantumCycles = atLeastOne();
       else if (arg == "--high-water")
         config.service.streamHighWater = static_cast<std::size_t>(parseU64(value(), arg));
       else if (arg == "--spool-dir")

@@ -1,6 +1,5 @@
 #include "serve/session.h"
 
-#include <iomanip>
 #include <sstream>
 
 #include "base/error.h"
@@ -66,10 +65,7 @@ std::string SimSession::tputLine(const std::string& channel) {
   const std::uint64_t cycles = sim_->cycle();
   const double tput =
       cycles == 0 ? 0.0 : static_cast<double>(fwd) / static_cast<double>(cycles);
-  std::ostringstream os;
-  os << "throughput(" << channel << ") = " << std::fixed << std::setprecision(4)
-     << tput << "\n";
-  return os.str();
+  return sim::throughputLine(channel, tput);
 }
 
 std::uint64_t SimSession::violationCount() {

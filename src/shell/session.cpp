@@ -292,9 +292,7 @@ std::string Session::dispatch(const std::string& line, bool replaying) {
     sim::Simulator s(nl, {.checkProtocol = false});
     const ChannelId ch = findChannelOrThrow(nl, t[2]);
     s.run(cycles);
-    os << "throughput(" << t[2] << ") = " << std::fixed << std::setprecision(4)
-       << s.throughput(ch) << "\n";
-    return os.str();
+    return sim::throughputLine(t[2], s.throughput(ch));
   }
   if (verb == "trace") {
     ESL_CHECK(t.size() >= 3, "usage: trace <cycles> <channel...>");

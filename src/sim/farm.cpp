@@ -11,18 +11,6 @@ SimFarm::SimFarm(Recipe recipe, SimOptions base)
   ESL_CHECK(static_cast<bool>(recipe_), "SimFarm: recipe required");
 }
 
-SimFarm::Recipe SimFarm::specRecipe(NetlistSpec spec, std::vector<std::string> watch) {
-  return [spec = std::move(spec), watch = std::move(watch)](const Task&,
-                                                            Instance& inst) {
-    inst.nl = spec.build();
-    for (const std::string& name : watch) {
-      const Channel* ch = inst.nl.findChannel(name);
-      ESL_CHECK(ch != nullptr, "SimFarm::specRecipe: no channel named '" + name + "'");
-      inst.watch.emplace_back(name, ch->id);
-    }
-  };
-}
-
 void SimFarm::addSeedSweep(std::uint64_t n, std::uint64_t seed0,
                            std::uint64_t cycles, std::uint64_t config) {
   for (std::uint64_t i = 0; i < n; ++i)

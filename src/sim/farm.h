@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "elastic/registry.h"
 #include "sim/simulator.h"
 
 namespace esl::sim {
@@ -49,12 +48,6 @@ class SimFarm {
   /// Builds a fresh netlist for a task. Must be callable from any worker
   /// thread concurrently (i.e. capture only immutable/shared-safe data).
   using Recipe = std::function<void(const Task&, Instance&)>;
-
-  /// Recipe over the serializable netlist IR: every task simulates
-  /// spec.build() (specs are immutable data, hence trivially thread-safe),
-  /// watching the named channels under their own names. This is how a design
-  /// loaded from `.esl` rides the farm without any C++ builder.
-  static Recipe specRecipe(NetlistSpec spec, std::vector<std::string> watch = {});
 
   struct TaskResult {
     Task task;

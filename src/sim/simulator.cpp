@@ -1,5 +1,8 @@
 #include "sim/simulator.h"
 
+#include <iomanip>
+#include <sstream>
+
 #include "elastic/endpoints.h"
 
 namespace esl::sim {
@@ -83,6 +86,13 @@ std::string runReport(const Netlist& nl, const SimContext& ctx,
   out += "protocol violations: " +
          std::to_string(ctx.protocolViolations().size() + violationCarry) + "\n";
   return out;
+}
+
+std::string throughputLine(const std::string& channel, double value) {
+  std::ostringstream os;
+  os << "throughput(" << channel << ") = " << std::fixed << std::setprecision(4)
+     << value << "\n";
+  return os.str();
 }
 
 }  // namespace esl::sim

@@ -88,4 +88,9 @@ std::string runReport(const Netlist& nl, const SimContext& ctx,
                           nullptr,
                       std::uint64_t violationCarry = 0);
 
+/// "throughput(<channel>) = <value, 4 decimals>\n": the one rendering of a
+/// measured throughput, shared like runReport by the CLI's `--tput`, the
+/// shell's `tput` verb and the serve daemon's tput query.
+std::string throughputLine(const std::string& channel, double value);
+
 }  // namespace esl::sim

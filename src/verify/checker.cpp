@@ -1,7 +1,6 @@
 #include "verify/checker.h"
 
 #include <algorithm>
-#include <thread>
 #include <unordered_map>
 
 #include "base/executor.h"
@@ -532,8 +531,7 @@ void note(ProtocolReport& report, ModelChecker& mc,
   report.violations.push_back(std::move(*violation));
 }
 
-ProtocolReport runSelfSuite(ModelChecker& mc, const Netlist& netlist,
-                            const ProtocolSuiteOptions& options) {
+ProtocolReport runSelfSuite(ModelChecker& mc, const Netlist& netlist) {
   const auto channels = netlist.channelIds();
   for (const ChannelId ch : channels) addChannelLabels(mc, netlist, ch);
   mc.addLabel("progress", [channels](const SimContext& c) {
@@ -551,11 +549,9 @@ ProtocolReport runSelfSuite(ModelChecker& mc, const Netlist& netlist,
   for (const ChannelId ch : channels) {
     const std::string base = netlist.channel(ch).name;
     note(report, mc, mc.checkNever(base + ".killStop"));  // Invariant
-    if (options.checkPersistence) {
-      if (persistent[ch])
-        note(report, mc, mc.checkStep(base + ".retryF", base + ".vf"));  // Retry+
-      note(report, mc, mc.checkStep(base + ".retryB", base + ".vb"));    // Retry-
-    }
+    if (persistent[ch])
+      note(report, mc, mc.checkStep(base + ".retryF", base + ".vf"));  // Retry+
+    note(report, mc, mc.checkStep(base + ".retryB", base + ".vb"));    // Retry-
   }
   // Liveness (G F progress; needs fair environments) and deadlock freedom.
   note(report, mc, mc.checkRecurrence("progress"));
@@ -592,49 +588,15 @@ ProtocolReport runSchedulerSuite(ModelChecker& mc, const Netlist& netlist,
 
 }  // namespace
 
-ProtocolReport checkSelfProtocol(const Netlist& netlist, ProtocolSuiteOptions options) {
+ProtocolReport checkSelfProtocol(const Netlist& netlist, CheckerOptions options) {
   ModelChecker mc(netlist, options);
-  return runSelfSuite(mc, netlist, options);
+  return runSelfSuite(mc, netlist);
 }
 
 ProtocolReport checkSchedulerLeadsTo(const Netlist& netlist, NodeId sharedId,
-                                     ProtocolSuiteOptions options) {
+                                     CheckerOptions options) {
   ModelChecker mc(netlist, options);
   return runSchedulerSuite(mc, netlist, sharedId);
-}
-
-// ---------------------------------------------------------------------------
-// Suite farm
-// ---------------------------------------------------------------------------
-
-std::vector<SuiteFarmResult> runSuiteFarm(const std::vector<SuiteJob>& jobs,
-                                          unsigned threads) {
-  ESL_CHECK(!jobs.empty(), "runSuiteFarm: no jobs");
-  std::vector<SuiteFarmResult> results(jobs.size());
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
-  if (threads > jobs.size()) threads = static_cast<unsigned>(jobs.size());
-  Executor executor(threads);
-  executor.parallelFor(jobs.size(), [&](std::size_t i, unsigned) {
-    const SuiteJob& job = jobs[i];
-    SuiteFarmResult& result = results[i];
-    result.name = job.name;
-    try {
-      ESL_CHECK(!job.spec.empty(), "runSuiteFarm: job '" + job.name + "' has no spec");
-      Netlist netlist = job.spec.build();
-      result.report = checkSelfProtocol(netlist, job.options);
-      if (job.sharedModule != kNoNode) {
-        ProtocolReport leadsTo =
-            checkSchedulerLeadsTo(netlist, job.sharedModule, job.options);
-        result.report.propertiesChecked += leadsTo.propertiesChecked;
-        for (Violation& v : leadsTo.violations)
-          result.report.violations.push_back(std::move(v));
-      }
-    } catch (const std::exception& e) {
-      result.error = e.what();
-    }
-  });
-  return results;
 }
 
 }  // namespace esl::verify

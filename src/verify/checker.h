@@ -12,9 +12,8 @@
 //
 // Labels are predicates over the settled signals of one transition; each
 // explored edge stores a label bitset, packed as ceil(labels/64) words per
-// edge — the old single-uint64 mask capped the SELF suite (5 labels per
-// channel + progress) at ~12-channel netlists, which is exactly what kept the
-// synth families verified at <=8 nodes.
+// edge, so the SELF suite's 5 labels per channel plus progress fit netlists
+// of any channel count.
 //
 // Exploration can be sharded across worker lanes (CheckerOptions::workers):
 // the BFS runs level-synchronously, each level's states expand in parallel,
@@ -40,7 +39,6 @@
 #include <vector>
 
 #include "elastic/context.h"
-#include "elastic/registry.h"
 #include "verify/state_index.h"
 
 namespace esl::verify {
@@ -53,8 +51,8 @@ struct CheckerOptions {
   unsigned workers = 1;
 };
 
-/// Outcome of one reachable-state enumeration. Shared by ModelChecker and the
-/// protocol-suite reports (it used to be duplicated between them).
+/// Outcome of one reachable-state enumeration, from ModelChecker::explore()
+/// and in every protocol-suite report.
 struct ExploreResult {
   std::size_t states = 0;
   std::size_t transitions = 0;
@@ -229,51 +227,15 @@ struct ProtocolReport {
   }
 };
 
-/// Exploration limits plus the Retry± toggle: the suite options ARE checker
-/// options, so limits are set once instead of plumbed through a nested copy
-/// (the old `options.checker.maxStates` spelling). Liveness and deadlock
-/// freedom are always checked.
-struct ProtocolSuiteOptions : CheckerOptions {
-  bool checkPersistence = true;  ///< Retry+/Retry- per channel
-};
-
 /// Runs the full §3.1 property set on every channel of the netlist:
-/// Invariant (kill/stop exclusion), Retry+/Retry- (skipped on channels whose
-/// producer is exempt, §4.2), global liveness and deadlock freedom.
+/// Invariant (kill/stop exclusion), Retry+ (skipped on channels whose
+/// producer is exempt, §4.2), Retry-, global liveness and deadlock freedom.
 ProtocolReport checkSelfProtocol(const Netlist& netlist,
-                                 ProtocolSuiteOptions options = {});
+                                 CheckerOptions options = {});
 
 /// The leads-to property of eq. (1) for each input channel of a shared
 /// module: a valid input token is eventually served or killed.
 ProtocolReport checkSchedulerLeadsTo(const Netlist& netlist, NodeId sharedModule,
-                                     ProtocolSuiteOptions options = {});
-
-// ---------------------------------------------------------------------------
-// Suite farm: independent verification jobs across a worker pool
-// ---------------------------------------------------------------------------
-
-/// One verification job: a netlist IR plus the property toggles. When
-/// sharedModule is set, the eq. (1) scheduler suite runs after the SELF suite
-/// and its findings are merged into the same report.
-struct SuiteJob {
-  std::string name;
-  NetlistSpec spec;
-  ProtocolSuiteOptions options = {};
-  NodeId sharedModule = kNoNode;
-};
-
-struct SuiteFarmResult {
-  std::string name;
-  ProtocolReport report;
-  std::string error;  ///< exception text when the job itself blew up
-  bool ok() const { return error.empty() && report.ok(); }
-};
-
-/// Runs every job on `threads` lanes (0 = hardware concurrency) and returns
-/// results in job order — the suite-level counterpart of frontier sharding:
-/// independent properties/configs (e.g. the synth families) verify
-/// concurrently, so larger instances fit the same wall-clock budget.
-std::vector<SuiteFarmResult> runSuiteFarm(const std::vector<SuiteJob>& jobs,
-                                          unsigned threads = 0);
+                                     CheckerOptions options = {});
 
 }  // namespace esl::verify

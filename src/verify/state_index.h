@@ -2,10 +2,10 @@
 //
 // Maps packed netlist states to dense state ids, keyed on the canonical
 // 64-bit state hash (esl::hashBytes). The table is striped: the hash selects
-// one of S independently-locked shards, so concurrent probes from BFS worker
-// lanes never contend on a single mutex. Ids are assigned by the caller (the
-// checker's deterministic merge), never by the index — which is what keeps
-// state numbering identical for every worker count.
+// one of kStripes independently-locked shards, so concurrent probes from BFS
+// worker lanes never contend on a single mutex. Ids are assigned by the
+// caller (the checker's deterministic merge), never by the index — which is
+// what keeps state numbering identical for every worker count.
 //
 // Byte storage stays with the caller: entries are (hash, id) only, and a
 // probe resolves collisions by comparing against the caller-provided byte
@@ -33,10 +33,7 @@ class StateIndex {
   using BytesOf =
       std::function<const std::vector<std::uint8_t>&(std::uint32_t)>;
 
-  explicit StateIndex(BytesOf bytesOf, unsigned stripes = 64)
-      : bytesOf_(std::move(bytesOf)),
-        stripes_(roundUpPow2(stripes)),
-        stripes_store_(stripes_) {
+  explicit StateIndex(BytesOf bytesOf) : bytesOf_(std::move(bytesOf)) {
     ESL_CHECK(static_cast<bool>(bytesOf_), "StateIndex: bytes accessor required");
   }
 
@@ -72,22 +69,17 @@ class StateIndex {
     std::unordered_multimap<std::uint64_t, std::uint32_t> map;
   };
 
-  static unsigned roundUpPow2(unsigned v) {
-    unsigned p = 1;
-    while (p < v && p < (1u << 16)) p <<= 1;
-    return p;
-  }
+  static constexpr std::size_t kStripes = 64;  ///< a power of two
 
   Stripe& stripe(std::uint64_t hash) {
-    return stripes_store_[hash & (stripes_ - 1)];
+    return stripes_store_[hash & (kStripes - 1)];
   }
   const Stripe& stripe(std::uint64_t hash) const {
-    return stripes_store_[hash & (stripes_ - 1)];
+    return stripes_store_[hash & (kStripes - 1)];
   }
 
   BytesOf bytesOf_;
-  unsigned stripes_;
-  mutable std::vector<Stripe> stripes_store_;
+  mutable std::vector<Stripe> stripes_store_ = std::vector<Stripe>(kStripes);
 };
 
 }  // namespace esl::verify

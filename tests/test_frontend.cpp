@@ -19,7 +19,6 @@
 #include "netlist/patterns.h"
 #include "netlist/stdlib.h"
 #include "netlist/synth.h"
-#include "sim/farm.h"
 #include "sim/simulator.h"
 #include "test_util.h"
 #include "verify/checker.h"
@@ -225,47 +224,6 @@ TEST(EslFormat, CheckerExploresParsedSpecIdenticallyToBorrowedNetlist) {
     fromSpec.explore();
     EXPECT_EQ(serial.graphFingerprint(), fromSpec.graphFingerprint())
         << "workers=" << workers;
-  }
-}
-
-TEST(EslFormat, SuiteFarmRunsSpecJobs) {
-  synth::SynthConfig cfg;
-  cfg.topology = synth::Topology::kSpecLadder;
-  cfg.targetNodes = 8;
-  cfg.width = 1;
-  cfg.nondetEnv = true;
-
-  verify::SuiteJob job;
-  job.name = "spec-ladder";
-  job.spec = synth::spec(cfg);
-  job.options.maxStates = 200000;
-  const auto results = verify::runSuiteFarm({job}, 2);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_TRUE(results[0].ok()) << results[0].error << " "
-                               << results[0].report.firstViolation();
-}
-
-TEST(EslFormat, SimFarmSpecRecipeMatchesBuilderRecipe) {
-  synth::SynthConfig cfg;
-  cfg.topology = synth::Topology::kPipeline;
-  cfg.targetNodes = 20;
-  cfg.seed = 5;
-
-  const NetlistSpec spec = synth::spec(cfg);
-  const synth::SynthSystem sys = synth::build(cfg);
-  const std::string watch = sys.nl.channel(sys.outChannel).name;
-
-  sim::SimOptions base;
-  base.checkProtocol = false;
-  sim::SimFarm farm(sim::SimFarm::specRecipe(spec, {watch}), base);
-  farm.addSeedSweep(4, 1, 500);
-  const auto results = farm.run(2);
-  ASSERT_EQ(results.size(), 4u);
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.ok) << r.error;
-    ASSERT_EQ(r.channels.size(), 1u);
-    EXPECT_EQ(r.channels[0].first, watch);
-    EXPECT_GT(r.channels[0].second.fwdTransfers, 0u);
   }
 }
 

@@ -32,6 +32,7 @@
 #include "serve/server.h"
 #include "serve/service.h"
 #include "serve/session.h"
+#include "sim/simulator.h"
 
 namespace esl::serve {
 namespace {
@@ -541,6 +542,14 @@ TEST(ServeService, EvictionAndRestoreAreTransparent) {
   EXPECT_EQ(b2, serialB->report());
   EXPECT_EQ(bSnap, serialB->snapshot());
 
+  // Across its evictions, a's tput line is the one-shot CLI's `--tput` line.
+  const Netlist fig1a = patterns::designSpec("fig1a").build();
+  sim::Simulator oneShot(fig1a, {.checkProtocol = true, .throwOnViolation = false});
+  oneShot.run(600);
+  const ChannelId pc = fig1a.findChannel("pc.out")->id;
+  EXPECT_EQ(svc.tput("a", "pc.out"),
+            sim::throughputLine("pc.out", oneShot.throughput(pc)));
+
   svc.close("a");
   svc.close("b");
   EXPECT_EQ(svc.stats().sessions, 0u);
@@ -996,6 +1005,22 @@ TEST(ServeWire, ClientRefusesARetryCountAboveItsTypeBeforeConnecting) {
   EXPECT_EQ(code, 1) << err;
   EXPECT_NE(err.find("--retries"), std::string::npos) << err;
   EXPECT_NE(err.find("4294967295"), std::string::npos) << err;
+}
+
+TEST(ServeWire, ServeRefusesAZeroCapOrQuantumAsAUsageError) {
+  // Refused while the flags are parsed (exit 1, naming the flag), before a
+  // socket is bound.
+  const std::string socket = testSocketPath("zero");
+  for (const std::string flag : {"--max-resident", "--quantum"}) {
+    std::vector<std::string> args = {"--socket", socket, flag, "0"};
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    testing::internal::CaptureStderr();
+    const int code = serveMain(static_cast<int>(argv.size()), argv.data());
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(code, 1) << err;
+    EXPECT_NE(err.find(flag + " must be at least 1"), std::string::npos) << err;
+  }
 }
 
 TEST(ServeWire, ReplyDeadlineSurfacesAsTimeout) {

@@ -290,7 +290,7 @@ TEST(Synth, ModelCheckerPassesSmallInstances) {
     ASSERT_LE(sys.nodeCount, 8u);
     SCOPED_TRACE(synth::describe(cfg));
 
-    verify::ProtocolSuiteOptions opts;
+    verify::CheckerOptions opts;
     opts.maxStates = 200000;
     const auto report = verify::checkSelfProtocol(sys.nl, opts);
     EXPECT_FALSE(report.explore.truncated);

@@ -143,9 +143,7 @@ TEST(Verify, DeadJoinInputViolatesLiveness) {
   nl.connect(dead, 0, join, 1, "inb");
   nl.connect(join, 0, sink, 0, "out");
 
-  verify::ProtocolSuiteOptions opts;
-  opts.checkPersistence = false;
-  const auto report = verify::checkSelfProtocol(nl, opts);
+  const auto report = verify::checkSelfProtocol(nl);
   EXPECT_FALSE(report.ok());  // liveness + deadlock both fail
 }
 
@@ -262,7 +260,7 @@ TEST(Verify, TruncatedGraphRefusesToCertifyProperties) {
 
 TEST(Verify, TruncatedSuiteReportsInconclusiveNotOk) {
   Netlist nl = bufferHarness<ElasticBuffer>(true);
-  verify::ProtocolSuiteOptions opts;
+  verify::CheckerOptions opts;
   opts.maxStates = 3;
   const auto report = verify::checkSelfProtocol(nl, opts);
   ASSERT_TRUE(report.explore.truncated);
@@ -308,9 +306,7 @@ TEST(Verify, DeadlockViolationTraceLeadsToDeadState) {
   nl.connect(dead, 0, join, 1, "inb");
   nl.connect(join, 0, sink, 0, "out");
 
-  verify::ProtocolSuiteOptions opts;
-  opts.checkPersistence = false;
-  const auto report = verify::checkSelfProtocol(nl, opts);
+  const auto report = verify::checkSelfProtocol(nl);
   ASSERT_FALSE(report.ok());
   for (const auto& v : report.violations) {
     EXPECT_FALSE(v.inconclusive);

@@ -18,7 +18,6 @@ namespace {
 
 using verify::CheckerOptions;
 using verify::ModelChecker;
-using verify::ProtocolSuiteOptions;
 using verify::Violation;
 
 // ---------------------------------------------------------------------------
@@ -180,7 +179,7 @@ TEST(VerifyParallel, SelfSuiteVerdictsIdenticalAcrossWorkerCounts) {
   Netlist nl = sharedMuxHarness();
   std::optional<verify::ProtocolReport> serial;
   for (const unsigned workers : kWorkerCounts) {
-    ProtocolSuiteOptions opts;
+    CheckerOptions opts;
     opts.workers = workers;
     const auto report = verify::checkSelfProtocol(nl, opts);
     EXPECT_TRUE(report.ok()) << report.firstViolation();
@@ -225,7 +224,7 @@ TEST(VerifyParallel, TruncatedSuiteInconclusiveDiagnosticsMatchSerial) {
   Netlist nl = bufferHarness(true);
   std::optional<verify::ProtocolReport> serial;
   for (const unsigned workers : kWorkerCounts) {
-    ProtocolSuiteOptions opts;
+    CheckerOptions opts;
     opts.workers = workers;
     opts.maxStates = 3;
     const auto report = verify::checkSelfProtocol(nl, opts);
@@ -246,7 +245,7 @@ TEST(VerifyParallel, InjectedViolationYieldsSamePropertyAndTraceUnderAllWorkers)
   Netlist nl = droppingBufferHarness();
   std::optional<Violation> serial;
   for (const unsigned workers : kWorkerCounts) {
-    ProtocolSuiteOptions opts;
+    CheckerOptions opts;
     opts.workers = workers;
     const auto report = verify::checkSelfProtocol(nl, opts);
     ASSERT_FALSE(report.ok()) << "w" << workers;
@@ -284,17 +283,19 @@ TEST(VerifyParallel, BorrowedNetlistAcceptsWorkers) {
 // ---------------------------------------------------------------------------
 
 TEST(VerifyParallel, SynthFamiliesModelCheckCleanAtTwelvePlusNodes) {
+  // The sizes are README's "Verified sizes per synth family" table.
   struct Case {
     synth::Topology topology;
     std::size_t nodes;
+    std::size_t states;
+    std::size_t transitions;
   };
   const Case cases[] = {
-      {synth::Topology::kPipeline, 20},
-      {synth::Topology::kForkJoin, 16},
-      {synth::Topology::kSpecLadder, 12},
-      {synth::Topology::kRandomDag, 20},
+      {synth::Topology::kPipeline, 20, 3292, 13168},
+      {synth::Topology::kForkJoin, 16, 22, 88},
+      {synth::Topology::kSpecLadder, 12, 725, 46400},
+      {synth::Topology::kRandomDag, 20, 1713, 6852},
   };
-  std::vector<verify::SuiteJob> jobs;
   for (const Case& c : cases) {
     synth::SynthConfig cfg;
     cfg.topology = c.topology;
@@ -302,61 +303,22 @@ TEST(VerifyParallel, SynthFamiliesModelCheckCleanAtTwelvePlusNodes) {
     cfg.width = 1;
     cfg.seed = 3;
     cfg.nondetEnv = true;
-    verify::SuiteJob job;
-    job.name = synth::describe(cfg);
-    job.spec = synth::spec(cfg);
-    job.options.maxStates = 500000;
-    job.options.maxChoiceBits = 16;
-    job.options.workers = 2;  // frontier sharding inside each job
-    jobs.push_back(std::move(job));
-  }
-  // Farm the suite jobs themselves across 2 threads on top.
-  const auto results = verify::runSuiteFarm(jobs, 2);
-  ASSERT_EQ(results.size(), jobs.size());
-  for (const auto& r : results) {
-    EXPECT_TRUE(r.error.empty()) << r.name << ": " << r.error;
-    EXPECT_FALSE(r.report.explore.truncated) << r.name;
-    EXPECT_TRUE(r.report.ok()) << r.name << ": " << r.report.firstViolation();
-    EXPECT_GT(r.report.explore.states, 8u) << r.name;
-  }
-  // The netlists really are >=12 nodes (the generator respects its budget,
-  // but pin it here so the scale-up claim stays honest).
-  for (const Case& c : cases) {
-    synth::SynthConfig cfg;
-    cfg.topology = c.topology;
-    cfg.targetNodes = c.nodes;
-    cfg.width = 1;
-    cfg.seed = 3;
-    cfg.nondetEnv = true;
-    EXPECT_GE(synth::build(cfg).nodeCount, 12u) << synth::describe(cfg);
-  }
-}
+    SCOPED_TRACE(synth::describe(cfg));
+    // The netlists really are >=12 nodes (the generator respects its budget,
+    // but pin it here so the scale-up claim stays honest).
+    EXPECT_GE(synth::build(cfg).nodeCount, 12u);
 
-TEST(VerifyParallel, SuiteFarmReportsPerJobErrors) {
-  std::vector<verify::SuiteJob> jobs;
-  verify::SuiteJob good;
-  good.name = "good";
-  good.spec = NetlistSpec::fromNetlist(bufferHarness(false));
-  jobs.push_back(good);
-  verify::SuiteJob bad;
-  bad.name = "bad";
-  // 15 choice bits > default maxChoiceBits=14 => the job must error out
-  // without poisoning its neighbours.
-  Netlist wide;
-  for (int i = 0; i < 15; ++i) {
-    std::string srcName = "s";
-    srcName += std::to_string(i);
-    std::string sinkName = "k";
-    sinkName += std::to_string(i);
-    auto& src = wide.make<NondetSource>(srcName, 1);
-    auto& sink = wide.make<TokenSink>(sinkName, 1);
-    wide.connect(src, 0, sink, 0);
+    CheckerOptions opts;
+    opts.maxStates = 500000;
+    opts.maxChoiceBits = 16;
+    opts.workers = 2;
+    const Netlist nl = synth::spec(cfg).build();
+    const auto report = verify::checkSelfProtocol(nl, opts);
+    EXPECT_FALSE(report.explore.truncated);
+    EXPECT_TRUE(report.ok()) << report.firstViolation();
+    EXPECT_EQ(report.explore.states, c.states);
+    EXPECT_EQ(report.explore.transitions, c.transitions);
   }
-  bad.spec = NetlistSpec::fromNetlist(wide);
-  jobs.push_back(bad);
-  const auto results = verify::runSuiteFarm(jobs, 2);
-  EXPECT_TRUE(results[0].ok()) << results[0].error;
-  EXPECT_FALSE(results[1].error.empty());
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 // 4 round-trip drift.
 #include <cstring>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -119,7 +118,7 @@ int main(int argc, char** argv) {
   std::uint64_t simCycles = 0;
   unsigned simShards = 1;
   bool doSim = false, doCheck = false, doRoundtrip = false, doCrossCheck = false;
-  verify::ProtocolSuiteOptions checkOptions;
+  verify::CheckerOptions checkOptions;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -246,6 +245,14 @@ int main(int argc, char** argv) {
 
     if (doSim) {
       Netlist& nl = *session.netlist();
+      const Channel* tputCh = nullptr;
+      if (!tputChannel.empty()) {  // before the run: a typo costs no cycles
+        tputCh = nl.findChannel(tputChannel);
+        if (tputCh == nullptr) {
+          std::cerr << "esl: no channel named '" << tputChannel << "'\n";
+          return 2;
+        }
+      }
       sim::SimOptions opts{.checkProtocol = true, .throwOnViolation = false};
       opts.shards = simShards;
       if (simBackend == "compiled") opts.backend = SimContext::Backend::kCompiled;
@@ -255,15 +262,8 @@ int main(int argc, char** argv) {
         s.ctx().unpackState(sim::readFileBytes(loadState), "'" + loadState + "'");
       s.run(simCycles);
       std::cout << sim::runReport(nl, s.ctx());
-      if (!tputChannel.empty()) {
-        const Channel* ch = nl.findChannel(tputChannel);
-        if (ch == nullptr) {
-          std::cerr << "esl: no channel named '" << tputChannel << "'\n";
-          return 2;
-        }
-        std::cout << "throughput(" << tputChannel << ") = " << std::fixed
-                  << std::setprecision(4) << s.throughput(ch->id) << "\n";
-      }
+      if (tputCh != nullptr)
+        std::cout << sim::throughputLine(tputChannel, s.throughput(tputCh->id));
       if (!saveState.empty()) {
         sim::writeFileAtomic(saveState, s.ctx().packState(), "state-file-write");
         std::cerr << "state saved to '" << saveState << "' at cycle "
