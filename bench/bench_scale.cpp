@@ -448,19 +448,27 @@ int main(int argc, char** argv) {
   std::printf("%-44s %8s %12s %12s %12s %9s %9s\n", "netlist", "nodes",
               "sweep ns/cyc", "event ns/cyc", "cmpld ns/cyc", "ev/sweep",
               "cmpld/ev");
-  for (const synth::Topology topo : topologies) {
+  for (const synth::Topology topo :
+       {synth::Topology::kPipeline, synth::Topology::kRandomDag,
+        synth::Topology::kForkJoin}) {
+    // Fork/join trees carry the backward ripple: stops and kills travel
+    // against the data, so each forward wave pushes settle work back to lower
+    // node ids. They add sparse rows at 10k and 100k nodes only, and feed no
+    // --check gate.
+    const bool forkJoin = topo == synth::Topology::kForkJoin;
     for (const Tier& tier : tiers) {
+      if (forkJoin && tier.nodes < 10000) continue;
       for (const unsigned inject : {64u, 1u}) {
         // Saturated runs at 100k nodes would spend minutes in the sweep
         // kernel for no extra information; the sparse point is the story.
-        if (inject == 1 && tier.nodes >= 100000) continue;
+        if (inject == 1 && (tier.nodes >= 100000 || forkJoin)) continue;
         // Quick runs skip the 100k sweep (linear per-cycle cost, minutes of
         // wall clock, and the event-vs-sweep gate is already decided at 10k)
         // but KEEP the 100k event+compiled pair: 100k nodes is where the
         // interpreted kernel's heap-scattered node state decisively misses
         // cache, so that pair anchors the compiled-vs-interpreted gate at
-        // its most noise-robust margin.
-        const bool skipSweep = quick && tier.nodes >= 100000;
+        // its most noise-robust margin. Fork/join always skips it.
+        const bool skipSweep = (quick || forkJoin) && tier.nodes >= 100000;
         // At 100k the default cycles/10 warmup still sits in the filling
         // transient (the pipeline is ~6k stages deep), and min-of-N would
         // pick the emptiest window — understating in-flight state and with
@@ -501,10 +509,11 @@ int main(int argc, char** argv) {
                       synth::describe(cfg).c_str(), sweep.nodes,
                       sweep.nsPerCycle, event.nsPerCycle, compiled.nsPerCycle,
                       speedup, compiledSpeedup);
-          if (inject == 64 && tier.nodes >= 10000 && speedup > check10kSparse)
+          if (!forkJoin && inject == 64 && tier.nodes >= 10000 &&
+              speedup > check10kSparse)
             check10kSparse = speedup;
         }
-        if (inject == 64 && tier.nodes >= 10000 &&
+        if (!forkJoin && inject == 64 && tier.nodes >= 10000 &&
             compiledSpeedup > check10kSparseCompiled)
           check10kSparseCompiled = compiledSpeedup;
         // The SELF protocol monitor is on in every `esl --sim` run, so on a

@@ -72,6 +72,10 @@ void SimContext::ensureTopologyCache() {
   // push and mark with plain stores.
   plan_.shards = shards_;
   plan_.nodeShard.assign(netlist_.nodeCapacity(), 0);
+  for (const Shard& sh : shardState_) {
+    retiredWork_.evaluations += sh.work.evaluations;
+    retiredWork_.wordsSearched += sh.work.wordsSearched;
+  }
   shardState_.assign(shards_, Shard{});
   const std::size_t n = liveNodes_.size();
   const std::size_t block = shards_ == 0 ? n : (n + shards_ - 1) / shards_;
@@ -85,7 +89,9 @@ void SimContext::ensureTopologyCache() {
     shardState_[s].owned.push_back(liveNodes_[i]);
   }
   for (Shard& sh : shardState_) {
-    sh.hiId = sh.owned.empty() ? 0 : sh.owned.back();
+    sh.loW = sh.owned.empty() ? 0 : sh.owned.front() >> 6;
+    const std::size_t hiW = sh.owned.empty() ? 0 : sh.owned.back() >> 6;
+    sh.pendingWords.assign((hiW - sh.loW) / 64 + 1, 0);
     sh.alwaysEdge.clear();
     for (const NodeId id : sh.owned)
       if (!nodeEdgeOnEvents_[id]) sh.alwaysEdge.push_back(id);
@@ -117,7 +123,6 @@ void SimContext::ensureTopologyCache() {
   }
 
   pendingBits_.assign((netlist_.nodeCapacity() + 63) / 64, 0);
-  pendingWordGen_.assign((netlist_.nodeCapacity() + 63) / 64, 0);
   evalMeta_.assign(netlist_.nodeCapacity(), 0);
   edgeBits_.assign((netlist_.nodeCapacity() + 63) / 64, 0);
   edgeWordGen_.assign((netlist_.nodeCapacity() + 63) / 64, 0);
@@ -373,13 +378,13 @@ void SimContext::settleEvent() {
   }
 }
 
-void SimContext::seedShards(std::uint64_t gen) {
+void SimContext::seedShards() {
   // Seeding tiers: after reset/rewiring every node; after a full (untracked)
   // edge or an unpackState every stateful node; in dirty-tracked steady state
   // only the per-cycle readers plus the nodes each shard clocked at the
   // preceding edge.
   const auto pushOwned = [&](NodeId id) {
-    pushInto(shardState_[plan_.nodeShard[id]], gen, id);
+    pushInto(shardState_[plan_.nodeShard[id]], id);
   };
   if (needFullSeed_) {
     for (const NodeId id : liveNodes_) pushOwned(id);
@@ -388,9 +393,26 @@ void SimContext::seedShards(std::uint64_t gen) {
   } else {
     for (const NodeId id : cycleSeedNodes_) pushOwned(id);
     for (Shard& sh : shardState_)
-      for (const NodeId id : sh.clocked) pushInto(sh, gen, id);
+      for (const NodeId id : sh.clocked) pushInto(sh, id);
   }
   needFullSeed_ = false;
+}
+
+void SimContext::clearWorklists() {
+  std::fill(pendingBits_.begin(), pendingBits_.end(), 0);
+  for (Shard& sh : shardState_) {
+    std::fill(sh.pendingWords.begin(), sh.pendingWords.end(), 0);
+    sh.pending = 0;
+  }
+}
+
+SimContext::SettleWork SimContext::settleWork() const {
+  SettleWork total = retiredWork_;
+  for (const Shard& sh : shardState_) {
+    total.evaluations += sh.work.evaluations;
+    total.wordsSearched += sh.work.wordsSearched;
+  }
+  return total;
 }
 
 void SimContext::settleCrossChecked() {

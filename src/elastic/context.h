@@ -165,6 +165,16 @@ class SimContext {
   void setBackend(Backend backend);
   Backend backend() const { return backend_; }
 
+  /// What the event kernel's drains did since construction, over every
+  /// shard: nodes evaluated, and worklist words the cursor search examined
+  /// (second-level words read to find the next pending word). Always
+  /// counted; the sweep kernel's evaluations are not.
+  struct SettleWork {
+    std::uint64_t evaluations = 0;
+    std::uint64_t wordsSearched = 0;
+  };
+  SettleWork settleWork() const;
+
   /// External code that writes channel signals directly (outside evalComb)
   /// must call this before the next settle() so the event-driven kernel
   /// re-seeds every node instead of trusting retained signals.
@@ -287,9 +297,16 @@ class SimContext {
   struct Shard {
     std::vector<NodeId> owned;       ///< live nodes, ascending id
     std::vector<NodeId> alwaysEdge;  ///< owned nodes with kEveryCycle
-    NodeId hiId = 0;                 ///< highest owned id
-    std::size_t pending = 0;         ///< worklist size (gen-stamped membership)
-    std::size_t cursorW = 0;         ///< lowest bitmap word that may be pending
+    std::size_t pending = 0;         ///< worklist size (set bits in pendingBits_)
+    /// The drain's word: no pendingBits_ word below it holds a pending node.
+    std::size_t cursorW = 0;
+    std::size_t loW = 0;             ///< first pendingBits_ word this shard owns
+    /// The worklist's second level: bit i is set while pendingBits_[loW + i]
+    /// holds a pending node and is not the cursor's word. Per shard, because
+    /// shard blocks are snapped only to 64-id words, so a shared summary word
+    /// would have two writers.
+    std::vector<std::uint64_t> pendingWords;
+    SettleWork work;                 ///< this shard's drain counters
     std::vector<NodeId> edgeList;    ///< per-edge scratch: nodes to clock
     std::vector<NodeId> clocked;     ///< stateful nodes clocked at last edge
     /// Interior plane groups that may carry a token/anti-token ("hot"):
@@ -329,20 +346,49 @@ class SimContext {
   void settleEvent();
   void edgeEvent();
   void settleCrossChecked();
-  void pushInto(Shard& sh, std::uint64_t gen, NodeId id) {
+  /// Adds node `id` to its shard's worklist. The cursor's own word has no
+  /// second-level bit, so a push there (every push, on a design whose node
+  /// ids fit one word) costs no second-level write.
+  void pushInto(Shard& sh, NodeId id) {
     const std::size_t w = id >> 6;
-    if (pendingWordGen_[w] != gen) {
-      pendingWordGen_[w] = gen;
-      pendingBits_[w] = 0;
-    }
     const std::uint64_t m = std::uint64_t{1} << (id & 63);
-    if (!(pendingBits_[w] & m)) {
-      pendingBits_[w] |= m;
-      ++sh.pending;
-      if (w < sh.cursorW) sh.cursorW = w;
+    const std::uint64_t bits = pendingBits_[w];
+    if (bits & m) return;
+    pendingBits_[w] = bits | m;
+    ++sh.pending;
+    if (w > sh.cursorW) {
+      if (bits == 0) markWord(sh, w);
+    } else if (w < sh.cursorW) {
+      // A push behind the cursor (a stop or kill travelling against the
+      // data): the cursor moves back to it, and the word it leaves keeps its
+      // place in the second level if it still holds pending nodes.
+      if (pendingBits_[sh.cursorW] != 0) markWord(sh, sh.cursorW);
+      sh.cursorW = w;
     }
   }
-  void seedShards(std::uint64_t gen);
+  void markWord(Shard& sh, std::size_t w) {
+    const std::size_t i = w - sh.loW;
+    sh.pendingWords[i >> 6] |= std::uint64_t{1} << (i & 63);
+  }
+  /// Moves the cursor off its emptied word to the lowest pending word, found
+  /// in the shard's second level (whose bit it then clears); the shard's
+  /// worklist must not be empty.
+  void advanceCursor(Shard& sh) {
+    const std::size_t i = sh.cursorW - sh.loW;
+    std::size_t s = i >> 6;
+    std::uint64_t m = sh.pendingWords[s] & (~std::uint64_t{0} << (i & 63));
+    ++sh.work.wordsSearched;
+    while (m == 0) {
+      m = sh.pendingWords[++s];
+      ++sh.work.wordsSearched;
+    }
+    const std::uint64_t lowest = m & (~m + 1);
+    sh.pendingWords[s] &= ~lowest;
+    sh.cursorW = sh.loW + s * 64 + static_cast<unsigned>(__builtin_ctzll(m));
+  }
+  /// Empties every worklist: a settle that throws leaves nodes pending.
+  void clearWorklists();
+  void seedShards();
 
   // --- the event kernel loops ------------------------------------------------
   // One settle and one edge loop serve every backend and shard count. They are
@@ -365,7 +411,12 @@ class SimContext {
   /// Fetches the raw board and record addresses the ops run over.
   void bindOps();
 
-  /// One shard's worklist drain. `eval(id)` must evaluate node `id`'s
+  /// One shard's worklist drain, lowest id first: it pops the lowest pending
+  /// node, so a push behind the cursor (a stop or kill travelling against the
+  /// data) is evaluated next. The cursor stays on its word while that word
+  /// holds pending nodes; when it empties, the shard's second level names the
+  /// next pending word, so the drain never steps through empty words. It
+  /// returns with both levels empty. `eval(id)` must evaluate node `id`'s
   /// combinational function against the board.
   template <typename Eval>
   void drainShardWith(unsigned s, std::uint64_t gen, std::uint32_t maxEvals,
@@ -377,12 +428,14 @@ class SimContext {
     constexpr std::uint64_t kGenMask = (std::uint64_t{1} << 40) - 1;
     const std::uint64_t genLo = gen & kGenMask;
     while (sh.pending > 0) {
-      while (pendingWordGen_[sh.cursorW] != gen || pendingBits_[sh.cursorW] == 0)
-        ++sh.cursorW;
-      const unsigned bit =
-          static_cast<unsigned>(__builtin_ctzll(pendingBits_[sh.cursorW]));
+      std::uint64_t bits = pendingBits_[sh.cursorW];
+      if (bits == 0) {
+        advanceCursor(sh);
+        bits = pendingBits_[sh.cursorW];
+      }
+      const unsigned bit = static_cast<unsigned>(__builtin_ctzll(bits));
       const NodeId id = static_cast<NodeId>(sh.cursorW * 64 + bit);
-      pendingBits_[sh.cursorW] &= pendingBits_[sh.cursorW] - 1;
+      pendingBits_[sh.cursorW] = bits & (bits - 1);
       --sh.pending;
       const std::uint64_t meta = evalMeta_[id];
       const std::uint64_t evals = ((meta & kGenMask) == genLo ? meta >> 40 : 0) + 1;
@@ -393,6 +446,7 @@ class SimContext {
             std::to_string(maxEvals) +
             " times (combinational cycle in data or control)");
       evalMeta_[id] = (evals << 40) | genLo;
+      ++sh.work.evaluations;
       eval(id);
 
       bool selfChanged = false;
@@ -403,10 +457,10 @@ class SimContext {
         if (!board_.consumeChanged(slot)) continue;
         markHotGroup(sh, slot);  // interior groups are owner-exclusive
         const NodeId other = adjFlat_[a].other;
-        if (!nodeStateDriven_[other]) pushInto(sh, gen, other);
+        if (!nodeStateDriven_[other]) pushInto(sh, other);
         selfChanged = true;
       }
-      if (selfChanged && nodeUnaudited_[id]) pushInto(sh, gen, id);
+      if (selfChanged && nodeUnaudited_[id]) pushInto(sh, id);
     }
   }
 
@@ -427,51 +481,51 @@ class SimContext {
     }
     const std::uint64_t gen = ++settleGen_;
     const std::uint32_t maxEvals = evalBudget();
-    for (Shard& sh : shardState_) {
-      sh.pending = 0;
-      sh.cursorW = (static_cast<std::size_t>(sh.hiId) >> 6) + 1;
-    }
-    seedShards(gen);
-    if (shards_ == 1) {
-      drainShardWith(0, gen, maxEvals, eval);
-      edgeTrackValid_ = true;
-      return;
-    }
-
-    resolveAllChoices();
-    board_.setStagingActive(true);
+    for (Shard& sh : shardState_) sh.cursorW = sh.loW;
     try {
-      bool any = false;
-      for (const Shard& sh : shardState_) any = any || sh.pending > 0;
-      while (any) {
-        // One level-synchronous round: every shard drains its worklist fully.
-        parallelShards(
-            [&](unsigned s) { drainShardWith(s, gen, maxEvals, eval); });
-        // Barrier step (single-threaded): publish staged boundary changes and
-        // seed their readers. Both endpoints are seeded — the consumer-side
-        // reader of producer-driven fields, the producer-side reader of
-        // consumer-driven fields, and the unaudited writer's confirming
-        // re-eval all collapse into this conservative push. A re-evaluation
-        // on unchanged inputs is a no-op, so the fixed point is unaffected.
-        any = false;
-        board_.syncBoundary([&](ChannelId ch) {
-          const Channel& c = netlist_.channel(ch);
-          if (!nodeStateDriven_[c.producer])
-            pushInto(shardState_[plan_.nodeShard[c.producer]], gen, c.producer);
-          if (!nodeStateDriven_[c.consumer])
-            pushInto(shardState_[plan_.nodeShard[c.consumer]], gen, c.consumer);
-        });
+      seedShards();
+      if (shards_ == 1) {
+        drainShardWith(0, gen, maxEvals, eval);
+      } else {
+        resolveAllChoices();
+        board_.setStagingActive(true);
+        bool any = false;
         for (const Shard& sh : shardState_) any = any || sh.pending > 0;
+        while (any) {
+          // One level-synchronous round: every shard drains its worklist.
+          parallelShards(
+              [&](unsigned s) { drainShardWith(s, gen, maxEvals, eval); });
+          // Barrier step (single-threaded): publish staged boundary changes
+          // and seed their readers. Both endpoints are seeded — the
+          // consumer-side reader of producer-driven fields, the producer-side
+          // reader of consumer-driven fields, and the unaudited writer's
+          // confirming re-eval all collapse into this conservative push. A
+          // re-evaluation on unchanged inputs is a no-op, so the fixed point
+          // is unaffected.
+          any = false;
+          board_.syncBoundary([&](ChannelId ch) {
+            const Channel& c = netlist_.channel(ch);
+            if (!nodeStateDriven_[c.producer])
+              pushInto(shardState_[plan_.nodeShard[c.producer]], c.producer);
+            if (!nodeStateDriven_[c.consumer])
+              pushInto(shardState_[plan_.nodeShard[c.consumer]], c.consumer);
+          });
+          for (const Shard& sh : shardState_) any = any || sh.pending > 0;
+        }
+        board_.setStagingActive(false);
       }
     } catch (...) {
-      // A worker threw (CombinationalCycleError, a node's own error): leave
-      // the board usable — staged-but-unpublished boundary writes must not
-      // swallow the next kernel's (or an external writer's) stores.
+      // A node threw (CombinationalCycleError, a node's own error) mid-settle:
+      // the board holds a partial settle, and the readers of what changed
+      // may still be pending. Empty the worklists, leave the board usable —
+      // staged-but-unpublished boundary writes must not swallow the next
+      // kernel's (or an external writer's) stores — and re-seed every node
+      // next time, so a retried step does not run on the stale signals.
       board_.setStagingActive(false);
+      clearWorklists();
       invalidateSignals();
       throw;
     }
-    board_.setStagingActive(false);
     edgeTrackValid_ = true;
   }
 
@@ -601,12 +655,15 @@ class SimContext {
   /// writes (false after external writes / sweep settles, which bypass the
   /// consume loop).
   bool changeTrackValid_ = false;
-  // Generation-stamped per-settle scratch (no O(capacity) clears per cycle).
-  // The worklist is a bitmap (64 nodes per word, per-word gen stamps): the
-  // lowest-id-first cursor scan touches kilobytes, not megabytes, per settle.
+  // The worklist is a two-level bitmap: pendingBits_ holds a bit per node
+  // (64 per word, each word owned by one shard), and each shard's
+  // pendingWords a bit per pendingBits_ word of its range that holds one,
+  // the drain cursor's word aside. Both levels are empty between settles: a
+  // drain pops every bit it set, and a settle that throws clears them
+  // (clearWorklists).
+  /// Generation of the current settle (no O(capacity) clear of evalMeta_).
   std::uint64_t settleGen_ = 0;
-  std::vector<std::uint64_t> pendingBits_;     ///< bit set → in worklist
-  std::vector<std::uint64_t> pendingWordGen_;  ///< == settleGen_ → word valid
+  std::vector<std::uint64_t> pendingBits_;  ///< bit set → in worklist
   /// Per-node eval budget (combinational-cycle guard), packed as
   /// count<<40 | gen&(2^40-1): one load/store per eval instead of two arrays.
   std::vector<std::uint64_t> evalMeta_;
@@ -629,6 +686,7 @@ class SimContext {
   unsigned shards_ = 1;
   ShardPlan plan_;
   std::vector<Shard> shardState_;
+  SettleWork retiredWork_;  ///< counters of shards dropped by a relayout
   std::unique_ptr<Executor> exec_;
 
   // Compiled backend: the op table, laid out with the board and the records

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "netlist/patterns.h"
+#include "netlist/synth.h"
 #include "sim/farm.h"
 #include "test_util.h"
 
@@ -348,6 +349,99 @@ TEST(SimKernel, BothKernelsDetectCombinationalCycles) {
     SimContext ctx(nl);
     ctx.setKernel(kernel);
     EXPECT_THROW(ctx.settle(), CombinationalCycleError);
+  }
+}
+
+/// A wire (comb-pure, so the event kernel evaluates it only when an input
+/// changes) whose evalComb throws once, at cycle `throwAt`, before it drives
+/// anything. It stays generic under the compiled backend (a subclass of a
+/// catalog kind never specializes).
+class ThrowOnceWire : public FuncNode {
+ public:
+  ThrowOnceWire(std::string name, unsigned width, std::uint64_t throwAt)
+      : FuncNode(std::move(name), {width}, width, FnOp{FnOp::Kind::kId}),
+        throwAt_(throwAt) {}
+  void evalComb(SimContext& ctx) const override {
+    if (armed_ && ctx.cycle() == throwAt_) {
+      armed_ = false;
+      throw EslError("wire '" + name() + "' failed");
+    }
+    FuncNode::evalComb(ctx);
+  }
+
+ private:
+  std::uint64_t throwAt_;
+  mutable bool armed_ = true;
+};
+
+TEST(SimKernel, StepRetriedAfterAThrowMatchesAnUninterruptedRun) {
+  // The throw leaves a partial settle on the board: the source has driven
+  // token 5 onto `a`, and the wire, its only reader, never ran. A retried
+  // step must not trust that board — if it only re-seeds the clocked nodes,
+  // the source re-drives the same token (no change, so no push), `b` keeps
+  // token 4, and the sink takes it twice while token 5 is lost.
+  using Log = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  const auto run = [](unsigned shards, SimContext::Backend backend,
+                      std::uint64_t throwAt, unsigned& throws) {
+    Netlist nl;
+    auto& src = nl.make<TokenSource>("src", 8, TokenSource::counting(8));
+    auto& wire = nl.make<ThrowOnceWire>("t", 8, throwAt);
+    auto& sink = nl.make<TokenSink>("sink", 8);
+    nl.connect(src, 0, wire, 0);
+    const ChannelId b = nl.connect(wire, 0, sink, 0);
+    SimContext ctx(nl);
+    ctx.setShards(shards);
+    ctx.setBackend(backend);
+    ctx.logTransfers(b);
+    throws = 0;
+    while (ctx.cycle() < 20) {
+      try {
+        ctx.step();
+      } catch (const EslError&) {
+        ++throws;
+      }
+    }
+    Log log;
+    for (const SimContext::Transfer& t : ctx.transfers(b))
+      log.emplace_back(t.cycle, t.data.toUint64());
+    return log;
+  };
+  for (const unsigned shards : {1u, 2u}) {
+    for (const auto backend :
+         {SimContext::Backend::kInterpreted, SimContext::Backend::kCompiled}) {
+      unsigned throws = 0;
+      const Log uninterrupted = run(shards, backend, ~std::uint64_t{0}, throws);
+      ASSERT_EQ(throws, 0u);
+      const Log retried = run(shards, backend, 5, throws);
+      EXPECT_EQ(throws, 1u);
+      EXPECT_EQ(retried, uninterrupted)
+          << shards << " shard(s), "
+          << (backend == SimContext::Backend::kCompiled ? "compiled" : "interpreted");
+    }
+  }
+}
+
+TEST(SimKernel, WorklistSearchStaysBelowEvaluations) {
+  // Stops and kills travel against the data, so on a fork/join tree each
+  // forward wave pushes work behind the drain's cursor. Finding the next
+  // pending node after such a jump must not walk the empty worklist words in
+  // between: the search may examine at most one word per evaluation.
+  synth::SynthConfig cfg;
+  cfg.topology = synth::Topology::kForkJoin;
+  cfg.targetNodes = 10000;
+  cfg.injectPeriod = 64;
+  for (const auto backend :
+       {SimContext::Backend::kInterpreted, SimContext::Backend::kCompiled}) {
+    synth::SynthSystem sys = synth::build(cfg);
+    Simulator s(sys.nl, {.checkProtocol = false, .backend = backend});
+    s.run(1000);
+    const SimContext::SettleWork before = s.ctx().settleWork();
+    s.run(1000);
+    const SimContext::SettleWork after = s.ctx().settleWork();
+    const std::uint64_t evaluations = after.evaluations - before.evaluations;
+    const std::uint64_t words = after.wordsSearched - before.wordsSearched;
+    EXPECT_GT(evaluations, 100000u);
+    EXPECT_LE(words, evaluations);
   }
 }
 
